@@ -24,8 +24,8 @@ from .exterior import (
     primitive_decompose,
     star_relation_counterexamples,
 )
-from .invariant import betti_numbers, build_model, filtered_complex
-from .lefschetz import check_hard_lefschetz, generate_hlp_module
+from .invariant import betti_numbers, filtered_complex
+from .lefschetz import generate_hlp_module
 from .modelfile import ModelFileError, dump_model, from_module, load_model, to_complex
 from .presets import PRESETS
 from .sampling import SampleConfig, sample_primitive_dims
@@ -90,15 +90,15 @@ def cmd_analyze(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
     start = time.time()
-    fc = filtered_complex(complex_)
-    pages, stable_at = run_to_convergence(fc)
+    sequence = run_to_convergence(filtered_complex(complex_))
+    pages, stable_at = sequence
     betti = betti_numbers(complex_)
-    reports = [verify_E2(complex_)]
+    reports = [verify_E2(complex_, sequence)]
     if complex_.is_s_type():
-        reports.append(verify_mainS(complex_))
+        reports.append(verify_mainS(complex_, sequence, betti))
         reports.append(model_star_duality(complex_))
     if complex_.is_c_type():
-        reports.append(verify_mainC(complex_))
+        reports.append(verify_mainC(complex_, sequence))
     elapsed = time.time() - start
     name = mf.name or args.model
     if not args.quiet:

@@ -1,34 +1,34 @@
 """Spectral sequence of a finite-dimensional filtered cochain complex.
 
-Pages are computed directly from the subquotient formula
+The filtration is given on an adapted basis: every basis vector carries one
+filtration degree, and F^p C^k is spanned by the vectors of degree >= p.
+Every filtration of a finite-dimensional complex has such a basis, and the
+invariant-forms models come with one (the basic degree).  On it, page
+dimensions are rank differences of blocks of d (the rank-invariant reading
+of Basu & Parida 2017; Romero, Rubio & Sergeraert 2006).  With
 
-    E_r^{p,q} = Z_r^{p,q} / B_r^{p,q},
-    Z_r^{p,q} = F^p C^{p+q} cap d^{-1}(F^{p+r} C^{p+q+1}),
-    B_r^{p,q} = (F^{p+1} C^{p+q} cap Z_r^{p,q})
-                + (d(F^{p-r+1} C^{p+q-1}) cap F^p C^{p+q}),
+    R_k(a, b) = rank of d_k restricted to the basis vectors of degree >= a,
+                read modulo F^b C^{k+1} (rows of degree < b),
 
-with d_r the map induced by d on the subquotients.  The engine is generic:
-any decreasing, exhaustive, bounded filtration preserved by d works.
+and k = p + q,
+
+    dim E_r^{p,q} = gr^p_k - [R_k(p, p+r) - R_k(p+1, p+r)]
+                           - [R_{k-1}(p-r+1, p+1) - R_{k-1}(p-r+1, p)],
+    rank d_r^{p,q} = R_k(p, p+r+1) - R_k(p, p+r)
+                     - R_k(p+1, p+r+1) + R_k(p+1, p+r).
+
+The first line is dim Z_r / B_r for the subquotient Z_r^{p,q} =
+F^p C^k cap d^{-1}(F^{p+r} C^{k+1}); the tests keep that subquotient engine
+as the reference these formulas are checked against.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from bisect import bisect_left
+from dataclasses import dataclass, field
 from typing import Sequence
 
-from .linalg import (
-    Matrix,
-    Quotient,
-    Subspace,
-    image_basis,
-    induced_map,
-    intersect,
-    kernel_basis,
-    preimage,
-    quotient,
-    rank,
-    subspace_sum,
-)
+from .linalg import Matrix, Subspace, prefix_ranks
 
 
 class FiltrationError(ValueError):
@@ -39,90 +39,95 @@ class FiltrationError(ValueError):
 class FilteredComplex:
     """Cochain complex in degrees 0..K with a bounded decreasing filtration.
 
-    `filtration[k][p]` is F^p in degree k for 0 <= p <= max_filtration + 1;
-    F^0 must be everything and F^{max_filtration+1} must be zero.
-    `d[k]` maps degree k to degree k+1; the last one targets the zero space.
+    `degrees[k][j]` is the filtration degree, in 0..max_filtration, of basis
+    vector j in degree k.  `d[k]` maps degree k to degree k+1; the last one
+    targets the zero space.  The ranks R_k(a, b) are cached on the complex
+    and shared by every page computed from it.
     """
 
-    chain_dims: tuple[int, ...]
     d: tuple[Matrix, ...]
-    filtration: tuple[tuple[Subspace, ...], ...]
+    degrees: tuple[tuple[int, ...], ...]
     max_filtration: int
+    _ranks: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        K = len(self.chain_dims) - 1
+        K = len(self.degrees) - 1
         P = self.max_filtration
         if K < 0 or P < 0:
             raise FiltrationError("empty complex or negative filtration bound")
-        if len(self.d) != K + 1 or len(self.filtration) != K + 1:
-            raise FiltrationError("d and filtration must cover every degree")
-        for k in range(K + 1):
-            tgt = self.chain_dims[k + 1] if k + 1 <= K else 0
-            if self.d[k].cols != self.chain_dims[k] or self.d[k].rows != tgt:
+        if len(self.d) != K + 1:
+            raise FiltrationError("d and the filtration degrees must cover every degree")
+        for k, src in enumerate(self.degrees):
+            if any(isinstance(x, bool) or not isinstance(x, int) or not 0 <= x <= P for x in src):
+                raise FiltrationError(f"filtration degrees at degree {k} must be integers in 0..{P}")
+            tgt = self.degrees[k + 1] if k < K else ()
+            if self.d[k].cols != len(src) or self.d[k].rows != len(tgt):
                 raise FiltrationError(f"differential at degree {k} has the wrong shape")
-            if len(self.filtration[k]) != P + 2:
-                raise FiltrationError(f"filtration at degree {k} must list F^0..F^{P + 1}")
-            if self.filtration[k][0].dim != self.chain_dims[k]:
-                raise FiltrationError(f"F^0 at degree {k} is not the whole space")
-            if self.filtration[k][P + 1].dim != 0:
-                raise FiltrationError(f"F^{P + 1} at degree {k} is not zero")
-            for p in range(P + 1):
-                if self.filtration[k][p].ambient_dim != self.chain_dims[k]:
-                    raise FiltrationError(f"F^{p} at degree {k} has wrong ambient dimension")
-                if not self.filtration[k][p].contains(self.filtration[k][p + 1]):
-                    raise FiltrationError(f"filtration not decreasing at degree {k}, p={p}")
+            for i, row in enumerate(self.d[k].entries):
+                for j, x in enumerate(row):
+                    if x and tgt[i] < src[j]:
+                        raise FiltrationError(
+                            f"d does not preserve F^{src[j]} at degree {k}: "
+                            f"vector {j} hits vector {i} of filtration degree {tgt[i]}"
+                        )
         for k in range(K):
             if not (self.d[k + 1] @ self.d[k]).is_zero():
                 raise FiltrationError(f"d o d != 0 at degree {k}")
-        for k in range(K + 1):
-            for p in range(1, P + 1):
-                fp_next = self.filt(p, k + 1)
-                for col in self.filtration[k][p].basis.columns():
-                    if not fp_next.contains_vector(self.d[k].apply(col)):
-                        raise FiltrationError(f"d does not preserve F^{p} at degree {k}")
+
+    @property
+    def chain_dims(self) -> tuple[int, ...]:
+        return tuple(len(src) for src in self.degrees)
 
     @property
     def max_degree(self) -> int:
-        return len(self.chain_dims) - 1
+        return len(self.degrees) - 1
 
     def dim(self, k: int) -> int:
         if 0 <= k <= self.max_degree:
-            return self.chain_dims[k]
+            return len(self.degrees[k])
         return 0
 
     def filt(self, p: int, k: int) -> Subspace:
         """F^p in degree k, extended by full below p=0 and zero above the bound."""
-        dim_k = self.dim(k)
         if not 0 <= k <= self.max_degree:
-            return Subspace.zero(dim_k)
-        if p <= 0:
-            return Subspace.full(dim_k)
-        if p > self.max_filtration:
-            return Subspace.zero(dim_k)
-        return self.filtration[k][p]
+            return Subspace.zero(0)
+        src = self.degrees[k]
+        return Subspace.coordinate(len(src), [j for j, deg in enumerate(src) if deg >= p])
 
-    def d_out(self, k: int) -> Matrix:
-        """The differential out of degree k (into a zero space off the ends)."""
-        if 0 <= k <= self.max_degree:
-            return self.d[k]
-        return Matrix.zero(self.dim(k + 1), self.dim(k))
+    def filtered_rank(self, k: int, a: int, b: int) -> int:
+        """R_k(a, b): rank of d_k from F^a C^k into C^{k+1} / F^b C^{k+1}."""
+        P = self.max_filtration
+        a = max(a, 0)
+        if not 0 <= k <= self.max_degree or a > P or b <= 0:
+            return 0
+        profile = self._ranks.get((k, a))
+        if profile is None:
+            profile = self._ranks[(k, a)] = self._rank_profile(k, a)
+        return profile[min(b, P + 1)]
+
+    def _rank_profile(self, k: int, a: int) -> tuple[int, ...]:
+        """R_k(a, b) for b = 0..P+1, from one elimination over rows by degree."""
+        cols = [j for j, deg in enumerate(self.degrees[k]) if deg >= a]
+        tgt = self.degrees[k + 1] if k < self.max_degree else ()
+        order = sorted(range(len(tgt)), key=tgt.__getitem__)
+        entries = self.d[k].entries
+        ranks = prefix_ranks([[entries[i][j] for j in cols] for i in order])
+        sorted_degrees = [tgt[i] for i in order]
+        return tuple(
+            ranks[bisect_left(sorted_degrees, b)] for b in range(self.max_filtration + 2)
+        )
 
     def cohomology_dims(self) -> tuple[int, ...]:
-        out = []
-        for k in range(self.max_degree + 1):
-            rk_out = rank(self.d[k])
-            rk_in = rank(self.d[k - 1]) if k > 0 else 0
-            out.append(self.chain_dims[k] - rk_out - rk_in)
-        return tuple(out)
+        P = self.max_filtration
+        return tuple(
+            self.dim(k) - self.filtered_rank(k, 0, P + 1) - self.filtered_rank(k - 1, 0, P + 1)
+            for k in range(self.max_degree + 1)
+        )
 
 
 def trivial_filtration(chain_dims: Sequence[int], d: Sequence[Matrix]) -> FilteredComplex:
     """The two-step filtration F^0 = everything, F^1 = 0."""
-    chain_dims = tuple(chain_dims)
-    filt = tuple(
-        (Subspace.full(dim), Subspace.zero(dim)) for dim in chain_dims
-    )
-    return FilteredComplex(chain_dims, tuple(d), filt, 0)
+    return FilteredComplex(tuple(d), tuple((0,) * dim for dim in chain_dims), 0)
 
 
 @dataclass(frozen=True)
@@ -130,18 +135,24 @@ class PageCell:
     p: int
     q: int
     dim: int
-    quotient: Quotient  # inside the chain space of degree p+q
 
 
 @dataclass(frozen=True)
 class SpectralPage:
+    """Page E_r.  `cells` holds every (p, q) with gr^p C^{p+q} nonzero (all
+    other cells are zero on every page); `d_ranks` holds the nonzero ranks of
+    d_r^{p,q}, which maps into (p+r, q-r+1)."""
+
     r: int
     cells: dict[tuple[int, int], PageCell]
-    d_maps: dict[tuple[int, int], Matrix]  # (p,q) -> matrix into (p+r, q-r+1)
+    d_ranks: dict[tuple[int, int], int]
 
     def dim(self, p: int, q: int) -> int:
         cell = self.cells.get((p, q))
         return cell.dim if cell else 0
+
+    def d_rank(self, p: int, q: int) -> int:
+        return self.d_ranks.get((p, q), 0)
 
     def cell_dims(self) -> dict[tuple[int, int], int]:
         return {pq: c.dim for pq, c in self.cells.items() if c.dim}
@@ -155,62 +166,46 @@ class SpectralPage:
         return tuple(totals)
 
     def differentials_vanish(self) -> bool:
-        return all(m.is_zero() for m in self.d_maps.values())
-
-
-def _cell_spaces(fc: FilteredComplex, r: int, p: int, k: int) -> tuple[Subspace, Subspace]:
-    fp = fc.filt(p, k)
-    z = intersect(fp, preimage(fc.d_out(k), fc.filt(p + r, k + 1)))
-    b1 = intersect(fc.filt(p + 1, k), z)
-    if k >= 1:
-        d_in = fc.d_out(k - 1)
-        prev = fc.filt(p - r + 1, k - 1)
-        image = Subspace.span(fc.dim(k), [d_in.apply(col) for col in prev.basis.columns()])
-        b2 = intersect(image, fp)
-    else:
-        b2 = Subspace.zero(fc.dim(k))
-    return z, subspace_sum(b1, b2)
+        return not self.d_ranks
 
 
 def compute_page(fc: FilteredComplex, r: int) -> SpectralPage:
     if r < 0:
         raise ValueError("page index must be non-negative")
-    P = fc.max_filtration
-    K = fc.max_degree
+    R = fc.filtered_rank
     cells: dict[tuple[int, int], PageCell] = {}
-    for p in range(P + 1):
-        for k in range(K + 1):
-            z, b = _cell_spaces(fc, r, p, k)
-            q = quotient(z, b)
-            cells[(p, k - p)] = PageCell(p, k - p, q.dim, q)
-    d_maps: dict[tuple[int, int], Matrix] = {}
-    for (p, qq), cell in cells.items():
-        k = p + qq
-        target = cells.get((p + r, qq - r + 1))
-        if target is None:
-            # The target cell sits outside the stored grid, where it is zero.
-            dim_t = fc.dim(k + 1)
-            zero = Subspace.zero(dim_t)
-            target = PageCell(p + r, qq - r + 1, 0, quotient(zero, zero))
-        d_maps[(p, qq)] = induced_map(fc.d_out(k), cell.quotient, target.quotient)
-    return SpectralPage(r, cells, d_maps)
+    d_ranks: dict[tuple[int, int], int] = {}
+    for k, degrees in enumerate(fc.degrees):
+        for p in range(fc.max_filtration + 1):
+            gr = degrees.count(p)  # dim F^p C^k / F^{p+1} C^k
+            if not gr:
+                continue
+            q = k - p
+            dim = (
+                gr
+                - (R(k, p, p + r) - R(k, p + 1, p + r))
+                - (R(k - 1, p - r + 1, p + 1) - R(k - 1, p - r + 1, p))
+            )
+            cells[(p, q)] = PageCell(p, q, dim)
+            rk = R(k, p, p + r + 1) - R(k, p, p + r) - R(k, p + 1, p + r + 1) + R(k, p + 1, p + r)
+            if rk:
+                d_ranks[(p, q)] = rk
+    return SpectralPage(r, cells, d_ranks)
 
 
 def run_to_convergence(fc: FilteredComplex) -> tuple[list[SpectralPage], int]:
     """All pages through E_{P+2} (which is E_infinity) and the first stable page.
 
-    Stability of page r means every later computed page has the same cell
-    dimensions and all differentials from page r on vanish.
+    d_r vanishes exactly when E_{r+1} has the cell dimensions of E_r, so the
+    stable page is the first one from which every page has the cell
+    dimensions of E_{P+2}.
     """
     last = fc.max_filtration + 2
     pages = [compute_page(fc, r) for r in range(last + 1)]
     final_dims = pages[last].cell_dims()
     stable_at = last
-    for r in range(last, -1, -1):
-        if pages[r].cell_dims() == final_dims and pages[r].differentials_vanish():
-            stable_at = r
-        else:
-            break
+    while stable_at > 0 and pages[stable_at - 1].cell_dims() == final_dims:
+        stable_at -= 1
     return pages, stable_at
 
 

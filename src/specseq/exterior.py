@@ -18,9 +18,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
-from .linalg import Matrix, Subspace, kernel_basis, solve
+from .linalg import Matrix, kernel_basis, solve
 
 Q = Fraction
 _ZERO = Fraction(0)

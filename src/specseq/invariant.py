@@ -149,13 +149,11 @@ def betti_numbers(c: InvariantComplex) -> tuple[int, ...]:
 
 
 def filtered_complex(c: InvariantComplex):
-    """The complex together with its basic-degree filtration, engine-ready."""
+    """The complex with its basic-degree filtration, engine-ready.
+
+    The basis is adapted: each eta_I (x) h sits in filtration degree deg h.
+    """
     from .engine import FilteredComplex
 
-    max_filt = 2 * c.base.n
-    chain_dims = tuple(c.dim(k) for k in range(c.max_degree + 1))
-    filt = tuple(
-        tuple(filtration_subspace(c, p, k) for p in range(max_filt + 2))
-        for k in range(c.max_degree + 1)
-    )
-    return FilteredComplex(chain_dims, c.differentials, filt, max_filt)
+    degrees = tuple(tuple(p for _, p, _ in layer) for layer in c.basis)
+    return FilteredComplex(c.differentials, degrees, 2 * c.base.n)

@@ -1,16 +1,17 @@
 """Exact linear algebra over the rationals.
 
-Every subspace, quotient and induced-map computation in the package bottoms
-out here.  All arithmetic uses `fractions.Fraction`, and subspaces are kept
-in a canonical column-echelon basis so that equality of subspaces is plain
-equality of the stored data.  Dense representations throughout; sizes stay
-in the hundreds.
+Every subspace, quotient and rank computation in the package bottoms out
+here.  All arithmetic is exact: `fractions.Fraction`, or integers where
+only a rank is needed.  Subspaces are kept in a canonical column-echelon
+basis so that equality of subspaces is plain equality of the stored data.
+Dense representations throughout; sizes stay in the hundreds.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 Q = Fraction
@@ -24,14 +25,6 @@ class DimensionMismatch(ValueError):
 
 class ContainmentError(ValueError):
     """A subspace that was required to contain another does not."""
-
-
-class InducedMapError(ValueError):
-    """The map does not preserve the subspaces, so no quotient map exists.
-
-    Hitting this from the spectral-sequence engine signals a modeling bug,
-    not bad user data.
-    """
 
 
 def _frac(x) -> Fraction:
@@ -190,6 +183,31 @@ def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...], int]:
 
 def rank(m: Matrix) -> int:
     return rref(m)[2]
+
+
+def prefix_ranks(rows: Sequence[Sequence[Fraction]]) -> list[int]:
+    """`out[i]` is the rank of `rows[:i]`, for i = 0..len(rows).
+
+    One pass of fraction-free elimination: each row is scaled to integers,
+    reduced against the independent rows before it, and divided by the gcd
+    of its entries before it joins them.
+    """
+    out = [0]
+    basis: list[tuple[int, list[int]]] = []  # (pivot column, reduced row)
+    for row in rows:
+        den = lcm(*(x.denominator for x in row))
+        v = [x.numerator * (den // x.denominator) for x in row]
+        for pc, prow in basis:
+            c = v[pc]
+            if c:
+                lead = prow[pc]
+                v = [lead * x - c * y for x, y in zip(v, prow)]
+        pivot = next((j for j, x in enumerate(v) if x), None)
+        if pivot is not None:
+            g = gcd(*v)
+            basis.append((pivot, [x // g for x in v]))
+        out.append(len(basis))
+    return out
 
 
 @dataclass(frozen=True)
@@ -380,19 +398,6 @@ def quotient(ambient: Subspace, sub: Subspace) -> Quotient:
         else Matrix.zero(n, 0)
     )
     return Quotient(ambient, sub, qdim, project, section)
-
-
-def induced_map(f: Matrix, src: Quotient, dst: Quotient) -> Matrix:
-    """Matrix of the map induced by f on src.ambient/src.sub -> dst.ambient/dst.sub."""
-    if f.cols != src.ambient.ambient_dim or f.rows != dst.ambient.ambient_dim:
-        raise DimensionMismatch("f does not map the source ambient into the target ambient")
-    for col in src.ambient.basis.columns():
-        if not dst.ambient.contains_vector(f.apply(col)):
-            raise InducedMapError("f does not map the source ambient space into the target")
-    for col in src.sub.basis.columns():
-        if not dst.sub.contains_vector(f.apply(col)):
-            raise InducedMapError("f does not preserve the subspaces; induced map undefined")
-    return dst.project @ f @ src.section
 
 
 def inverse(m: Matrix) -> Matrix:

@@ -31,6 +31,17 @@ class ModelFileError(ValueError):
     """The file does not describe a valid model."""
 
 
+# Largest total chain dimension 2^s * sum(dims) a model file may ask for.  The
+# presets, the `generate` command (at most 2^4 * 12) and the sampled suites
+# (at most 2^3 * 12) stay well below it.  The check runs before anything is
+# allocated, so a tiny file cannot ask for 2^30 basis elements.
+MAX_CHAIN_DIM = 1024
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class ModelFile:
     n: int
@@ -63,22 +74,29 @@ def parse_model(text: str) -> ModelFile:
         if key not in data:
             raise ModelFileError(f"missing required field {key!r}")
     n, s = data["n"], data["s"]
-    if not isinstance(n, int) or n < 0:
+    if not _is_int(n) or n < 0:
         raise ModelFileError("n: must be a non-negative integer")
-    if not isinstance(s, int) or s < 1:
+    if not _is_int(s) or s < 1:
         raise ModelFileError("s: must be a positive integer")
-    lambdas = data["lambdas"]
-    if not isinstance(lambdas, list) or len(lambdas) != s:
-        raise ModelFileError(f"lambdas: expected a list of {s} rationals")
-    lambdas = tuple(_rational(x, f"lambdas[{i}]") for i, x in enumerate(lambdas))
     dims = data["dims"]
     if (
         not isinstance(dims, list)
         or len(dims) != 2 * n + 1
-        or any(not isinstance(d, int) or d < 0 for d in dims)
+        or any(not _is_int(d) or d < 0 for d in dims)
     ):
         raise ModelFileError(f"dims: expected a list of {2 * n + 1} non-negative integers")
     dims = tuple(dims)
+    # The model walks all 2^s eta subsets even where dims vanish, so an empty
+    # base counts as 1; a large s is refused before 2^s is computed.
+    size = max(sum(dims), 1)
+    if s >= MAX_CHAIN_DIM.bit_length() or 2**s * size > MAX_CHAIN_DIM:
+        raise ModelFileError(
+            f"s, dims: total chain dimension 2^{s} * {size} is above the limit {MAX_CHAIN_DIM}"
+        )
+    lambdas = data["lambdas"]
+    if not isinstance(lambdas, list) or len(lambdas) != s:
+        raise ModelFileError(f"lambdas: expected a list of {s} rationals")
+    lambdas = tuple(_rational(x, f"lambdas[{i}]") for i, x in enumerate(lambdas))
     raw_l = data["L"]
     if not isinstance(raw_l, list) or len(raw_l) != 2 * n + 1:
         raise ModelFileError(f"L: expected a list of {2 * n + 1} matrices")

@@ -23,13 +23,12 @@ from fractions import Fraction
 from math import comb
 from typing import Sequence
 
-from .engine import compute_page, run_to_convergence
+from .engine import SpectralPage, compute_page, run_to_convergence
 from .exterior import index_subset_sign
 from .invariant import (
     InvariantComplex,
     InvariantElement,
     betti_numbers,
-    cohomology,
     differential,
     filtered_complex,
 )
@@ -48,6 +47,37 @@ _ZERO = Fraction(0)
 
 class HypothesisError(ValueError):
     """The theorem's hypotheses do not hold for this input."""
+
+
+# Pages E_0..E_{P+2} and the stable page, as `run_to_convergence` returns them.
+PageSequence = tuple[list[SpectralPage], int]
+
+
+@dataclass(frozen=True)
+class Witness:
+    """One failed comparison: what was checked, where, and both values.
+
+    `where` is a cell (p, q), a degree k, or None for a whole-sequence check.
+    """
+
+    check: str
+    where: tuple[int, int] | int | None
+    expected: object
+    actual: object
+
+    def __str__(self) -> str:
+        if isinstance(self.where, tuple):
+            at = f" at (p, q) = {self.where}"
+        elif self.where is not None:
+            at = f" in degree {self.where}"
+        else:
+            at = ""
+        return f"{self.check}{at}: expected {self.expected}, got {self.actual}"
+
+
+def _degree_witnesses(check: str, expected: Sequence[int], actual: Sequence[int]) -> list[Witness]:
+    pairs = itertools.zip_longest(expected, actual)
+    return [Witness(check, k, e, a) for k, (e, a) in enumerate(pairs) if e != a]
 
 
 @dataclass(frozen=True)
@@ -78,24 +108,31 @@ def _hypothesis(c: InvariantComplex, need_s_type: bool, need_hlp: bool) -> str |
     return None
 
 
-def verify_E2(c: InvariantComplex) -> VerificationReport:
-    """dim E_2^{p,q} = dim H^p * C(s,q), and d_0 = d_1 = 0."""
-    fc = filtered_complex(c)
+def verify_E2(c: InvariantComplex, sequence: PageSequence | None = None) -> VerificationReport:
+    """dim E_2^{p,q} = dim H^p * C(s,q), and d_0 = d_1 = 0.
+
+    `sequence` is the model's `run_to_convergence` result, when the caller
+    has it; otherwise pages 0..2 are computed here.
+    """
+    if sequence is None:
+        fc = filtered_complex(c)
+        pages = [compute_page(fc, r) for r in range(3)]
+    else:
+        pages = sequence[0]
     witnesses = []
     for r in (0, 1):
-        page = compute_page(fc, r)
-        if not page.differentials_vanish():
-            witnesses.append(f"d_{r} is nonzero")
-    page2 = compute_page(fc, 2)
+        for pq, rk in sorted(pages[r].d_ranks.items()):
+            witnesses.append(Witness(f"rank d_{r}", pq, 0, rk))
     expected = {}
     for p in range(2 * c.base.n + 1):
         for q in range(c.s + 1):
             d = c.base.dims[p] * _binom(c.s, q)
             if d:
                 expected[(p, q)] = d
-    actual = page2.cell_dims()
-    if actual != expected:
-        witnesses.append("E_2 cell dimensions differ")
+    actual = pages[2].cell_dims()
+    for pq in sorted(expected.keys() | actual.keys()):
+        if expected.get(pq, 0) != actual.get(pq, 0):
+            witnesses.append(Witness("dim E_2", pq, expected.get(pq, 0), actual.get(pq, 0)))
     return VerificationReport(
         "E2",
         not witnesses,
@@ -105,8 +142,8 @@ def verify_E2(c: InvariantComplex) -> VerificationReport:
     )
 
 
-def kernel_d2(c: InvariantComplex, p: int, q: int) -> tuple[Subspace, int]:
-    """Ker(d_2^{p,q}) from the engine, with the predicted dimension.
+def kernel_d2(c: InvariantComplex, p: int, q: int) -> tuple[int, int]:
+    """dim Ker(d_2^{p,q}) from the engine, with the predicted dimension.
 
     Prediction: C(s-1,q) * dim H^p for the difference-product part plus
     C(s-1,q-1) * dim Ker(L)^p for the eta-times-Ker(L) part.
@@ -114,13 +151,8 @@ def kernel_d2(c: InvariantComplex, p: int, q: int) -> tuple[Subspace, int]:
     violation = _hypothesis(c, True, True)
     if violation:
         raise HypothesisError(violation)
-    fc = filtered_complex(c)
-    page2 = compute_page(fc, 2)
-    d2 = page2.d_maps.get((p, q))
-    cell_dim = page2.dim(p, q)
-    if d2 is None:
-        return Subspace.zero(cell_dim), 0
-    actual = kernel_basis(d2)
+    page2 = compute_page(filtered_complex(c), 2)
+    actual = page2.dim(p, q) - page2.d_rank(p, q)
     zdim = kernel_L(c.base, p).dim if p <= 2 * c.base.n else 0
     hdim = c.base.dim_at(p)
     expected = _binom(c.s - 1, q) * hdim + _binom(c.s - 1, q - 1) * zdim
@@ -147,23 +179,34 @@ def expected_dims_mainS(base: LefschetzModule, s: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def verify_mainS(c: InvariantComplex) -> VerificationReport:
-    """S-type degeneration: stable page <= 3 and dims match the prediction."""
+def _limiting_totals(c: InvariantComplex, sequence: PageSequence | None):
+    if sequence is None:
+        sequence = run_to_convergence(filtered_complex(c))
+    pages, stable_at = sequence
+    return pages[-1].antidiagonal_totals(c.max_degree), stable_at
+
+
+def verify_mainS(
+    c: InvariantComplex,
+    sequence: PageSequence | None = None,
+    betti: tuple[int, ...] | None = None,
+) -> VerificationReport:
+    """S-type degeneration: stable page <= 3 and dims match the prediction.
+
+    `sequence` and `betti` are the model's `run_to_convergence` result and
+    direct cohomology dims, when the caller has them.
+    """
     violation = _hypothesis(c, True, True)
     if violation:
         return VerificationReport("mainS", False, (), (), (), violation)
     expected = expected_dims_mainS(c.base, c.s)
-    fc = filtered_complex(c)
-    pages, stable_at = run_to_convergence(fc)
-    totals = pages[-1].antidiagonal_totals(fc.max_degree)
-    direct = betti_numbers(c)
+    totals, stable_at = _limiting_totals(c, sequence)
+    direct = betti_numbers(c) if betti is None else betti
     witnesses = []
     if stable_at > 3:
-        witnesses.append(f"stabilizes only at page {stable_at}")
-    if totals != expected:
-        witnesses.append("E_infinity totals differ from prediction")
-    if direct != expected:
-        witnesses.append("direct cohomology differs from prediction")
+        witnesses.append(Witness("stable page", None, "<= 3", stable_at))
+    witnesses += _degree_witnesses("E_infinity total", expected, totals)
+    witnesses += _degree_witnesses("direct cohomology", expected, direct)
     return VerificationReport(
         "mainS", not witnesses, expected, totals + (("stable_at", stable_at),), tuple(witnesses)
     )
@@ -181,21 +224,22 @@ def expected_dims_mainC(base: LefschetzModule, s: int) -> tuple[int, ...]:
     )
 
 
-def verify_mainC(c: InvariantComplex) -> VerificationReport:
-    """C-type degeneration: stable page <= 2 and dims match the convolution."""
+def verify_mainC(c: InvariantComplex, sequence: PageSequence | None = None) -> VerificationReport:
+    """C-type degeneration: stable page <= 2 and dims match the convolution.
+
+    `sequence` is the model's `run_to_convergence` result, when the caller
+    has it.
+    """
     if not c.is_c_type():
         return VerificationReport(
             "mainC", False, (), (), (), "not C-type: some lambda_i is nonzero"
         )
     expected = expected_dims_mainC(c.base, c.s)
-    fc = filtered_complex(c)
-    pages, stable_at = run_to_convergence(fc)
-    totals = pages[-1].antidiagonal_totals(fc.max_degree)
+    totals, stable_at = _limiting_totals(c, sequence)
     witnesses = []
     if stable_at > 2:
-        witnesses.append(f"stabilizes only at page {stable_at}")
-    if totals != expected:
-        witnesses.append("E_infinity totals differ from prediction")
+        witnesses.append(Witness("stable page", None, "<= 2", stable_at))
+    witnesses += _degree_witnesses("E_infinity total", expected, totals)
     return VerificationReport(
         "mainC", not witnesses, expected, totals + (("stable_at", stable_at),), tuple(witnesses)
     )

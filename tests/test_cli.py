@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from specseq import cli, verify
 from specseq.cli import main, parse_form, format_form
 from specseq.exterior import ModelFrame, Multivector
 
@@ -37,6 +38,43 @@ def test_analyze_invalid_file_exits_2(tmp_path, capsys):
     code, _, err = run(capsys, "analyze", str(bad))
     assert code == 2
     assert "dims" in err
+
+
+@pytest.mark.parametrize(
+    "fields, named",
+    [
+        ({"n": True}, "n:"),
+        ({"s": True}, "s:"),
+        ({"dims": [True, 0, 1]}, "dims:"),
+        ({"n": 0, "s": 30, "lambdas": ["1"] * 30, "dims": [1], "L": [[]]}, "s, dims:"),
+        ({"n": 0, "s": 11, "lambdas": ["1"] * 11, "dims": [0], "L": [[]]}, "s, dims:"),
+    ],
+)
+def test_analyze_rejects_ill_typed_or_oversized_file(tmp_path, capsys, fields, named):
+    model = {"n": 1, "s": 1, "lambdas": ["1"], "dims": [1, 0, 1], "L": [[["1"]], [], []]}
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({**model, **fields}))
+    code, _, err = run(capsys, "analyze", str(bad))
+    assert code == 2
+    assert named in err
+
+
+def test_analyze_computes_the_sequence_once(monkeypatch, capsys):
+    calls = {}
+    for module in (cli, verify):
+        for name in ("filtered_complex", "run_to_convergence", "compute_page", "betti_numbers"):
+            if hasattr(module, name):
+
+                def counted(*args, _fn=getattr(module, name), _name=name, **kwargs):
+                    calls[_name] = calls.get(_name, 0) + 1
+                    return _fn(*args, **kwargs)
+
+                monkeypatch.setattr(module, name, counted)
+    for preset in ("hopf-s3", "torus-t3"):
+        calls.clear()
+        code, _, _ = run(capsys, "analyze", preset, "--quiet")
+        assert code == 0
+        assert calls == {"filtered_complex": 1, "run_to_convergence": 1, "betti_numbers": 1}
 
 
 def test_analyze_json_report(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 from math import comb
 
@@ -6,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from specseq.invariant import betti_numbers, build_model, differential
+from specseq.engine import PageCell, run_to_convergence
+from specseq.invariant import betti_numbers, build_model, differential, filtered_complex
 from specseq.lefschetz import check_hard_lefschetz, generate_hlp_module, zero_l_block
 from specseq.linalg import Subspace
 from specseq.presets import PRESETS
@@ -14,6 +16,7 @@ from specseq.modelfile import to_complex
 from specseq.sampling import SampleConfig, sample_model
 from specseq.verify import (
     HypothesisError,
+    Witness,
     basic_betti_from_deRham,
     expected_dims_mainC,
     expected_dims_mainS,
@@ -59,12 +62,12 @@ def test_verify_E2_any_lambdas(base, s, data):
 def test_kernel_d2_cases(cp1, t2):
     hopf = build_model(cp1, 1, [1])
     ker, expected = kernel_d2(hopf, 0, 1)
-    assert (ker.dim, expected) == (0, 0)  # d2(eta (x) 1) = omega != 0
+    assert (ker, expected) == (0, 0)  # d2(eta (x) 1) = omega != 0
     ker, expected = kernel_d2(hopf, 0, 0)
-    assert (ker.dim, expected) == (1, 1)  # q=0 kernels are the whole cell
+    assert (ker, expected) == (1, 1)  # q=0 kernels are the whole cell
     two = build_model(cp1, 2, [1, 1])
     ker, expected = kernel_d2(two, 0, 1)
-    assert (ker.dim, expected) == (1, 1)  # spanned by (eta1 - eta2) (x) 1
+    assert (ker, expected) == (1, 1)  # spanned by (eta1 - eta2) (x) 1
 
 
 @settings(deadline=None, max_examples=15)
@@ -74,7 +77,7 @@ def test_kernel_d2_matches_prediction(base, s):
     for p in range(2 * base.n + 1):
         for q in range(s + 1):
             ker, expected = kernel_d2(c, p, q)
-            assert ker.dim == expected, (p, q)
+            assert ker == expected, (p, q)
 
 
 def test_kernel_d2_hypothesis_guard(cp1):
@@ -120,6 +123,53 @@ def test_verify_mainC_presets():
 def test_verify_mainC_type_guard(cp1):
     r = verify_mainC(build_model(cp1, 2, [1, 0]))
     assert not r.applicable
+
+
+def _doctored(pages, r, dims=None, d_ranks=None):
+    """A copy of `pages` with cell dims and d_r ranks of page r overridden."""
+    page = pages[r]
+    cells = dict(page.cells)
+    for (p, q), dim in (dims or {}).items():
+        cells[(p, q)] = PageCell(p, q, dim)
+    out = list(pages)
+    out[r] = replace(page, cells=cells, d_ranks=page.d_ranks if d_ranks is None else d_ranks)
+    return out
+
+
+def test_witnesses_name_cell_and_values(cp1):
+    hopf = build_model(cp1, 1, [1])
+    pages, stable_at = run_to_convergence(filtered_complex(hopf))
+    assert verify_E2(hopf, (pages, stable_at)).passed
+    pages = _doctored(pages, 1, d_ranks={(0, 1): 1})
+    pages = _doctored(pages, 2, dims={(2, 0): 3})
+    r = verify_E2(hopf, (pages, stable_at))
+    assert not r.passed
+    assert r.witnesses == (
+        Witness("rank d_1", (0, 1), 0, 1),
+        Witness("dim E_2", (2, 0), 1, 3),
+    )
+    assert str(r.witnesses[1]) == "dim E_2 at (p, q) = (2, 0): expected 1, got 3"
+
+
+def test_witnesses_name_degree_and_values(cp1):
+    hopf = build_model(cp1, 1, [1])
+    pages, _ = run_to_convergence(filtered_complex(hopf))
+    pages = _doctored(pages, -1, dims={(2, 1): 0})
+    r = verify_mainS(hopf, (pages, 5), (1, 0, 1, 1))
+    assert r.witnesses == (
+        Witness("stable page", None, "<= 3", 5),
+        Witness("E_infinity total", 3, 1, 0),
+        Witness("direct cohomology", 2, 0, 1),
+    )
+    assert str(r.witnesses[1]) == "E_infinity total in degree 3: expected 1, got 0"
+
+    cosymplectic = build_model(cp1, 1, [0])
+    pages, _ = run_to_convergence(filtered_complex(cosymplectic))
+    r = verify_mainC(cosymplectic, (_doctored(pages, -1, dims={(0, 1): 2}), 3))
+    assert r.witnesses == (
+        Witness("stable page", None, "<= 2", 3),
+        Witness("E_infinity total", 1, 1, 2),
+    )
 
 
 def test_primitive_betti_recursion_examples():

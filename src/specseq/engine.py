@@ -28,7 +28,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .linalg import Matrix, Subspace, prefix_ranks
+from .linalg import Matrix, Subspace, prefix_ranks, rank
 
 
 class FiltrationError(ValueError):
@@ -118,9 +118,11 @@ class FilteredComplex:
         )
 
     def cohomology_dims(self) -> tuple[int, ...]:
-        P = self.max_filtration
+        """dim H^k from `rank` of each d_k, an elimination independent of the
+        cached rank profiles, so `check_abutment` cross-checks them."""
+        ranks = [rank(m) for m in self.d]
         return tuple(
-            self.dim(k) - self.filtered_rank(k, 0, P + 1) - self.filtered_rank(k - 1, 0, P + 1)
+            self.dim(k) - ranks[k] - (ranks[k - 1] if k else 0)
             for k in range(self.max_degree + 1)
         )
 
@@ -214,6 +216,10 @@ def infinity_page(fc: FilteredComplex) -> SpectralPage:
 
 
 def check_abutment(fc: FilteredComplex) -> bool:
-    """Anti-diagonal totals of the stable page equal the cohomology dims."""
+    """Anti-diagonal totals of the stable page equal the cohomology dims.
+
+    The page side comes from the cached rank profiles, the cohomology side
+    from `linalg.rank`; the check fails when the two eliminations disagree.
+    """
     einf = infinity_page(fc)
     return einf.antidiagonal_totals(fc.max_degree) == fc.cohomology_dims()

@@ -120,15 +120,6 @@ def element(c: InvariantComplex, k: int, terms: dict[BasisElement, Fraction]) ->
     return InvariantElement(k, tuple(coeffs))
 
 
-def filtration_subspace(c: InvariantComplex, p: int, k: int) -> Subspace:
-    """F^p in total degree k: span of basis pairs with basic degree >= p."""
-    dim_k = c.dim(k)
-    if p <= 0:
-        return Subspace.full(dim_k)
-    indices = [i for i, (_, deg, _) in enumerate(c.basis[k]) if deg >= p]
-    return Subspace.coordinate(dim_k, indices)
-
-
 def cohomology(c: InvariantComplex) -> list[tuple[int, int, Subspace]]:
     """Per degree: (degree, dim H^k, subspace of representative cocycles)."""
     out = []

@@ -294,7 +294,10 @@ def test_criterion_9_harmonic_bases(capsys, suite_S, suite_C):
 def test_criterion_10_engine_sanity(capsys, suite_S, suite_C):
     failures = 0
     for c in suite_S[:25] + suite_C[:25]:
-        if not check_abutment(filtered_complex(c)):
+        fc = filtered_complex(c)
+        if not check_abutment(fc):
+            failures += 1
+        if run_to_convergence(fc)[0][-1].antidiagonal_totals(c.max_degree) != betti_numbers(c):
             failures += 1
     # Trivially filtered complex: E_1 is plain cohomology and stays there.
     d = (
@@ -304,7 +307,7 @@ def test_criterion_10_engine_sanity(capsys, suite_S, suite_C):
     )
     fc = trivial_filtration((2, 2, 1), d)
     page1 = compute_page(fc, 1)
-    if page1.antidiagonal_totals(2) != fc.cohomology_dims():
+    if not page1.antidiagonal_totals(2) == fc.cohomology_dims() == (2, 1, 0):
         failures += 1
     _, stable_at = run_to_convergence(fc)
     if stable_at > 1 or not check_abutment(fc):

@@ -16,7 +16,7 @@ from specseq.engine import (
     run_to_convergence,
     trivial_filtration,
 )
-from specseq.invariant import build_model, filtered_complex
+from specseq.invariant import betti_numbers, build_model, filtered_complex
 from specseq.lefschetz import generate_hlp_module
 from specseq.linalg import Matrix, inverse, kernel_basis, rank
 
@@ -69,7 +69,7 @@ def test_trivial_filtration_gives_cohomology_at_E1():
     fc = trivial_filtration((2, 2, 1), d)
     page1 = compute_page(fc, 1)
     totals = page1.antidiagonal_totals(2)
-    assert totals == fc.cohomology_dims()
+    assert totals == fc.cohomology_dims() == (2, 1, 0)
     _, stable_at = run_to_convergence(fc)
     assert stable_at <= 1
 
@@ -154,7 +154,9 @@ def _assert_engines_agree(fc):
 @settings(deadline=None, max_examples=20)
 @given(random_models())
 def test_rank_engine_matches_oracle(m):
-    _assert_engines_agree(filtered_complex(m))
+    pages, _ = _assert_engines_agree(filtered_complex(m))
+    # betti_numbers reduces kernels and images, not the rank profiles.
+    assert pages[-1].antidiagonal_totals(m.max_degree) == betti_numbers(m)
 
 
 def _interval_complex(P, K, pieces, free, seed):
@@ -241,6 +243,8 @@ def test_interval_pieces_on_every_page(spec):
                 ranks[(a, k - a)] = ranks.get((a, k - a), 0) + 1
         assert page.cell_dims() == dims, r
         assert page.d_ranks == ranks, r
+    # The pieces are acyclic: the cohomology is spanned by the free classes.
+    assert fc.cohomology_dims() == tuple(sum(k == j for k, _ in free) for j in range(K + 1))
     assert check_abutment(fc)
 
 
@@ -249,6 +253,7 @@ def test_interval_pieces_on_every_page(spec):
 def test_abutment_on_random_models(m):
     fc = filtered_complex(m)
     assert check_abutment(fc)
+    assert infinity_page(fc).antidiagonal_totals(m.max_degree) == betti_numbers(m)
 
 
 @settings(deadline=None, max_examples=15)

@@ -11,7 +11,6 @@ from specseq.invariant import (
     cohomology,
     differential,
     element,
-    filtration_subspace,
     filtered_complex,
 )
 from specseq.lefschetz import generate_hlp_module
@@ -97,13 +96,14 @@ def test_chain_dims_binomial_convolution(t2):
 
 def test_filtration_subspace_cases(cp1):
     hopf = build_model(cp1, 1, [1])
+    fc = filtered_complex(hopf)
     for k in range(4):
-        assert filtration_subspace(hopf, 0, k) == Subspace.full(hopf.dim(k))
+        assert fc.filt(0, k) == Subspace.full(hopf.dim(k))
     # Degree 1 is spanned by eta (x) H^0 only, so F^1 is zero there.
-    assert filtration_subspace(hopf, 1, 1).dim == 0
-    assert filtration_subspace(hopf, 2, 2).dim == 1
+    assert fc.filt(1, 1).dim == 0
+    assert fc.filt(2, 2).dim == 1
     for k in range(4):
-        assert filtration_subspace(hopf, 3, k).dim == 0
+        assert fc.filt(3, k).dim == 0
 
 
 @settings(deadline=None, max_examples=30)
@@ -116,10 +116,11 @@ def test_d_squared_zero(m):
 @settings(deadline=None, max_examples=20)
 @given(random_models())
 def test_d_raises_filtration_by_two(m):
+    fc = filtered_complex(m)
     for k in range(m.max_degree):
         for p in range(2 * m.base.n + 1):
-            fp = filtration_subspace(m, p, k)
-            target = filtration_subspace(m, p + 2, k + 1)
+            fp = fc.filt(p, k)
+            target = fc.filt(p + 2, k + 1)
             for col in fp.basis.columns():
                 assert target.contains_vector(m.differentials[k].apply(col))
 

@@ -24,9 +24,16 @@ from .exterior import (
     primitive_decompose,
     star_relation_counterexamples,
 )
-from .invariant import betti_numbers, filtered_complex
+from .invariant import cohomology, filtered_complex
 from .lefschetz import generate_hlp_module
-from .modelfile import ModelFileError, dump_model, from_module, load_model, to_complex
+from .modelfile import (
+    ModelFileError,
+    dump_model,
+    from_module,
+    load_model,
+    parse_rational,
+    to_complex,
+)
 from .presets import PRESETS
 from .sampling import SampleConfig, sample_primitive_dims
 from .verify import (
@@ -42,17 +49,6 @@ from .verify import (
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_INVALID = 2
-
-
-def _parse_rational_list(text: str, where: str) -> list[Fraction]:
-    out = []
-    for part in text.split(","):
-        part = part.strip()
-        try:
-            out.append(Fraction(part))
-        except (ValueError, ZeroDivisionError):
-            raise ModelFileError(f"{where}: bad rational {part!r}") from None
-    return out
 
 
 def _page_table(page, max_p: int, max_q: int) -> str:
@@ -89,17 +85,18 @@ def cmd_analyze(args) -> int:
     except (ModelFileError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    start = time.time()
+    start = time.perf_counter()
     sequence = run_to_convergence(filtered_complex(complex_))
     pages, stable_at = sequence
-    betti = betti_numbers(complex_)
+    classes = cohomology(complex_)
+    betti = tuple(q.dim for q in classes)
     reports = [verify_E2(complex_, sequence)]
     if complex_.is_s_type():
         reports.append(verify_mainS(complex_, sequence, betti))
-        reports.append(model_star_duality(complex_))
+        reports.append(model_star_duality(complex_, classes))
     if complex_.is_c_type():
         reports.append(verify_mainC(complex_, sequence))
-    elapsed = time.time() - start
+    elapsed = time.perf_counter() - start
     name = mf.name or args.model
     if not args.quiet:
         print(f"model {name}: n={mf.n} s={mf.s} lambdas={[str(x) for x in mf.lambdas]}")
@@ -160,7 +157,8 @@ def cmd_generate(args) -> int:
     base = generate_hlp_module(rng.getrandbits(32), n, pdims)
     if args.lambdas is not None:
         try:
-            lambdas = _parse_rational_list(args.lambdas, "--lambdas")
+            parts = enumerate(args.lambdas.split(","))
+            lambdas = [parse_rational(x.strip(), f"--lambdas[{i}]") for i, x in parts]
         except ModelFileError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_INVALID

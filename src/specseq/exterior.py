@@ -209,64 +209,14 @@ def _require_transverse(a: Multivector):
         raise TransverseRequired("operator only defined on transverse forms")
 
 
-def _poisson_entry(i: int, j: int) -> Fraction:
-    # Matrix inverse of omega(e_i, e_j); per 2x2 block [[0,1],[-1,0]] the
-    # inverse is [[0,-1],[1,0]].
-    if i // 2 != j // 2:
-        return _ZERO
-    if i == j:
-        return _ZERO
-    return -_ONE if i < j else _ONE
-
-
-def _det(rows: list[list[Fraction]]) -> Fraction:
-    n = len(rows)
-    if n == 0:
-        return _ONE
-    rows = [list(r) for r in rows]
-    det = _ONE
-    for c in range(n):
-        pivot = None
-        for r in range(c, n):
-            if rows[r][c]:
-                pivot = r
-                break
-        if pivot is None:
-            return _ZERO
-        if pivot != c:
-            rows[c], rows[pivot] = rows[pivot], rows[c]
-            det = -det
-        det *= rows[c][c]
-        inv = rows[c][c]
-        for r in range(c + 1, n):
-            if rows[r][c]:
-                f = rows[r][c] / inv
-                rows[r] = [x - f * y if y else x for x, y in zip(rows[r], rows[c])]
-    return det
-
-
-def _omega_pairing(b_idx: tuple[int, ...], a_idx: tuple[int, ...]) -> Fraction:
-    """Pairing of two degree-k monomials induced by the inverse of omega."""
-    return _det([[_poisson_entry(i, j) for j in a_idx] for i in b_idx])
-
-
 def symplectic_star(a: Multivector) -> Multivector:
-    """The fiberwise symplectic star, fixed by b ^ *a = pairing(b, a) vol."""
+    """The fiberwise symplectic star, fixed by b ^ *a = pairing(b, a) vol.
+
+    The pairing induced by omega^{-1} is the metric pairing twisted by J, so
+    the star is (-1)^k J *_b on degree-k forms.
+    """
     _require_transverse(a)
-    frame = a.frame
-    td = frame.transverse_dim
-    k = a.degree
-    acc: dict[tuple[int, ...], Fraction] = {}
-    for b_idx in monomials(frame, k):
-        val = _ZERO
-        for m_idx, c in a.terms:
-            p = _omega_pairing(b_idx, m_idx)
-            if p:
-                val += c * p
-        if val:
-            comp, sign = _complement_sign(b_idx, td)
-            acc[comp] = acc.get(comp, _ZERO) + sign * val
-    return Multivector.make(frame, td - k, acc)
+    return j_action(hodge_star_transverse(a)).scaled((-1) ** a.degree)
 
 
 def hodge_star_transverse(a: Multivector) -> Multivector:

@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .lefschetz import LefschetzModule
-from .linalg import Matrix, Subspace, image_basis, kernel_basis, quotient
+from .linalg import Matrix, Quotient, Subspace, image_basis, kernel_basis, quotient
 
 _ZERO = Fraction(0)
 
@@ -120,23 +120,22 @@ def element(c: InvariantComplex, k: int, terms: dict[BasisElement, Fraction]) ->
     return InvariantElement(k, tuple(coeffs))
 
 
-def cohomology(c: InvariantComplex) -> list[tuple[int, int, Subspace]]:
-    """Per degree: (degree, dim H^k, subspace of representative cocycles)."""
+def cohomology(c: InvariantComplex) -> list[Quotient]:
+    """Per degree k, H^k = Ker d_k / Im d_{k-1} as a `Quotient`.
+
+    `.dim` is the Betti number, `.project` maps cocycles to their classes and
+    the columns of `.section` are representative cocycles.
+    """
     out = []
     for k in range(c.max_degree + 1):
         closed = kernel_basis(c.differentials[k])
-        if k == 0:
-            exact = Subspace.zero(c.dim(0))
-        else:
-            exact = image_basis(c.differentials[k - 1])
-        q = quotient(closed, exact)
-        reps = Subspace.from_matrix(q.section) if q.dim else Subspace.zero(c.dim(k))
-        out.append((k, q.dim, reps))
+        exact = image_basis(c.differentials[k - 1]) if k else Subspace.zero(c.dim(0))
+        out.append(quotient(closed, exact))
     return out
 
 
 def betti_numbers(c: InvariantComplex) -> tuple[int, ...]:
-    return tuple(dim for _, dim, _ in cohomology(c))
+    return tuple(q.dim for q in cohomology(c))
 
 
 def filtered_complex(c: InvariantComplex):

@@ -116,6 +116,30 @@ def kernel_L(module: LefschetzModule, p: int) -> Subspace:
     return kernel_basis(module.L_maps[p])
 
 
+def lefschetz_blocks(
+    module: LefschetzModule, p: int
+) -> tuple[list[tuple[int, Subspace]], Matrix]:
+    """The Lefschetz pieces of H^p and the matrix B_p of their images.
+
+    Blocks are (i, primitive subspace of H^{p-2i}) for each i with L^i
+    nonzero on that subspace; the columns of B_p are L^i beta over each
+    block's basis in turn.  Under hard Lefschetz H^p is the direct sum of
+    the pieces L^i PH^{p-2i}, so B_p is square and invertible.
+    """
+    blocks: list[tuple[int, Subspace]] = []
+    cols: list[tuple[Fraction, ...]] = []
+    for i in range(p // 2 + 1):
+        d = p - 2 * i
+        if d > module.n:
+            continue
+        prim = primitive_subspace(module, d)
+        images = (l_power(module, d, i) @ prim.basis).columns()
+        if any(any(col) for col in images):
+            blocks.append((i, prim))
+            cols += images
+    return blocks, Matrix.from_cols(cols, rows=module.dim_at(p))
+
+
 def lefschetz_decompose_class(
     module: LefschetzModule, p: int, v: Sequence[Fraction]
 ) -> list[tuple[int, tuple[Fraction, ...]]]:
@@ -128,40 +152,36 @@ def lefschetz_decompose_class(
         raise HardLefschetzError("module does not satisfy hard Lefschetz")
     if len(v) != module.dim_at(p):
         raise ValueError("vector length does not match dim H^p")
-    v = tuple(Fraction(x) for x in v)
-    blocks: list[tuple[int, Subspace]] = []
-    cols: list[tuple[Fraction, ...]] = []
-    for i in range(p // 2 + 1):
-        d = p - 2 * i
-        prim = primitive_subspace(module, d) if d <= module.n else Subspace.zero(module.dim_at(d))
-        if prim.dim == 0:
-            continue
-        blocks.append((i, prim))
-        li = l_power(module, d, i)
-        for col in prim.basis.columns():
-            cols.append(li.apply(col))
-    if not cols:
-        if any(v):
-            raise HardLefschetzError("no primitive components; decomposition impossible")
-        return []
-    system = Matrix.from_cols(cols, rows=module.dim_at(p))
+    blocks, system = lefschetz_blocks(module, p)
     sol = solve(system, v)
     if sol is None:
         raise HardLefschetzError("decomposition system inconsistent")
     out = []
     pos = 0
     for i, prim in blocks:
-        beta = [_ZERO] * prim.ambient_dim
-        nonzero = False
-        for col in prim.basis.columns():
-            c = sol[pos]
-            pos += 1
-            if c:
-                nonzero = True
-                beta = [x + c * y for x, y in zip(beta, col)]
-        if nonzero:
-            out.append((i, tuple(beta)))
+        coeffs = sol[pos : pos + prim.dim]
+        pos += prim.dim
+        if any(coeffs):
+            out.append((i, prim.basis.apply(coeffs)))
     return out
+
+
+def star_matrix(module: LefschetzModule, p: int) -> Matrix:
+    """Model star H^p -> H^{2n-p}: sum_i L^i beta_i maps to sum_i L^{n-p+i} beta_i.
+
+    One product, [L^{n-p+i} beta columns] @ B_p^{-1}.  Needs the hard
+    Lefschetz property; the caller checks it once for the whole module.
+    """
+    n = module.n
+    blocks, system = lefschetz_blocks(module, p)
+    try:
+        to_pieces = inverse(system)
+    except ValueError:
+        raise HardLefschetzError(f"H^{p} is not the sum of its Lefschetz pieces") from None
+    cols: list[tuple[Fraction, ...]] = []
+    for i, prim in blocks:
+        cols += (l_power(module, p - 2 * i, n - p + i) @ prim.basis).columns()
+    return Matrix.from_cols(cols, rows=module.dim_at(2 * n - p)) @ to_pieces
 
 
 def reconstruct_class(

@@ -19,6 +19,7 @@ Parse errors raise ModelFileError naming the offending field.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -37,6 +38,13 @@ class ModelFileError(ValueError):
 # allocated, so a tiny file cannot ask for 2^30 basis elements.
 MAX_CHAIN_DIM = 1024
 
+# Largest bit length of the numerator and of the denominator of a rational in
+# a model file.  The presets and the generated models use at most 4 bits.
+MAX_RATIONAL_BITS = 64
+
+# The decimal exponent of a rational string, e.g. "1e100000".
+_EXPONENT = re.compile(r"[eE][-+]?([\d_]+)")
+
 
 def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
@@ -54,19 +62,30 @@ class ModelFile:
     labels: tuple[tuple[str, ...], ...] | None = None
 
 
-def _rational(value, where: str) -> Fraction:
+def parse_rational(value, where: str) -> Fraction:
+    """A rational from a string like "3/2" or an integer; errors name `where`."""
     if isinstance(value, bool) or not isinstance(value, (str, int)):
         raise ModelFileError(f"{where}: rationals must be strings like \"3/2\" or integers")
-    try:
-        return Fraction(value)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ModelFileError(f"{where}: bad rational {value!r}: {exc}") from None
+    # A short string can name a huge number: "1e100000" has 332,193 bits, so a
+    # long decimal exponent is refused before Fraction expands it.
+    exponent = _EXPONENT.search(value) if isinstance(value, str) else None
+    x = None
+    if exponent is None or len(exponent.group(1).replace("_", "").lstrip("0")) <= 4:
+        try:
+            x = Fraction(value)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ModelFileError(f"{where}: bad rational {value!r}: {exc}") from None
+    if x is None or max(x.numerator.bit_length(), x.denominator.bit_length()) > MAX_RATIONAL_BITS:
+        raise ModelFileError(
+            f"{where}: {value!r} has a numerator or denominator above {MAX_RATIONAL_BITS} bits"
+        )
+    return x
 
 
 def parse_model(text: str) -> ModelFile:
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also an integer literal past Python's digit limit
         raise ModelFileError(f"not valid JSON: {exc}") from None
     if not isinstance(data, dict):
         raise ModelFileError("top level must be an object")
@@ -96,7 +115,7 @@ def parse_model(text: str) -> ModelFile:
     lambdas = data["lambdas"]
     if not isinstance(lambdas, list) or len(lambdas) != s:
         raise ModelFileError(f"lambdas: expected a list of {s} rationals")
-    lambdas = tuple(_rational(x, f"lambdas[{i}]") for i, x in enumerate(lambdas))
+    lambdas = tuple(parse_rational(x, f"lambdas[{i}]") for i, x in enumerate(lambdas))
     raw_l = data["L"]
     if not isinstance(raw_l, list) or len(raw_l) != 2 * n + 1:
         raise ModelFileError(f"L: expected a list of {2 * n + 1} matrices")
@@ -110,7 +129,7 @@ def parse_model(text: str) -> ModelFile:
         for i, row in enumerate(rows):
             if not isinstance(row, list) or len(row) != want_cols:
                 raise ModelFileError(f"L[{p}][{i}]: expected {want_cols} entries")
-            entries.append(tuple(_rational(x, f"L[{p}][{i}][{j}]") for j, x in enumerate(row)))
+            entries.append(tuple(parse_rational(x, f"L[{p}][{i}][{j}]") for j, x in enumerate(row)))
         matrices.append(Matrix(want_rows, want_cols, tuple(entries)))
     name = data.get("name", "")
     description = data.get("description", "")

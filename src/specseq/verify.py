@@ -29,6 +29,7 @@ from .invariant import (
     InvariantComplex,
     InvariantElement,
     betti_numbers,
+    cohomology,
     differential,
     filtered_complex,
 )
@@ -36,11 +37,10 @@ from .lefschetz import (
     LefschetzModule,
     check_hard_lefschetz,
     kernel_L,
-    l_power,
-    lefschetz_decompose_class,
     primitive_subspace,
+    star_matrix,
 )
-from .linalg import Matrix, Subspace, kernel_basis, subspace_sum
+from .linalg import Matrix, Quotient, Subspace, subspace_sum
 
 _ZERO = Fraction(0)
 
@@ -338,91 +338,54 @@ def harmonic_basis_S(
     violation = _hypothesis(c, True, True)
     if violation:
         raise HypothesisError(violation)
-    s = c.s
-    base = c.base
+    degrees = range(2 * c.base.n + 1)
+    primitive = [primitive_subspace(c.base, p).basis.columns() for p in degrees]
+    kernel = [kernel_L(c.base, p).basis.columns() for p in degrees]
     part_a: list[InvariantElement] = []
-    for q in range(s):
-        for subset in itertools.combinations(range(2, s + 1), q):
-            factors = [
-                {(1,): Fraction(1), (i,): Fraction(-1)} for i in subset
-            ]
-            eta_form = _eta_product(factors)
-            for p in range(2 * base.n + 1):
-                for beta in primitive_subspace(base, p).basis.columns():
-                    part_a.append(_chain_from_eta(c, eta_form, p, beta))
     part_b: list[InvariantElement] = []
-    for q in range(s):
-        for subset in itertools.combinations(range(2, s + 1), q):
-            full = (1,) + subset
-            for p in range(2 * base.n + 1):
-                for kappa in kernel_L(base, p).basis.columns():
-                    part_b.append(_chain_from_eta(c, {full: Fraction(1)}, p, kappa))
+    for q in range(c.s):
+        for subset in itertools.combinations(range(2, c.s + 1), q):
+            differences = _eta_product([{(1,): Fraction(1), (i,): Fraction(-1)} for i in subset])
+            with_eta_1 = {(1,) + subset: Fraction(1)}
+            for p in degrees:
+                part_a += [_chain_from_eta(c, differences, p, beta) for beta in primitive[p]]
+                part_b += [_chain_from_eta(c, with_eta_1, p, kappa) for kappa in kernel[p]]
     return part_a, part_b
 
 
-def base_star_matrix(base: LefschetzModule, p: int) -> Matrix:
-    """Model star H^p -> H^{2n-p}: sum L^i beta_i maps to sum L^{n-p+i} beta_i."""
-    n = base.n
-    cols = []
-    dim_p = base.dim_at(p)
-    dim_t = base.dim_at(2 * n - p)
-    for t in range(dim_p):
-        v = [_ZERO] * dim_p
-        v[t] = Fraction(1)
-        components = lefschetz_decompose_class(base, p, v)
-        img = [_ZERO] * dim_t
-        for i, beta in components:
-            piece = l_power(base, p - 2 * i, n - p + i).apply(beta)
-            img = [x + y for x, y in zip(img, piece)]
-        cols.append(tuple(img))
-    if not cols:
-        return Matrix.zero(dim_t, 0)
-    return Matrix.from_cols(cols, rows=dim_t)
-
-
-def model_star(c: InvariantComplex, x: InvariantElement) -> InvariantElement:
+def model_star(
+    c: InvariantComplex, x: InvariantElement, stars: Sequence[Matrix]
+) -> InvariantElement:
     """Star on the whole complex, degree k -> 2n+s-k.
 
     eta_I (x) h maps to +-eta_{I^c} (x) star(h) with the exponent
-    sign(I, I^c) + (s - |I|) * deg(h).
+    sign(I, I^c) + (s - |I|) * deg(h); `stars[p]` is the base star on H^p.
     """
     n, s = c.base.n, c.s
     k = x.total_degree
     target = 2 * n + s - k
     coeffs = [_ZERO] * c.dim(target)
-    stars = {}
     for pos, (subset, p, t) in enumerate(c.basis[k]):
         cv = x.coeffs[pos]
         if not cv:
             continue
-        if p not in stars:
-            stars[p] = base_star_matrix(c.base, p)
         comp = tuple(j for j in range(1, s + 1) if j not in subset)
         sign = (-1) ** (index_subset_sign(subset, s) + (s - len(subset)) * p)
-        col = stars[p].col(t)
-        for u, v in enumerate(col):
+        for u, v in enumerate(stars[p].col(t)):
             if v:
                 coeffs[c.index_of(target, (comp, 2 * n - p, u))] += sign * cv * v
     return InvariantElement(target, tuple(coeffs))
 
 
-def _class_projectors(c: InvariantComplex):
-    """Per degree: (quotient dim, projection matrix valid on cocycles)."""
-    from .linalg import image_basis, quotient
-
-    out = []
-    for k in range(c.max_degree + 1):
-        closed = kernel_basis(c.differentials[k])
-        exact = (
-            image_basis(c.differentials[k - 1])
-            if k > 0
-            else Subspace.zero(c.dim(0))
-        )
-        out.append(quotient(closed, exact))
-    return out
+def _class_span(q: Quotient, cocycles: Sequence[InvariantElement]) -> Subspace:
+    """Span of the cohomology classes of the cocycles, in the coordinates of q."""
+    vecs = [q.project.apply(el.coeffs) for el in cocycles]
+    return Subspace.span(q.dim, vecs) if vecs else Subspace.zero(q.dim)
 
 
-def model_star_duality(c: InvariantComplex) -> VerificationReport:
+def model_star_duality(
+    c: InvariantComplex, classes: Sequence[Quotient] | None = None
+) -> VerificationReport:
     """Star carries the part-A span onto the complementary part-B summand.
 
     Per degree k with k' = 2n+s-k: star images of part A are cocycles, their
@@ -430,12 +393,16 @@ def model_star_duality(c: InvariantComplex) -> VerificationReport:
     k' they span exactly what part A and part B of degree k' span, with the
     sum direct.  This is the model form of the statement that the second
     half of the harmonic basis consists of star-duals of the first.
+
+    `classes` is the model's `cohomology`, when the caller has it.
     """
-    violation = _hypothesis(c, True, True)
-    if violation:
-        return VerificationReport("star-duality", False, (), (), (), violation)
-    part_a, part_b = harmonic_basis_S(c)
-    projectors = _class_projectors(c)
+    try:
+        part_a, part_b = harmonic_basis_S(c)
+    except HypothesisError as exc:
+        return VerificationReport("star-duality", False, (), (), (), str(exc))
+    if classes is None:
+        classes = cohomology(c)
+    stars = [star_matrix(c.base, p) for p in range(2 * c.base.n + 1)]
     by_degree_a: dict[int, list[InvariantElement]] = {}
     by_degree_b: dict[int, list[InvariantElement]] = {}
     for el in part_a:
@@ -447,33 +414,36 @@ def model_star_duality(c: InvariantComplex) -> VerificationReport:
     checked = []
     for k in range(total_deg + 1):
         k2 = total_deg - k
-        images = []
-        for el in by_degree_a.get(k, []):
-            img = model_star(c, el)
-            if any(differential(c, img).coeffs):
-                witnesses.append(f"star image from degree {k} is not closed")
-                continue
-            images.append(img)
-        proj = projectors[k2]
-        qdim = proj.dim
-        img_classes = [proj.project.apply(el.coeffs) for el in images]
-        a2_classes = [
-            proj.project.apply(el.coeffs) for el in by_degree_a.get(k2, [])
-        ]
-        b2_classes = [
-            proj.project.apply(el.coeffs) for el in by_degree_b.get(k2, [])
-        ]
-        span_img = Subspace.span(qdim, img_classes) if img_classes else Subspace.zero(qdim)
-        span_a2 = Subspace.span(qdim, a2_classes) if a2_classes else Subspace.zero(qdim)
-        span_b2 = Subspace.span(qdim, b2_classes) if b2_classes else Subspace.zero(qdim)
+        starred = [model_star(c, el, stars) for el in by_degree_a.get(k, [])]
+        images = [img for img in starred if not any(differential(c, img).coeffs)]
+        if len(images) != len(starred):
+            witnesses.append(Witness("non-closed star images", k, 0, len(starred) - len(images)))
+        span_img = _class_span(classes[k2], images)
+        span_a2 = _class_span(classes[k2], by_degree_a.get(k2, []))
+        span_b2 = _class_span(classes[k2], by_degree_b.get(k2, []))
+        count_b2 = len(by_degree_b.get(k2, []))
         if span_img.dim != len(images):
-            witnesses.append(f"star not injective on part A classes of degree {k}")
-        if span_img.dim != len(by_degree_b.get(k2, [])):
-            witnesses.append(f"image rank mismatch in degree {k}")
+            witnesses.append(Witness("rank of star-image classes", k, len(images), span_img.dim))
+        if span_img.dim != count_b2:
+            witnesses.append(
+                Witness("rank of star-image classes vs part B", k, count_b2, span_img.dim)
+            )
         combined = subspace_sum(span_a2, span_img)
         target = subspace_sum(span_a2, span_b2)
-        if combined != target or combined.dim != span_a2.dim + span_img.dim:
-            witnesses.append(f"star images do not complement part A in degree {k2}")
+        direct = span_a2.dim + span_img.dim
+        if combined.dim != direct:
+            witnesses.append(Witness("dim of part A + star images", k2, direct, combined.dim))
+        if combined != target:
+            # Two subspaces are equal iff each has the dimension of their sum.
+            both = subspace_sum(combined, target).dim
+            witnesses.append(
+                Witness(
+                    "dims of part A + star images, part A + part B",
+                    k2,
+                    (both, both),
+                    (combined.dim, target.dim),
+                )
+            )
         checked.append((k, span_img.dim))
     return VerificationReport(
         "star-duality", not witnesses, (), tuple(checked), tuple(witnesses)

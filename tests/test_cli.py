@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from specseq import cli, verify
+from specseq import cli, invariant, lefschetz, verify
 from specseq.cli import main, parse_form, format_form
 from specseq.exterior import ModelFrame, Multivector
 
@@ -48,6 +48,8 @@ def test_analyze_invalid_file_exits_2(tmp_path, capsys):
         ({"dims": [True, 0, 1]}, "dims:"),
         ({"n": 0, "s": 30, "lambdas": ["1"] * 30, "dims": [1], "L": [[]]}, "s, dims:"),
         ({"n": 0, "s": 11, "lambdas": ["1"] * 11, "dims": [0], "L": [[]]}, "s, dims:"),
+        ({"lambdas": ["1e100000"]}, "lambdas[0]:"),
+        ({"L": [[["1/18446744073709551616"]], [], []]}, "L[0][0][0]:"),
     ],
 )
 def test_analyze_rejects_ill_typed_or_oversized_file(tmp_path, capsys, fields, named):
@@ -60,9 +62,20 @@ def test_analyze_rejects_ill_typed_or_oversized_file(tmp_path, capsys, fields, n
 
 
 def test_analyze_computes_the_sequence_once(monkeypatch, capsys):
+    # Every binding of each name is wrapped, so calls made inside `invariant`
+    # and `lefschetz` themselves are counted too; each real call counts once.
+    names = (
+        "filtered_complex",
+        "run_to_convergence",
+        "compute_page",
+        "betti_numbers",
+        "cohomology",
+        "check_hard_lefschetz",
+        "lefschetz_decompose_class",
+    )
     calls = {}
-    for module in (cli, verify):
-        for name in ("filtered_complex", "run_to_convergence", "compute_page", "betti_numbers"):
+    for module in (cli, verify, invariant, lefschetz):
+        for name in names:
             if hasattr(module, name):
 
                 def counted(*args, _fn=getattr(module, name), _name=name, **kwargs):
@@ -70,11 +83,12 @@ def test_analyze_computes_the_sequence_once(monkeypatch, capsys):
                     return _fn(*args, **kwargs)
 
                 monkeypatch.setattr(module, name, counted)
-    for preset in ("hopf-s3", "torus-t3"):
+    for preset, hlp_checks in (("hopf-s3", 4), ("s2xs3", 4), ("torus-t3", 0)):
         calls.clear()
         code, _, _ = run(capsys, "analyze", preset, "--quiet")
         assert code == 0
-        assert calls == {"filtered_complex": 1, "run_to_convergence": 1, "betti_numbers": 1}
+        assert calls.pop("check_hard_lefschetz", 0) <= hlp_checks
+        assert calls == {"filtered_complex": 1, "run_to_convergence": 1, "cohomology": 1}
 
 
 def test_analyze_json_report(tmp_path, capsys):
@@ -109,6 +123,15 @@ def test_generate_range_check(capsys):
     code, _, err = run(capsys, "generate", "--seed", "1", "--s", "9")
     assert code == 2
     assert "s must be" in err
+
+
+@pytest.mark.parametrize(
+    "lambdas, named", [("1, x", "--lambdas[1]:"), ("1e100000", "--lambdas[0]:")]
+)
+def test_generate_rejects_bad_lambdas(capsys, lambdas, named):
+    code, _, err = run(capsys, "generate", "--seed", "1", "--n", "1", "--lambdas", lambdas)
+    assert code == 2
+    assert named in err
 
 
 def test_generated_model_analyzes_clean(tmp_path, capsys):

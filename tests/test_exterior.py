@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ from specseq.exterior import (
     ModelFrame,
     Multivector,
     TransverseRequired,
+    _complement_sign,
     covector,
     eta,
     form_inner_product,
@@ -116,6 +118,67 @@ def test_symplectic_star_involution(n):
         for idx in monomials(f, r):
             a = mono(f, r, idx)
             assert symplectic_star(symplectic_star(a)) == a
+
+
+# Oracle: the symplectic star from its definition, b ^ *a = pairing(b, a) vol,
+# where pairing(b, a) is the determinant of the omega-inverse entries.
+
+
+def _poisson_entry(i, j):
+    # Matrix inverse of omega(e_i, e_j); per 2x2 block [[0,1],[-1,0]] the
+    # inverse is [[0,-1],[1,0]].
+    if i // 2 != j // 2 or i == j:
+        return Q(0)
+    return Q(-1) if i < j else Q(1)
+
+
+def _det(rows):
+    total = Q(0)
+    for perm in itertools.permutations(range(len(rows))):
+        inversions = sum(x > y for x, y in itertools.combinations(perm, 2))
+        term = Q((-1) ** inversions)
+        for r, c in enumerate(perm):
+            term *= rows[r][c]
+        total += term
+    return total
+
+
+def _omega_pairing(b_idx, a_idx):
+    return _det([[_poisson_entry(i, j) for j in a_idx] for i in b_idx])
+
+
+def _symplectic_star_by_pairing(a):
+    td = a.frame.transverse_dim
+    acc = {}
+    for b_idx in monomials(a.frame, a.degree):
+        val = sum((c * _omega_pairing(b_idx, m_idx) for m_idx, c in a.terms), Q(0))
+        if val:
+            comp, sign = _complement_sign(b_idx, td)
+            acc[comp] = acc.get(comp, Q(0)) + sign * val
+    return Multivector.make(a.frame, td - a.degree, acc)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3])
+def test_symplectic_star_matches_pairing_definition(n):
+    f = ModelFrame(n)
+    for r in range(2 * n + 1):
+        for idx in monomials(f, r):
+            a = mono(f, r, idx)
+            assert symplectic_star(a) == _symplectic_star_by_pairing(a)
+            # The omega-inverse pairing is the metric pairing twisted by J.
+            for b_idx in monomials(f, r):
+                assert _omega_pairing(b_idx, idx) == j_action(mono(f, r, b_idx)).coefficient(idx)
+
+
+transverse_forms = st.integers(1, 3).flatmap(
+    lambda n: st.integers(0, 2 * n).flatmap(lambda r: random_forms(ModelFrame(n), r))
+)
+
+
+@settings(deadline=None, max_examples=30)
+@given(transverse_forms)
+def test_symplectic_star_matches_pairing_definition_on_sums(a):
+    assert symplectic_star(a) == _symplectic_star_by_pairing(a)
 
 
 def test_hodge_star_transverse_cases():

@@ -134,8 +134,9 @@ def test_euler_characteristic_vanishes(m):
 
 def test_cohomology_representatives_are_cocycles(cp1):
     hopf = build_model(cp1, 1, [1])
-    for k, dim, reps in cohomology(hopf):
-        assert reps.dim == dim
+    for k, q in enumerate(cohomology(hopf)):
+        reps = Subspace.from_matrix(q.section)
+        assert reps.dim == q.dim
         for col in reps.basis.columns():
             assert all(x == 0 for x in hopf.differentials[k].apply(col))
 

@@ -15,6 +15,7 @@ from specseq.lefschetz import (
     lefschetz_decompose_class,
     primitive_subspace,
     reconstruct_class,
+    star_matrix,
     zero_l_block,
 )
 from specseq.linalg import Matrix, Subspace, image_basis
@@ -139,6 +140,33 @@ def test_decompose_requires_hlp():
     )
     with pytest.raises(HardLefschetzError):
         lefschetz_decompose_class(m, 0, (Q(1),))
+
+
+@settings(deadline=None, max_examples=25)
+@given(modules)
+def test_star_matrix_matches_per_class_construction(m):
+    # Oracle: decompose each basis class, v = sum_i L^i beta_i, and map it to
+    # sum_i L^{n-p+i} beta_i one class at a time.
+    n = m.n
+    for p in range(2 * n + 1):
+        star = star_matrix(m, p)
+        assert (star.rows, star.cols) == (m.dims[2 * n - p], m.dims[p])
+        for t in range(m.dims[p]):
+            v = tuple(Q(int(j == t)) for j in range(m.dims[p]))
+            image = [Q(0)] * m.dims[2 * n - p]
+            for i, beta in lefschetz_decompose_class(m, p, v):
+                piece = l_power(m, p - 2 * i, n - p + i).apply(beta)
+                image = [x + y for x, y in zip(image, piece)]
+            assert star.col(t) == tuple(image)
+
+
+def test_star_matrix_requires_hlp():
+    m = LefschetzModule(
+        1, (1, 0, 1), (Matrix.zero(1, 1), Matrix.zero(0, 0), Matrix.zero(0, 1))
+    )
+    # H^2 has no Lefschetz piece at all: L H^0 = 0.
+    with pytest.raises(HardLefschetzError):
+        star_matrix(m, 2)
 
 
 def test_zero_l_block_breaks_hlp():

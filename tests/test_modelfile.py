@@ -1,9 +1,11 @@
 import json
+from fractions import Fraction
 
 import pytest
 
 from specseq.invariant import betti_numbers
 from specseq.modelfile import (
+    MAX_RATIONAL_BITS,
     ModelFileError,
     dump_model,
     from_module,
@@ -62,6 +64,48 @@ def test_parse_rejects_float_entries():
     )
     with pytest.raises(ModelFileError, match="rationals must be strings"):
         parse_model(text)
+
+
+def _hopf_text(lambda_text):
+    # Raw text, so the entry can be any JSON value, even one json.dumps refuses.
+    return (
+        '{"n": 1, "s": 1, "lambdas": [' + lambda_text + '], '
+        '"dims": [1, 0, 1], "L": [[["1"]], [], []]}'
+    )
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        '"1e100000"',
+        '"1e-1_000_000"',
+        '"18446744073709551616"',
+        '"-1/18446744073709551616"',
+        "18446744073709551616",
+    ],
+)
+def test_parse_rejects_rationals_above_the_bit_cap(value):
+    assert MAX_RATIONAL_BITS == 64
+    with pytest.raises(ModelFileError, match=r"lambdas\[0\]: .* above 64 bits"):
+        parse_model(_hopf_text(value))
+
+
+@pytest.mark.parametrize(
+    "value, expected",
+    [
+        ('"18446744073709551615"', 2**64 - 1),
+        ('"-1/18446744073709551615"', Fraction(-1, 2**64 - 1)),
+        ('"1e19"', 10**19),
+        ('"25e-0002"', Fraction(1, 4)),
+    ],
+)
+def test_parse_accepts_rationals_at_the_bit_cap(value, expected):
+    assert parse_model(_hopf_text(value)).lambdas == (expected,)
+
+
+def test_parse_rejects_integer_past_the_digit_limit():
+    with pytest.raises(ModelFileError, match="JSON"):
+        parse_model(_hopf_text("1" * 5000))
 
 
 def test_parse_rejects_wrong_matrix_shape():

@@ -8,9 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from specseq.engine import PageCell, run_to_convergence
-from specseq.invariant import betti_numbers, build_model, differential, filtered_complex
+from specseq.invariant import (
+    betti_numbers,
+    build_model,
+    cohomology,
+    differential,
+    filtered_complex,
+)
 from specseq.lefschetz import check_hard_lefschetz, generate_hlp_module, zero_l_block
-from specseq.linalg import Subspace
+from specseq.linalg import Matrix, Subspace
 from specseq.presets import PRESETS
 from specseq.modelfile import to_complex
 from specseq.sampling import SampleConfig, sample_model
@@ -172,6 +178,20 @@ def test_witnesses_name_degree_and_values(cp1):
     )
 
 
+def test_star_duality_witnesses_name_degree_and_values(cp1):
+    hopf = build_model(cp1, 1, [1])
+    classes = cohomology(hopf)
+    assert model_star_duality(hopf, classes).passed
+    # A class map that kills H^3 makes the star image of 1 (degree 0) vanish.
+    classes[3] = replace(classes[3], project=Matrix.zero(1, hopf.dim(3)))
+    r = model_star_duality(hopf, classes)
+    assert r.witnesses == (
+        Witness("rank of star-image classes", 0, 1, 0),
+        Witness("rank of star-image classes vs part B", 0, 1, 0),
+    )
+    assert str(r.witnesses[0]) == "rank of star-image classes in degree 0: expected 1, got 0"
+
+
 def test_primitive_betti_recursion_examples():
     assert primitive_betti_from_deRham((1, 0, 0, 1), 1, 1) == ((1, 0), (1, 0, 1))
     assert primitive_betti_from_deRham((1, 0, 1, 1, 0, 1), 1, 2) == (
@@ -254,7 +274,6 @@ def test_harmonic_basis_S_counts_and_independence(base, s):
     for el in part_a + part_b:
         assert not any(differential(c, el).coeffs)
         by_degree.setdefault(el.total_degree, []).append(el.coeffs)
-    from specseq.invariant import cohomology
     from specseq.linalg import image_basis, kernel_basis, quotient
 
     for k in range(c.max_degree + 1):

@@ -20,6 +20,7 @@ from .engine import run_to_convergence
 from .exterior import (
     ModelFrame,
     Multivector,
+    _inversion_parity,
     monomials,
     primitive_decompose,
     star_relation_counterexamples,
@@ -147,8 +148,8 @@ def cmd_generate(args) -> int:
     if not 1 <= args.s <= 4:
         print("error: s must be between 1 and 4", file=sys.stderr)
         return EXIT_INVALID
-    if args.max_primitive_dim < 0:
-        print("error: max-primitive-dim must be non-negative", file=sys.stderr)
+    if not 0 <= args.max_primitive_dim <= 2:
+        print("error: --max-primitive-dim must be between 0 and 2", file=sys.stderr)
         return EXIT_INVALID
     rng = random.Random(args.seed)
     n = args.n if args.n != -1 else rng.randint(1, 4)
@@ -192,6 +193,12 @@ def cmd_recursion(args) -> int:
         betti = [int(x.strip()) for x in args.betti.split(",")]
     except ValueError:
         print("error: --betti must be a comma-separated list of integers", file=sys.stderr)
+        return EXIT_INVALID
+    if args.s < 1:
+        print("error: --s must be at least 1", file=sys.stderr)
+        return EXIT_INVALID
+    if args.n is not None and args.n < 0:
+        print("error: --n must be non-negative", file=sys.stderr)
         return EXIT_INVALID
     if args.structure == "S":
         if args.n is None:
@@ -290,7 +297,7 @@ def parse_form(frame: ModelFrame, text: str) -> Multivector:
         m = _TERM_RE.match(chunk)
         if not m:
             raise ValueError(f"cannot parse term {chunk!r}")
-        coef = sign * Fraction(m.group("coef") or 1)
+        coef = sign * parse_rational(m.group("coef") or 1, f"term {chunk!r}")
         mono = m.group("mono")
         if mono == "1":
             idx: tuple[int, ...] = ()
@@ -300,14 +307,7 @@ def parse_form(frame: ModelFrame, text: str) -> Multivector:
                 continue  # repeated covector wedges to zero
             if any(not 1 <= i <= frame.transverse_dim for i in labels):
                 raise ValueError(f"covector index out of range in {chunk!r} (transverse dim {frame.transverse_dim})")
-            order = sorted(range(len(labels)), key=lambda t: labels[t])
-            inv = sum(
-                1
-                for a in range(len(order))
-                for b in range(a + 1, len(order))
-                if order[a] > order[b]
-            )
-            coef *= (-1) ** inv
+            coef *= (-1) ** _inversion_parity(labels)
             idx = tuple(sorted(i - 1 for i in labels))
         if degree is None:
             degree = len(idx)

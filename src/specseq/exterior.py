@@ -166,16 +166,19 @@ def monomials(frame: ModelFrame, degree: int, transverse: bool = True) -> list[t
     return list(itertools.combinations(range(top), degree))
 
 
+def _inversion_parity(seq: Sequence[int]) -> int:
+    """Parity (0 or 1) of the number of pairs out of order in seq.
+
+    For distinct entries it is the sign exponent of the sorting permutation.
+    """
+    return sum(1 for i, x in enumerate(seq) for y in seq[i + 1 :] if x > y) % 2
+
+
 def _merge_sign(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[tuple[int, ...], int] | None:
     """Sorted concatenation of two increasing tuples with the wedge sign."""
     if set(a) & set(b):
         return None
-    inversions = 0
-    for x in a:
-        for y in b:
-            if x > y:
-                inversions += 1
-    return tuple(sorted(a + b)), (-1) ** inversions
+    return tuple(sorted(a + b)), (-1) ** _inversion_parity(a + b)
 
 
 def _complement_sign(idx: tuple[int, ...], total: int) -> tuple[tuple[int, ...], int]:
@@ -261,13 +264,7 @@ def j_action(a: Multivector) -> Multivector:
                 sign = -sign
             else:
                 mapped.append(t - 1)
-        inv = sum(
-            1
-            for x in range(len(mapped))
-            for y in range(x + 1, len(mapped))
-            if mapped[x] > mapped[y]
-        )
-        sign *= (-1) ** inv
+        sign *= (-1) ** _inversion_parity(mapped)
         key = tuple(sorted(mapped))
         acc[key] = acc.get(key, _ZERO) + sign * c
     return Multivector.make(a.frame, a.degree, acc)
@@ -402,10 +399,5 @@ def star_relation_counterexamples(frame: ModelFrame) -> list[tuple]:
 
 def index_subset_sign(subset: Sequence[int], s: int) -> int:
     """Inversion parity (0 or 1) of (subset, complement) as a permutation of 1..s."""
-    subset = list(subset)
     comp = [j for j in range(1, s + 1) if j not in subset]
-    seq = subset + comp
-    inv = sum(
-        1 for x in range(len(seq)) for y in range(x + 1, len(seq)) if seq[x] > seq[y]
-    )
-    return inv % 2
+    return _inversion_parity(list(subset) + comp)

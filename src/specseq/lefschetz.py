@@ -4,6 +4,7 @@ A module holds the dimensions of the graded pieces H^0..H^{2n} and, per
 degree, the matrix of cup product with the transverse symplectic class.
 The hard Lefschetz property, primitive subspaces, Ker(L), and the
 class-level Lefschetz decomposition are all plain rank computations here.
+They are computed once per module, on first use, and kept on it.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
 from .linalg import (
@@ -19,7 +21,6 @@ from .linalg import (
     inverse,
     kernel_basis,
     rank,
-    solve,
 )
 
 _ZERO = Fraction(0)
@@ -61,6 +62,12 @@ class LefschetzModule:
             return self.dims[p]
         return 0
 
+    @cached_property
+    def _structure(self) -> _Structure:
+        # Computed on first use and kept: the module is immutable, and every
+        # Lefschetz query on it reads this one structure.
+        return _compute_structure(self)
+
 
 @dataclass(frozen=True)
 class LefschetzReport:
@@ -68,6 +75,23 @@ class LefschetzReport:
     failing_degree: int | None
     primitive_dims: tuple[int, ...]
     kernel_L_dims: tuple[int, ...]
+
+
+@dataclass(frozen=True)
+class _Structure:
+    """The Lefschetz data of one module, indexed by degree p = 0..2n.
+
+    `blocks[p]` and `systems[p]` are what `lefschetz_blocks` returns;
+    `to_pieces[p]` is B_p^{-1}, or None when B_p is not invertible, which
+    happens only without hard Lefschetz.
+    """
+
+    report: LefschetzReport
+    primitive: tuple[Subspace, ...]
+    kernel: tuple[Subspace, ...]
+    blocks: tuple[tuple[tuple[int, Subspace], ...], ...]
+    systems: tuple[Matrix, ...]
+    to_pieces: tuple[Matrix | None, ...]
 
 
 def l_power(module: LefschetzModule, p: int, m: int) -> Matrix:
@@ -86,34 +110,69 @@ def l_power(module: LefschetzModule, p: int, m: int) -> Matrix:
     return result
 
 
-def check_hard_lefschetz(module: LefschetzModule) -> LefschetzReport:
-    """hlp iff L^k: H^{n-k} -> H^{n+k} is an isomorphism for every k <= n."""
+def _compute_structure(module: LefschetzModule) -> _Structure:
     n = module.n
+    degrees = range(2 * n + 1)
     failing = None
     for k in range(n + 1):
         m = l_power(module, n - k, k)
         if m.rows != m.cols or rank(m) != m.rows:
             failing = k
             break
-    prim = tuple(primitive_subspace(module, p).dim for p in range(2 * n + 1))
-    kerl = tuple(kernel_L(module, p).dim for p in range(2 * n + 1))
-    return LefschetzReport(failing is None, failing, prim, kerl)
+    # PH^p = Ker(L^{n-p+1}: H^p -> H^{2n-p+2}), zero above the middle degree.
+    primitive = tuple(
+        kernel_basis(l_power(module, p, n - p + 1)) if p <= n else Subspace.zero(module.dims[p])
+        for p in degrees
+    )
+    kernel = tuple(kernel_basis(module.L_maps[p]) for p in degrees)
+    blocks, systems, to_pieces = [], [], []
+    for p in degrees:
+        pieces: list[tuple[int, Subspace]] = []
+        cols: list[tuple[Fraction, ...]] = []
+        for i in range(p // 2 + 1):
+            d = p - 2 * i
+            if d > n:
+                continue
+            images = (l_power(module, d, i) @ primitive[d].basis).columns()
+            if any(any(col) for col in images):
+                pieces.append((i, primitive[d]))
+                cols += images
+        system = Matrix.from_cols(cols, rows=module.dims[p])
+        try:
+            inv = inverse(system)
+        except ValueError:
+            inv = None
+        blocks.append(tuple(pieces))
+        systems.append(system)
+        to_pieces.append(inv)
+    report = LefschetzReport(
+        failing is None,
+        failing,
+        tuple(ph.dim for ph in primitive),
+        tuple(ker.dim for ker in kernel),
+    )
+    return _Structure(report, primitive, kernel, tuple(blocks), tuple(systems), tuple(to_pieces))
+
+
+def _check_degree(module: LefschetzModule, p: int) -> None:
+    if not 0 <= p <= 2 * module.n:
+        raise ValueError("degree out of range")
+
+
+def check_hard_lefschetz(module: LefschetzModule) -> LefschetzReport:
+    """hlp iff L^k: H^{n-k} -> H^{n+k} is an isomorphism for every k <= n."""
+    return module._structure.report
 
 
 def primitive_subspace(module: LefschetzModule, p: int) -> Subspace:
     """Ker(L^{n-p+1}: H^p -> H^{2n-p+2}); zero above the middle degree."""
-    if not 0 <= p <= 2 * module.n:
-        raise ValueError("degree out of range")
-    power = module.n - p + 1
-    if power <= 0:
-        return Subspace.zero(module.dims[p])
-    return kernel_basis(l_power(module, p, power))
+    _check_degree(module, p)
+    return module._structure.primitive[p]
 
 
 def kernel_L(module: LefschetzModule, p: int) -> Subspace:
-    if not 0 <= p <= 2 * module.n:
-        raise ValueError("degree out of range")
-    return kernel_basis(module.L_maps[p])
+    _check_degree(module, p)
+    return module._structure.kernel[p]
 
 
 def lefschetz_blocks(
@@ -126,18 +185,9 @@ def lefschetz_blocks(
     block's basis in turn.  Under hard Lefschetz H^p is the direct sum of
     the pieces L^i PH^{p-2i}, so B_p is square and invertible.
     """
-    blocks: list[tuple[int, Subspace]] = []
-    cols: list[tuple[Fraction, ...]] = []
-    for i in range(p // 2 + 1):
-        d = p - 2 * i
-        if d > module.n:
-            continue
-        prim = primitive_subspace(module, d)
-        images = (l_power(module, d, i) @ prim.basis).columns()
-        if any(any(col) for col in images):
-            blocks.append((i, prim))
-            cols += images
-    return blocks, Matrix.from_cols(cols, rows=module.dim_at(p))
+    _check_degree(module, p)
+    structure = module._structure
+    return list(structure.blocks[p]), structure.systems[p]
 
 
 def lefschetz_decompose_class(
@@ -146,20 +196,20 @@ def lefschetz_decompose_class(
     """Unique decomposition v = sum_i L^i beta_i with beta_i primitive.
 
     Requires the hard Lefschetz property; the returned beta_i are vectors
-    in H^{p-2i} and only the nonzero components are listed.
+    in H^{p-2i} and only the nonzero components are listed.  The coordinates
+    of v on the pieces are B_p^{-1} v.
     """
     if not check_hard_lefschetz(module).hlp:
         raise HardLefschetzError("module does not satisfy hard Lefschetz")
-    if len(v) != module.dim_at(p):
+    _check_degree(module, p)
+    if len(v) != module.dims[p]:
         raise ValueError("vector length does not match dim H^p")
-    blocks, system = lefschetz_blocks(module, p)
-    sol = solve(system, v)
-    if sol is None:
-        raise HardLefschetzError("decomposition system inconsistent")
+    structure = module._structure
+    coords = structure.to_pieces[p].apply(v)
     out = []
     pos = 0
-    for i, prim in blocks:
-        coeffs = sol[pos : pos + prim.dim]
+    for i, prim in structure.blocks[p]:
+        coeffs = coords[pos : pos + prim.dim]
         pos += prim.dim
         if any(coeffs):
             out.append((i, prim.basis.apply(coeffs)))
@@ -172,16 +222,16 @@ def star_matrix(module: LefschetzModule, p: int) -> Matrix:
     One product, [L^{n-p+i} beta columns] @ B_p^{-1}.  Needs the hard
     Lefschetz property; the caller checks it once for the whole module.
     """
+    _check_degree(module, p)
     n = module.n
-    blocks, system = lefschetz_blocks(module, p)
-    try:
-        to_pieces = inverse(system)
-    except ValueError:
-        raise HardLefschetzError(f"H^{p} is not the sum of its Lefschetz pieces") from None
+    structure = module._structure
+    to_pieces = structure.to_pieces[p]
+    if to_pieces is None:
+        raise HardLefschetzError(f"H^{p} is not the sum of its Lefschetz pieces")
     cols: list[tuple[Fraction, ...]] = []
-    for i, prim in blocks:
+    for i, prim in structure.blocks[p]:
         cols += (l_power(module, p - 2 * i, n - p + i) @ prim.basis).columns()
-    return Matrix.from_cols(cols, rows=module.dim_at(2 * n - p)) @ to_pieces
+    return Matrix.from_cols(cols, rows=module.dims[2 * n - p]) @ to_pieces
 
 
 def reconstruct_class(

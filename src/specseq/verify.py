@@ -24,7 +24,7 @@ from math import comb
 from typing import Sequence
 
 from .engine import SpectralPage, compute_page, run_to_convergence
-from .exterior import index_subset_sign
+from .exterior import _merge_sign, index_subset_sign
 from .invariant import (
     InvariantComplex,
     InvariantElement,
@@ -100,10 +100,11 @@ def _binom(a: int, b: int) -> int:
     return comb(a, b)
 
 
-def _hypothesis(c: InvariantComplex, need_s_type: bool, need_hlp: bool) -> str | None:
-    if need_s_type and not c.is_s_type():
+def _hypothesis(c: InvariantComplex) -> str | None:
+    """Why the S-type theorems do not apply to c, or None when they do."""
+    if not c.is_s_type():
         return "not S-type: some lambda_i differs from 1"
-    if need_hlp and not check_hard_lefschetz(c.base).hlp:
+    if not check_hard_lefschetz(c.base).hlp:
         return "base module does not satisfy hard Lefschetz"
     return None
 
@@ -148,7 +149,7 @@ def kernel_d2(c: InvariantComplex, p: int, q: int) -> tuple[int, int]:
     Prediction: C(s-1,q) * dim H^p for the difference-product part plus
     C(s-1,q-1) * dim Ker(L)^p for the eta-times-Ker(L) part.
     """
-    violation = _hypothesis(c, True, True)
+    violation = _hypothesis(c)
     if violation:
         raise HypothesisError(violation)
     page2 = compute_page(filtered_complex(c), 2)
@@ -196,7 +197,7 @@ def verify_mainS(
     `sequence` and `betti` are the model's `run_to_convergence` result and
     direct cohomology dims, when the caller has them.
     """
-    violation = _hypothesis(c, True, True)
+    violation = _hypothesis(c)
     if violation:
         return VerificationReport("mainS", False, (), (), (), violation)
     expected = expected_dims_mainS(c.base, c.s)
@@ -307,11 +308,11 @@ def _eta_product(factors: Sequence[dict[tuple[int, ...], Fraction]]):
         nxt: dict[tuple[int, ...], Fraction] = {}
         for idx_a, ca in acc.items():
             for idx_b, cb in f.items():
-                if set(idx_a) & set(idx_b):
+                merged = _merge_sign(idx_a, idx_b)
+                if merged is None:
                     continue
-                inv = sum(1 for x in idx_a for y in idx_b if x > y)
-                key = tuple(sorted(idx_a + idx_b))
-                nxt[key] = nxt.get(key, _ZERO) + ((-1) ** inv) * ca * cb
+                key, sign = merged
+                nxt[key] = nxt.get(key, _ZERO) + sign * ca * cb
         acc = {k: v for k, v in nxt.items() if v}
     return acc
 
@@ -335,21 +336,20 @@ def harmonic_basis_S(
     Part A: products of differences (eta_1 - eta_i) over subsets of {2..s}
     times primitive classes.  Part B: eta_1 eta_I times Ker(L) classes.
     """
-    violation = _hypothesis(c, True, True)
+    violation = _hypothesis(c)
     if violation:
         raise HypothesisError(violation)
-    degrees = range(2 * c.base.n + 1)
-    primitive = [primitive_subspace(c.base, p).basis.columns() for p in degrees]
-    kernel = [kernel_L(c.base, p).basis.columns() for p in degrees]
     part_a: list[InvariantElement] = []
     part_b: list[InvariantElement] = []
     for q in range(c.s):
         for subset in itertools.combinations(range(2, c.s + 1), q):
             differences = _eta_product([{(1,): Fraction(1), (i,): Fraction(-1)} for i in subset])
             with_eta_1 = {(1,) + subset: Fraction(1)}
-            for p in degrees:
-                part_a += [_chain_from_eta(c, differences, p, beta) for beta in primitive[p]]
-                part_b += [_chain_from_eta(c, with_eta_1, p, kappa) for kappa in kernel[p]]
+            for p in range(2 * c.base.n + 1):
+                primitive = primitive_subspace(c.base, p).basis.columns()
+                kernel = kernel_L(c.base, p).basis.columns()
+                part_a += [_chain_from_eta(c, differences, p, beta) for beta in primitive]
+                part_b += [_chain_from_eta(c, with_eta_1, p, kappa) for kappa in kernel]
     return part_a, part_b
 
 

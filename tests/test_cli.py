@@ -73,21 +73,29 @@ def test_analyze_computes_the_sequence_once(monkeypatch, capsys):
         "check_hard_lefschetz",
         "lefschetz_decompose_class",
     )
+    targets = [
+        (module, name)
+        for module in (cli, verify, invariant, lefschetz)
+        for name in names
+        if hasattr(module, name)
+    ]
+    # Only the binding in `lefschetz`: the base's Lefschetz structure is built
+    # once, one kernel per PH^0..PH^n and one per Ker L in degrees 0..2n.
+    targets.append((lefschetz, "kernel_basis"))
     calls = {}
-    for module in (cli, verify, invariant, lefschetz):
-        for name in names:
-            if hasattr(module, name):
+    for module, name in targets:
 
-                def counted(*args, _fn=getattr(module, name), _name=name, **kwargs):
-                    calls[_name] = calls.get(_name, 0) + 1
-                    return _fn(*args, **kwargs)
+        def counted(*args, _fn=getattr(module, name), _name=name, **kwargs):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _fn(*args, **kwargs)
 
-                monkeypatch.setattr(module, name, counted)
-    for preset, hlp_checks in (("hopf-s3", 4), ("s2xs3", 4), ("torus-t3", 0)):
+        monkeypatch.setattr(module, name, counted)
+    for preset, n, hlp_checks in (("hopf-s3", 1, 4), ("s2xs3", 2, 4), ("torus-t3", 1, 0)):
         calls.clear()
         code, _, _ = run(capsys, "analyze", preset, "--quiet")
         assert code == 0
         assert calls.pop("check_hard_lefschetz", 0) <= hlp_checks
+        assert calls.pop("kernel_basis", 0) <= (n + 1) + (2 * n + 1)
         assert calls == {"filtered_complex": 1, "run_to_convergence": 1, "cohomology": 1}
 
 
@@ -123,6 +131,12 @@ def test_generate_range_check(capsys):
     code, _, err = run(capsys, "generate", "--seed", "1", "--s", "9")
     assert code == 2
     assert "s must be" in err
+
+
+def test_generate_rejects_max_primitive_dim_above_2(capsys):
+    code, _, err = run(capsys, "generate", "--seed", "1", "--max-primitive-dim", "3")
+    assert code == 2
+    assert "--max-primitive-dim" in err
 
 
 @pytest.mark.parametrize(
@@ -176,6 +190,20 @@ def test_recursion_small_case(capsys):
     assert "(1,)" in out
 
 
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (("--betti", "1,0,1", "--s", "-1", "--structure", "C"), "--s"),
+        (("--betti", "1,1", "--s", "0", "--structure", "C"), "--s"),
+        (("--betti", "1,0,1", "--s", "1", "--n", "-1", "--structure", "S"), "--n"),
+    ],
+)
+def test_recursion_rejects_out_of_range_s_or_n(capsys, argv, named):
+    code, _, err = run(capsys, "recursion", *argv)
+    assert code == 2
+    assert f"error: {named} must be" in err
+
+
 def test_star_check_sweep(capsys):
     code, out, _ = run(capsys, "star-check")
     assert code == 0
@@ -217,6 +245,13 @@ def test_decompose(capsys):
 def test_decompose_bad_form(capsys):
     code, _, err = run(capsys, "decompose", "--n", "1", "e1^")
     assert code == 2
+
+
+@pytest.mark.parametrize("form", ["1/0*e1", "18446744073709551616*e1"])
+def test_decompose_rejects_bad_coefficient(capsys, form):
+    code, _, err = run(capsys, "decompose", "--n", "1", form)
+    assert code == 2
+    assert f"term {form!r}" in err
 
 
 def test_parse_form_syntax():

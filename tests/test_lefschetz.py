@@ -171,6 +171,9 @@ def test_star_matrix_requires_hlp():
 
 def test_zero_l_block_breaks_hlp():
     m = generate_hlp_module(3, 2, (1, 1, 0))
+    # The structure is computed first on the intact module; the copy must not
+    # share it.
+    assert check_hard_lefschetz(m).hlp
     broken = zero_l_block(m, 0)
     assert not check_hard_lefschetz(broken).hlp
 

@@ -28,6 +28,7 @@ from .exterior import (
 from .invariant import cohomology, filtered_complex
 from .lefschetz import generate_hlp_module
 from .modelfile import (
+    FLAG_LIMITS,
     ModelFileError,
     dump_model,
     from_module,
@@ -36,7 +37,7 @@ from .modelfile import (
     to_complex,
 )
 from .presets import PRESETS
-from .sampling import SampleConfig, sample_primitive_dims
+from .sampling import MAX_PRIMITIVE_DIM, SampleConfig, sample_primitive_dims
 from .verify import (
     VerificationReport,
     basic_betti_from_deRham,
@@ -50,6 +51,18 @@ from .verify import (
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_INVALID = 2
+
+
+def _flags_in_range(command: str, **values) -> bool:
+    """Check flag values against FLAG_LIMITS; print an error naming the first one outside."""
+    for flag, value in values.items():
+        low, high = FLAG_LIMITS[command][flag]
+        if value is None or (low <= value and (high is None or value <= high)):
+            continue
+        bounds = f"at least {low}" if high is None else f"between {low} and {high}"
+        print(f"error: --{flag} must be {bounds}", file=sys.stderr)
+        return False
+    return True
 
 
 def _page_table(page, max_p: int, max_q: int) -> str:
@@ -142,14 +155,10 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_generate(args) -> int:
-    if not 0 <= args.n <= 6 and args.n != -1:
-        print("error: n must be between 0 and 6", file=sys.stderr)
+    if not _flags_in_range("generate", n=None if args.n == -1 else args.n, s=args.s):
         return EXIT_INVALID
-    if not 1 <= args.s <= 4:
-        print("error: s must be between 1 and 4", file=sys.stderr)
-        return EXIT_INVALID
-    if not 0 <= args.max_primitive_dim <= 2:
-        print("error: --max-primitive-dim must be between 0 and 2", file=sys.stderr)
+    if not 0 <= args.max_primitive_dim <= MAX_PRIMITIVE_DIM:
+        print(f"error: --max-primitive-dim must be between 0 and {MAX_PRIMITIVE_DIM}", file=sys.stderr)
         return EXIT_INVALID
     rng = random.Random(args.seed)
     n = args.n if args.n != -1 else rng.randint(1, 4)
@@ -194,11 +203,7 @@ def cmd_recursion(args) -> int:
     except ValueError:
         print("error: --betti must be a comma-separated list of integers", file=sys.stderr)
         return EXIT_INVALID
-    if args.s < 1:
-        print("error: --s must be at least 1", file=sys.stderr)
-        return EXIT_INVALID
-    if args.n is not None and args.n < 0:
-        print("error: --n must be non-negative", file=sys.stderr)
+    if not _flags_in_range("recursion", s=args.s, n=args.n):
         return EXIT_INVALID
     if args.structure == "S":
         if args.n is None:
@@ -235,8 +240,7 @@ def cmd_star_check(args) -> int:
     if args.n is not None or args.s is not None:
         n = args.n if args.n is not None else 2
         s = args.s if args.s is not None else 3
-        if n > 3 or s > 4 or n < 0 or s < 0:
-            print("error: supported ranges are n <= 3, s <= 4", file=sys.stderr)
+        if not _flags_in_range("star-check", n=n, s=s):
             return EXIT_INVALID
         pairs = [(n, s)]
     else:
@@ -337,8 +341,7 @@ def format_form(a: Multivector) -> str:
 
 
 def cmd_decompose(args) -> int:
-    if args.n < 0 or args.n > 6:
-        print("error: n must be between 0 and 6", file=sys.stderr)
+    if not _flags_in_range("decompose", n=args.n):
         return EXIT_INVALID
     frame = ModelFrame(args.n, 0)
     try:

@@ -18,9 +18,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import factorial
 from typing import Mapping, Sequence
-
-from .linalg import Matrix, kernel_basis, solve
 
 Q = Fraction
 _ZERO = Fraction(0)
@@ -271,92 +270,57 @@ def j_action(a: Multivector) -> Multivector:
 
 
 def lambda_op(a: Multivector) -> Multivector:
-    """Lambda = *s L *s, the degree -2 dual of L."""
+    """Lambda, the transpose of L: contract each pair e^{2i-1} ^ e^{2i}.
+
+    Lambda e^I = sum over the pairs {2i-1, 2i} inside I of e^{I minus the
+    pair}.  No sign arises, because L = omega ^ . inserts a pair without one.
+    """
     _require_transverse(a)
     if a.degree < 2:
         return Multivector.zero(a.frame, a.degree - 2)
-    return symplectic_star(lefschetz_L(symplectic_star(a)))
-
-
-def _vector_of(a: Multivector, monos: Sequence[tuple[int, ...]]) -> tuple[Fraction, ...]:
-    d = dict(a.terms)
-    return tuple(d.get(m, _ZERO) for m in monos)
-
-
-def _from_vector(frame: ModelFrame, degree: int, monos, vec) -> Multivector:
-    return Multivector.make(frame, degree, {m: c for m, c in zip(monos, vec) if c})
-
-
-def operator_matrix(frame: ModelFrame, op, degree: int, out_degree: int) -> Matrix:
-    """Matrix of a linear operator on transverse forms, monomial bases."""
-    src = monomials(frame, degree)
-    dst = monomials(frame, out_degree)
-    cols = []
-    for m in src:
-        img = op(Multivector.make(frame, degree, {m: _ONE}))
-        cols.append(_vector_of(img, dst))
-    if not cols:
-        return Matrix.zero(len(dst), 0)
-    return Matrix.from_cols(cols, rows=len(dst))
-
-
-def primitive_monomial_basis(frame: ModelFrame, degree: int) -> list[Multivector]:
-    """Basis of the primitive forms (ker Lambda) of the given degree."""
-    monos = monomials(frame, degree)
-    if not monos:
-        return []
-    lam = operator_matrix(frame, lambda_op, degree, degree - 2)
-    ker = kernel_basis(lam)
-    return [_from_vector(frame, degree, monos, col) for col in ker.basis.columns()]
+    acc: dict[tuple[int, ...], Fraction] = {}
+    for idx, c in a.terms:
+        # In an increasing tuple a pair (2i, 2i+1), 0-based, sits side by side.
+        for k in range(len(idx) - 1):
+            if idx[k] % 2 == 0 and idx[k + 1] == idx[k] + 1:
+                key = idx[:k] + idx[k + 2 :]
+                acc[key] = acc.get(key, _ZERO) + c
+    return Multivector.make(a.frame, a.degree - 2, acc)
 
 
 def primitive_decompose(a: Multivector) -> list[tuple[int, Multivector]]:
     """Write a homogeneous form as sum_i L^i beta_i with beta_i primitive.
 
-    The components are found by solving the reconstruction system directly;
-    uniqueness of the decomposition makes the system uniquely solvable.
+    The sl2 recursion (Huybrechts, Complex Geometry, 1.2): for a primitive
+    beta of degree d, Lambda^m L^m beta = c_m beta with
+    c_m = m! (n-d)! / (n-d-m)!, and Lambda^m kills L^i beta for i < m.  So,
+    from the largest m down, beta_m = Lambda^m(rest) / c_m and rest loses
+    L^m beta_m.  There are no primitive forms of degree d > n, and
+    L^m beta = 0 when m > n - d, so those m are skipped.  Returns the nonzero
+    (i, beta_i) in increasing i.
     """
     _require_transverse(a)
-    frame = a.frame
-    r = a.degree
-    monos_r = monomials(frame, r)
-    if not monos_r:
-        return []
-    blocks: list[tuple[int, list[Multivector]]] = []
-    cols = []
-    for i in range(r // 2 + 1):
-        d = r - 2 * i
-        if d > frame.n:
-            continue
-        prim = primitive_monomial_basis(frame, d)
-        if not prim:
-            continue
-        blocks.append((i, prim))
-        for beta in prim:
-            img = beta
-            for _ in range(i):
-                img = lefschetz_L(img)
-            cols.append(_vector_of(img, monos_r))
-    if not cols:
-        if a.is_zero():
-            return []
-        raise ValueError("no primitive components available; inconsistent input")
-    system = Matrix.from_cols(cols, rows=len(monos_r))
-    sol = solve(system, _vector_of(a, monos_r))
-    if sol is None:
-        raise ValueError("primitive decomposition system is inconsistent")
+    n = a.frame.n
+    rest = a
     out = []
-    pos = 0
-    for i, prim in blocks:
-        beta = Multivector.zero(frame, r - 2 * i)
-        for basis_vec in prim:
-            c = sol[pos]
-            pos += 1
-            if c:
-                beta = beta + basis_vec.scaled(c)
-        if not beta.is_zero():
-            out.append((i, beta))
-    return out
+    for m in range(a.degree // 2, -1, -1):
+        d = a.degree - 2 * m
+        if d > n or m > n - d:
+            continue
+        beta = rest
+        for _ in range(m):
+            beta = lambda_op(beta)
+        if beta.is_zero():
+            continue
+        beta = beta.scaled(Fraction(factorial(n - d - m), factorial(m) * factorial(n - d)))
+        image = beta
+        for _ in range(m):
+            image = lefschetz_L(image)
+        rest = rest - image
+        out.append((m, beta))
+    if not rest.is_zero():
+        raise ValueError("the primitive components do not reconstruct the form")
+    return out[::-1]
 
 
 def form_inner_product(a: Multivector, b: Multivector) -> Fraction:
@@ -376,24 +340,29 @@ def star_relation_counterexamples(frame: ModelFrame) -> list[tuple]:
     Returns the list of (I, alpha-index, got, expected) mismatches.
     """
     s = frame.s
+    # Per eta subset I: eta_I, eta_{I^c} and sign(I, I^c), built once.
+    subsets = []
+    for size in range(s + 1):
+        for subset in itertools.combinations(range(1, s + 1), size):
+            eta_part = scalar(frame)
+            for j in subset:
+                eta_part = wedge(eta_part, eta(frame, j))
+            comp_part = scalar(frame)
+            for j in range(1, s + 1):
+                if j not in subset:
+                    comp_part = wedge(comp_part, eta(frame, j))
+            subsets.append((subset, eta_part, comp_part, index_subset_sign(subset, s)))
     bad = []
     for r in range(frame.transverse_dim + 1):
         for alpha_idx in monomials(frame, r):
             alpha = Multivector.make(frame, r, {alpha_idx: _ONE})
-            for size in range(s + 1):
-                for subset in itertools.combinations(range(1, s + 1), size):
-                    eta_part = scalar(frame)
-                    for j in subset:
-                        eta_part = wedge(eta_part, eta(frame, j))
-                    lhs = full_hodge_star(wedge(eta_part, alpha))
-                    comp_part = scalar(frame)
-                    for j in range(1, s + 1):
-                        if j not in subset:
-                            comp_part = wedge(comp_part, eta(frame, j))
-                    sign = (-1) ** (index_subset_sign(subset, s) + (s - size) * r)
-                    rhs = wedge(comp_part, hodge_star_transverse(alpha)).scaled(sign)
-                    if lhs != rhs:
-                        bad.append((subset, alpha_idx, lhs, rhs))
+            star_alpha = hodge_star_transverse(alpha)
+            for subset, eta_part, comp_part, subset_sign in subsets:
+                lhs = full_hodge_star(wedge(eta_part, alpha))
+                sign = (-1) ** (subset_sign + (s - len(subset)) * r)
+                rhs = wedge(comp_part, star_alpha).scaled(sign)
+                if lhs != rhs:
+                    bad.append((subset, alpha_idx, lhs, rhs))
     return bad
 
 

@@ -42,6 +42,17 @@ MAX_CHAIN_DIM = 1024
 # a model file.  The presets and the generated models use at most 4 bits.
 MAX_RATIONAL_BITS = 64
 
+# Accepted range (lowest, highest) of each command's --n and --s flags; None
+# leaves a flag unbounded above.  `generate` stays within 2^4 * 12 chain
+# dimensions, `star-check` enumerates 2^(2n+s) cases and `decompose` works in
+# the 2^(2n)-dimensional transverse exterior algebra.
+FLAG_LIMITS = {
+    "generate": {"n": (0, 6), "s": (1, 4)},
+    "recursion": {"n": (0, None), "s": (1, None)},
+    "star-check": {"n": (0, 3), "s": (0, 4)},
+    "decompose": {"n": (0, 6)},
+}
+
 # The decimal exponent of a rational string, e.g. "1e100000".
 _EXPONENT = re.compile(r"[eE][-+]?([\d_]+)")
 

@@ -13,6 +13,11 @@ from fractions import Fraction
 from .invariant import InvariantComplex, build_model
 from .lefschetz import LefschetzModule, generate_hlp_module, zero_l_block
 
+# Relative weights of the primitive dimensions 0, 1, 2, ... in one degree; a
+# config may not ask for a dimension that has no weight.
+PRIMITIVE_DIM_WEIGHTS = (4, 3, 1)
+MAX_PRIMITIVE_DIM = len(PRIMITIVE_DIM_WEIGHTS) - 1
+
 
 @dataclass(frozen=True)
 class SampleConfig:
@@ -21,12 +26,19 @@ class SampleConfig:
     max_primitive_dim: int = 2
     total_dim_cap: int = 12  # cap on the summed base dims
 
+    def __post_init__(self):
+        if not 0 <= self.max_primitive_dim <= MAX_PRIMITIVE_DIM:
+            raise ValueError(
+                f"max_primitive_dim must be between 0 and {MAX_PRIMITIVE_DIM}, "
+                f"got {self.max_primitive_dim}"
+            )
+
 
 def sample_primitive_dims(rng: random.Random, n: int, cfg: SampleConfig) -> tuple[int, ...]:
+    weights = PRIMITIVE_DIM_WEIGHTS[: cfg.max_primitive_dim + 1]
     while True:
         pdims = [1] + [
-            rng.choices(range(cfg.max_primitive_dim + 1), weights=[4, 3, 1][: cfg.max_primitive_dim + 1])[0]
-            for _ in range(n)
+            rng.choices(range(cfg.max_primitive_dim + 1), weights=weights)[0] for _ in range(n)
         ]
         # Each degree-j primitive block of dim m contributes m*(n-j+1) basis
         # classes to the free module.

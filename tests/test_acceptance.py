@@ -10,6 +10,7 @@ from fractions import Fraction
 
 import pytest
 
+import exterior_oracle as oracle
 from specseq.engine import check_abutment, compute_page, run_to_convergence, trivial_filtration
 from specseq.exterior import (
     ModelFrame,
@@ -19,7 +20,6 @@ from specseq.exterior import (
     lambda_op,
     lefschetz_L,
     monomials,
-    operator_matrix,
     primitive_decompose,
     star_relation_counterexamples,
     symplectic_star,
@@ -190,8 +190,8 @@ def test_criterion_7_operator_identities(capsys):
                 if j_action(symplectic_star(a)) != hodge_star_transverse(a):
                     failures.append(("J*s", n, idx))
         for r in range(2 * n - 1):
-            l_mat = operator_matrix(f, lefschetz_L, r, r + 2)
-            lam_mat = operator_matrix(f, lambda_op, r + 2, r)
+            l_mat = oracle.operator_matrix(f, lefschetz_L, r, r + 2)
+            lam_mat = oracle.operator_matrix(f, lambda_op, r + 2, r)
             if l_mat != lam_mat.transpose():
                 failures.append(("adjoint", n, r))
     verdict(

@@ -1,10 +1,13 @@
 import json
+import re
+from fractions import Fraction
 
 import pytest
 
+import exterior_oracle as oracle
 from specseq import cli, invariant, lefschetz, verify
 from specseq.cli import main, parse_form, format_form
-from specseq.exterior import ModelFrame, Multivector
+from specseq.exterior import ModelFrame, Multivector, lefschetz_L, scalar
 
 
 def run(capsys, *argv):
@@ -242,6 +245,26 @@ def test_decompose(capsys):
     assert "L^1" in out and "L^0" in out
 
 
+def test_decompose_n6_reconstructs_with_primitive_components(capsys):
+    text = "e1^e2^e3^e4^e5^e6 + e7^e8^e9^e10^e11^e12"
+    code, out, _ = run(capsys, "decompose", "--n", "6", text)
+    assert code == 0
+    frame = ModelFrame(6)
+    form = parse_form(frame, text)
+    total = Multivector.zero(frame, form.degree)
+    lines = out.splitlines()
+    assert lines[0] == "form of degree 6 on R^12:"
+    for line in lines[1:]:
+        m = re.fullmatch(r"  L\^(\d+) applied to primitive part \(degree (\d+)\): (.*)", line)
+        i, degree, body = int(m.group(1)), int(m.group(2)), m.group(3)
+        beta = scalar(frame, Fraction(body)) if degree == 0 else parse_form(frame, body)
+        assert oracle.lambda_op(beta).is_zero()
+        for _ in range(i):
+            beta = lefschetz_L(beta)
+        total = total + beta
+    assert total == form
+
+
 def test_decompose_bad_form(capsys):
     code, _, err = run(capsys, "decompose", "--n", "1", "e1^")
     assert code == 2
@@ -252,6 +275,30 @@ def test_decompose_rejects_bad_coefficient(capsys, form):
     code, _, err = run(capsys, "decompose", "--n", "1", form)
     assert code == 2
     assert f"term {form!r}" in err
+
+
+@pytest.mark.parametrize(
+    "argv, last_accepted, first_refused",
+    [
+        (("generate", "--seed", "1", "--n"), 6, 7),
+        (("generate", "--seed", "1", "--s"), 4, 5),
+        (("generate", "--seed", "1", "--s"), 1, 0),
+        (("recursion", "--betti", "1,1", "--structure", "C", "--s"), 1, 0),
+        (("recursion", "--betti", "1,1", "--structure", "S", "--s", "1", "--n"), 0, -1),
+        (("star-check", "--n"), 3, 4),
+        (("star-check", "--n"), 0, -1),
+        (("star-check", "--s"), 4, 5),
+        (("star-check", "--s"), 0, -1),
+        (("decompose", "1", "--n"), 6, 7),
+        (("decompose", "1", "--n"), 0, -1),
+    ],
+)
+def test_flag_limits_boundary(capsys, argv, last_accepted, first_refused):
+    code, _, _ = run(capsys, *argv, str(last_accepted))
+    assert code == 0
+    code, _, err = run(capsys, *argv, str(first_refused))
+    assert code == 2
+    assert f"error: {argv[-1]} must be" in err
 
 
 def test_parse_form_syntax():

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import exterior_oracle as oracle
 from specseq.exterior import (
     FrameMismatch,
     ModelFrame,
@@ -22,9 +23,7 @@ from specseq.exterior import (
     lefschetz_L,
     monomials,
     omega,
-    operator_matrix,
     primitive_decompose,
-    primitive_monomial_basis,
     scalar,
     star_relation_counterexamples,
     symplectic_star,
@@ -234,9 +233,24 @@ def test_lambda_low_degree_and_primitive_two_form():
 def test_lambda_adjoint_to_L(n):
     f = ModelFrame(n)
     for r in range(2 * n - 1):
-        l_mat = operator_matrix(f, lefschetz_L, r, r + 2)
-        lam_mat = operator_matrix(f, lambda_op, r + 2, r)
+        l_mat = oracle.operator_matrix(f, lefschetz_L, r, r + 2)
+        lam_mat = oracle.operator_matrix(f, lambda_op, r + 2, r)
         assert l_mat == lam_mat.transpose()
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
+def test_lambda_is_the_star_conjugate_of_L(n):
+    f = ModelFrame(n)
+    for r in range(2 * n + 1):
+        for idx in monomials(f, r):
+            a = mono(f, r, idx)
+            assert lambda_op(a) == oracle.lambda_op(a)
+
+
+@settings(deadline=None, max_examples=30)
+@given(transverse_forms)
+def test_lambda_is_the_star_conjugate_of_L_on_sums(a):
+    assert lambda_op(a) == oracle.lambda_op(a)
 
 
 def test_transverse_required():
@@ -276,12 +290,22 @@ def test_primitive_decompose_reconstructs(data):
     assert total == a
 
 
+@settings(deadline=None, max_examples=80)
+@given(st.data())
+def test_primitive_decompose_matches_solve_oracle(data):
+    n = data.draw(st.integers(0, 3))
+    f = ModelFrame(n)
+    r = data.draw(st.integers(0, 2 * n))
+    a = data.draw(random_forms(f, r))
+    assert primitive_decompose(a) == oracle.primitive_decompose(a)
+
+
 @pytest.mark.parametrize("n", [2, 3])
 def test_sl2_commutator_on_primitives(n):
     # [L, Lambda] = (n - r) on primitive r-forms.
     f = ModelFrame(n)
     for r in range(n + 1):
-        for beta in primitive_monomial_basis(f, r):
+        for beta in oracle.primitive_monomial_basis(f, r):
             bracket = lambda_op(lefschetz_L(beta))
             if r >= 2:
                 bracket = bracket - lefschetz_L(lambda_op(beta))

@@ -19,7 +19,7 @@ from specseq.lefschetz import check_hard_lefschetz, generate_hlp_module, zero_l_
 from specseq.linalg import Matrix, Subspace
 from specseq.presets import PRESETS
 from specseq.modelfile import to_complex
-from specseq.sampling import SampleConfig, sample_model
+from specseq.sampling import MAX_PRIMITIVE_DIM, SampleConfig, sample_model, sample_primitive_dims
 from specseq.verify import (
     HypothesisError,
     Witness,
@@ -307,6 +307,14 @@ def test_model_star_duality_middle_primitive(t2):
 def test_model_star_duality_random(base, s):
     r = model_star_duality(build_model(base, s, [1] * s))
     assert r.passed, r.witnesses
+
+
+@pytest.mark.parametrize("value", [-1, MAX_PRIMITIVE_DIM + 1])
+def test_sample_config_rejects_max_primitive_dim_without_a_weight(value):
+    with pytest.raises(ValueError, match="max_primitive_dim"):
+        SampleConfig(max_primitive_dim=value)
+    pdims = sample_primitive_dims(random.Random(0), 3, SampleConfig(max_primitive_dim=MAX_PRIMITIVE_DIM))
+    assert max(pdims) <= MAX_PRIMITIVE_DIM
 
 
 def test_poincare_symmetry_of_expected_dims():

@@ -280,11 +280,16 @@ def cmd_presets(args) -> int:
 
 _TERM_RE = re.compile(
     r"^\s*(?:(?P<coef>-?\d+(?:/\d+)?)\s*\*?\s*)?(?P<mono>(?:e\d+(?:\^e\d+)*)|1)\s*$"
+    r"|^\s*(?P<scalar>-?\d+(?:/\d+)?)\s*$"
 )
 
 
 def parse_form(frame: ModelFrame, text: str) -> Multivector:
-    """Parse forms like '2*e1^e2 - 1/2 e3^e4' over the transverse space."""
+    """Parse forms like '2*e1^e2 - 1/2 e3^e4' over the transverse space.
+
+    A bare rational such as '1/60' is a term of degree 0, as `format_form`
+    prints it.
+    """
     chunks = re.split(r"(?=[+-])", text.replace("- ", "-").replace("+ ", "+"))
     terms: dict[tuple[int, ...], Fraction] = {}
     degree = None
@@ -301,9 +306,9 @@ def parse_form(frame: ModelFrame, text: str) -> Multivector:
         m = _TERM_RE.match(chunk)
         if not m:
             raise ValueError(f"cannot parse term {chunk!r}")
-        coef = sign * parse_rational(m.group("coef") or 1, f"term {chunk!r}")
+        coef = sign * parse_rational(m.group("coef") or m.group("scalar") or 1, f"term {chunk!r}")
         mono = m.group("mono")
-        if mono == "1":
+        if mono in (None, "1"):
             idx: tuple[int, ...] = ()
         else:
             labels = [int(x[1:]) for x in mono.split("^")]

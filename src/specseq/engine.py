@@ -3,32 +3,32 @@
 The filtration is given on an adapted basis: every basis vector carries one
 filtration degree, and F^p C^k is spanned by the vectors of degree >= p.
 Every filtration of a finite-dimensional complex has such a basis, and the
-invariant-forms models come with one (the basic degree).  On it, page
-dimensions are rank differences of blocks of d (the rank-invariant reading
-of Basu & Parida 2017; Romero, Rubio & Sergeraert 2006).  With
+invariant-forms models come with one (the basic degree).  On it, one column
+reduction of each d_k pairs basis vectors x of degree k with basis vectors
+y of degree k+1 (the persistence pairing), and the rank of every block of d
+that the pages read (the rank invariant of Basu & Parida 2017) is a count
+of pairs: by the pairing lemma (Edelsbrunner, Letscher & Zomorodian 2002;
+Cohen-Steiner, Edelsbrunner & Morozov 2006), the rank of d_k from F^a C^k
+into C^{k+1} / F^b C^{k+1} is the number of pairs with deg x >= a and
+deg y < b.  A pair with gap g = deg y - deg x is a piece x -> y that lives
+on E_r for r <= g and that d_g kills, so with k = p + q
 
-    R_k(a, b) = rank of d_k restricted to the basis vectors of degree >= a,
-                read modulo F^b C^{k+1} (rows of degree < b),
-
-and k = p + q,
-
-    dim E_r^{p,q} = gr^p_k - [R_k(p, p+r) - R_k(p+1, p+r)]
-                           - [R_{k-1}(p-r+1, p+1) - R_{k-1}(p-r+1, p)],
-    rank d_r^{p,q} = R_k(p, p+r+1) - R_k(p, p+r)
-                     - R_k(p+1, p+r+1) + R_k(p+1, p+r).
+    dim E_r^{p,q} = gr^p_k - #{pairs with g < r and x or y at (p, q)},
+    rank d_r^{p,q} = #{pairs with g = r and x at (p, q)}.
 
 The first line is dim Z_r / B_r for the subquotient Z_r^{p,q} =
 F^p C^k cap d^{-1}(F^{p+r} C^{k+1}); the tests keep that subquotient engine
-as the reference these formulas are checked against.
+as the reference these counts are checked against.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
+from math import gcd, lcm
 from typing import Sequence
 
-from .linalg import Matrix, Subspace, prefix_ranks, rank
+from .linalg import Matrix, Subspace, rank
 
 
 class FiltrationError(ValueError):
@@ -41,14 +41,13 @@ class FilteredComplex:
 
     `degrees[k][j]` is the filtration degree, in 0..max_filtration, of basis
     vector j in degree k.  `d[k]` maps degree k to degree k+1; the last one
-    targets the zero space.  The ranks R_k(a, b) are cached on the complex
-    and shared by every page computed from it.
+    targets the zero space.  The persistence pairs of each d_k are computed
+    once, on first use, and shared by every page computed from the complex.
     """
 
     d: tuple[Matrix, ...]
     degrees: tuple[tuple[int, ...], ...]
     max_filtration: int
-    _ranks: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         K = len(self.degrees) - 1
@@ -94,37 +93,53 @@ class FilteredComplex:
         src = self.degrees[k]
         return Subspace.coordinate(len(src), [j for j, deg in enumerate(src) if deg >= p])
 
-    def filtered_rank(self, k: int, a: int, b: int) -> int:
-        """R_k(a, b): rank of d_k from F^a C^k into C^{k+1} / F^b C^{k+1}."""
-        P = self.max_filtration
-        a = max(a, 0)
-        if not 0 <= k <= self.max_degree or a > P or b <= 0:
-            return 0
-        profile = self._ranks.get((k, a))
-        if profile is None:
-            profile = self._ranks[(k, a)] = self._rank_profile(k, a)
-        return profile[min(b, P + 1)]
+    @cached_property
+    def pairs(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """`pairs[k]` lists (deg x, deg y) for the persistence pairs of d_k.
 
-    def _rank_profile(self, k: int, a: int) -> tuple[int, ...]:
-        """R_k(a, b) for b = 0..P+1, from one elimination over rows by degree."""
-        cols = [j for j, deg in enumerate(self.degrees[k]) if deg >= a]
-        tgt = self.degrees[k + 1] if k < self.max_degree else ()
-        order = sorted(range(len(tgt)), key=tgt.__getitem__)
-        entries = self.d[k].entries
-        ranks = prefix_ranks([[entries[i][j] for j in cols] for i in order])
-        sorted_degrees = [tgt[i] for i in order]
-        return tuple(
-            ranks[bisect_left(sorted_degrees, b)] for b in range(self.max_filtration + 2)
-        )
+        The columns of d_k (the vectors x of degree k) are taken in descending
+        filtration degree and the rows in descending degree.  Left to right,
+        each column is reduced by exact integer column operations against the
+        reduced columns before it until its lowest nonzero row is the lowest
+        row of no other column; the column then pairs with that row y.
+        """
+        out = []
+        for k, src in enumerate(self.degrees):
+            tgt = self.degrees[k + 1] if k < self.max_degree else ()
+            rows = sorted(range(len(tgt)), key=tgt.__getitem__, reverse=True)
+            entries = self.d[k].entries
+            by_low: dict[int, list[int]] = {}  # lowest row -> reduced column
+            found = []
+            for j in sorted(range(len(src)), key=src.__getitem__, reverse=True):
+                col = [entries[i][j] for i in rows]
+                den = lcm(*(x.denominator for x in col))
+                v = [x.numerator * (den // x.denominator) for x in col]
+                low = _lowest(v)
+                while low in by_low:
+                    w = by_low[low]
+                    lead, c = w[low], v[low]
+                    v = [lead * x - c * y for x, y in zip(v, w)]
+                    low = _lowest(v)
+                if low is not None:
+                    g = gcd(*v)
+                    by_low[low] = [x // g for x in v]
+                    found.append((src[j], tgt[rows[low]]))
+            out.append(tuple(found))
+        return tuple(out)
 
     def cohomology_dims(self) -> tuple[int, ...]:
         """dim H^k from `rank` of each d_k, an elimination independent of the
-        cached rank profiles, so `check_abutment` cross-checks them."""
+        persistence pairs, so `check_abutment` cross-checks them."""
         ranks = [rank(m) for m in self.d]
         return tuple(
             self.dim(k) - ranks[k] - (ranks[k - 1] if k else 0)
             for k in range(self.max_degree + 1)
         )
+
+
+def _lowest(v: list[int]) -> int | None:
+    """Index of the last nonzero entry of v, or None when v is zero."""
+    return next((i for i in range(len(v) - 1, -1, -1) if v[i]), None)
 
 
 def trivial_filtration(chain_dims: Sequence[int], d: Sequence[Matrix]) -> FilteredComplex:
@@ -174,25 +189,25 @@ class SpectralPage:
 def compute_page(fc: FilteredComplex, r: int) -> SpectralPage:
     if r < 0:
         raise ValueError("page index must be non-negative")
-    R = fc.filtered_rank
-    cells: dict[tuple[int, int], PageCell] = {}
-    d_ranks: dict[tuple[int, int], int] = {}
+    dims: dict[tuple[int, int], int] = {}
     for k, degrees in enumerate(fc.degrees):
         for p in range(fc.max_filtration + 1):
             gr = degrees.count(p)  # dim F^p C^k / F^{p+1} C^k
-            if not gr:
-                continue
-            q = k - p
-            dim = (
-                gr
-                - (R(k, p, p + r) - R(k, p + 1, p + r))
-                - (R(k - 1, p - r + 1, p + 1) - R(k - 1, p - r + 1, p))
-            )
-            cells[(p, q)] = PageCell(p, q, dim)
-            rk = R(k, p, p + r + 1) - R(k, p, p + r) - R(k, p + 1, p + r + 1) + R(k, p + 1, p + r)
-            if rk:
-                d_ranks[(p, q)] = rk
-    return SpectralPage(r, cells, d_ranks)
+            if gr:
+                dims[(p, k - p)] = gr
+    ranks: dict[tuple[int, int], int] = {}
+    for k, pairs in enumerate(fc.pairs):
+        for a, b in pairs:
+            if b - a < r:  # d_{b-a} cancelled x against y
+                dims[(a, k - a)] -= 1
+                dims[(b, k + 1 - b)] -= 1
+            elif b - a == r:
+                ranks[(a, k - a)] = ranks.get((a, k - a), 0) + 1
+    return SpectralPage(
+        r,
+        {(p, q): PageCell(p, q, dim) for (p, q), dim in dims.items()},
+        {pq: ranks[pq] for pq in dims if pq in ranks},
+    )
 
 
 def run_to_convergence(fc: FilteredComplex) -> tuple[list[SpectralPage], int]:
@@ -218,7 +233,7 @@ def infinity_page(fc: FilteredComplex) -> SpectralPage:
 def check_abutment(fc: FilteredComplex) -> bool:
     """Anti-diagonal totals of the stable page equal the cohomology dims.
 
-    The page side comes from the cached rank profiles, the cohomology side
+    The page side comes from the persistence pairs, the cohomology side
     from `linalg.rank`; the check fails when the two eliminations disagree.
     """
     einf = infinity_page(fc)

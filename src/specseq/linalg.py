@@ -1,8 +1,8 @@
 """Exact linear algebra over the rationals.
 
 Every subspace, quotient and rank computation in the package bottoms out
-here.  All arithmetic is exact: `fractions.Fraction`, or integers where
-only a rank is needed.  Subspaces are kept in a canonical column-echelon
+here, except the engine's persistence pairing.  All arithmetic is exact
+`fractions.Fraction`.  Subspaces are kept in a canonical column-echelon
 basis so that equality of subspaces is plain equality of the stored data.
 Dense representations throughout; sizes stay in the hundreds.
 """
@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
 from typing import Iterable, Sequence
 
 Q = Fraction
@@ -183,31 +182,6 @@ def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...], int]:
 
 def rank(m: Matrix) -> int:
     return rref(m)[2]
-
-
-def prefix_ranks(rows: Sequence[Sequence[Fraction]]) -> list[int]:
-    """`out[i]` is the rank of `rows[:i]`, for i = 0..len(rows).
-
-    One pass of fraction-free elimination: each row is scaled to integers,
-    reduced against the independent rows before it, and divided by the gcd
-    of its entries before it joins them.
-    """
-    out = [0]
-    basis: list[tuple[int, list[int]]] = []  # (pivot column, reduced row)
-    for row in rows:
-        den = lcm(*(x.denominator for x in row))
-        v = [x.numerator * (den // x.denominator) for x in row]
-        for pc, prow in basis:
-            c = v[pc]
-            if c:
-                lead = prow[pc]
-                v = [lead * x - c * y for x, y in zip(v, prow)]
-        pivot = next((j for j, x in enumerate(v) if x), None)
-        if pivot is not None:
-            g = gcd(*v)
-            basis.append((pivot, [x // g for x in v]))
-        out.append(len(basis))
-    return out
 
 
 @dataclass(frozen=True)
@@ -410,16 +384,3 @@ def inverse(m: Matrix) -> Matrix:
         raise ValueError("matrix is singular")
     return Matrix(n, n, tuple(tuple(row[n:]) for row in aug[:n]))
 
-
-def solve(a: Matrix, b: Sequence[Fraction]) -> tuple[Fraction, ...] | None:
-    """One solution of a x = b (free variables set to zero), or None."""
-    if len(b) != a.rows:
-        raise DimensionMismatch("right-hand side has wrong length")
-    aug = [list(r) + [_frac(b[i])] for i, r in enumerate(a.entries)]
-    aug, pivots = _rref_data(aug, a.cols + 1)
-    if a.cols in pivots:
-        return None
-    x = [_ZERO] * a.cols
-    for r, pc in enumerate(pivots):
-        x[pc] = aug[r][a.cols]
-    return tuple(x)

@@ -20,7 +20,7 @@ from specseq.exterior import (
     monomials,
     symplectic_star,
 )
-from specseq.linalg import Matrix, kernel_basis, solve
+from specseq.linalg import DimensionMismatch, Matrix, kernel_basis, rref
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -64,6 +64,20 @@ def primitive_monomial_basis(frame: ModelFrame, degree: int) -> list[Multivector
     lam = operator_matrix(frame, lambda_op, degree, degree - 2)
     ker = kernel_basis(lam)
     return [_from_vector(frame, degree, monos, col) for col in ker.basis.columns()]
+
+
+def solve(a: Matrix, b: Sequence[Fraction]) -> tuple[Fraction, ...] | None:
+    """One solution of a x = b (free variables set to zero), or None."""
+    if len(b) != a.rows:
+        raise DimensionMismatch("right-hand side has wrong length")
+    aug = Matrix.from_rows([r + (b[i],) for i, r in enumerate(a.entries)], cols=a.cols + 1)
+    reduced, pivots, _ = rref(aug)
+    if a.cols in pivots:
+        return None
+    x = [_ZERO] * a.cols
+    for r, pc in enumerate(pivots):
+        x[pc] = reduced.entries[r][a.cols]
+    return tuple(x)
 
 
 def primitive_decompose(a: Multivector) -> list[tuple[int, Multivector]]:

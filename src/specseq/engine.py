@@ -206,7 +206,7 @@ def compute_page(fc: FilteredComplex, r: int) -> SpectralPage:
     return SpectralPage(
         r,
         {(p, q): PageCell(p, q, dim) for (p, q), dim in dims.items()},
-        {pq: ranks[pq] for pq in dims if pq in ranks},
+        ranks,
     )
 
 

@@ -1,5 +1,6 @@
 import json
 import re
+from fractions import Fraction
 
 import pytest
 
@@ -244,6 +245,13 @@ def test_decompose(capsys):
     assert "L^1" in out and "L^0" in out
 
 
+@pytest.mark.parametrize("form, scalar", [("11", "11"), ("1/21", "1/21"), ("-- -1/61", "-1/61"), ("21*e1^e2", "21")])
+def test_decompose_bare_rational(capsys, form, scalar):
+    code, out, _ = run(capsys, "decompose", "--n", "1", *form.split())
+    assert code == 0
+    assert out.splitlines()[-1].endswith(f"(degree 0): {scalar}")
+
+
 def test_decompose_n6_reconstructs_with_primitive_components(capsys):
     text = "e1^e2^e3^e4^e5^e6 + e7^e8^e9^e10^e11^e12"
     code, out, _ = run(capsys, "decompose", "--n", "6", text)
@@ -336,3 +344,9 @@ def test_format_form_roundtrip():
             if beta.degree == 0:
                 scalars.append(format_form(beta))
     assert scalars == ["1/3", "-2/3", "1/10", "1"]
+    # A bare rational whose text ends in 1 is read whole, not as coefficient
+    # times the monomial '1'.
+    for c in (Fraction(11), Fraction(21), Fraction(1, 21), Fraction(-1, 61)):
+        beta = Multivector.make(f, 0, {(): c})
+        assert format_form(beta) == str(c)
+        assert parse_form(f, format_form(beta)) == beta

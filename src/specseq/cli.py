@@ -410,6 +410,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("form", help="e.g. 'e1^e2 + 1/2*e3^e4'")
     p.set_defaults(func=cmd_decompose)
+    # argparse reads an argument that starts with '-' as an option unless it
+    # matches this pattern of negative numbers.  Widened to forms such as
+    # '-1/60' and '-e1^e2', it lets them reach `form`; '-h' and '--n' do not
+    # match it, so they stay options.
+    p._negative_number_matcher = re.compile(r"^-(\d|e\d)")
     return parser
 
 

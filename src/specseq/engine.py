@@ -25,10 +25,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from math import gcd, lcm
 from typing import Sequence
 
-from .linalg import Matrix, Subspace, rank
+from .linalg import (
+    Matrix,
+    SparseColumn,
+    Subspace,
+    apply_columns,
+    integer_columns,
+    rank,
+    reduce_columns,
+)
 
 
 class FiltrationError(ValueError):
@@ -41,8 +48,10 @@ class FilteredComplex:
 
     `degrees[k][j]` is the filtration degree, in 0..max_filtration, of basis
     vector j in degree k.  `d[k]` maps degree k to degree k+1; the last one
-    targets the zero space.  The persistence pairs of each d_k are computed
-    once, on first use, and shared by every page computed from the complex.
+    targets the zero space.  The checks and the persistence pairing read each
+    d_k as sparse integer columns, converted once.  The persistence pairs of
+    each d_k are computed once, on first use, and shared by every page
+    computed from the complex.
     """
 
     d: tuple[Matrix, ...]
@@ -62,15 +71,15 @@ class FilteredComplex:
             tgt = self.degrees[k + 1] if k < K else ()
             if self.d[k].cols != len(src) or self.d[k].rows != len(tgt):
                 raise FiltrationError(f"differential at degree {k} has the wrong shape")
-            for i, row in enumerate(self.d[k].entries):
-                for j, x in enumerate(row):
-                    if x and tgt[i] < src[j]:
+            for j, col in enumerate(self.integer_d[k]):
+                for i in col:
+                    if tgt[i] < src[j]:
                         raise FiltrationError(
                             f"d does not preserve F^{src[j]} at degree {k}: "
                             f"vector {j} hits vector {i} of filtration degree {tgt[i]}"
                         )
         for k in range(K):
-            if not (self.d[k + 1] @ self.d[k]).is_zero():
+            if any(apply_columns(self.integer_d[k + 1], col) for col in self.integer_d[k]):
                 raise FiltrationError(f"d o d != 0 at degree {k}")
 
     @property
@@ -94,37 +103,28 @@ class FilteredComplex:
         return Subspace.coordinate(len(src), [j for j, deg in enumerate(src) if deg >= p])
 
     @cached_property
+    def integer_d(self) -> tuple[list[SparseColumn], ...]:
+        """Each d_k as sparse integer columns (`linalg.integer_columns`)."""
+        return tuple(integer_columns(m) for m in self.d)
+
+    @cached_property
     def pairs(self) -> tuple[tuple[tuple[int, int], ...], ...]:
         """`pairs[k]` lists (deg x, deg y) for the persistence pairs of d_k.
 
         The columns of d_k (the vectors x of degree k) are taken in descending
-        filtration degree and the rows in descending degree.  Left to right,
-        each column is reduced by exact integer column operations against the
-        reduced columns before it until its lowest nonzero row is the lowest
-        row of no other column; the column then pairs with that row y.
+        filtration degree and the rows in descending degree, and reduced by
+        `linalg.reduce_columns`; each nonzero reduced column pairs with the row
+        y at its low.
         """
         out = []
         for k, src in enumerate(self.degrees):
             tgt = self.degrees[k + 1] if k < self.max_degree else ()
             rows = sorted(range(len(tgt)), key=tgt.__getitem__, reverse=True)
-            entries = self.d[k].entries
-            by_low: dict[int, list[int]] = {}  # lowest row -> reduced column
-            found = []
-            for j in sorted(range(len(src)), key=src.__getitem__, reverse=True):
-                col = [entries[i][j] for i in rows]
-                den = lcm(*(x.denominator for x in col))
-                v = [x.numerator * (den // x.denominator) for x in col]
-                low = _lowest(v)
-                while low in by_low:
-                    w = by_low[low]
-                    lead, c = w[low], v[low]
-                    v = [lead * x - c * y for x, y in zip(v, w)]
-                    low = _lowest(v)
-                if low is not None:
-                    g = gcd(*v)
-                    by_low[low] = [x // g for x in v]
-                    found.append((src[j], tgt[rows[low]]))
-            out.append(tuple(found))
+            at = {i: t for t, i in enumerate(rows)}
+            order = sorted(range(len(src)), key=src.__getitem__, reverse=True)
+            cols = self.integer_d[k]
+            _, _, by_low = reduce_columns([{at[i]: x for i, x in cols[j].items()} for j in order])
+            out.append(tuple(sorted((src[order[j]], tgt[rows[low]]) for low, j in by_low.items())))
         return tuple(out)
 
     def cohomology_dims(self) -> tuple[int, ...]:
@@ -135,11 +135,6 @@ class FilteredComplex:
             self.dim(k) - ranks[k] - (ranks[k - 1] if k else 0)
             for k in range(self.max_degree + 1)
         )
-
-
-def _lowest(v: list[int]) -> int | None:
-    """Index of the last nonzero entry of v, or None when v is zero."""
-    return next((i for i in range(len(v) - 1, -1, -1) if v[i]), None)
 
 
 def trivial_filtration(chain_dims: Sequence[int], d: Sequence[Matrix]) -> FilteredComplex:

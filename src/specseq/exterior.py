@@ -16,6 +16,7 @@ usual e^1, eta_1 notation.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
@@ -69,6 +70,7 @@ class Multivector:
 
     @staticmethod
     def make(frame: ModelFrame, degree: int, coeffs: Mapping[tuple[int, ...], Fraction]) -> "Multivector":
+        """The form sum c e^idx, with every index tuple checked against the frame."""
         cleaned = {}
         for idx, c in coeffs.items():
             c = c if isinstance(c, Fraction) else Fraction(c)
@@ -80,7 +82,14 @@ class Multivector:
             if idx and idx[-1] >= frame.total_dim:
                 raise ValueError(f"index out of range for frame: {idx}")
             cleaned[idx] = c
-        return Multivector(frame, degree, tuple(sorted(cleaned.items())))
+        return Multivector._trusted(frame, degree, cleaned)
+
+    @staticmethod
+    def _trusted(frame: ModelFrame, degree: int, coeffs: Mapping[tuple[int, ...], Fraction]) -> "Multivector":
+        """`make` for the results of operations on valid forms: the index
+        tuples are known to be valid and the coefficients to be Fractions, so
+        only the zero terms are dropped."""
+        return Multivector(frame, degree, tuple(sorted((i, c) for i, c in coeffs.items() if c)))
 
     @staticmethod
     def zero(frame: ModelFrame, degree: int) -> "Multivector":
@@ -101,23 +110,28 @@ class Multivector:
         return _ZERO
 
     def __add__(self, other: "Multivector") -> "Multivector":
+        return self._combine(other, operator.add)
+
+    def __sub__(self, other: "Multivector") -> "Multivector":
+        return self._combine(other, operator.sub)
+
+    def _combine(self, other: "Multivector", op) -> "Multivector":
         _check_frames(self, other)
         if self.degree != other.degree:
             raise ValueError("cannot add forms of different degrees")
         acc = dict(self.terms)
         for idx, c in other.terms:
-            acc[idx] = acc.get(idx, _ZERO) + c
-        return Multivector.make(self.frame, self.degree, acc)
-
-    def __sub__(self, other: "Multivector") -> "Multivector":
-        return self + other.scaled(-1)
+            acc[idx] = op(acc.get(idx, _ZERO), c)
+        return Multivector._trusted(self.frame, self.degree, acc)
 
     def __neg__(self) -> "Multivector":
         return self.scaled(-1)
 
     def scaled(self, c) -> "Multivector":
         c = c if isinstance(c, Fraction) else Fraction(c)
-        return Multivector.make(self.frame, self.degree, {idx: c * v for idx, v in self.terms})
+        if not c:
+            return Multivector.zero(self.frame, self.degree)
+        return Multivector(self.frame, self.degree, tuple((idx, c * v) for idx, v in self.terms))
 
     def __rmul__(self, c) -> "Multivector":
         return self.scaled(c)
@@ -148,9 +162,7 @@ def eta(frame: ModelFrame, j: int) -> Multivector:
 
 def omega(frame: ModelFrame) -> Multivector:
     """The standard symplectic form sum_i e^{2i-1} ^ e^{2i}."""
-    return Multivector.make(
-        frame, 2, {(2 * i, 2 * i + 1): _ONE for i in range(frame.n)}
-    )
+    return Multivector(frame, 2, tuple(((2 * i, 2 * i + 1), _ONE) for i in range(frame.n)))
 
 
 def transverse_volume(frame: ModelFrame) -> Multivector:
@@ -197,7 +209,7 @@ def wedge(a: Multivector, b: Multivector) -> Multivector:
                 continue
             idx, sign = merged
             acc[idx] = acc.get(idx, _ZERO) + sign * ca * cb
-    return Multivector.make(a.frame, a.degree + b.degree, acc)
+    return Multivector._trusted(a.frame, a.degree + b.degree, acc)
 
 
 def lefschetz_L(a: Multivector) -> Multivector:
@@ -229,7 +241,7 @@ def hodge_star_transverse(a: Multivector) -> Multivector:
     for idx, c in a.terms:
         comp, sign = _complement_sign(idx, td)
         acc[comp] = acc.get(comp, _ZERO) + sign * c
-    return Multivector.make(a.frame, td - a.degree, acc)
+    return Multivector._trusted(a.frame, td - a.degree, acc)
 
 
 def full_hodge_star(a: Multivector) -> Multivector:
@@ -244,7 +256,7 @@ def full_hodge_star(a: Multivector) -> Multivector:
     for idx, c in a.terms:
         comp, sign = _complement_sign(idx, total)
         acc[comp] = acc.get(comp, _ZERO) + sign * c
-    return Multivector.make(a.frame, total - a.degree, acc)
+    return Multivector._trusted(a.frame, total - a.degree, acc)
 
 
 def j_action(a: Multivector) -> Multivector:
@@ -266,7 +278,7 @@ def j_action(a: Multivector) -> Multivector:
         sign *= (-1) ** _inversion_parity(mapped)
         key = tuple(sorted(mapped))
         acc[key] = acc.get(key, _ZERO) + sign * c
-    return Multivector.make(a.frame, a.degree, acc)
+    return Multivector._trusted(a.frame, a.degree, acc)
 
 
 def lambda_op(a: Multivector) -> Multivector:
@@ -285,7 +297,7 @@ def lambda_op(a: Multivector) -> Multivector:
             if idx[k] % 2 == 0 and idx[k + 1] == idx[k] + 1:
                 key = idx[:k] + idx[k + 2 :]
                 acc[key] = acc.get(key, _ZERO) + c
-    return Multivector.make(a.frame, a.degree - 2, acc)
+    return Multivector._trusted(a.frame, a.degree - 2, acc)
 
 
 def primitive_decompose(a: Multivector) -> list[tuple[int, Multivector]]:

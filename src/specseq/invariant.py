@@ -19,7 +19,15 @@ from fractions import Fraction
 from typing import Sequence
 
 from .lefschetz import LefschetzModule
-from .linalg import Matrix, Quotient, Subspace, image_basis, kernel_basis, quotient
+from .linalg import (
+    ContainmentError,
+    DimensionMismatch,
+    Matrix,
+    SparseColumn,
+    apply_columns,
+    integer_columns,
+    reduce_columns,
+)
 
 _ZERO = Fraction(0)
 
@@ -120,17 +128,89 @@ def element(c: InvariantComplex, k: int, terms: dict[BasisElement, Fraction]) ->
     return InvariantElement(k, tuple(coeffs))
 
 
-def cohomology(c: InvariantComplex) -> list[Quotient]:
-    """Per degree k, H^k = Ker d_k / Im d_{k-1} as a `Quotient`.
+@dataclass(frozen=True)
+class CohomologyGroup:
+    """H^k = Ker d_k / Im d_{k-1} on a basis of Q^N triangular in the low.
 
-    `.dim` is the Betti number, `.project` maps cocycles to their classes and
-    the columns of `.section` are representative cocycles.
+    Every index j of C^k (dimension N) is the lowest nonzero entry of one
+    basis vector: a reduced column of d_{k-1} when j is one of its lows, the
+    column V_j of the reduction of d_k when j is an essential index, and e_j
+    when column j of the reduced d_k is nonzero.  The first two kinds span
+    Ker d_k, and the essential ones give the classes.  `steps` lists, by
+    descending j, the vectors that are not e_j as (j, lead, rest, slot): the
+    integer entry at j, the other entries, and the class index, or -1 for a
+    boundary.
     """
+
+    ambient_dim: int
+    dim: int
+    steps: tuple[tuple[int, int, tuple[tuple[int, int], ...], int], ...]
+
+    @property
+    def section(self) -> Matrix:
+        """Representative cocycles of the classes, as the columns of a matrix."""
+        cols = [[_ZERO] * self.ambient_dim for _ in range(self.dim)]
+        for j, lead, rest, slot in self.steps:
+            if slot >= 0:
+                cols[slot][j] = Fraction(lead)
+                for i, x in rest:
+                    cols[slot][i] = Fraction(x)
+        return Matrix.from_cols(cols, rows=self.ambient_dim) if cols else Matrix.zero(
+            self.ambient_dim, 0
+        )
+
+    def project(self, v: Sequence[Fraction]) -> tuple[Fraction, ...]:
+        """Coordinates of v at the classes, by back-substitution over the basis.
+
+        It kills Im d_{k-1} and is the identity on the section's columns.
+        """
+        if len(v) != self.ambient_dim:
+            raise DimensionMismatch("vector length does not match the chain dimension")
+        v = [x if isinstance(x, Fraction) else Fraction(x) for x in v]
+        out = [_ZERO] * self.dim
+        for j, lead, rest, slot in self.steps:
+            if not v[j]:
+                continue
+            c = v[j] / lead
+            for i, x in rest:
+                v[i] -= c * x
+            if slot >= 0:
+                out[slot] = c
+        return tuple(out)
+
+
+def cohomology(c: InvariantComplex) -> list[CohomologyGroup]:
+    """Per degree k, H^k from one exact column reduction of each d_k.
+
+    Reducing d_k (`linalg.reduce_columns`) serves two degrees: its zero
+    columns give Ker d_k for H^k, and its nonzero columns give Im d_k, with
+    distinct lows, for H^{k+1}.  Each reduced column of d_{k-1} must be
+    killed by d_k and have its low at a zero column of the reduced d_k;
+    otherwise `ContainmentError` names k.  `.dim` is the Betti number,
+    `.project` maps cocycles to their classes and the columns of `.section`
+    are representative cocycles.
+    """
+    cols = [integer_columns(d) for d in c.differentials]
+    reductions = [reduce_columns(d) for d in cols]
     out = []
-    for k in range(c.max_degree + 1):
-        closed = kernel_basis(c.differentials[k])
-        exact = image_basis(c.differentials[k - 1]) if k else Subspace.zero(c.dim(0))
-        out.append(quotient(closed, exact))
+    for k, (R, V, _) in enumerate(reductions):
+        boundaries: dict[int, SparseColumn] = {}
+        if k:
+            R_prev, _, lows_prev = reductions[k - 1]
+            for low, j in lows_prev.items():
+                if R[low] or apply_columns(cols[k], R_prev[j]):
+                    raise ContainmentError(f"Im d_{k - 1} is not inside Ker d_{k} in degree {k}")
+                boundaries[low] = R_prev[j]
+        essential = [j for j in range(c.dim(k)) if not R[j] and j not in boundaries]
+        slot = {j: t for t, j in enumerate(essential)}
+        steps = []
+        for j in range(c.dim(k) - 1, -1, -1):
+            if R[j]:
+                continue
+            vec = boundaries[j] if j in boundaries else V[j]
+            rest = tuple((i, x) for i, x in vec.items() if i != j)
+            steps.append((j, vec[j], rest, slot.get(j, -1)))
+        out.append(CohomologyGroup(c.dim(k), len(essential), tuple(steps)))
     return out
 
 

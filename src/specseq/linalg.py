@@ -1,16 +1,21 @@
 """Exact linear algebra over the rationals.
 
-Every subspace, quotient and rank computation in the package bottoms out
-here, except the engine's persistence pairing.  All arithmetic is exact
-`fractions.Fraction`.  Subspaces are kept in a canonical column-echelon
-basis so that equality of subspaces is plain equality of the stored data.
-Dense representations throughout; sizes stay in the hundreds.
+Two representations live here.  `Matrix` and `Subspace` are dense, with
+`fractions.Fraction` entries; subspaces are kept in a canonical
+column-echelon basis so that equality of subspaces is plain equality of the
+stored data, and ranks, kernels and quotients come from row reduction.
+`integer_columns` gives a matrix as sparse integer columns, scaled by one
+common denominator, and `reduce_columns` and `apply_columns` work on them
+without fractions.  The differentials take that second path: the
+filtered-complex checks, the engine's persistence pairing and direct
+cohomology.  All arithmetic is exact.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 Q = Fraction
@@ -24,6 +29,10 @@ class DimensionMismatch(ValueError):
 
 class ContainmentError(ValueError):
     """A subspace that was required to contain another does not."""
+
+
+# A sparse integer column: row index -> nonzero entry.
+SparseColumn = dict[int, int]
 
 
 def _frac(x) -> Fraction:
@@ -372,6 +381,75 @@ def quotient(ambient: Subspace, sub: Subspace) -> Quotient:
         else Matrix.zero(n, 0)
     )
     return Quotient(ambient, sub, qdim, project, section)
+
+
+def integer_columns(m: Matrix) -> list[SparseColumn]:
+    """The columns of `m` times the common denominator of its entries."""
+    cols = [
+        {i: x for i, x in enumerate(col) if x}
+        for col in (zip(*m.entries) if m.rows else [()] * m.cols)
+    ]
+    den = lcm(*(x.denominator for col in cols for x in col.values()))
+    return [{i: x.numerator * (den // x.denominator) for i, x in col.items()} for col in cols]
+
+
+def reduce_columns(
+    cols: Sequence[SparseColumn],
+) -> tuple[list[SparseColumn], list[SparseColumn], dict[int, int]]:
+    """The column reduction R = D V of the integer matrix D with columns `cols`.
+
+    Left to right, each column is reduced against the reduced columns before
+    it until its lowest nonzero row, its low, is the low of no other column
+    (Cohen-Steiner, Edelsbrunner & Morozov 2006).  The same column operations
+    on the identity give V, upper triangular with a nonzero diagonal.  Each
+    step scales by the coprime parts of the two pivots, as in Bareiss (1968),
+    so every entry stays an integer.  Returns R, V and the map from each low
+    to its column: the nonzero columns of R are a basis of Im D, and V_j at
+    the zero columns j of R are a basis of Ker D.
+    """
+    R: list[SparseColumn] = []
+    V: list[SparseColumn] = []
+    by_low: dict[int, int] = {}
+    for j, col in enumerate(cols):
+        r, v = dict(col), {j: 1}
+        low = max(r, default=None)
+        while low in by_low:
+            i = by_low[low]
+            g = gcd(R[i][low], r[low])
+            a, c = R[i][low] // g, r[low] // g
+            r = _combine(a, r, c, R[i])
+            v = _combine(a, v, c, V[i])
+            low = max(r, default=None)
+        g = gcd(*r.values(), *v.values())
+        if g != 1:
+            r = {i: x // g for i, x in r.items()}
+            v = {i: x // g for i, x in v.items()}
+        if low is not None:
+            by_low[low] = j
+        R.append(r)
+        V.append(v)
+    return R, V, by_low
+
+
+def apply_columns(cols: Sequence[SparseColumn], w: SparseColumn) -> SparseColumn:
+    """The integer matrix with columns `cols` times w, zero entries dropped."""
+    acc: SparseColumn = {}
+    for j, x in w.items():
+        for i, y in cols[j].items():
+            acc[i] = acc.get(i, 0) + x * y
+    return {i: x for i, x in acc.items() if x}
+
+
+def _combine(a: int, x: SparseColumn, c: int, y: SparseColumn) -> SparseColumn:
+    """a x - c y, with zero entries dropped."""
+    out = {i: a * t for i, t in x.items()} if a != 1 else dict(x)
+    for i, t in y.items():
+        s = out.get(i, 0) - c * t
+        if s:
+            out[i] = s
+        else:
+            del out[i]
+    return out
 
 
 def inverse(m: Matrix) -> Matrix:

@@ -26,6 +26,7 @@ from typing import Sequence
 from .engine import SpectralPage, compute_page, run_to_convergence
 from .exterior import _merge_sign, index_subset_sign
 from .invariant import (
+    CohomologyGroup,
     InvariantComplex,
     InvariantElement,
     betti_numbers,
@@ -40,7 +41,7 @@ from .lefschetz import (
     primitive_subspace,
     star_matrix,
 )
-from .linalg import Matrix, Quotient, Subspace, subspace_sum
+from .linalg import Matrix, Subspace, subspace_sum
 
 _ZERO = Fraction(0)
 
@@ -377,14 +378,14 @@ def model_star(
     return InvariantElement(target, tuple(coeffs))
 
 
-def _class_span(q: Quotient, cocycles: Sequence[InvariantElement]) -> Subspace:
+def _class_span(q: CohomologyGroup, cocycles: Sequence[InvariantElement]) -> Subspace:
     """Span of the cohomology classes of the cocycles, in the coordinates of q."""
-    vecs = [q.project.apply(el.coeffs) for el in cocycles]
+    vecs = [q.project(el.coeffs) for el in cocycles]
     return Subspace.span(q.dim, vecs) if vecs else Subspace.zero(q.dim)
 
 
 def model_star_duality(
-    c: InvariantComplex, classes: Sequence[Quotient] | None = None
+    c: InvariantComplex, classes: Sequence[CohomologyGroup] | None = None
 ) -> VerificationReport:
     """Star carries the part-A span onto the complementary part-B summand.
 

@@ -5,9 +5,11 @@ from fractions import Fraction
 import pytest
 
 import exterior_oracle as oracle
-from specseq import cli, invariant, lefschetz, verify
+from specseq import cli, invariant, lefschetz, linalg, verify
 from specseq.cli import main, parse_form, format_form
 from specseq.exterior import ModelFrame, Multivector, lefschetz_L, primitive_decompose
+from specseq.modelfile import to_complex
+from specseq.presets import PRESETS
 
 
 def run(capsys, *argv):
@@ -85,6 +87,14 @@ def test_analyze_computes_the_sequence_once(monkeypatch, capsys):
     # Only the binding in `lefschetz`: the base's Lefschetz structure is built
     # once, one kernel per PH^0..PH^n and one per Ker L in degrees 0..2n.
     targets.append((lefschetz, "kernel_basis"))
+    # Direct cohomology reduces each differential once and builds no rref
+    # quotient; the engine's own pairing goes through its `engine` binding.
+    targets += [
+        (module, name)
+        for module in (invariant, linalg)
+        for name in ("reduce_columns", "quotient", "image_basis")
+        if hasattr(module, name)
+    ]
     calls = {}
     for module, name in targets:
 
@@ -99,6 +109,7 @@ def test_analyze_computes_the_sequence_once(monkeypatch, capsys):
         assert code == 0
         assert calls.pop("check_hard_lefschetz", 0) <= hlp_checks
         assert calls.pop("kernel_basis", 0) <= (n + 1) + (2 * n + 1)
+        assert calls.pop("reduce_columns") == to_complex(PRESETS[preset]).max_degree + 1
         assert calls == {"filtered_complex": 1, "run_to_convergence": 1, "cohomology": 1}
 
 
@@ -250,6 +261,40 @@ def test_decompose_bare_rational(capsys, form, scalar):
     code, out, _ = run(capsys, "decompose", "--n", "1", *form.split())
     assert code == 0
     assert out.splitlines()[-1].endswith(f"(degree 0): {scalar}")
+
+
+@pytest.mark.parametrize(
+    "argv, last_line",
+    [
+        (("--n", "1", "-1/60"), "(degree 0): -1/60"),
+        (("--n", "1", "-e1^e2"), "(degree 0): -1"),
+        (("--n", "1", "-3/2*e1^e2"), "(degree 0): -3/2"),
+        (("-1/60", "--n", "1"), "(degree 0): -1/60"),
+    ],
+)
+def test_decompose_leading_minus(capsys, argv, last_line):
+    code, out, err = run(capsys, "decompose", *argv)
+    assert (code, err) == (0, "")
+    assert out.splitlines()[-1].endswith(last_line)
+
+
+@pytest.mark.parametrize(
+    "argv, code, message",
+    [
+        (("-h",), 0, None),
+        (("-1/60",), 2, "the following arguments are required: --n"),
+        (("--n", "1"), 2, "the following arguments are required: form"),
+    ],
+)
+def test_decompose_help_and_missing_arguments(capsys, argv, code, message):
+    with pytest.raises(SystemExit) as exc:
+        main(["decompose", *argv])
+    captured = capsys.readouterr()
+    assert exc.value.code == code
+    if message:
+        assert message in captured.err
+    else:
+        assert captured.out.startswith("usage: specseq decompose [-h] --n N form")
 
 
 def test_decompose_n6_reconstructs_with_primitive_components(capsys):

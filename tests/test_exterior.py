@@ -47,6 +47,29 @@ def random_forms(frame, degree):
     ).map(lambda cs: Multivector.make(frame, degree, dict(zip(idxs, cs))))
 
 
+@pytest.mark.parametrize(
+    "degree, idx",
+    [(2, (1, 0)), (2, (1, 1)), (1, (4,)), (2, (0, 4)), (2, (0,)), (1, (0, 1))],
+)
+def test_make_rejects_bad_index_tuples(degree, idx):
+    # Unsorted, repeated, out of range (total dim 2n + s = 4) or of the wrong
+    # length; operations on valid forms skip these checks, `make` does not.
+    with pytest.raises(ValueError):
+        Multivector.make(ModelFrame(1, 2), degree, {idx: Q(1)})
+
+
+def test_sub_and_scaled_drop_zero_terms():
+    f = ModelFrame(2)
+    a = mono(f, 2, (0, 1)) + mono(f, 2, (2, 3), 3)
+    assert (a - a).is_zero() and a.scaled(0).is_zero()
+    assert a - mono(f, 2, (0, 1)) == mono(f, 2, (2, 3), 3)
+    assert -a == a.scaled(-1) == Multivector.make(f, 2, {(0, 1): -1, (2, 3): -3})
+    with pytest.raises(ValueError):
+        a - mono(f, 1, (0,))
+    with pytest.raises(FrameMismatch):
+        a - mono(ModelFrame(3), 2, (0, 1))
+
+
 def test_wedge_basic():
     f = ModelFrame(1)
     assert wedge(covector(f, 1), covector(f, 2)) == mono(f, 2, (0, 1))

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 from math import comb
 
@@ -13,8 +14,16 @@ from specseq.invariant import (
     element,
     filtered_complex,
 )
-from specseq.lefschetz import generate_hlp_module
-from specseq.linalg import Subspace
+from specseq.lefschetz import generate_hlp_module, zero_l_block
+from specseq.linalg import (
+    ContainmentError,
+    Matrix,
+    Subspace,
+    image_basis,
+    kernel_basis,
+    quotient,
+    rank,
+)
 
 Q = Fraction
 
@@ -139,6 +148,73 @@ def test_cohomology_representatives_are_cocycles(cp1):
         assert reps.dim == q.dim
         for col in reps.basis.columns():
             assert all(x == 0 for x in hopf.differentials[k].apply(col))
+
+
+def _typed_model(n, s, seed, kind, lambdas, pdims, zero_block):
+    base = generate_hlp_module(seed, n, (1 + pdims[0],) + tuple(pdims[1 : n + 1]))
+    if zero_block and n:
+        base = zero_l_block(base, seed % (2 * n - 1))  # no hard Lefschetz
+    lambdas = {"S": [1] * s, "C": [0] * s, "mixed": lambdas[:s]}[kind]
+    return build_model(base, s, lambdas)
+
+
+def typed_models():
+    """S-type, C-type and mixed-lambda models, some without hard Lefschetz;
+    the mixed lambdas have denominators up to 7."""
+    return st.builds(
+        _typed_model,
+        st.integers(0, 3),
+        st.integers(1, 3),
+        st.integers(0, 2**31),
+        st.sampled_from(("S", "C", "mixed")),
+        st.lists(st.fractions(-3, 3, max_denominator=7), min_size=3, max_size=3),
+        st.lists(st.integers(0, 1), min_size=4, max_size=4),
+        st.booleans(),
+    )
+
+
+@settings(deadline=None, max_examples=40)
+@given(typed_models())
+def test_cohomology_matches_the_quotient_oracle(m):
+    for k, h in enumerate(cohomology(m)):
+        n = m.dim(k)
+        exact = image_basis(m.differentials[k - 1]) if k else Subspace.zero(n)
+        oracle = quotient(kernel_basis(m.differentials[k]), exact)
+        assert h.dim == oracle.dim
+        section = h.section.columns()
+        assert len(section) == h.dim and h.section.rows == n
+        for t, col in enumerate(section):
+            assert not any(m.differentials[k].apply(col))
+            assert h.project(col) == tuple(Q(int(u == t)) for u in range(h.dim))
+        if k:
+            for col in m.differentials[k - 1].columns():
+                assert not any(h.project(col))
+        if h.dim:
+            classes = [oracle.project.apply(col) for col in section]
+            assert rank(Matrix.from_cols(classes)) == h.dim
+
+
+def test_cohomology_refuses_d_squared_nonzero(cp2):
+    # Every degree is one-dimensional and d_3 = (1).  A doctored d_4 = (1)
+    # makes d_4 d_3 nonzero: the low of the reduced d_3 is then a nonzero
+    # column of the reduced d_4.
+    m = build_model(cp2, 1, [1])
+    doctored = list(m.differentials)
+    doctored[4] = Matrix.from_rows([[1]])
+    with pytest.raises(ContainmentError, match="degree 4"):
+        cohomology(replace(m, differentials=tuple(doctored)))
+
+
+def test_cohomology_refuses_d_squared_nonzero_at_a_zero_column(cp1):
+    # Chain dims (1, 2, 1, ...): d_0 = (1, 1) has its low at index 1, a zero
+    # column of d_1 = (1 0), yet d_1 d_0 = 1; only applying d_1 catches it.
+    m = build_model(cp1, 2, [1, 1])
+    assert (m.dim(0), m.dim(1)) == (1, 2)
+    doctored = list(m.differentials)
+    doctored[0] = Matrix.from_rows([[1], [1]])
+    doctored[1] = Matrix.from_rows([[1, 0]] + [[0, 0]] * (m.dim(2) - 1))
+    with pytest.raises(ContainmentError, match="degree 1"):
+        cohomology(replace(m, differentials=tuple(doctored)))
 
 
 def test_filtered_complex_construction(cp1):

@@ -16,7 +16,7 @@ from specseq.invariant import (
     filtered_complex,
 )
 from specseq.lefschetz import check_hard_lefschetz, generate_hlp_module, zero_l_block
-from specseq.linalg import Matrix, Subspace
+from specseq.linalg import Subspace
 from specseq.presets import PRESETS
 from specseq.modelfile import to_complex
 from specseq.sampling import MAX_PRIMITIVE_DIM, SampleConfig, sample_model, sample_primitive_dims
@@ -182,8 +182,9 @@ def test_star_duality_witnesses_name_degree_and_values(cp1):
     hopf = build_model(cp1, 1, [1])
     classes = cohomology(hopf)
     assert model_star_duality(hopf, classes).passed
-    # A class map that kills H^3 makes the star image of 1 (degree 0) vanish.
-    classes[3] = replace(classes[3], project=Matrix.zero(1, hopf.dim(3)))
+    # A class map that kills H^3 makes the star image of 1 (degree 0) vanish:
+    # with no basis vectors to substitute, `project` is zero.
+    classes[3] = replace(classes[3], steps=())
     r = model_star_duality(hopf, classes)
     assert r.witnesses == (
         Witness("rank of star-image classes", 0, 1, 0),

@@ -310,20 +310,17 @@ def parse_form(frame: ModelFrame, text: str) -> Multivector:
             raise ValueError(f"cannot parse term {chunk!r}")
         coef = sign * parse_rational(m.group("coef") or m.group("scalar") or 1, f"term {chunk!r}")
         mono = m.group("mono")
-        if mono in (None, "1"):
-            idx: tuple[int, ...] = ()
-        else:
-            labels = [int(x[1:]) for x in mono.split("^")]
-            if len(set(labels)) != len(labels):
-                continue  # repeated covector wedges to zero
-            if any(not 1 <= i <= frame.transverse_dim for i in labels):
-                raise ValueError(f"covector index out of range in {chunk!r} (transverse dim {frame.transverse_dim})")
-            coef *= (-1) ** _inversion_parity(labels)
-            idx = tuple(sorted(i - 1 for i in labels))
+        labels = [] if mono in (None, "1") else [int(x[1:]) for x in mono.split("^")]
+        if any(not 1 <= i <= frame.transverse_dim for i in labels):
+            raise ValueError(f"covector index out of range in {chunk!r} (transverse dim {frame.transverse_dim})")
         if degree is None:
-            degree = len(idx)
-        elif degree != len(idx):
+            degree = len(labels)
+        elif degree != len(labels):
             raise ValueError("form is not homogeneous")
+        if len(set(labels)) != len(labels):
+            continue  # repeated covector wedges to zero
+        coef *= (-1) ** _inversion_parity(labels)
+        idx = tuple(sorted(i - 1 for i in labels))
         terms[idx] = terms.get(idx, Fraction(0)) + coef
     if degree is None:
         raise ValueError("empty form")

@@ -9,6 +9,12 @@ written to the left of basic classes:
 
 The filtration by basic degree (F^p = span of terms with deg h >= p) is
 what the spectral-sequence engine consumes.
+
+The working form of each d_k is sparse integer columns, scaled by one
+common denominator (`InvariantComplex.integer_d`): `build_model` scatters
+the entries straight into it, and direct cohomology and the star-duality
+check read it.  `InvariantComplex.differentials` holds the same maps as
+dense `Fraction` matrices, the view the engine and callers read.
 """
 
 from __future__ import annotations
@@ -16,6 +22,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from math import lcm
 from typing import Sequence
 
 from .lefschetz import LefschetzModule
@@ -59,7 +67,24 @@ class InvariantComplex:
         return 0
 
     def index_of(self, k: int, element: BasisElement) -> int:
-        return self.basis[k].index(element)
+        """Position of `element` in the basis of C^k."""
+        position = self._positions[k].get(element) if 0 <= k <= self.max_degree else None
+        if position is None:
+            raise ValueError(f"{element!r} is not a basis element in degree {k}")
+        return position
+
+    @cached_property
+    def _positions(self) -> tuple[dict[BasisElement, int], ...]:
+        return tuple({b: i for i, b in enumerate(layer)} for layer in self.basis)
+
+    @cached_property
+    def integer_d(self) -> tuple[list[SparseColumn], ...]:
+        """Each d_k as sparse integer columns, equal to `linalg.integer_columns(d_k)`.
+
+        `build_model` sets them as it builds the differentials; a complex
+        made otherwise converts them on first use.
+        """
+        return tuple(integer_columns(d) for d in self.differentials)
 
     def is_s_type(self) -> bool:
         return all(lam == 1 for lam in self.lambdas)
@@ -69,6 +94,15 @@ class InvariantComplex:
 
 
 def build_model(base: LefschetzModule, s: int, lambdas: Sequence) -> InvariantComplex:
+    """The complex H_b (x) Lambda<eta_1..eta_s> with d(eta_i) = lambda_i * omega.
+
+    Each d_k is scattered straight into sparse integer columns: its entries
+    are the products +-lambda_i times an entry of L, and every column is
+    scaled by the common denominator of all the entries of d_k, so the
+    columns equal `linalg.integer_columns(d_k)`, rows in ascending order.
+    The dense `differentials` are built from the same entries, and the
+    complex keeps the columns and the position of every basis element.
+    """
     if s < 1:
         raise ValueError("s must be at least 1; s = 0 has no eta directions")
     lambdas = tuple(Fraction(x) for x in lambdas)
@@ -89,29 +123,37 @@ def build_model(base: LefschetzModule, s: int, lambdas: Sequence) -> InvariantCo
                     layer.append((subset, p, t))
         basis.append(tuple(layer))
         index.append({b: i for i, b in enumerate(layer)})
+    # Per degree p, the nonzero entries (u, v) of each column of L: H^p -> H^{p+2}.
+    l_cols = [[[(u, v) for u, v in enumerate(col) if v] for col in m.columns()] for m in base.L_maps]
     diffs: list[Matrix] = []
+    integer_d: list[list[SparseColumn]] = []
     for k in range(max_deg + 1):
-        tgt = len(basis[k + 1]) if k + 1 <= max_deg else 0
-        cols: list[list[Fraction]] = []
+        target = index[k + 1] if k < max_deg else {}
+        entries: list[list[tuple[int, Fraction]]] = []
         for subset, p, t in basis[k]:
-            col = [_ZERO] * tgt
-            if k + 1 <= max_deg and p + 2 <= 2 * n:
-                lcol = base.L_maps[p].col(t)
+            col: list[tuple[int, Fraction]] = []
+            if k < max_deg and p + 2 <= 2 * n:
                 for m, i in enumerate(subset):
                     lam = lambdas[i - 1]
                     if not lam:
                         continue
-                    sign = -1 if m % 2 else 1
+                    coef = -lam if m % 2 else lam
                     rest = subset[:m] + subset[m + 1 :]
-                    for u, v in enumerate(lcol):
-                        if v:
-                            col[index[k + 1][(rest, p + 2, u)]] += sign * lam * v
-            cols.append(col)
-        if cols:
-            diffs.append(Matrix.from_cols(cols, rows=tgt))
-        else:
-            diffs.append(Matrix.zero(tgt, 0))
-    return InvariantComplex(base, s, lambdas, tuple(basis), tuple(diffs))
+                    col += [(target[(rest, p + 2, u)], coef * v) for u, v in l_cols[p][t]]
+            # Distinct (m, u) hit distinct rows, so no entry is a sum.
+            col.sort()
+            entries.append(col)
+        den = lcm(*(x.denominator for col in entries for _, x in col))
+        integer_d.append([{i: x.numerator * (den // x.denominator) for i, x in col} for col in entries])
+        rows = [[_ZERO] * len(entries) for _ in range(len(target))]
+        for j, col in enumerate(entries):
+            for i, x in col:
+                rows[i][j] = x
+        diffs.append(Matrix(len(rows), len(entries), tuple(map(tuple, rows))))
+    c = InvariantComplex(base, s, lambdas, tuple(basis), tuple(diffs))
+    # Fill the two caches with what was built here.
+    vars(c).update(integer_d=tuple(integer_d), _positions=tuple(index))
+    return c
 
 
 def differential(c: InvariantComplex, x: InvariantElement) -> InvariantElement:
@@ -190,7 +232,7 @@ def cohomology(c: InvariantComplex) -> list[CohomologyGroup]:
     `.project` maps cocycles to their classes and the columns of `.section`
     are representative cocycles.
     """
-    cols = [integer_columns(d) for d in c.differentials]
+    cols = c.integer_d
     reductions = [reduce_columns(d) for d in cols]
     out = []
     for k, (R, V, _) in enumerate(reductions):

@@ -4,7 +4,9 @@ A module holds the dimensions of the graded pieces H^0..H^{2n} and, per
 degree, the matrix of cup product with the transverse symplectic class.
 The hard Lefschetz property, primitive subspaces, Ker(L), and the
 class-level Lefschetz decomposition are all plain rank computations here.
-They are computed once per module, on first use, and kept on it.
+They are computed once per module, on first use, and kept on it.  Each
+power of L they read is one product from the power before, and each image
+L^m PH^d that the Lefschetz blocks and the model star read is computed once.
 """
 
 from __future__ import annotations
@@ -83,7 +85,9 @@ class _Structure:
 
     `blocks[p]` and `systems[p]` are what `lefschetz_blocks` returns;
     `to_pieces[p]` is B_p^{-1}, or None when B_p is not invertible, which
-    happens only without hard Lefschetz.
+    happens only without hard Lefschetz.  `lifts[d][m]` is L^m on the basis
+    of PH^d, for d <= n and m <= n - d: the columns of every block and of
+    every model star.
     """
 
     report: LefschetzReport
@@ -92,10 +96,15 @@ class _Structure:
     blocks: tuple[tuple[tuple[int, Subspace], ...], ...]
     systems: tuple[Matrix, ...]
     to_pieces: tuple[Matrix | None, ...]
+    lifts: tuple[tuple[Matrix, ...], ...]
 
 
 def l_power(module: LefschetzModule, p: int, m: int) -> Matrix:
-    """Matrix of L^m : H^p -> H^{p+2m} (zero-dimensional outside 0..2n)."""
+    """Matrix of L^m : H^p -> H^{p+2m} (zero-dimensional outside 0..2n).
+
+    Computed afresh on each call; the Lefschetz structure builds the powers
+    it reads in its own table.
+    """
     if m < 0:
         raise ValueError("negative power")
     result = Matrix.identity(module.dim_at(p))
@@ -113,27 +122,39 @@ def l_power(module: LefschetzModule, p: int, m: int) -> Matrix:
 def _compute_structure(module: LefschetzModule) -> _Structure:
     n = module.n
     degrees = range(2 * n + 1)
+    # powers[d][m] = L^m: H^d -> H^{d+2m} for d <= n and m <= n - d + 1, each
+    # one product from the one before: every power the structure reads.
+    powers = []
+    for d in range(n + 1):
+        table = [Matrix.identity(module.dims[d])]
+        for m in range(n - d + 1):
+            table.append(module.L_maps[d + 2 * m] @ table[-1])
+        powers.append(tuple(table))
     failing = None
     for k in range(n + 1):
-        m = l_power(module, n - k, k)
+        m = powers[n - k][k]
         if m.rows != m.cols or rank(m) != m.rows:
             failing = k
             break
     # PH^p = Ker(L^{n-p+1}: H^p -> H^{2n-p+2}), zero above the middle degree.
     primitive = tuple(
-        kernel_basis(l_power(module, p, n - p + 1)) if p <= n else Subspace.zero(module.dims[p])
+        kernel_basis(powers[p][n - p + 1]) if p <= n else Subspace.zero(module.dims[p])
         for p in degrees
     )
     kernel = tuple(kernel_basis(module.L_maps[p]) for p in degrees)
+    # L^{n-d+1} kills PH^d, so no block and no star needs a higher power.
+    lifts = tuple(
+        tuple(powers[d][m] @ primitive[d].basis for m in range(n - d + 1)) for d in range(n + 1)
+    )
     blocks, systems, to_pieces = [], [], []
     for p in degrees:
         pieces: list[tuple[int, Subspace]] = []
         cols: list[tuple[Fraction, ...]] = []
         for i in range(p // 2 + 1):
             d = p - 2 * i
-            if d > n:
+            if i > n - d:  # d > n, or L^i kills PH^d
                 continue
-            images = (l_power(module, d, i) @ primitive[d].basis).columns()
+            images = lifts[d][i].columns()
             if any(any(col) for col in images):
                 pieces.append((i, primitive[d]))
                 cols += images
@@ -151,7 +172,9 @@ def _compute_structure(module: LefschetzModule) -> _Structure:
         tuple(ph.dim for ph in primitive),
         tuple(ker.dim for ker in kernel),
     )
-    return _Structure(report, primitive, kernel, tuple(blocks), tuple(systems), tuple(to_pieces))
+    return _Structure(
+        report, primitive, kernel, tuple(blocks), tuple(systems), tuple(to_pieces), lifts
+    )
 
 
 def _check_degree(module: LefschetzModule, p: int) -> None:
@@ -219,8 +242,9 @@ def lefschetz_decompose_class(
 def star_matrix(module: LefschetzModule, p: int) -> Matrix:
     """Model star H^p -> H^{2n-p}: sum_i L^i beta_i maps to sum_i L^{n-p+i} beta_i.
 
-    One product, [L^{n-p+i} beta columns] @ B_p^{-1}.  Needs the hard
-    Lefschetz property; the caller checks it once for the whole module.
+    One product, [L^{n-p+i} beta columns] @ B_p^{-1}, with the columns
+    kept in the module's structure.  Needs the hard Lefschetz property; the
+    caller checks it once for the whole module.
     """
     _check_degree(module, p)
     n = module.n
@@ -230,7 +254,7 @@ def star_matrix(module: LefschetzModule, p: int) -> Matrix:
         raise HardLefschetzError(f"H^{p} is not the sum of its Lefschetz pieces")
     cols: list[tuple[Fraction, ...]] = []
     for i, prim in structure.blocks[p]:
-        cols += (l_power(module, p - 2 * i, n - p + i) @ prim.basis).columns()
+        cols += structure.lifts[p - 2 * i][n - p + i].columns()
     return Matrix.from_cols(cols, rows=module.dims[2 * n - p]) @ to_pieces
 
 

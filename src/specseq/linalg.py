@@ -7,8 +7,10 @@ stored data, and ranks, kernels and quotients come from row reduction.
 `integer_columns` gives a matrix as sparse integer columns, scaled by one
 common denominator, and `reduce_columns` and `apply_columns` work on them
 without fractions.  The differentials take that second path: the
-filtered-complex checks, the engine's persistence pairing and direct
-cohomology.  All arithmetic is exact.
+filtered-complex checks, the engine's persistence pairing, direct
+cohomology, and the star-duality check, which also reads its ranks of
+cohomology classes from `reduce_columns`.  `invariant.build_model` makes
+the integer columns of the model directly.  All arithmetic is exact.
 """
 
 from __future__ import annotations

@@ -31,7 +31,6 @@ from .invariant import (
     InvariantElement,
     betti_numbers,
     cohomology,
-    differential,
     filtered_complex,
 )
 from .lefschetz import (
@@ -41,7 +40,7 @@ from .lefschetz import (
     primitive_subspace,
     star_matrix,
 )
-from .linalg import Matrix, Subspace, subspace_sum
+from .linalg import SparseColumn, apply_columns, integer_columns, reduce_columns
 
 _ZERO = Fraction(0)
 
@@ -302,18 +301,19 @@ def harmonic_basis_C(c: InvariantComplex) -> list[InvariantElement]:
     return out
 
 
-def _eta_product(factors: Sequence[dict[tuple[int, ...], Fraction]]):
-    """Wedge product in the exterior algebra on eta_1..eta_s (1-based tuples)."""
-    acc = {(): Fraction(1)}
+def _eta_product(factors: Sequence[dict[tuple[int, ...], int]]) -> dict[tuple[int, ...], int]:
+    """Wedge product in the exterior algebra on eta_1..eta_s (1-based tuples),
+    with integer coefficients."""
+    acc = {(): 1}
     for f in factors:
-        nxt: dict[tuple[int, ...], Fraction] = {}
+        nxt: dict[tuple[int, ...], int] = {}
         for idx_a, ca in acc.items():
             for idx_b, cb in f.items():
                 merged = _merge_sign(idx_a, idx_b)
                 if merged is None:
                     continue
                 key, sign = merged
-                nxt[key] = nxt.get(key, _ZERO) + sign * ca * cb
+                nxt[key] = nxt.get(key, 0) + sign * ca * cb
         acc = {k: v for k, v in nxt.items() if v}
     return acc
 
@@ -329,6 +329,13 @@ def _chain_from_eta(c: InvariantComplex, eta_form, p: int, h: Sequence[Fraction]
     return InvariantElement(degree, tuple(coeffs))
 
 
+def _harmonic_eta_forms(s: int):
+    """Per subset I of {2..s}: prod_{i in I} (eta_1 - eta_i), and eta_1 eta_I."""
+    for q in range(s):
+        for subset in itertools.combinations(range(2, s + 1), q):
+            yield _eta_product([{(1,): 1, (i,): -1} for i in subset]), {(1,) + subset: 1}
+
+
 def harmonic_basis_S(
     c: InvariantComplex,
 ) -> tuple[list[InvariantElement], list[InvariantElement]]:
@@ -342,46 +349,43 @@ def harmonic_basis_S(
         raise HypothesisError(violation)
     part_a: list[InvariantElement] = []
     part_b: list[InvariantElement] = []
-    for q in range(c.s):
-        for subset in itertools.combinations(range(2, c.s + 1), q):
-            differences = _eta_product([{(1,): Fraction(1), (i,): Fraction(-1)} for i in subset])
-            with_eta_1 = {(1,) + subset: Fraction(1)}
-            for p in range(2 * c.base.n + 1):
-                primitive = primitive_subspace(c.base, p).basis.columns()
-                kernel = kernel_L(c.base, p).basis.columns()
-                part_a += [_chain_from_eta(c, differences, p, beta) for beta in primitive]
-                part_b += [_chain_from_eta(c, with_eta_1, p, kappa) for kappa in kernel]
+    for differences, with_eta_1 in _harmonic_eta_forms(c.s):
+        for p in range(2 * c.base.n + 1):
+            primitive = primitive_subspace(c.base, p).basis.columns()
+            kernel = kernel_L(c.base, p).basis.columns()
+            part_a += [_chain_from_eta(c, differences, p, beta) for beta in primitive]
+            part_b += [_chain_from_eta(c, with_eta_1, p, kappa) for kappa in kernel]
     return part_a, part_b
 
 
-def model_star(
-    c: InvariantComplex, x: InvariantElement, stars: Sequence[Matrix]
-) -> InvariantElement:
-    """Star on the whole complex, degree k -> 2n+s-k.
+def _integer_chain(
+    c: InvariantComplex, eta_form: dict[tuple[int, ...], int], p: int, h: SparseColumn
+) -> tuple[int, SparseColumn]:
+    """Degree and sparse integer vector of sum_I a_I eta_I (x) h."""
+    degree = p + len(next(iter(eta_form)))
+    return degree, {
+        c.index_of(degree, (subset, p, t)): a * x
+        for subset, a in eta_form.items()
+        for t, x in h.items()
+    }
 
-    eta_I (x) h maps to +-eta_{I^c} (x) star(h) with the exponent
-    sign(I, I^c) + (s - |I|) * deg(h); `stars[p]` is the base star on H^p.
+
+def _class_ranks(q: CohomologyGroup, *groups: Sequence[SparseColumn]) -> list[int]:
+    """Ranks of the classes of the cocycles in groups[0], groups[0] + groups[1], ...
+
+    One `reduce_columns` over [the boundaries of q (its steps with slot -1) |
+    the groups].  The reduction runs left to right, so the nonzero reduced
+    columns of each prefix are a basis of its span.  Those after the
+    boundaries count the rank with the boundaries minus the rank of the
+    boundaries, which is the rank of the classes.
     """
-    n, s = c.base.n, c.s
-    k = x.total_degree
-    target = 2 * n + s - k
-    coeffs = [_ZERO] * c.dim(target)
-    for pos, (subset, p, t) in enumerate(c.basis[k]):
-        cv = x.coeffs[pos]
-        if not cv:
-            continue
-        comp = tuple(j for j in range(1, s + 1) if j not in subset)
-        sign = (-1) ** (index_subset_sign(subset, s) + (s - len(subset)) * p)
-        for u, v in enumerate(stars[p].col(t)):
-            if v:
-                coeffs[c.index_of(target, (comp, 2 * n - p, u))] += sign * cv * v
-    return InvariantElement(target, tuple(coeffs))
-
-
-def _class_span(q: CohomologyGroup, cocycles: Sequence[InvariantElement]) -> Subspace:
-    """Span of the cohomology classes of the cocycles, in the coordinates of q."""
-    vecs = [q.project(el.coeffs) for el in cocycles]
-    return Subspace.span(q.dim, vecs) if vecs else Subspace.zero(q.dim)
+    columns = [{**dict(rest), j: lead} for j, lead, rest, slot in q.steps if slot < 0]
+    ends = [len(columns)]
+    for group in groups:
+        columns += group
+        ends.append(len(columns))
+    reduced = reduce_columns(columns)[0]
+    return [sum(1 for r in reduced[ends[0] : end] if r) for end in ends[1:]]
 
 
 def model_star_duality(
@@ -395,57 +399,81 @@ def model_star_duality(
     sum direct.  This is the model form of the statement that the second
     half of the harmonic basis consists of star-duals of the first.
 
+    On the complex, eta_I (x) h maps to +-eta_{I^c} (x) star(h) with the
+    exponent sign(I, I^c) + (s - |I|) * deg(h).  Part A, part B and the star
+    images are sparse integer vectors, each a multiple of its rational form,
+    which changes neither closedness nor any span.  Closedness applies the
+    complex's integer d, and every rank of classes is one column reduction
+    (`_class_ranks`); two spans are equal iff each has the rank of their sum.
+
     `classes` is the model's `cohomology`, when the caller has it.
     """
-    try:
-        part_a, part_b = harmonic_basis_S(c)
-    except HypothesisError as exc:
-        return VerificationReport("star-duality", False, (), (), (), str(exc))
+    violation = _hypothesis(c)
+    if violation:
+        return VerificationReport("star-duality", False, (), (), (), violation)
     if classes is None:
         classes = cohomology(c)
-    stars = [star_matrix(c.base, p) for p in range(2 * c.base.n + 1)]
-    by_degree_a: dict[int, list[InvariantElement]] = {}
-    by_degree_b: dict[int, list[InvariantElement]] = {}
-    for el in part_a:
-        by_degree_a.setdefault(el.total_degree, []).append(el)
-    for el in part_b:
-        by_degree_b.setdefault(el.total_degree, []).append(el)
-    total_deg = 2 * c.base.n + c.s
+    n, s = c.base.n, c.s
+    total_deg = 2 * n + s
+    bases = [primitive_subspace(c.base, p).basis for p in range(2 * n + 1)]
+    primitive = [integer_columns(m) for m in bases]
+    kernel = [integer_columns(kernel_L(c.base, p).basis) for p in range(2 * n + 1)]
+    starred = [
+        integer_columns(star_matrix(c.base, p) @ m) if m.cols else [] for p, m in enumerate(bases)
+    ]
+    part_a: dict[int, list[SparseColumn]] = {}
+    part_b: dict[int, list[SparseColumn]] = {}
+    images: dict[int, list[SparseColumn]] = {}  # by the degree of the part-A element
+    for differences, with_eta_1 in _harmonic_eta_forms(s):
+        # The star of the eta part, before the factor (-1)^((s - |I|) * deg h).
+        complements = {
+            tuple(j for j in range(1, s + 1) if j not in subset): a
+            * (-1) ** index_subset_sign(subset, s)
+            for subset, a in differences.items()
+        }
+        q = len(next(iter(differences)))
+        for p in range(2 * n + 1):
+            for kappa in kernel[p]:
+                k, v = _integer_chain(c, with_eta_1, p, kappa)
+                part_b.setdefault(k, []).append(v)
+            if not primitive[p]:
+                continue
+            sign = (-1) ** ((s - q) * p)
+            star_form = {subset: sign * a for subset, a in complements.items()}
+            for beta, w in zip(primitive[p], starred[p]):
+                k, v = _integer_chain(c, differences, p, beta)
+                part_a.setdefault(k, []).append(v)
+                images.setdefault(k, []).append(_integer_chain(c, star_form, 2 * n - p, w)[1])
     witnesses = []
     checked = []
     for k in range(total_deg + 1):
         k2 = total_deg - k
-        starred = [model_star(c, el, stars) for el in by_degree_a.get(k, [])]
-        images = [img for img in starred if not any(differential(c, img).coeffs)]
-        if len(images) != len(starred):
-            witnesses.append(Witness("non-closed star images", k, 0, len(starred) - len(images)))
-        span_img = _class_span(classes[k2], images)
-        span_a2 = _class_span(classes[k2], by_degree_a.get(k2, []))
-        span_b2 = _class_span(classes[k2], by_degree_b.get(k2, []))
-        count_b2 = len(by_degree_b.get(k2, []))
-        if span_img.dim != len(images):
-            witnesses.append(Witness("rank of star-image classes", k, len(images), span_img.dim))
-        if span_img.dim != count_b2:
+        starred_k = images.get(k, [])
+        closed = [v for v in starred_k if not apply_columns(c.integer_d[k2], v)]
+        if len(closed) != len(starred_k):
+            witnesses.append(Witness("non-closed star images", k, 0, len(starred_k) - len(closed)))
+        a2, b2 = part_a.get(k2, []), part_b.get(k2, [])
+        rank_img, combined, both = _class_ranks(classes[k2], closed, a2, b2)
+        rank_a2, target = _class_ranks(classes[k2], a2, b2)
+        if rank_img != len(closed):
+            witnesses.append(Witness("rank of star-image classes", k, len(closed), rank_img))
+        if rank_img != len(b2):
             witnesses.append(
-                Witness("rank of star-image classes vs part B", k, count_b2, span_img.dim)
+                Witness("rank of star-image classes vs part B", k, len(b2), rank_img)
             )
-        combined = subspace_sum(span_a2, span_img)
-        target = subspace_sum(span_a2, span_b2)
-        direct = span_a2.dim + span_img.dim
-        if combined.dim != direct:
-            witnesses.append(Witness("dim of part A + star images", k2, direct, combined.dim))
-        if combined != target:
-            # Two subspaces are equal iff each has the dimension of their sum.
-            both = subspace_sum(combined, target).dim
+        direct = rank_a2 + rank_img
+        if combined != direct:
+            witnesses.append(Witness("dim of part A + star images", k2, direct, combined))
+        if not combined == target == both:
             witnesses.append(
                 Witness(
                     "dims of part A + star images, part A + part B",
                     k2,
                     (both, both),
-                    (combined.dim, target.dim),
+                    (combined, target),
                 )
             )
-        checked.append((k, span_img.dim))
+        checked.append((k, rank_img))
     return VerificationReport(
         "star-duality", not witnesses, (), tuple(checked), tuple(witnesses)
     )

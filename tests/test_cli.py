@@ -5,11 +5,9 @@ from fractions import Fraction
 import pytest
 
 import exterior_oracle as oracle
-from specseq import cli, invariant, lefschetz, linalg, verify
+from specseq import cli, engine, invariant, lefschetz, linalg, verify
 from specseq.cli import main, parse_form, format_form
 from specseq.exterior import ModelFrame, Multivector, lefschetz_L, primitive_decompose
-from specseq.modelfile import to_complex
-from specseq.presets import PRESETS
 
 
 def run(capsys, *argv):
@@ -77,6 +75,7 @@ def test_analyze_computes_the_sequence_once(monkeypatch, capsys):
         "cohomology",
         "check_hard_lefschetz",
         "lefschetz_decompose_class",
+        "l_power",
     )
     targets = [
         (module, name)
@@ -95,6 +94,8 @@ def test_analyze_computes_the_sequence_once(monkeypatch, capsys):
         for name in ("reduce_columns", "quotient", "image_basis")
         if hasattr(module, name)
     ]
+    # Star duality compares spans by column reductions, not by subspaces.
+    targets.append((linalg, "subspace_sum"))
     calls = {}
     for module, name in targets:
 
@@ -103,13 +104,37 @@ def test_analyze_computes_the_sequence_once(monkeypatch, capsys):
             return _fn(*args, **kwargs)
 
         monkeypatch.setattr(module, name, counted)
+    spans = []
+    monkeypatch.setattr(
+        linalg.Subspace, "span", staticmethod(lambda *a, _fn=linalg.Subspace.span: spans.append(1) or _fn(*a))
+    )
+    # `build_model` scatters the complex's integer columns itself, so each
+    # differential is converted once, by the engine.
+    converted = []
+    for module in (engine, invariant, verify, linalg):
+        if hasattr(module, "integer_columns"):
+            monkeypatch.setattr(
+                module,
+                "integer_columns",
+                lambda m, _fn=getattr(module, "integer_columns"): converted.append(m) or _fn(m),
+            )
+    built = []
+    monkeypatch.setattr(cli, "to_complex", lambda mf, _fn=cli.to_complex: built.append(_fn(mf)) or built[-1])
     for preset, n, hlp_checks in (("hopf-s3", 1, 4), ("s2xs3", 2, 4), ("torus-t3", 1, 0)):
         calls.clear()
+        spans.clear()
+        converted.clear()
+        built.clear()
         code, _, _ = run(capsys, "analyze", preset, "--quiet")
         assert code == 0
         assert calls.pop("check_hard_lefschetz", 0) <= hlp_checks
-        assert calls.pop("kernel_basis", 0) <= (n + 1) + (2 * n + 1)
-        assert calls.pop("reduce_columns") == to_complex(PRESETS[preset]).max_degree + 1
+        kernels = calls.pop("kernel_basis", 0)
+        assert kernels <= (n + 1) + (2 * n + 1)
+        # The only spans are the canonical bases of those kernels.
+        assert len(spans) == kernels
+        [c] = built
+        assert [sum(m is d for m in converted) for d in c.differentials] == [1] * (c.max_degree + 1)
+        assert calls.pop("reduce_columns") == c.max_degree + 1
         assert calls == {"filtered_complex": 1, "run_to_convergence": 1, "cohomology": 1}
 
 
@@ -324,6 +349,24 @@ def test_decompose_bad_form(capsys):
     code, _, err = run(capsys, "decompose", "--n", "1", "2*")
     assert code == 2
     assert "cannot parse term '2*'" in err
+
+
+@pytest.mark.parametrize(
+    "form, code, output",
+    [
+        ("e1^e1", 0, "0 (the form is zero)"),
+        ("0*e1^e2", 0, "0 (the form is zero)"),
+        ("e1^e2^e1 + e3", 2, "error: form is not homogeneous"),
+        ("e9^e9 + e1", 2, "error: covector index out of range in 'e9^e9' (transverse dim 4)"),
+        ("e9 + e1", 2, "error: covector index out of range in 'e9' (transverse dim 4)"),
+    ],
+)
+def test_decompose_checks_a_zero_term_before_skipping_it(capsys, form, code, output):
+    # A repeated covector makes a term zero; its degree and index range are
+    # still checked, as for any other term.
+    status, out, err = run(capsys, "decompose", "--n", "2", form)
+    assert status == code
+    assert (out if code == 0 else err).strip() == output
 
 
 @pytest.mark.parametrize("form", ["1/0*e1", "18446744073709551616*e1", "18446744073709551616"])

@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 from fractions import Fraction
 from math import comb
@@ -20,10 +21,13 @@ from specseq.linalg import (
     Matrix,
     Subspace,
     image_basis,
+    integer_columns,
     kernel_basis,
     quotient,
     rank,
 )
+
+import model_oracle as oracle
 
 Q = Fraction
 
@@ -49,6 +53,36 @@ def random_models():
             pair[1],
         )
     )
+
+
+@st.composite
+def typed_models(draw):
+    """S-type, C-type and mixed models; lambdas with denominators up to 7, and
+    every third base with one L block zeroed, so without hard Lefschetz."""
+    n, s = draw(st.integers(0, 3)), draw(st.integers(1, 3))
+    pdims = (1,) + tuple(draw(st.integers(0, 2)) for _ in range(n))
+    seed = draw(st.integers(0, 2**31))
+    base = generate_hlp_module(seed, n, pdims)
+    if n and seed % 3 == 0:
+        base = zero_l_block(base, seed % (2 * n + 1))
+    kind = draw(st.sampled_from(["S", "C", "mixed"]))
+    if kind == "mixed":
+        lambdas = st.fractions(min_value=-3, max_value=3, max_denominator=7)
+        lams = draw(st.lists(lambdas, min_size=s, max_size=s))
+    else:
+        lams = [1 if kind == "S" else 0] * s
+    return build_model(base, s, lams)
+
+
+@settings(deadline=None, max_examples=60)
+@given(typed_models())
+def test_build_model_matches_the_dense_oracle(m):
+    assert m.differentials == oracle.dense_differentials(m)
+    for k, d in enumerate(m.differentials):
+        cols = integer_columns(d)
+        assert m.integer_d[k] == cols
+        # Same rows in the same order, so the reductions take the same steps.
+        assert [list(col.items()) for col in m.integer_d[k]] == [list(col.items()) for col in cols]
 
 
 def test_hopf_model_shape(cp1):
@@ -91,6 +125,16 @@ def test_differential_sign_convention(cp1):
         m, 3, {((2,), 2, 0): Q(2), ((1,), 2, 0): Q(-3)}
     )
     assert dx == expect
+
+
+def test_index_of_finds_every_basis_element_and_names_an_unknown_one(t2):
+    m = build_model(t2, 2, [1, 1])
+    for k, layer in enumerate(m.basis):
+        assert [m.index_of(k, b) for b in layer] == list(range(len(layer)))
+    # ((1,), 0, 0) is eta_1 (x) 1, of degree 1, not 2; degree 7 is past the top.
+    for k, b in ((2, ((1,), 0, 0)), (7, ((1, 2), 2, 0)), (-1, ((1, 2), 2, 0))):
+        with pytest.raises(ValueError, match=re.escape(f"{b!r} is not a basis element in degree {k}")):
+            m.index_of(k, b)
 
 
 def test_chain_dims_binomial_convolution(t2):

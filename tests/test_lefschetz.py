@@ -20,6 +20,8 @@ from specseq.lefschetz import (
 )
 from specseq.linalg import Matrix, Subspace, image_basis
 
+import model_oracle as oracle
+
 Q = Fraction
 
 
@@ -158,6 +160,28 @@ def test_star_matrix_matches_per_class_construction(m):
                 piece = l_power(m, p - 2 * i, n - p + i).apply(beta)
                 image = [x + y for x, y in zip(image, piece)]
             assert star.col(t) == tuple(image)
+
+
+@settings(deadline=None, max_examples=30)
+@given(modules, st.integers(0, 2**31))
+def test_structure_matches_the_l_power_oracle(m, seed):
+    # Half the modules lose one L block and, with it, hard Lefschetz.
+    if seed % 2:
+        m = zero_l_block(m, seed % (2 * m.n + 1))
+    structure = m._structure
+    assert (
+        structure.report,
+        structure.primitive,
+        structure.kernel,
+        structure.blocks,
+        structure.systems,
+        structure.to_pieces,
+    ) == oracle.lefschetz_structure(m)
+    for d, table in enumerate(structure.lifts):
+        assert table == tuple(l_power(m, d, i) @ structure.primitive[d].basis for i in range(m.n - d + 1))
+    if structure.report.hlp:
+        for p in range(2 * m.n + 1):
+            assert star_matrix(m, p) == oracle.star_matrix(m, p)
 
 
 def test_star_matrix_requires_hlp():

@@ -15,8 +15,14 @@ from specseq.invariant import (
     differential,
     filtered_complex,
 )
-from specseq.lefschetz import check_hard_lefschetz, generate_hlp_module, zero_l_block
-from specseq.linalg import Subspace
+from specseq import verify
+from specseq.lefschetz import (
+    LefschetzModule,
+    check_hard_lefschetz,
+    generate_hlp_module,
+    zero_l_block,
+)
+from specseq.linalg import Matrix, Subspace
 from specseq.presets import PRESETS
 from specseq.modelfile import to_complex
 from specseq.sampling import MAX_PRIMITIVE_DIM, SampleConfig, sample_model, sample_primitive_dims
@@ -182,15 +188,66 @@ def test_star_duality_witnesses_name_degree_and_values(cp1):
     hopf = build_model(cp1, 1, [1])
     classes = cohomology(hopf)
     assert model_star_duality(hopf, classes).passed
-    # A class map that kills H^3 makes the star image of 1 (degree 0) vanish:
-    # with no basis vectors to substitute, `project` is zero.
-    classes[3] = replace(classes[3], steps=())
+    # Classes that make every basis vector of C^3 a boundary kill H^3, so the
+    # class of the star image of 1 (degree 0) vanishes.
+    steps = tuple((j, 1, (), -1) for j in reversed(range(hopf.dim(3))))
+    classes[3] = replace(classes[3], dim=0, steps=steps)
     r = model_star_duality(hopf, classes)
     assert r.witnesses == (
         Witness("rank of star-image classes", 0, 1, 0),
         Witness("rank of star-image classes vs part B", 0, 1, 0),
     )
     assert str(r.witnesses[0]) == "rank of star-image classes in degree 0: expected 1, got 0"
+
+
+def test_star_duality_witnesses_a_non_closed_star_image(monkeypatch):
+    # n = 2 with H^2 = span(omega, beta), beta primitive, and s = 1.  A star
+    # that sends beta to omega makes the star image eta (x) omega of the
+    # part-A element beta (degree 2) non-closed: d(eta (x) omega) = omega^2.
+    # Then no star image is left in degree 3 to match part B's eta (x) beta.
+    base = LefschetzModule(
+        2,
+        (1, 0, 2, 0, 1),
+        (
+            Matrix.from_rows([[1], [0]]),
+            Matrix.zero(0, 0),
+            Matrix.from_rows([[1, 0]]),
+            Matrix.zero(0, 0),
+            Matrix.zero(0, 1),
+        ),
+    )
+    m = build_model(base, 1, [1])
+    assert model_star_duality(m).passed
+    real_star = verify.star_matrix
+
+    def star(module, p):
+        return Matrix.from_rows([[0, 1], [0, 0]]) if p == 2 else real_star(module, p)
+
+    monkeypatch.setattr(verify, "star_matrix", star)
+    r = model_star_duality(m)
+    assert r.witnesses == (
+        Witness("non-closed star images", 2, 0, 1),
+        Witness("rank of star-image classes vs part B", 2, 1, 0),
+        Witness("dims of part A + star images, part A + part B", 3, (1, 1), (0, 1)),
+    )
+
+
+def test_star_duality_witnesses_part_a_meeting_the_star_images(t2):
+    # s = 2 over H^1 = PH^1: in degree 2 part A is (eta_1 - eta_2) (x) beta
+    # and the star images are -(eta_1 + eta_2) (x) beta.  Classes in which
+    # every eta_1 (x) h is exact as well put both in the span of the
+    # eta_2 (x) beta, so part A and the star images no longer sum directly.
+    # (A star alone cannot do this: in the basis eta_1, eta_1 - eta_i, the
+    # eta_1 component of the class of a nonzero closed star image never
+    # vanishes, and part A has none.)
+    m = build_model(t2, 2, [1, 1])
+    classes = cohomology(m)
+    assert model_star_duality(m, classes).passed
+    exact = [st for st in classes[2].steps if st[3] < 0]
+    exact += [(m.index_of(2, ((1,), 1, t)), 1, (), -1) for t in range(2)]
+    classes[2] = replace(classes[2], steps=tuple(sorted(exact, reverse=True)))
+    r = model_star_duality(m, classes)
+    assert r.witnesses == (Witness("dim of part A + star images", 2, 4, 2),)
 
 
 def test_primitive_betti_recursion_examples():

@@ -65,6 +65,17 @@ def _flags_in_range(command: str, **values) -> bool:
     return True
 
 
+def _write(flag: str, path: str, text: str) -> bool:
+    """Write `text` to `path`; print an error naming the flag if that fails."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        print(f"error: cannot write {flag} {path}: {exc.strerror or exc}", file=sys.stderr)
+        return False
+    return True
+
+
 def _page_table(page, max_p: int, max_q: int) -> str:
     lines = [f"E_{page.r} (rows q, columns p):"]
     header = "  q\\p " + "".join(f"{p:>4}" for p in range(max_p + 1))
@@ -100,9 +111,10 @@ def cmd_analyze(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
     start = time.perf_counter()
-    sequence = run_to_convergence(filtered_complex(complex_))
+    fc = filtered_complex(complex_)
+    sequence = run_to_convergence(fc)
     pages, stable_at = sequence
-    classes = cohomology(complex_)
+    classes = cohomology(complex_, fc.basis_reductions())
     betti = tuple(q.dim for q in classes)
     reports = [verify_E2(complex_, sequence)]
     if complex_.is_s_type():
@@ -148,9 +160,8 @@ def cmd_analyze(args) -> int:
             "verifications": [_report_dict(r) for r in reports],
             "elapsed_s": elapsed,
         }
-        with open(args.json, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
+        if not _write("--json", args.json, json.dumps(payload, indent=2) + "\n"):
+            return EXIT_INVALID
     return EXIT_FAIL if failed else EXIT_OK
 
 
@@ -190,8 +201,8 @@ def cmd_generate(args) -> int:
     )
     text = dump_model(mf)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        if not _write("--out", args.out, text):
+            return EXIT_INVALID
     else:
         sys.stdout.write(text)
     return EXIT_OK

@@ -18,17 +18,26 @@ on E_r for r <= g and that d_g kills, so with k = p + q
 
 The first line is dim Z_r / B_r for the subquotient Z_r^{p,q} =
 F^p C^k cap d^{-1}(F^{p+r} C^{k+1}); the tests keep that subquotient engine
-as the reference these counts are checked against.
+as the reference these counts are checked against.  A page depends only on
+the set of gaps g < r, so pages with the same set share their cells.
+
+Where every degree lists its basis in descending filtration degree, as the
+invariant-forms models do, the reduction runs on the columns and rows in
+basis order: it is then the reduction R = D V of d_k itself, and direct
+cohomology can read it instead of reducing d_k again
+(`FilteredComplex.basis_reductions`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Sequence
 
 from .linalg import (
     Matrix,
+    Reduction,
     SparseColumn,
     Subspace,
     apply_columns,
@@ -49,29 +58,43 @@ class FilteredComplex:
     `degrees[k][j]` is the filtration degree, in 0..max_filtration, of basis
     vector j in degree k.  `d[k]` maps degree k to degree k+1; the last one
     targets the zero space.  The checks and the persistence pairing read each
-    d_k as sparse integer columns, converted once.  The persistence pairs of
-    each d_k are computed once, on first use, and shared by every page
-    computed from the complex.
+    d_k as sparse integer columns, `integer_d`: `invariant.filtered_complex`
+    hands over the columns its complex already holds, and a complex built
+    from the matrices alone converts them.  Each d_k is reduced once, on
+    first use (`reductions`), and every page computed from the complex reads
+    the pairs of that reduction.
     """
 
     d: tuple[Matrix, ...]
     degrees: tuple[tuple[int, ...], ...]
     max_filtration: int
+    # `linalg.integer_columns` of each d_k; only `invariant.filtered_complex`
+    # passes it, with the columns its complex holds.
+    integer_d: tuple[list[SparseColumn], ...] | None = field(
+        default=None, kw_only=True, repr=False, compare=False
+    )
+    # The pairs, the cancelled gaps and the cells of the last page computed.
+    _last_page: list = field(
+        default_factory=lambda: [None, None, None], init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
+        if self.integer_d is None:
+            object.__setattr__(self, "integer_d", tuple(integer_columns(m) for m in self.d))
         K = len(self.degrees) - 1
         P = self.max_filtration
         if K < 0 or P < 0:
             raise FiltrationError("empty complex or negative filtration bound")
-        if len(self.d) != K + 1:
+        if len(self.d) != K + 1 or len(self.integer_d) != K + 1:
             raise FiltrationError("d and the filtration degrees must cover every degree")
         for k, src in enumerate(self.degrees):
             if any(isinstance(x, bool) or not isinstance(x, int) or not 0 <= x <= P for x in src):
                 raise FiltrationError(f"filtration degrees at degree {k} must be integers in 0..{P}")
             tgt = self.degrees[k + 1] if k < K else ()
-            if self.d[k].cols != len(src) or self.d[k].rows != len(tgt):
+            cols = self.integer_d[k]
+            if self.d[k].cols != len(src) or self.d[k].rows != len(tgt) or len(cols) != len(src):
                 raise FiltrationError(f"differential at degree {k} has the wrong shape")
-            for j, col in enumerate(self.integer_d[k]):
+            for j, col in enumerate(cols):
                 for i in col:
                     if tgt[i] < src[j]:
                         raise FiltrationError(
@@ -103,27 +126,68 @@ class FilteredComplex:
         return Subspace.coordinate(len(src), [j for j, deg in enumerate(src) if deg >= p])
 
     @cached_property
-    def integer_d(self) -> tuple[list[SparseColumn], ...]:
-        """Each d_k as sparse integer columns (`linalg.integer_columns`)."""
-        return tuple(integer_columns(m) for m in self.d)
+    def _gr_dims(self) -> dict[tuple[int, int], int]:
+        """dim gr^p C^k = dim F^p C^k / F^{p+1} C^k at each (p, k - p) where it
+        is nonzero, k ascending, then p ascending."""
+        out = {}
+        for k, src in enumerate(self.degrees):
+            counts = Counter(src)
+            for p in sorted(counts):
+                out[(p, k - p)] = counts[p]
+        return out
+
+    @cached_property
+    def _orders(self) -> tuple[Sequence[int], ...]:
+        """Per degree 0..K+1, the basis indices by descending filtration degree,
+        ties in basis order: a `range` where the basis is in that order."""
+        out = []
+        for src in (*self.degrees, ()):
+            if all(a >= b for a, b in zip(src, src[1:])):
+                out.append(range(len(src)))
+            else:
+                out.append(sorted(range(len(src)), key=src.__getitem__, reverse=True))
+        return tuple(out)
+
+    @cached_property
+    def reductions(self) -> tuple[Reduction, ...]:
+        """`reductions[k]` is `linalg.reduce_columns` of d_k with its columns
+        (the vectors x of degree k) and its rows (the vectors y of degree
+        k+1) each in descending filtration degree, ties in basis order."""
+        out = []
+        for k, cols in enumerate(self.integer_d):
+            order, rows = self._orders[k], self._orders[k + 1]
+            if not (isinstance(order, range) and isinstance(rows, range)):
+                at = {i: t for t, i in enumerate(rows)}
+                cols = [{at[i]: x for i, x in cols[j].items()} for j in order]
+            out.append(reduce_columns(cols))
+        return tuple(out)
+
+    def basis_reductions(self) -> tuple[Reduction, ...]:
+        """`reductions`, checked to be those of each d_k in basis order.
+
+        They are when every degree lists its basis in descending filtration
+        degree, as the invariant-forms models do; then direct cohomology can
+        read them (`invariant.cohomology`).  Otherwise this raises
+        `FiltrationError`, since the reductions are of reordered columns.
+        """
+        for k, order in enumerate(self._orders[:-1]):
+            if not isinstance(order, range):
+                raise FiltrationError(
+                    f"degree {k} does not list its basis in descending filtration degree, "
+                    "so its reduction is not in basis order"
+                )
+        return self.reductions
 
     @cached_property
     def pairs(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        """`pairs[k]` lists (deg x, deg y) for the persistence pairs of d_k.
-
-        The columns of d_k (the vectors x of degree k) are taken in descending
-        filtration degree and the rows in descending degree, and reduced by
-        `linalg.reduce_columns`; each nonzero reduced column pairs with the row
-        y at its low.
-        """
+        """`pairs[k]` lists (deg x, deg y) for the persistence pairs of d_k:
+        each nonzero column of the reduced d_k (`reductions`) pairs its
+        vector x with the row y at its low."""
         out = []
-        for k, src in enumerate(self.degrees):
+        for k, (_, _, by_low) in enumerate(self.reductions):
+            src = self.degrees[k]
             tgt = self.degrees[k + 1] if k < self.max_degree else ()
-            rows = sorted(range(len(tgt)), key=tgt.__getitem__, reverse=True)
-            at = {i: t for t, i in enumerate(rows)}
-            order = sorted(range(len(src)), key=src.__getitem__, reverse=True)
-            cols = self.integer_d[k]
-            _, _, by_low = reduce_columns([{at[i]: x for i, x in cols[j].items()} for j in order])
+            order, rows = self._orders[k], self._orders[k + 1]
             out.append(tuple(sorted((src[order[j]], tgt[rows[low]]) for low, j in by_low.items())))
         return tuple(out)
 
@@ -182,32 +246,41 @@ class SpectralPage:
 
 
 def compute_page(fc: FilteredComplex, r: int) -> SpectralPage:
+    """Page E_r, counted from the persistence pairs: each pair with gap
+    g < r has cancelled x against y, and the pairs with g = r give the ranks
+    of d_r.  The cells depend only on the set of cancelled gaps, so a page
+    with the same pairs and the same set as the last page computed from `fc`
+    shares that page's cells (`PageCell` is frozen)."""
     if r < 0:
         raise ValueError("page index must be non-negative")
-    dims: dict[tuple[int, int], int] = {}
-    for k, degrees in enumerate(fc.degrees):
-        for p in range(fc.max_filtration + 1):
-            gr = degrees.count(p)  # dim F^p C^k / F^{p+1} C^k
-            if gr:
-                dims[(p, k - p)] = gr
+    pairs = fc.pairs
+    cancelled: set[int] = set()
     ranks: dict[tuple[int, int], int] = {}
-    for k, pairs in enumerate(fc.pairs):
-        for a, b in pairs:
+    for k, degree_pairs in enumerate(pairs):
+        for a, b in degree_pairs:
+            if b - a < r:
+                cancelled.add(b - a)
+            elif b - a == r:
+                ranks[(a, k - a)] = ranks.get((a, k - a), 0) + 1
+    last = fc._last_page
+    if last[0] is pairs and last[1] == cancelled:
+        return SpectralPage(r, last[2], ranks)
+    dims = dict(fc._gr_dims)
+    for k, degree_pairs in enumerate(pairs):
+        for a, b in degree_pairs:
             if b - a < r:  # d_{b-a} cancelled x against y
                 dims[(a, k - a)] -= 1
                 dims[(b, k + 1 - b)] -= 1
-            elif b - a == r:
-                ranks[(a, k - a)] = ranks.get((a, k - a), 0) + 1
-    return SpectralPage(
-        r,
-        {(p, q): PageCell(p, q, dim) for (p, q), dim in dims.items()},
-        ranks,
-    )
+    cells = {(p, q): PageCell(p, q, dim) for (p, q), dim in dims.items()}
+    last[:] = pairs, cancelled, cells
+    return SpectralPage(r, cells, ranks)
 
 
 def run_to_convergence(fc: FilteredComplex) -> tuple[list[SpectralPage], int]:
     """All pages through E_{P+2} (which is E_infinity) and the first stable page.
 
+    Each page is one `compute_page(fc, r)` call, r ascending, so a page whose
+    set of cancelled gaps is that of the page before shares its cells.
     d_r vanishes exactly when E_{r+1} has the cell dimensions of E_r, so the
     stable page is the first one from which every page has the cell
     dimensions of E_{P+2}.

@@ -12,9 +12,11 @@ what the spectral-sequence engine consumes.
 
 The working form of each d_k is sparse integer columns, scaled by one
 common denominator (`InvariantComplex.integer_d`): `build_model` scatters
-the entries straight into it, and direct cohomology and the star-duality
-check read it.  `InvariantComplex.differentials` holds the same maps as
-dense `Fraction` matrices, the view the engine and callers read.
+the entries straight into it, and the engine, direct cohomology and the
+star-duality check read it.  `InvariantComplex.differentials` holds the
+same maps as dense `Fraction` matrices, a view for callers.  Each layer of
+the basis is listed in descending basic degree, so the engine's reduction
+of each d_k is in basis order and direct cohomology can share it.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from .linalg import (
     ContainmentError,
     DimensionMismatch,
     Matrix,
+    Reduction,
     SparseColumn,
     apply_columns,
     integer_columns,
@@ -221,7 +224,9 @@ class CohomologyGroup:
         return tuple(out)
 
 
-def cohomology(c: InvariantComplex) -> list[CohomologyGroup]:
+def cohomology(
+    c: InvariantComplex, reductions: Sequence[Reduction] | None = None
+) -> list[CohomologyGroup]:
     """Per degree k, H^k from one exact column reduction of each d_k.
 
     Reducing d_k (`linalg.reduce_columns`) serves two degrees: its zero
@@ -231,9 +236,16 @@ def cohomology(c: InvariantComplex) -> list[CohomologyGroup]:
     otherwise `ContainmentError` names k.  `.dim` is the Betti number,
     `.project` maps cocycles to their classes and the columns of `.section`
     are representative cocycles.
+
+    `reductions` are those of `c.integer_d` in basis order, when the caller
+    has them: `filtered_complex(c).basis_reductions()`, which checks that
+    order.  Without them each d_k is reduced here.
     """
     cols = c.integer_d
-    reductions = [reduce_columns(d) for d in cols]
+    if reductions is None:
+        reductions = [reduce_columns(d) for d in cols]
+    elif [len(R) for R, _, _ in reductions] != [c.dim(k) for k in range(c.max_degree + 1)]:
+        raise DimensionMismatch("the reductions do not match the chain dimensions")
     out = []
     for k, (R, V, _) in enumerate(reductions):
         boundaries: dict[int, SparseColumn] = {}
@@ -264,8 +276,10 @@ def filtered_complex(c: InvariantComplex):
     """The complex with its basic-degree filtration, engine-ready.
 
     The basis is adapted: each eta_I (x) h sits in filtration degree deg h.
+    The engine reads the complex's integer columns, `c.integer_d`, with no
+    conversion of its own.
     """
     from .engine import FilteredComplex
 
     degrees = tuple(tuple(p for _, p, _ in layer) for layer in c.basis)
-    return FilteredComplex(c.differentials, degrees, 2 * c.base.n)
+    return FilteredComplex(c.differentials, degrees, 2 * c.base.n, integer_d=c.integer_d)

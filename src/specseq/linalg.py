@@ -35,6 +35,8 @@ class ContainmentError(ValueError):
 
 # A sparse integer column: row index -> nonzero entry.
 SparseColumn = dict[int, int]
+# One `reduce_columns` result: R, V and the map from each low to its column.
+Reduction = tuple[list[SparseColumn], list[SparseColumn], dict[int, int]]
 
 
 def _frac(x) -> Fraction:
@@ -395,9 +397,7 @@ def integer_columns(m: Matrix) -> list[SparseColumn]:
     return [{i: x.numerator * (den // x.denominator) for i, x in col.items()} for col in cols]
 
 
-def reduce_columns(
-    cols: Sequence[SparseColumn],
-) -> tuple[list[SparseColumn], list[SparseColumn], dict[int, int]]:
+def reduce_columns(cols: Sequence[SparseColumn]) -> Reduction:
     """The column reduction R = D V of the integer matrix D with columns `cols`.
 
     Left to right, each column is reduced against the reduced columns before

@@ -86,11 +86,12 @@ def test_analyze_computes_the_sequence_once(monkeypatch, capsys):
     # Only the binding in `lefschetz`: the base's Lefschetz structure is built
     # once, one kernel per PH^0..PH^n and one per Ker L in degrees 0..2n.
     targets.append((lefschetz, "kernel_basis"))
-    # Direct cohomology reduces each differential once and builds no rref
-    # quotient; the engine's own pairing goes through its `engine` binding.
+    # Each differential is reduced once, by the engine, and direct cohomology
+    # reads that reduction; no rref quotient is built.  Star duality's own
+    # reductions go through the `verify` binding, which is not counted.
     targets += [
         (module, name)
-        for module in (invariant, linalg)
+        for module in (engine, invariant, linalg)
         for name in ("reduce_columns", "quotient", "image_basis")
         if hasattr(module, name)
     ]
@@ -108,8 +109,9 @@ def test_analyze_computes_the_sequence_once(monkeypatch, capsys):
     monkeypatch.setattr(
         linalg.Subspace, "span", staticmethod(lambda *a, _fn=linalg.Subspace.span: spans.append(1) or _fn(*a))
     )
-    # `build_model` scatters the complex's integer columns itself, so each
-    # differential is converted once, by the engine.
+    # `build_model` scatters the complex's integer columns itself and the
+    # engine takes them over, so no differential is converted.  (Star
+    # duality converts matrices of the base module, not of the complex.)
     converted = []
     for module in (engine, invariant, verify, linalg):
         if hasattr(module, "integer_columns"):
@@ -133,7 +135,7 @@ def test_analyze_computes_the_sequence_once(monkeypatch, capsys):
         # The only spans are the canonical bases of those kernels.
         assert len(spans) == kernels
         [c] = built
-        assert [sum(m is d for m in converted) for d in c.differentials] == [1] * (c.max_degree + 1)
+        assert not [m for m in converted if any(m is d for d in c.differentials)]
         assert calls.pop("reduce_columns") == c.max_degree + 1
         assert calls == {"filtered_complex": 1, "run_to_convergence": 1, "cohomology": 1}
 
@@ -146,6 +148,23 @@ def test_analyze_json_report(tmp_path, capsys):
     assert data["de_rham_dims"] == [1, 1, 0, 1, 1]
     assert data["stable_at"] <= 3
     assert all(v["passed"] for v in data["verifications"] if v["applicable"])
+
+
+def test_analyze_unwritable_json_exits_2(tmp_path, capsys):
+    path = tmp_path / "no-such-dir" / "report.json"
+    code, out, err = run(capsys, "analyze", "hopf-s3", "--quiet", "--json", str(path))
+    assert code == 2
+    assert "mainS: pass" in out
+    assert err.startswith(f"error: cannot write --json {path}: ")
+    assert "Traceback" not in err
+
+
+def test_generate_unwritable_out_exits_2(tmp_path, capsys):
+    path = tmp_path / "no-such-dir" / "model.json"
+    code, out, err = run(capsys, "generate", "--seed", "7", "--out", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: cannot write --out {path}: ")
 
 
 def test_generate_deterministic(tmp_path, capsys):

@@ -115,6 +115,19 @@ def test_non_complex_rejected():
         trivial_filtration((1, 1, 1), d)
 
 
+def test_handed_over_columns_are_checked():
+    # The checks read the integer columns a caller hands over, not the
+    # matrices: here d is a complex, but the columns square to nonzero.
+    d = (Matrix.from_rows([[1]]), Matrix.zero(1, 1), Matrix.zero(0, 1))
+    degrees = ((0,), (0,), (0,))
+    with pytest.raises(FiltrationError, match="d o d"):
+        FilteredComplex(d, degrees, 0, integer_d=([{0: 1}], [{0: 1}], [{}]))
+    with pytest.raises(FiltrationError, match="wrong shape"):
+        FilteredComplex(d, degrees, 0, integer_d=([{0: 1}], [{}, {}], [{}]))
+    with pytest.raises(FiltrationError, match="every degree"):
+        FilteredComplex(d, degrees, 0, integer_d=([{0: 1}], [{}]))
+
+
 def _assert_page_turning(pages, ker_dim, rk_in):
     """dim E_{r+1}^{p,q} = dim ker d_r^{p,q} - rank of d_r into (p,q)."""
     for r, (page, nxt) in enumerate(zip(pages, pages[1:])):

@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from specseq.engine import FilteredComplex, FiltrationError, compute_page, run_to_convergence
 from specseq.invariant import (
+    InvariantComplex,
     betti_numbers,
     build_model,
     cohomology,
@@ -18,6 +20,7 @@ from specseq.invariant import (
 from specseq.lefschetz import generate_hlp_module, zero_l_block
 from specseq.linalg import (
     ContainmentError,
+    DimensionMismatch,
     Matrix,
     Subspace,
     image_basis,
@@ -267,3 +270,58 @@ def test_filtered_complex_construction(cp1):
     assert fc.chain_dims == (1, 1, 1, 1)
     assert fc.max_filtration == 2
     assert fc.cohomology_dims() == (1, 0, 0, 1)
+
+
+def _dense_filtered_complex(m):
+    """`filtered_complex(m)` built the generic way, from the dense matrices."""
+    degrees = tuple(tuple(p for _, p, _ in layer) for layer in m.basis)
+    return FilteredComplex(m.differentials, degrees, 2 * m.base.n)
+
+
+@settings(deadline=None, max_examples=40)
+@given(typed_models())
+def test_filtered_complex_takes_the_models_columns(m):
+    fc, dense = filtered_complex(m), _dense_filtered_complex(m)
+    assert fc.integer_d is m.integer_d
+    assert fc.pairs == dense.pairs
+    pages, stable_at = run_to_convergence(fc)
+    dense_pages, dense_stable_at = run_to_convergence(dense)
+    assert stable_at == dense_stable_at
+    for page, dense_page in zip(pages, dense_pages, strict=True):
+        # Also against the page computed first on a complex of its own, so
+        # that no cells of an earlier page can be reused.
+        alone = compute_page(_dense_filtered_complex(m), page.r)
+        for other in (dense_page, alone):
+            assert list(page.cells.items()) == list(other.cells.items())
+            assert page.d_ranks == other.d_ranks
+
+
+@settings(deadline=None, max_examples=40)
+@given(typed_models())
+def test_cohomology_on_the_engines_reductions(m):
+    assert cohomology(m, filtered_complex(m).basis_reductions()) == cohomology(m)
+
+
+def test_reductions_of_a_reordered_basis_are_not_handed_over(cp1):
+    m = build_model(cp1, 2, [1, 1])
+    k = 2  # basic degrees (2, 0): eta_{} (x) H^2, then eta_{12} (x) H^0
+    assert [p for _, p, _ in m.basis[k]] == [2, 0]
+    basis = list(m.basis)
+    basis[k] = m.basis[k][::-1]
+    d = list(m.differentials)
+    d[k - 1] = Matrix(d[k - 1].rows, d[k - 1].cols, d[k - 1].entries[::-1])
+    d[k] = Matrix.from_cols(d[k].columns()[::-1], rows=d[k].rows)
+    reordered = InvariantComplex(m.base, m.s, m.lambdas, tuple(basis), tuple(d))
+    fc = filtered_complex(reordered)
+    # The engine sorts the basis itself, so its pairs do not move ...
+    assert fc.pairs == filtered_complex(m).pairs
+    # ... but its reductions are of reordered columns, and are not handed over.
+    with pytest.raises(FiltrationError, match=f"degree {k} "):
+        fc.basis_reductions()
+    assert betti_numbers(reordered) == betti_numbers(m)
+
+
+def test_cohomology_refuses_the_reductions_of_another_complex(cp1, cp2):
+    reductions = filtered_complex(build_model(cp2, 1, [1])).basis_reductions()
+    with pytest.raises(DimensionMismatch):
+        cohomology(build_model(cp1, 1, [1]), reductions)

@@ -114,7 +114,7 @@ def cmd_analyze(args) -> int:
     fc = filtered_complex(complex_)
     sequence = run_to_convergence(fc)
     pages, stable_at = sequence
-    classes = cohomology(complex_, fc.basis_reductions())
+    classes = cohomology(complex_, fc)
     betti = tuple(q.dim for q in classes)
     reports = [verify_E2(complex_, sequence)]
     if complex_.is_s_type():

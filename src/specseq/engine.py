@@ -25,7 +25,9 @@ Where every degree lists its basis in descending filtration degree, as the
 invariant-forms models do, the reduction runs on the columns and rows in
 basis order: it is then the reduction R = D V of d_k itself, and direct
 cohomology can read it instead of reducing d_k again
-(`FilteredComplex.basis_reductions`).
+(`FilteredComplex.basis_reductions`).  Each d_k is reduced after d_{k-1},
+and the columns at the lows of the reduced d_{k-1} are cleared, not reduced
+(Chen & Kerber, *Persistent homology computation with a twist*, 2011).
 """
 
 from __future__ import annotations
@@ -152,14 +154,25 @@ class FilteredComplex:
     def reductions(self) -> tuple[Reduction, ...]:
         """`reductions[k]` is `linalg.reduce_columns` of d_k with its columns
         (the vectors x of degree k) and its rows (the vectors y of degree
-        k+1) each in descending filtration degree, ties in basis order."""
-        out = []
+        k+1) each in descending filtration degree, ties in basis order.
+
+        The columns of d_k at the lows of the reduced d_{k-1} are cleared
+        (Chen & Kerber 2011): the reduced column of d_{k-1} with its low at
+        such an index lies in Ker d_k, since d o d = 0 was checked at
+        construction, so that column of d_k reduces to zero.  Its R column
+        is zero and its V column is that boundary; R, the lows and every
+        other column of V are those of the full reduction."""
+        out: list[Reduction] = []
         for k, cols in enumerate(self.integer_d):
             order, rows = self._orders[k], self._orders[k + 1]
             if not (isinstance(order, range) and isinstance(rows, range)):
                 at = {i: t for t, i in enumerate(rows)}
                 cols = [{at[i]: x for i, x in cols[j].items()} for j in order]
-            out.append(reduce_columns(cols))
+            cleared = {}
+            if k:
+                R_prev, _, lows_prev = out[-1]
+                cleared = {low: R_prev[j] for low, j in lows_prev.items()}
+            out.append(reduce_columns(cols, cleared))
         return tuple(out)
 
     def basis_reductions(self) -> tuple[Reduction, ...]:

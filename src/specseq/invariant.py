@@ -12,11 +12,13 @@ what the spectral-sequence engine consumes.
 
 The working form of each d_k is sparse integer columns, scaled by one
 common denominator (`InvariantComplex.integer_d`): `build_model` scatters
-the entries straight into it, and the engine, direct cohomology and the
-star-duality check read it.  `InvariantComplex.differentials` holds the
-same maps as dense `Fraction` matrices, a view for callers.  Each layer of
-the basis is listed in descending basic degree, so the engine's reduction
-of each d_k is in basis order and direct cohomology can share it.
+integer products of the lambda numerators and the integer columns of L
+straight into it, and the engine, direct cohomology and the star-duality
+check read it.  `InvariantComplex.differentials` holds the same maps as
+dense `Fraction` matrices, a view for callers.  Each layer of the basis is
+listed in descending basic degree, so the engine's reduction of each d_k
+is in basis order and direct cohomology can share it, and with it the
+engine's d o d = 0 check.
 """
 
 from __future__ import annotations
@@ -25,20 +27,22 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
-from typing import Sequence
+from math import gcd, lcm
+from typing import TYPE_CHECKING, Sequence
 
-from .lefschetz import LefschetzModule
+from .lefschetz import LefschetzModule, integer_l_maps
 from .linalg import (
     ContainmentError,
     DimensionMismatch,
     Matrix,
-    Reduction,
     SparseColumn,
     apply_columns,
     integer_columns,
     reduce_columns,
 )
+
+if TYPE_CHECKING:
+    from .engine import FilteredComplex
 
 _ZERO = Fraction(0)
 
@@ -99,12 +103,16 @@ class InvariantComplex:
 def build_model(base: LefschetzModule, s: int, lambdas: Sequence) -> InvariantComplex:
     """The complex H_b (x) Lambda<eta_1..eta_s> with d(eta_i) = lambda_i * omega.
 
-    Each d_k is scattered straight into sparse integer columns: its entries
-    are the products +-lambda_i times an entry of L, and every column is
-    scaled by the common denominator of all the entries of d_k, so the
-    columns equal `linalg.integer_columns(d_k)`, rows in ascending order.
-    The dense `differentials` are built from the same entries, and the
-    complex keeps the columns and the position of every basis element.
+    Each d_k is scattered straight into sparse integer columns, with no
+    fractions: its entries are the products +-lambda_i times an entry of L,
+    so the integer numerators a_i of the lambda_i over their common
+    denominator times the integer columns of L (`lefschetz.integer_l_maps`,
+    over their common denominator e) give d_k times (the lambda denominator
+    times e).  Dividing by the gcd of that scale and every entry leaves d_k
+    times the common denominator of its own entries, so the columns equal
+    `linalg.integer_columns(d_k)`, rows in ascending order.  The dense
+    `differentials` are built from the same entries, and the complex keeps
+    the columns and the position of every basis element.
     """
     if s < 1:
         raise ValueError("s must be at least 1; s = 0 has no eta directions")
@@ -126,33 +134,39 @@ def build_model(base: LefschetzModule, s: int, lambdas: Sequence) -> InvariantCo
                     layer.append((subset, p, t))
         basis.append(tuple(layer))
         index.append({b: i for i, b in enumerate(layer)})
-    # Per degree p, the nonzero entries (u, v) of each column of L: H^p -> H^{p+2}.
-    l_cols = [[[(u, v) for u, v in enumerate(col) if v] for col in m.columns()] for m in base.L_maps]
+    lam_den = lcm(*(lam.denominator for lam in lambdas))
+    lam_num = [lam.numerator * (lam_den // lam.denominator) for lam in lambdas]
+    l_cols, l_den = integer_l_maps(base)
+    scale = lam_den * l_den
     diffs: list[Matrix] = []
     integer_d: list[list[SparseColumn]] = []
     for k in range(max_deg + 1):
         target = index[k + 1] if k < max_deg else {}
-        entries: list[list[tuple[int, Fraction]]] = []
+        columns: list[SparseColumn] = []
         for subset, p, t in basis[k]:
-            col: list[tuple[int, Fraction]] = []
+            col: list[tuple[int, int]] = []
             if k < max_deg and p + 2 <= 2 * n:
                 for m, i in enumerate(subset):
-                    lam = lambdas[i - 1]
-                    if not lam:
+                    a = lam_num[i - 1]
+                    if not a:
                         continue
-                    coef = -lam if m % 2 else lam
+                    if m % 2:
+                        a = -a
                     rest = subset[:m] + subset[m + 1 :]
-                    col += [(target[(rest, p + 2, u)], coef * v) for u, v in l_cols[p][t]]
+                    col += [(target[(rest, p + 2, u)], a * v) for u, v in l_cols[p][t].items()]
             # Distinct (m, u) hit distinct rows, so no entry is a sum.
             col.sort()
-            entries.append(col)
-        den = lcm(*(x.denominator for col in entries for _, x in col))
-        integer_d.append([{i: x.numerator * (den // x.denominator) for i, x in col} for col in entries])
-        rows = [[_ZERO] * len(entries) for _ in range(len(target))]
-        for j, col in enumerate(entries):
-            for i, x in col:
-                rows[i][j] = x
-        diffs.append(Matrix(len(rows), len(entries), tuple(map(tuple, rows))))
+            columns.append(dict(col))
+        g = gcd(scale, *(x for col in columns for x in col.values()))
+        if g != 1:
+            columns = [{i: x // g for i, x in col.items()} for col in columns]
+        den = scale // g
+        integer_d.append(columns)
+        rows = [[_ZERO] * len(columns) for _ in range(len(target))]
+        for j, col in enumerate(columns):
+            for i, x in col.items():
+                rows[i][j] = Fraction(x, den)
+        diffs.append(Matrix(len(rows), len(columns), tuple(map(tuple, rows))))
     c = InvariantComplex(base, s, lambdas, tuple(basis), tuple(diffs))
     # Fill the two caches with what was built here.
     vars(c).update(integer_d=tuple(integer_d), _positions=tuple(index))
@@ -224,9 +238,7 @@ class CohomologyGroup:
         return tuple(out)
 
 
-def cohomology(
-    c: InvariantComplex, reductions: Sequence[Reduction] | None = None
-) -> list[CohomologyGroup]:
+def cohomology(c: InvariantComplex, fc: FilteredComplex | None = None) -> list[CohomologyGroup]:
     """Per degree k, H^k from one exact column reduction of each d_k.
 
     Reducing d_k (`linalg.reduce_columns`) serves two degrees: its zero
@@ -237,22 +249,29 @@ def cohomology(
     `.project` maps cocycles to their classes and the columns of `.section`
     are representative cocycles.
 
-    `reductions` are those of `c.integer_d` in basis order, when the caller
-    has them: `filtered_complex(c).basis_reductions()`, which checks that
-    order.  Without them each d_k is reduced here.
+    `fc` is `filtered_complex(c)`, when the caller has it: its reductions
+    (`FilteredComplex.basis_reductions`, which checks that they are in
+    basis order) serve here, and `d_k` is not applied to the reduced
+    columns of d_{k-1}, because `fc` checked d o d = 0 on the same columns
+    when it was built.  A filtered complex built on other columns than
+    `c.integer_d` is refused with `ValueError`.  Without `fc` each d_k is
+    reduced here and every check runs.
     """
     cols = c.integer_d
-    if reductions is None:
+    if fc is None:
         reductions = [reduce_columns(d) for d in cols]
-    elif [len(R) for R, _, _ in reductions] != [c.dim(k) for k in range(c.max_degree + 1)]:
-        raise DimensionMismatch("the reductions do not match the chain dimensions")
+    elif fc.integer_d is not cols:
+        raise ValueError("the filtered complex is not built on the columns of this complex")
+    else:
+        reductions = fc.basis_reductions()
+    check = fc is None
     out = []
     for k, (R, V, _) in enumerate(reductions):
         boundaries: dict[int, SparseColumn] = {}
         if k:
             R_prev, _, lows_prev = reductions[k - 1]
             for low, j in lows_prev.items():
-                if R[low] or apply_columns(cols[k], R_prev[j]):
+                if R[low] or (check and apply_columns(cols[k], R_prev[j])):
                     raise ContainmentError(f"Im d_{k - 1} is not inside Ker d_{k} in degree {k}")
                 boundaries[low] = R_prev[j]
         essential = [j for j in range(c.dim(k)) if not R[j] and j not in boundaries]

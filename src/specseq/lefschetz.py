@@ -2,11 +2,20 @@
 
 A module holds the dimensions of the graded pieces H^0..H^{2n} and, per
 degree, the matrix of cup product with the transverse symplectic class.
-The hard Lefschetz property, primitive subspaces, Ker(L), and the
-class-level Lefschetz decomposition are all plain rank computations here.
-They are computed once per module, on first use, and kept on it.  Each
-power of L they read is one product from the power before, and each image
-L^m PH^d that the Lefschetz blocks and the model star read is computed once.
+Its Lefschetz structure is computed once per module, on first use, and kept
+on it.  It works on sparse integer columns: every L_p over one common
+denominator (`integer_l_maps`), each power of L one `apply_columns` from
+the power before.  The hard-Lefschetz ranks, each primitive subspace
+PH^d = Ker L^{n-d+1} and each Ker L come from one `reduce_columns` each,
+the kernels as the columns of V at the zero columns of R, and the star
+images L^{n-d} beta of the PH^d basis vectors from the same powers.
+`lefschetz_columns` returns those integer bases; they are all the S-type
+verifiers read.
+
+The rest is built from those vectors in dense `Fraction` arithmetic on
+first use, and kept: the canonical subspaces that `primitive_subspace` and
+`kernel_L` return, and the Lefschetz blocks with B_p and B_p^{-1} that
+`lefschetz_blocks`, `lefschetz_decompose_class` and `star_matrix` read.
 """
 
 from __future__ import annotations
@@ -15,14 +24,17 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 from typing import Sequence
 
 from .linalg import (
     Matrix,
+    SparseColumn,
     Subspace,
+    apply_columns,
+    integer_columns,
     inverse,
-    kernel_basis,
-    rank,
+    reduce_columns,
 )
 
 _ZERO = Fraction(0)
@@ -64,11 +76,29 @@ class LefschetzModule:
             return self.dims[p]
         return 0
 
+    # Each of these is computed on first use and kept: the module is
+    # immutable, and every Lefschetz query on it reads them.
+
+    @cached_property
+    def _integer_l_maps(self) -> tuple[tuple[list[SparseColumn], ...], int]:
+        den = lcm(*(x.denominator for m in self.L_maps for row in m.entries for x in row))
+        return tuple(integer_columns(m, den) for m in self.L_maps), den
+
     @cached_property
     def _structure(self) -> _Structure:
-        # Computed on first use and kept: the module is immutable, and every
-        # Lefschetz query on it reads this one structure.
         return _compute_structure(self)
+
+    @cached_property
+    def _subspaces(self) -> tuple[tuple[Subspace, ...], tuple[Subspace, ...]]:
+        columns = self._structure.columns
+        return tuple(
+            tuple(_span(dim, vectors) for dim, vectors in zip(self.dims, part))
+            for part in (columns.primitive, columns.kernel)
+        )
+
+    @cached_property
+    def _pieces(self) -> _Pieces:
+        return _compute_pieces(self)
 
 
 @dataclass(frozen=True)
@@ -80,23 +110,51 @@ class LefschetzReport:
 
 
 @dataclass(frozen=True)
+class LefschetzColumns:
+    """Integer bases of the Lefschetz data, per degree p = 0..2n.
+
+    `primitive[p]` is a basis of PH^p (empty above the middle degree) and
+    `kernel[p]` one of Ker(L: H^p -> H^{p+2}).  `star[p][t]` is
+    L^{n-p} primitive[p][t] times e^{n-p}, where e is the common denominator
+    of the L matrices (`integer_l_maps`).  On a primitive class the model
+    star is L^{n-p}, so each `star[p][t]` is a positive multiple of the star
+    of `primitive[p][t]`.  Every vector is a sparse integer column.
+    """
+
+    primitive: tuple[list[SparseColumn], ...]
+    kernel: tuple[list[SparseColumn], ...]
+    star: tuple[list[SparseColumn], ...]
+
+
+@dataclass(frozen=True)
 class _Structure:
-    """The Lefschetz data of one module, indexed by degree p = 0..2n.
+    report: LefschetzReport
+    columns: LefschetzColumns
+
+
+@dataclass(frozen=True)
+class _Pieces:
+    """The Lefschetz blocks of one module, indexed by degree p = 0..2n.
 
     `blocks[p]` and `systems[p]` are what `lefschetz_blocks` returns;
     `to_pieces[p]` is B_p^{-1}, or None when B_p is not invertible, which
-    happens only without hard Lefschetz.  `lifts[d][m]` is L^m on the basis
-    of PH^d, for d <= n and m <= n - d: the columns of every block and of
-    every model star.
+    happens only without hard Lefschetz.  `lifts[d][m]` is L^m on the
+    canonical basis of PH^d, for d <= n and m <= n - d: the columns of every
+    block and of every model star.
     """
 
-    report: LefschetzReport
-    primitive: tuple[Subspace, ...]
-    kernel: tuple[Subspace, ...]
     blocks: tuple[tuple[tuple[int, Subspace], ...], ...]
     systems: tuple[Matrix, ...]
     to_pieces: tuple[Matrix | None, ...]
     lifts: tuple[tuple[Matrix, ...], ...]
+
+
+def integer_l_maps(module: LefschetzModule) -> tuple[tuple[list[SparseColumn], ...], int]:
+    """Every L_p as sparse integer columns over one common denominator e, and e.
+
+    The columns of L_p are those of `linalg.integer_columns(L_p, e)`.
+    """
+    return module._integer_l_maps
 
 
 def l_power(module: LefschetzModule, p: int, m: int) -> Matrix:
@@ -119,35 +177,64 @@ def l_power(module: LefschetzModule, p: int, m: int) -> Matrix:
     return result
 
 
+def _kernel(cols: list[SparseColumn]) -> list[SparseColumn]:
+    """A basis of the kernel of the integer matrix with columns `cols`."""
+    R, V, _ = reduce_columns(cols)
+    return [v for r, v in zip(R, V) if not r]
+
+
 def _compute_structure(module: LefschetzModule) -> _Structure:
     n = module.n
-    degrees = range(2 * n + 1)
-    # powers[d][m] = L^m: H^d -> H^{d+2m} for d <= n and m <= n - d + 1, each
-    # one product from the one before: every power the structure reads.
+    L = module._integer_l_maps[0]
+    # powers[d][m] = e^m L^m: H^d -> H^{d+2m} for d <= n and m <= n - d + 1,
+    # each one `apply_columns` from the one before: every power read here.
     powers = []
     for d in range(n + 1):
-        table = [Matrix.identity(module.dims[d])]
+        table = [[{j: 1} for j in range(module.dims[d])]]
         for m in range(n - d + 1):
-            table.append(module.L_maps[d + 2 * m] @ table[-1])
-        powers.append(tuple(table))
+            table.append([apply_columns(L[d + 2 * m], col) for col in table[-1]])
+        powers.append(table)
     failing = None
     for k in range(n + 1):
-        m = powers[n - k][k]
-        if m.rows != m.cols or rank(m) != m.rows:
+        cols = powers[n - k][k]
+        if module.dims[n + k] != len(cols) or not all(reduce_columns(cols, with_v=False)[0]):
             failing = k
             break
     # PH^p = Ker(L^{n-p+1}: H^p -> H^{2n-p+2}), zero above the middle degree.
     primitive = tuple(
-        kernel_basis(powers[p][n - p + 1]) if p <= n else Subspace.zero(module.dims[p])
-        for p in degrees
+        _kernel(powers[p][n - p + 1]) if p <= n else [] for p in range(2 * n + 1)
     )
-    kernel = tuple(kernel_basis(module.L_maps[p]) for p in degrees)
+    kernel = tuple(_kernel(cols) for cols in L)
+    star = tuple(
+        [apply_columns(powers[p][n - p], beta) for beta in primitive[p]] if p <= n else []
+        for p in range(2 * n + 1)
+    )
+    report = LefschetzReport(
+        failing is None,
+        failing,
+        tuple(map(len, primitive)),
+        tuple(map(len, kernel)),
+    )
+    return _Structure(report, LefschetzColumns(primitive, kernel, star))
+
+
+def _span(dim: int, vectors: list[SparseColumn]) -> Subspace:
+    """The canonical subspace spanned by sparse integer vectors of length dim."""
+    return Subspace.span(dim, ([v.get(i, 0) for i in range(dim)] for v in vectors))
+
+
+def _compute_pieces(module: LefschetzModule) -> _Pieces:
+    n = module.n
+    primitive = module._subspaces[0]
     # L^{n-d+1} kills PH^d, so no block and no star needs a higher power.
-    lifts = tuple(
-        tuple(powers[d][m] @ primitive[d].basis for m in range(n - d + 1)) for d in range(n + 1)
-    )
+    lifts = []
+    for d in range(n + 1):
+        table = [primitive[d].basis]
+        for m in range(n - d):
+            table.append(module.L_maps[d + 2 * m] @ table[-1])
+        lifts.append(tuple(table))
     blocks, systems, to_pieces = [], [], []
-    for p in degrees:
+    for p in range(2 * n + 1):
         pieces: list[tuple[int, Subspace]] = []
         cols: list[tuple[Fraction, ...]] = []
         for i in range(p // 2 + 1):
@@ -166,15 +253,7 @@ def _compute_structure(module: LefschetzModule) -> _Structure:
         blocks.append(tuple(pieces))
         systems.append(system)
         to_pieces.append(inv)
-    report = LefschetzReport(
-        failing is None,
-        failing,
-        tuple(ph.dim for ph in primitive),
-        tuple(ker.dim for ker in kernel),
-    )
-    return _Structure(
-        report, primitive, kernel, tuple(blocks), tuple(systems), tuple(to_pieces), lifts
-    )
+    return _Pieces(tuple(blocks), tuple(systems), tuple(to_pieces), tuple(lifts))
 
 
 def _check_degree(module: LefschetzModule, p: int) -> None:
@@ -187,15 +266,20 @@ def check_hard_lefschetz(module: LefschetzModule) -> LefschetzReport:
     return module._structure.report
 
 
+def lefschetz_columns(module: LefschetzModule) -> LefschetzColumns:
+    """The integer bases of PH^p and Ker L, and the star images of PH^p."""
+    return module._structure.columns
+
+
 def primitive_subspace(module: LefschetzModule, p: int) -> Subspace:
     """Ker(L^{n-p+1}: H^p -> H^{2n-p+2}); zero above the middle degree."""
     _check_degree(module, p)
-    return module._structure.primitive[p]
+    return module._subspaces[0][p]
 
 
 def kernel_L(module: LefschetzModule, p: int) -> Subspace:
     _check_degree(module, p)
-    return module._structure.kernel[p]
+    return module._subspaces[1][p]
 
 
 def lefschetz_blocks(
@@ -209,8 +293,8 @@ def lefschetz_blocks(
     the pieces L^i PH^{p-2i}, so B_p is square and invertible.
     """
     _check_degree(module, p)
-    structure = module._structure
-    return list(structure.blocks[p]), structure.systems[p]
+    pieces = module._pieces
+    return list(pieces.blocks[p]), pieces.systems[p]
 
 
 def lefschetz_decompose_class(
@@ -227,11 +311,11 @@ def lefschetz_decompose_class(
     _check_degree(module, p)
     if len(v) != module.dims[p]:
         raise ValueError("vector length does not match dim H^p")
-    structure = module._structure
-    coords = structure.to_pieces[p].apply(v)
+    pieces = module._pieces
+    coords = pieces.to_pieces[p].apply(v)
     out = []
     pos = 0
-    for i, prim in structure.blocks[p]:
+    for i, prim in pieces.blocks[p]:
         coeffs = coords[pos : pos + prim.dim]
         pos += prim.dim
         if any(coeffs):
@@ -243,18 +327,19 @@ def star_matrix(module: LefschetzModule, p: int) -> Matrix:
     """Model star H^p -> H^{2n-p}: sum_i L^i beta_i maps to sum_i L^{n-p+i} beta_i.
 
     One product, [L^{n-p+i} beta columns] @ B_p^{-1}, with the columns
-    kept in the module's structure.  Needs the hard Lefschetz property; the
-    caller checks it once for the whole module.
+    kept in the module's blocks.  Needs the hard Lefschetz property; the
+    caller checks it once for the whole module.  On PH^p it is L^{n-p},
+    which `lefschetz_columns` applies without this matrix.
     """
     _check_degree(module, p)
     n = module.n
-    structure = module._structure
-    to_pieces = structure.to_pieces[p]
+    pieces = module._pieces
+    to_pieces = pieces.to_pieces[p]
     if to_pieces is None:
         raise HardLefschetzError(f"H^{p} is not the sum of its Lefschetz pieces")
     cols: list[tuple[Fraction, ...]] = []
-    for i, prim in structure.blocks[p]:
-        cols += structure.lifts[p - 2 * i][n - p + i].columns()
+    for i, prim in pieces.blocks[p]:
+        cols += pieces.lifts[p - 2 * i][n - p + i].columns()
     return Matrix.from_cols(cols, rows=module.dims[2 * n - p]) @ to_pieces
 
 

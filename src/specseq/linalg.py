@@ -7,10 +7,12 @@ stored data, and ranks, kernels and quotients come from row reduction.
 `integer_columns` gives a matrix as sparse integer columns, scaled by one
 common denominator, and `reduce_columns` and `apply_columns` work on them
 without fractions.  The differentials take that second path: the
-filtered-complex checks, the engine's persistence pairing, direct
-cohomology, and the star-duality check, which also reads its ranks of
-cohomology classes from `reduce_columns`.  `invariant.build_model` makes
-the integer columns of the model directly.  All arithmetic is exact.
+filtered-complex checks, the engine's persistence pairing (which clears the
+columns it knows reduce to zero), direct cohomology, and the star-duality
+check, which reads its ranks of cohomology classes from a `reduce_columns`
+that builds no V.  So do the Lefschetz structure's powers of L, ranks and
+kernels.  `invariant.build_model` makes the integer columns of the model
+directly.  All arithmetic is exact.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 Q = Fraction
 _ZERO = Fraction(0)
@@ -35,7 +37,8 @@ class ContainmentError(ValueError):
 
 # A sparse integer column: row index -> nonzero entry.
 SparseColumn = dict[int, int]
-# One `reduce_columns` result: R, V and the map from each low to its column.
+# One `reduce_columns` result: R, V (empty when not built) and the map from
+# each low to its column.
 Reduction = tuple[list[SparseColumn], list[SparseColumn], dict[int, int]]
 
 
@@ -387,17 +390,27 @@ def quotient(ambient: Subspace, sub: Subspace) -> Quotient:
     return Quotient(ambient, sub, qdim, project, section)
 
 
-def integer_columns(m: Matrix) -> list[SparseColumn]:
-    """The columns of `m` times the common denominator of its entries."""
+def integer_columns(m: Matrix, den: int | None = None) -> list[SparseColumn]:
+    """The columns of `m` times the common denominator of its entries.
+
+    `den`, when given, is a common multiple of those denominators to scale
+    by instead, so that several matrices can share one scale.
+    """
     cols = [
         {i: x for i, x in enumerate(col) if x}
         for col in (zip(*m.entries) if m.rows else [()] * m.cols)
     ]
-    den = lcm(*(x.denominator for col in cols for x in col.values()))
+    if den is None:
+        den = lcm(*(x.denominator for col in cols for x in col.values()))
     return [{i: x.numerator * (den // x.denominator) for i, x in col.items()} for col in cols]
 
 
-def reduce_columns(cols: Sequence[SparseColumn]) -> Reduction:
+def reduce_columns(
+    cols: Sequence[SparseColumn],
+    cleared: Mapping[int, SparseColumn] | None = None,
+    *,
+    with_v: bool = True,
+) -> Reduction:
     """The column reduction R = D V of the integer matrix D with columns `cols`.
 
     Left to right, each column is reduced against the reduced columns before
@@ -408,19 +421,35 @@ def reduce_columns(cols: Sequence[SparseColumn]) -> Reduction:
     so every entry stays an integer.  Returns R, V and the map from each low
     to its column: the nonzero columns of R are a basis of Im D, and V_j at
     the zero columns j of R are a basis of Ker D.
+
+    `cleared` maps a column j to a vector of Ker D with its low at j, which
+    a column known to reduce to zero has (clearing; Chen & Kerber 2011).
+    That column is not reduced: its R column is zero and its V column is
+    that vector.  Zero columns of R take part in no other step, so every
+    other column, and every low, is what the full reduction gives.  With
+    `with_v=False` no V is built and the V returned is empty; the zero
+    columns and the lows are the same, and each nonzero R column is a
+    positive multiple of the one the full reduction gives.
     """
     R: list[SparseColumn] = []
     V: list[SparseColumn] = []
     by_low: dict[int, int] = {}
     for j, col in enumerate(cols):
-        r, v = dict(col), {j: 1}
+        if cleared and j in cleared:
+            R.append({})
+            if with_v:
+                V.append(cleared[j])
+            continue
+        r = dict(col)
+        v = {j: 1} if with_v else {}
         low = max(r, default=None)
         while low in by_low:
             i = by_low[low]
             g = gcd(R[i][low], r[low])
             a, c = R[i][low] // g, r[low] // g
             r = _combine(a, r, c, R[i])
-            v = _combine(a, v, c, V[i])
+            if with_v:
+                v = _combine(a, v, c, V[i])
             low = max(r, default=None)
         g = gcd(*r.values(), *v.values())
         if g != 1:
@@ -429,7 +458,8 @@ def reduce_columns(cols: Sequence[SparseColumn]) -> Reduction:
         if low is not None:
             by_low[low] = j
         R.append(r)
-        V.append(v)
+        if with_v:
+            V.append(v)
     return R, V, by_low
 
 

@@ -8,7 +8,9 @@ Each verifier compares engine output against a closed-form prediction:
 - C-type degeneration: stable page <= 2 and de Rham dims given by the
   binomial convolution with the base dims.
 - Betti recursions inverting those formulas.
-- Harmonic bases and the star duality between their two halves.
+- Harmonic bases and the star duality between their two halves, on the
+  integer bases and star images of the base's Lefschetz structure
+  (`lefschetz.lefschetz_columns`).
 
 Verifiers whose theorem carries hypotheses (S-type lambdas, hard
 Lefschetz) report a hypothesis violation instead of pass/fail when the
@@ -37,10 +39,10 @@ from .lefschetz import (
     LefschetzModule,
     check_hard_lefschetz,
     kernel_L,
+    lefschetz_columns,
     primitive_subspace,
-    star_matrix,
 )
-from .linalg import SparseColumn, apply_columns, integer_columns, reduce_columns
+from .linalg import SparseColumn, apply_columns, reduce_columns
 
 _ZERO = Fraction(0)
 
@@ -374,17 +376,17 @@ def _class_ranks(q: CohomologyGroup, *groups: Sequence[SparseColumn]) -> list[in
     """Ranks of the classes of the cocycles in groups[0], groups[0] + groups[1], ...
 
     One `reduce_columns` over [the boundaries of q (its steps with slot -1) |
-    the groups].  The reduction runs left to right, so the nonzero reduced
-    columns of each prefix are a basis of its span.  Those after the
-    boundaries count the rank with the boundaries minus the rank of the
-    boundaries, which is the rank of the classes.
+    the groups], which builds no V.  The reduction runs left to right, so
+    the nonzero reduced columns of each prefix are a basis of its span.
+    Those after the boundaries count the rank with the boundaries minus the
+    rank of the boundaries, which is the rank of the classes.
     """
     columns = [{**dict(rest), j: lead} for j, lead, rest, slot in q.steps if slot < 0]
     ends = [len(columns)]
     for group in groups:
         columns += group
         ends.append(len(columns))
-    reduced = reduce_columns(columns)[0]
+    reduced = reduce_columns(columns, with_v=False)[0]
     return [sum(1 for r in reduced[ends[0] : end] if r) for end in ends[1:]]
 
 
@@ -400,11 +402,15 @@ def model_star_duality(
     half of the harmonic basis consists of star-duals of the first.
 
     On the complex, eta_I (x) h maps to +-eta_{I^c} (x) star(h) with the
-    exponent sign(I, I^c) + (s - |I|) * deg(h).  Part A, part B and the star
-    images are sparse integer vectors, each a multiple of its rational form,
-    which changes neither closedness nor any span.  Closedness applies the
-    complex's integer d, and every rank of classes is one column reduction
-    (`_class_ranks`); two spans are equal iff each has the rank of their sum.
+    exponent sign(I, I^c) + (s - |I|) * deg(h).  On a primitive class beta
+    of degree p, star(h) is L^{n-p} beta.  Part A, part B and the star
+    images are sparse integer vectors built from the integer bases of PH^p
+    and Ker L and the star images L^{n-p} beta that `lefschetz_columns`
+    holds.  Each is a positive multiple of a vector of the rational model,
+    and a scale or a change of basis of PH^p changes neither closedness nor
+    any span.  Closedness applies the complex's integer d, and every rank of
+    classes is one column reduction (`_class_ranks`); two spans are equal
+    iff each has the rank of their sum.
 
     `classes` is the model's `cohomology`, when the caller has it.
     """
@@ -415,12 +421,8 @@ def model_star_duality(
         classes = cohomology(c)
     n, s = c.base.n, c.s
     total_deg = 2 * n + s
-    bases = [primitive_subspace(c.base, p).basis for p in range(2 * n + 1)]
-    primitive = [integer_columns(m) for m in bases]
-    kernel = [integer_columns(kernel_L(c.base, p).basis) for p in range(2 * n + 1)]
-    starred = [
-        integer_columns(star_matrix(c.base, p) @ m) if m.cols else [] for p, m in enumerate(bases)
-    ]
+    columns = lefschetz_columns(c.base)
+    primitive, kernel, starred = columns.primitive, columns.kernel, columns.star
     part_a: dict[int, list[SparseColumn]] = {}
     part_b: dict[int, list[SparseColumn]] = {}
     images: dict[int, list[SparseColumn]] = {}  # by the degree of the part-A element

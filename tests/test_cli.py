@@ -83,20 +83,27 @@ def test_analyze_computes_the_sequence_once(monkeypatch, capsys):
         for name in names
         if hasattr(module, name)
     ]
-    # Only the binding in `lefschetz`: the base's Lefschetz structure is built
-    # once, one kernel per PH^0..PH^n and one per Ker L in degrees 0..2n.
-    targets.append((lefschetz, "kernel_basis"))
     # Each differential is reduced once, by the engine, and direct cohomology
-    # reads that reduction; no rref quotient is built.  Star duality's own
-    # reductions go through the `verify` binding, which is not counted.
+    # reads that reduction; no rref quotient is built.  The reductions of
+    # star duality and of the Lefschetz structure go through the `verify`
+    # and `lefschetz` bindings, which are not counted.
     targets += [
         (module, name)
         for module in (engine, invariant, linalg)
         for name in ("reduce_columns", "quotient", "image_basis")
         if hasattr(module, name)
     ]
-    # Star duality compares spans by column reductions, not by subspaces.
-    targets.append((linalg, "subspace_sum"))
+    # The Lefschetz structure and star duality work on integer columns: no
+    # dense kernel, inverse, star matrix, product or canonical subspace.
+    targets += [
+        (module, name)
+        for module in (verify, lefschetz, linalg)
+        for name in ("star_matrix", "inverse", "kernel_basis", "subspace_sum")
+        if hasattr(module, name)
+    ]
+    # d o d = 0 is checked once, when the engine's complex is built: direct
+    # cohomology applies no d_k to the reduced columns of d_{k-1}.
+    targets.append((invariant, "apply_columns"))
     calls = {}
     for module, name in targets:
 
@@ -105,35 +112,40 @@ def test_analyze_computes_the_sequence_once(monkeypatch, capsys):
             return _fn(*args, **kwargs)
 
         monkeypatch.setattr(module, name, counted)
-    spans = []
+    dense = []
     monkeypatch.setattr(
-        linalg.Subspace, "span", staticmethod(lambda *a, _fn=linalg.Subspace.span: spans.append(1) or _fn(*a))
+        linalg.Subspace,
+        "span",
+        staticmethod(lambda *a, _fn=linalg.Subspace.span: dense.append("span") or _fn(*a)),
+    )
+    monkeypatch.setattr(
+        linalg.Matrix,
+        "__matmul__",
+        lambda a, b, _fn=linalg.Matrix.__matmul__: dense.append("matmul") or _fn(a, b),
     )
     # `build_model` scatters the complex's integer columns itself and the
-    # engine takes them over, so no differential is converted.  (Star
-    # duality converts matrices of the base module, not of the complex.)
+    # engine takes them over, so no differential is converted.  (The
+    # Lefschetz structure converts the L matrices of the base module.)
     converted = []
     for module in (engine, invariant, verify, linalg):
         if hasattr(module, "integer_columns"):
             monkeypatch.setattr(
                 module,
                 "integer_columns",
-                lambda m, _fn=getattr(module, "integer_columns"): converted.append(m) or _fn(m),
+                lambda m, *a, _fn=getattr(module, "integer_columns"): converted.append(m)
+                or _fn(m, *a),
             )
     built = []
     monkeypatch.setattr(cli, "to_complex", lambda mf, _fn=cli.to_complex: built.append(_fn(mf)) or built[-1])
-    for preset, n, hlp_checks in (("hopf-s3", 1, 4), ("s2xs3", 2, 4), ("torus-t3", 1, 0)):
+    for preset, hlp_checks in (("hopf-s3", 4), ("s2xs3", 4), ("torus-t3", 0)):
         calls.clear()
-        spans.clear()
+        dense.clear()
         converted.clear()
         built.clear()
         code, _, _ = run(capsys, "analyze", preset, "--quiet")
         assert code == 0
         assert calls.pop("check_hard_lefschetz", 0) <= hlp_checks
-        kernels = calls.pop("kernel_basis", 0)
-        assert kernels <= (n + 1) + (2 * n + 1)
-        # The only spans are the canonical bases of those kernels.
-        assert len(spans) == kernels
+        assert dense == []
         [c] = built
         assert not [m for m in converted if any(m is d for d in c.differentials)]
         assert calls.pop("reduce_columns") == c.max_degree + 1

@@ -17,17 +17,19 @@ from specseq.invariant import (
     element,
     filtered_complex,
 )
-from specseq.lefschetz import generate_hlp_module, zero_l_block
+from specseq.lefschetz import LefschetzModule, generate_hlp_module, zero_l_block
 from specseq.linalg import (
     ContainmentError,
     DimensionMismatch,
     Matrix,
     Subspace,
+    apply_columns,
     image_basis,
     integer_columns,
     kernel_basis,
     quotient,
     rank,
+    reduce_columns,
 )
 
 import model_oracle as oracle
@@ -61,13 +63,18 @@ def random_models():
 @st.composite
 def typed_models(draw):
     """S-type, C-type and mixed models; lambdas with denominators up to 7, and
-    every third base with one L block zeroed, so without hard Lefschetz."""
+    every third base with one L block zeroed, so without hard Lefschetz, and
+    every fifth with fractions in its L maps."""
     n, s = draw(st.integers(0, 3)), draw(st.integers(1, 3))
     pdims = (1,) + tuple(draw(st.integers(0, 2)) for _ in range(n))
     seed = draw(st.integers(0, 2**31))
     base = generate_hlp_module(seed, n, pdims)
     if n and seed % 3 == 0:
         base = zero_l_block(base, seed % (2 * n + 1))
+    if seed % 5 == 1:
+        # Each L map times its own fraction, which keeps every rank.
+        scaled = tuple(l.scaled(Q(2 + p, 3 + p % 4)) for p, l in enumerate(base.L_maps))
+        base = LefschetzModule(base.n, base.dims, scaled)
     kind = draw(st.sampled_from(["S", "C", "mixed"]))
     if kind == "mixed":
         lambdas = st.fractions(min_value=-3, max_value=3, max_denominator=7)
@@ -299,7 +306,28 @@ def test_filtered_complex_takes_the_models_columns(m):
 @settings(deadline=None, max_examples=40)
 @given(typed_models())
 def test_cohomology_on_the_engines_reductions(m):
-    assert cohomology(m, filtered_complex(m).basis_reductions()) == cohomology(m)
+    assert cohomology(m, filtered_complex(m)) == cohomology(m)
+
+
+@settings(deadline=None, max_examples=60)
+@given(typed_models())
+def test_cleared_reductions_match_the_full_reduction(m):
+    reductions = filtered_complex(m).basis_reductions()
+    for k, (R, V, lows) in enumerate(reductions):
+        cols = m.integer_d[k]
+        full_R, full_V, full_lows = reduce_columns(cols)
+        assert R == full_R and lows == full_lows
+        cleared = {}
+        if k:
+            R_prev, _, lows_prev = reductions[k - 1]
+            cleared = {low: R_prev[j] for low, j in lows_prev.items()}
+        for j, (r, v) in enumerate(zip(R, V, strict=True)):
+            # R = D V, and V is upper triangular with a nonzero diagonal.
+            assert apply_columns(cols, v) == r
+            assert max(v) == j and v[j]
+            # A cleared column keeps the boundary with its low at j; every
+            # other column of V is the full reduction's.
+            assert v == cleared.get(j, full_V[j])
 
 
 def test_reductions_of_a_reordered_basis_are_not_handed_over(cp1):
@@ -322,6 +350,9 @@ def test_reductions_of_a_reordered_basis_are_not_handed_over(cp1):
 
 
 def test_cohomology_refuses_the_reductions_of_another_complex(cp1, cp2):
-    reductions = filtered_complex(build_model(cp2, 1, [1])).basis_reductions()
-    with pytest.raises(DimensionMismatch):
-        cohomology(build_model(cp1, 1, [1]), reductions)
+    m = build_model(cp1, 1, [1])
+    # Another model, and the same model's matrices converted afresh: only the
+    # filtered complex built on `m.integer_d` itself is taken.
+    for fc in (filtered_complex(build_model(cp2, 1, [1])), _dense_filtered_complex(m)):
+        with pytest.raises(ValueError, match="not built on the columns of this complex"):
+            cohomology(m, fc)

@@ -10,15 +10,18 @@ from specseq.lefschetz import (
     check_hard_lefschetz,
     check_top_degree,
     generate_hlp_module,
+    integer_l_maps,
     kernel_L,
     l_power,
+    lefschetz_blocks,
+    lefschetz_columns,
     lefschetz_decompose_class,
     primitive_subspace,
     reconstruct_class,
     star_matrix,
     zero_l_block,
 )
-from specseq.linalg import Matrix, Subspace, image_basis
+from specseq.linalg import Matrix, Subspace, image_basis, integer_columns
 
 import model_oracle as oracle
 
@@ -162,26 +165,86 @@ def test_star_matrix_matches_per_class_construction(m):
             assert star.col(t) == tuple(image)
 
 
+def _maybe_broken(m, seed):
+    """Half the modules lose one L block and, with it, hard Lefschetz."""
+    return zero_l_block(m, seed % (2 * m.n + 1)) if seed % 2 else m
+
+
 @settings(deadline=None, max_examples=30)
 @given(modules, st.integers(0, 2**31))
 def test_structure_matches_the_l_power_oracle(m, seed):
-    # Half the modules lose one L block and, with it, hard Lefschetz.
-    if seed % 2:
-        m = zero_l_block(m, seed % (2 * m.n + 1))
-    structure = m._structure
-    assert (
-        structure.report,
-        structure.primitive,
-        structure.kernel,
-        structure.blocks,
-        structure.systems,
-        structure.to_pieces,
-    ) == oracle.lefschetz_structure(m)
-    for d, table in enumerate(structure.lifts):
-        assert table == tuple(l_power(m, d, i) @ structure.primitive[d].basis for i in range(m.n - d + 1))
-    if structure.report.hlp:
-        for p in range(2 * m.n + 1):
+    m = _maybe_broken(m, seed)
+    report, primitive, kernel, blocks, systems, to_pieces = oracle.lefschetz_structure(m)
+    assert check_hard_lefschetz(m) == report
+    for p in range(2 * m.n + 1):
+        assert primitive_subspace(m, p) == primitive[p]
+        assert kernel_L(m, p) == kernel[p]
+        assert lefschetz_blocks(m, p) == (list(blocks[p]), systems[p])
+        if to_pieces[p] is None:
+            with pytest.raises(HardLefschetzError):
+                star_matrix(m, p)
+        else:
             assert star_matrix(m, p) == oracle.star_matrix(m, p)
+
+
+def _dense(v, dim):
+    return tuple(Q(v.get(i, 0)) for i in range(dim))
+
+
+@settings(deadline=None, max_examples=30)
+@given(modules, st.integers(0, 2**31))
+def test_integer_columns_span_the_canonical_subspaces(m, seed):
+    m = _maybe_broken(m, seed)
+    columns = lefschetz_columns(m)
+    assert check_hard_lefschetz(m) == oracle.lefschetz_structure(m)[0]
+    for p, dim in enumerate(m.dims):
+        for vectors, canonical in (
+            (columns.primitive[p], primitive_subspace(m, p)),
+            (columns.kernel[p], kernel_L(m, p)),
+        ):
+            # As many vectors as the dimension, spanning the same subspace:
+            # a basis of it.
+            assert len(vectors) == canonical.dim
+            assert Subspace.span(dim, [_dense(v, dim) for v in vectors]) == canonical
+            assert all(isinstance(x, int) for v in vectors for x in v.values())
+
+
+@settings(deadline=None, max_examples=30)
+@given(modules, st.integers(0, 2**31))
+def test_star_images_are_positive_multiples_of_the_star(m, seed):
+    m = _maybe_broken(m, seed)
+    n = m.n
+    columns = lefschetz_columns(m)
+    for p, dim in enumerate(m.dims):
+        assert len(columns.star[p]) == len(columns.primitive[p])
+        if not columns.primitive[p]:
+            continue
+        try:
+            star = star_matrix(m, p)
+        except HardLefschetzError:
+            assert not check_hard_lefschetz(m).hlp
+            continue
+        for beta, image in zip(columns.primitive[p], columns.star[p], strict=True):
+            expected = star.apply(_dense(beta, dim))
+            actual = _dense(image, m.dims[2 * n - p])
+            if not any(expected):
+                # Only without hard Lefschetz can L^{n-p} kill a primitive class.
+                assert not check_hard_lefschetz(m).hlp and not any(actual)
+                continue
+            [ratio] = {a / e for a, e in zip(actual, expected) if e or a}
+            assert ratio > 0
+
+
+def test_integer_l_maps_share_one_denominator():
+    m = LefschetzModule(
+        1,
+        (1, 0, 2),
+        (Matrix.from_rows([[Q(1, 2)], [Q(2, 3)]]), Matrix.zero(0, 0), Matrix.zero(0, 2)),
+    )
+    columns, den = integer_l_maps(m)
+    assert den == 6
+    assert columns == ([{0: 3, 1: 4}], [], [{}, {}])
+    assert [integer_columns(l, den) for l in m.L_maps] == list(columns)
 
 
 def test_star_matrix_requires_hlp():

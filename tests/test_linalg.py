@@ -19,6 +19,7 @@ from specseq.linalg import (
     preimage,
     quotient,
     rank,
+    reduce_columns,
     rref,
     subspace_sum,
 )
@@ -212,3 +213,36 @@ def test_exactness_is_deterministic():
     m = Matrix.from_rows([[Q(1, 3), Q(2, 7)], [Q(5, 11), Q(1, 2)]])
     assert rref(m) == rref(m)
     assert kernel_basis(m) == kernel_basis(m)
+
+
+integer_matrices = st.integers(1, 5).flatmap(
+    lambda rows: st.lists(
+        st.dictionaries(st.integers(0, rows - 1), st.integers(-3, 3).filter(bool), max_size=rows),
+        max_size=6,
+    )
+)
+
+
+@settings(deadline=None, max_examples=100)
+@given(integer_matrices)
+def test_reduction_without_v_keeps_the_zero_columns_and_the_lows(cols):
+    R, V, lows = reduce_columns(cols)
+    bare_R, bare_V, bare_lows = reduce_columns(cols, with_v=False)
+    assert bare_V == [] and bare_lows == lows
+    for r, bare in zip(R, bare_R, strict=True):
+        assert bool(r) == bool(bare)
+        if r:
+            # The same column up to a positive scale.
+            assert bare.keys() == r.keys()
+            [ratio] = {Q(bare[i], x) for i, x in r.items()}
+            assert ratio > 0
+
+
+def test_cleared_columns_are_not_reduced():
+    # d_0 = (1, 1)^T and d_1 = (1 -1): the reduced d_0 has its low at 1, and
+    # column 1 of d_1 reduces to zero with V_1 = (1, 1).
+    d1 = [{0: 1}, {0: -1}]
+    R, V, lows = reduce_columns(d1, {1: {0: 1, 1: 1}})
+    assert (R, V, lows) == reduce_columns(d1)
+    assert (R, V, lows) == ([{0: 1}, {}], [{0: 1}, {0: 1, 1: 1}], {0: 0})
+    assert reduce_columns(d1, {1: {0: 1, 1: 1}}, with_v=False) == ([{0: 1}, {}], [], {0: 0})

@@ -218,12 +218,12 @@ def test_star_duality_witnesses_a_non_closed_star_image(monkeypatch):
     )
     m = build_model(base, 1, [1])
     assert model_star_duality(m).passed
-    real_star = verify.star_matrix
-
-    def star(module, p):
-        return Matrix.from_rows([[0, 1], [0, 0]]) if p == 2 else real_star(module, p)
-
-    monkeypatch.setattr(verify, "star_matrix", star)
+    columns = verify.lefschetz_columns(base)
+    assert columns.primitive[2] == [{1: 1}]
+    # The star image of beta = e_1 becomes omega = e_0.
+    star = columns.star[:2] + ([{0: 1}],) + columns.star[3:]
+    doctored = replace(columns, star=star)
+    monkeypatch.setattr(verify, "lefschetz_columns", lambda module: doctored)
     r = model_star_duality(m)
     assert r.witnesses == (
         Witness("non-closed star images", 2, 0, 1),

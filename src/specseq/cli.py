@@ -1,6 +1,9 @@
 """Command line front end.
 
-Subcommands: analyze, generate, recursion, star-check, presets, decompose.
+Subcommands: analyze, generate, recursion, star-check, presets, decompose,
+listed once in `build_parser`.  `main` builds the parser of the subcommand
+its command line names and no other; help, usage and error text are those of
+the parser with every subcommand.
 Exit codes: 0 all applicable checks pass, 1 a check fails (or the input is
 inconsistent with the theorems), 2 invalid input.
 """
@@ -374,21 +377,13 @@ def cmd_decompose(args) -> int:
     return EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="specseq",
-        description="Exact spectral sequences for invariant-form models of foliated manifolds",
-    )
-    parser.add_argument("--version", action="version", version=f"specseq {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("analyze", help="run the engine and all applicable theorem checks")
+def _analyze_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("model", help="model file path or preset name")
     p.add_argument("--json", metavar="PATH", help="write the full report as JSON")
     p.add_argument("--quiet", action="store_true", help="only print verdict lines")
-    p.set_defaults(func=cmd_analyze)
 
-    p = sub.add_parser("generate", help="emit a seeded random model file")
+
+def _generate_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--n", type=int, default=-1, help="transverse half-dimension (default: seeded)")
     p.add_argument("--s", type=int, default=1)
@@ -396,39 +391,75 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambdas", help="comma-separated rationals overriding --type")
     p.add_argument("--max-primitive-dim", type=int, default=2)
     p.add_argument("--out", metavar="PATH")
-    p.set_defaults(func=cmd_generate)
 
-    p = sub.add_parser("recursion", help="basic/primitive Betti numbers from de Rham ones")
+
+def _recursion_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--betti", required=True, help="comma-separated de Rham dims")
     p.add_argument("--s", type=int, required=True)
     p.add_argument("--n", type=int)
     p.add_argument("--structure", choices=["S", "C"], required=True)
-    p.set_defaults(func=cmd_recursion)
 
-    p = sub.add_parser("star-check", help="exhaustive Hodge star splitting identity")
+
+def _star_check_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--n", type=int)
     p.add_argument("--s", type=int)
-    p.set_defaults(func=cmd_star_check)
 
-    p = sub.add_parser("presets", help="list presets or print one as a model file")
+
+def _presets_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("name", nargs="?")
-    p.set_defaults(func=cmd_presets)
 
-    p = sub.add_parser("decompose", help="Lefschetz-decompose a transverse form")
+
+def _decompose_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("form", help="e.g. 'e1^e2 + 1/2*e3^e4'")
-    p.set_defaults(func=cmd_decompose)
     # argparse reads an argument that starts with '-' as an option unless it
     # matches this pattern of negative numbers.  Widened to forms such as
     # '-1/60' and '-e1^e2', it lets them reach `form`; '-h' and '--n' do not
     # match it, so they stay options.
     p._negative_number_matcher = re.compile(r"^-(\d|e\d)")
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The root parser with the subcommand `command`, or with every
+    subcommand when `command` names none.
+
+    With one subcommand, the usage line still names all six, so the help,
+    usage and error text do not depend on which are registered.  (With all
+    six, argparse lists them itself, and names the argument `command` in
+    its errors.)
+    """
+    # Name, help line, handler and the function adding its arguments.  The
+    # table is read on each call, so a handler rebound on this module (as a
+    # tracer does) is the one registered.
+    commands = (
+        ("analyze", "run the engine and all applicable theorem checks", cmd_analyze, _analyze_arguments),
+        ("generate", "emit a seeded random model file", cmd_generate, _generate_arguments),
+        ("recursion", "basic/primitive Betti numbers from de Rham ones", cmd_recursion, _recursion_arguments),
+        ("star-check", "exhaustive Hodge star splitting identity", cmd_star_check, _star_check_arguments),
+        ("presets", "list presets or print one as a model file", cmd_presets, _presets_arguments),
+        ("decompose", "Lefschetz-decompose a transverse form", cmd_decompose, _decompose_arguments),
+    )
+    chosen = [row for row in commands if row[0] == command]
+    parser = argparse.ArgumentParser(
+        prog="specseq",
+        description="Exact spectral sequences for invariant-form models of foliated manifolds",
+    )
+    parser.add_argument("--version", action="version", version=f"specseq {__version__}")
+    metavar = "{" + ",".join(row[0] for row in commands) + "}" if chosen else None
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name, help_text, handler, add_arguments in chosen or commands:
+        p = sub.add_parser(name, help=help_text)
+        add_arguments(p)
+        p.set_defaults(func=handler)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command line, building the parser of the subcommand its first
+    word names and no other (every subcommand's when it names none, as for
+    `--help`, `--version` or an unknown command)."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     return args.func(args)
 
 

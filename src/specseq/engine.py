@@ -28,12 +28,17 @@ cohomology can read it instead of reducing d_k again
 (`FilteredComplex.basis_reductions`).  Each d_k is reduced after d_{k-1},
 and the columns at the lows of the reduced d_{k-1} are cleared, not reduced
 (Chen & Kerber, *Persistent homology computation with a twist*, 2011).
+
+The checks and the reductions read each d_k as sparse integer columns.  The
+invariant-forms models hand over the columns they hold, with their
+denominators, and the dense `Fraction` matrices `FilteredComplex.d` are then
+built only when a caller reads them, which `analyze` never does.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from functools import cached_property
 from typing import Sequence
 
@@ -43,6 +48,7 @@ from .linalg import (
     SparseColumn,
     Subspace,
     apply_columns,
+    from_integer_columns,
     integer_columns,
     rank,
     reduce_columns,
@@ -53,51 +59,68 @@ class FiltrationError(ValueError):
     """The data does not define a filtered cochain complex."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FilteredComplex:
     """Cochain complex in degrees 0..K with a bounded decreasing filtration.
 
     `degrees[k][j]` is the filtration degree, in 0..max_filtration, of basis
-    vector j in degree k.  `d[k]` maps degree k to degree k+1; the last one
+    vector j in degree k.  d_k maps degree k to degree k+1; the last one
     targets the zero space.  The checks and the persistence pairing read each
-    d_k as sparse integer columns, `integer_d`: `invariant.filtered_complex`
-    hands over the columns its complex already holds, and a complex built
-    from the matrices alone converts them.  Each d_k is reduced once, on
+    d_k as sparse integer columns, `integer_d`.  A complex is built either
+    from the dense matrices d_k, `FilteredComplex(d, degrees, P)`, and then
+    converts them, or, as `invariant.filtered_complex` builds it, from the
+    columns its model holds and their denominators,
+    `FilteredComplex(None, degrees, P, integer_d=..., denominators=...)`;
+    then the dense `d` is built only when read.  Each d_k is reduced once, on
     first use (`reductions`), and every page computed from the complex reads
     the pairs of that reduction.
     """
 
-    d: tuple[Matrix, ...]
+    matrices: InitVar[Sequence[Matrix] | None]
     degrees: tuple[tuple[int, ...], ...]
     max_filtration: int
-    # `linalg.integer_columns` of each d_k; only `invariant.filtered_complex`
-    # passes it, with the columns its complex holds.
+    # Each d_k as sparse integer columns over denominators[k]; converted from
+    # the matrices when only they are given.
     integer_d: tuple[list[SparseColumn], ...] | None = field(
-        default=None, kw_only=True, repr=False, compare=False
+        default=None, kw_only=True, repr=False
     )
+    denominators: tuple[int, ...] | None = field(default=None, kw_only=True, repr=False)
     # The pairs, the cancelled gaps and the cells of the last page computed.
     _last_page: list = field(
-        default_factory=lambda: [None, None, None], init=False, repr=False, compare=False
+        default_factory=lambda: [None, None, None], init=False, repr=False
     )
 
-    def __post_init__(self):
-        if self.integer_d is None:
-            object.__setattr__(self, "integer_d", tuple(integer_columns(m) for m in self.d))
+    def __post_init__(self, matrices):
+        if matrices is not None:
+            matrices = vars(self)["d"] = tuple(matrices)
+            if self.integer_d is None:
+                object.__setattr__(self, "integer_d", tuple(map(integer_columns, matrices)))
+        elif self.integer_d is None or self.denominators is None:
+            raise FiltrationError("give the matrices, or the integer columns and their denominators")
         K = len(self.degrees) - 1
         P = self.max_filtration
         if K < 0 or P < 0:
             raise FiltrationError("empty complex or negative filtration bound")
-        if len(self.d) != K + 1 or len(self.integer_d) != K + 1:
+        given = len(matrices) if matrices is not None else len(self.denominators)
+        if len(self.integer_d) != K + 1 or given != K + 1:
             raise FiltrationError("d and the filtration degrees must cover every degree")
         for k, src in enumerate(self.degrees):
             if any(isinstance(x, bool) or not isinstance(x, int) or not 0 <= x <= P for x in src):
                 raise FiltrationError(f"filtration degrees at degree {k} must be integers in 0..{P}")
             tgt = self.degrees[k + 1] if k < K else ()
+            rows = len(tgt)
             cols = self.integer_d[k]
-            if self.d[k].cols != len(src) or self.d[k].rows != len(tgt) or len(cols) != len(src):
+            if len(cols) != len(src) or matrices is not None and (
+                matrices[k].cols != len(src) or matrices[k].rows != rows
+            ):
                 raise FiltrationError(f"differential at degree {k} has the wrong shape")
             for j, col in enumerate(cols):
                 for i in col:
+                    if not 0 <= i < rows:
+                        raise FiltrationError(
+                            f"differential at degree {k} has the wrong shape: "
+                            f"vector {j} hits row {i} of {rows}"
+                        )
                     if tgt[i] < src[j]:
                         raise FiltrationError(
                             f"d does not preserve F^{src[j]} at degree {k}: "
@@ -106,6 +129,16 @@ class FilteredComplex:
         for k in range(K):
             if any(apply_columns(self.integer_d[k + 1], col) for col in self.integer_d[k]):
                 raise FiltrationError(f"d o d != 0 at degree {k}")
+
+    @cached_property
+    def d(self) -> tuple[Matrix, ...]:
+        """Each d_k as a dense `Fraction` matrix: the matrices the complex was
+        built from, or else `integer_d[k]` over `denominators[k]`, built on
+        first read."""
+        return tuple(
+            from_integer_columns(cols, self.dim(k + 1), den)
+            for k, (cols, den) in enumerate(zip(self.integer_d, self.denominators))
+        )
 
     @property
     def chain_dims(self) -> tuple[int, ...]:

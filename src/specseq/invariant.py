@@ -10,21 +10,21 @@ written to the left of basic classes:
 The filtration by basic degree (F^p = span of terms with deg h >= p) is
 what the spectral-sequence engine consumes.
 
-The working form of each d_k is sparse integer columns, scaled by one
-common denominator (`InvariantComplex.integer_d`): `build_model` scatters
+A complex holds each d_k as sparse integer columns and one denominator
+(`InvariantComplex.integer_d` and `.denominators`): `build_model` scatters
 integer products of the lambda numerators and the integer columns of L
-straight into it, and the engine, direct cohomology and the star-duality
-check read it.  `InvariantComplex.differentials` holds the same maps as
-dense `Fraction` matrices, a view for callers.  Each layer of the basis is
-listed in descending basic degree, so the engine's reduction of each d_k
-is in basis order and direct cohomology can share it, and with it the
-engine's d o d = 0 check.
+straight into them, and the engine, direct cohomology and the star-duality
+check read them.  `InvariantComplex.differentials`, the same maps as dense
+`Fraction` matrices, is a view for callers, built on first read; `analyze`
+never reads it.  Each layer of the basis is listed in descending basic
+degree, so the engine's reduction of each d_k is in basis order and direct
+cohomology can share it, and with it the engine's d o d = 0 check.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
@@ -37,7 +37,7 @@ from .linalg import (
     Matrix,
     SparseColumn,
     apply_columns,
-    integer_columns,
+    from_integer_columns,
     reduce_columns,
 )
 
@@ -62,7 +62,9 @@ class InvariantComplex:
     s: int
     lambdas: tuple[Fraction, ...]
     basis: tuple[tuple[BasisElement, ...], ...]  # per total degree
-    differentials: tuple[Matrix, ...]  # differentials[k]: C^k -> C^{k+1}
+    # d_k: C^k -> C^{k+1} is integer_d[k] / denominators[k], as sparse columns.
+    integer_d: tuple[list[SparseColumn], ...] = field(hash=False)  # lists do not hash
+    denominators: tuple[int, ...]
 
     @property
     def max_degree(self) -> int:
@@ -85,13 +87,17 @@ class InvariantComplex:
         return tuple({b: i for i, b in enumerate(layer)} for layer in self.basis)
 
     @cached_property
-    def integer_d(self) -> tuple[list[SparseColumn], ...]:
-        """Each d_k as sparse integer columns, equal to `linalg.integer_columns(d_k)`.
+    def differentials(self) -> tuple[Matrix, ...]:
+        """Each d_k: C^k -> C^{k+1} as a dense `Fraction` matrix,
+        `integer_d[k]` over `denominators[k]`.
 
-        `build_model` sets them as it builds the differentials; a complex
-        made otherwise converts them on first use.
+        A view for callers, built on first read; nothing on the `analyze`
+        path reads it.
         """
-        return tuple(integer_columns(d) for d in self.differentials)
+        return tuple(
+            from_integer_columns(cols, self.dim(k + 1), den)
+            for k, (cols, den) in enumerate(zip(self.integer_d, self.denominators))
+        )
 
     def is_s_type(self) -> bool:
         return all(lam == 1 for lam in self.lambdas)
@@ -110,9 +116,9 @@ def build_model(base: LefschetzModule, s: int, lambdas: Sequence) -> InvariantCo
     over their common denominator e) give d_k times (the lambda denominator
     times e).  Dividing by the gcd of that scale and every entry leaves d_k
     times the common denominator of its own entries, so the columns equal
-    `linalg.integer_columns(d_k)`, rows in ascending order.  The dense
-    `differentials` are built from the same entries, and the complex keeps
-    the columns and the position of every basis element.
+    `linalg.integer_columns(d_k)`, rows in ascending order.  The complex
+    keeps the columns, their denominators and the position of every basis
+    element; it builds no dense matrix.
     """
     if s < 1:
         raise ValueError("s must be at least 1; s = 0 has no eta directions")
@@ -138,8 +144,8 @@ def build_model(base: LefschetzModule, s: int, lambdas: Sequence) -> InvariantCo
     lam_num = [lam.numerator * (lam_den // lam.denominator) for lam in lambdas]
     l_cols, l_den = integer_l_maps(base)
     scale = lam_den * l_den
-    diffs: list[Matrix] = []
     integer_d: list[list[SparseColumn]] = []
+    denominators: list[int] = []
     for k in range(max_deg + 1):
         target = index[k + 1] if k < max_deg else {}
         columns: list[SparseColumn] = []
@@ -160,16 +166,10 @@ def build_model(base: LefschetzModule, s: int, lambdas: Sequence) -> InvariantCo
         g = gcd(scale, *(x for col in columns for x in col.values()))
         if g != 1:
             columns = [{i: x // g for i, x in col.items()} for col in columns]
-        den = scale // g
         integer_d.append(columns)
-        rows = [[_ZERO] * len(columns) for _ in range(len(target))]
-        for j, col in enumerate(columns):
-            for i, x in col.items():
-                rows[i][j] = Fraction(x, den)
-        diffs.append(Matrix(len(rows), len(columns), tuple(map(tuple, rows))))
-    c = InvariantComplex(base, s, lambdas, tuple(basis), tuple(diffs))
-    # Fill the two caches with what was built here.
-    vars(c).update(integer_d=tuple(integer_d), _positions=tuple(index))
+        denominators.append(scale // g)
+    c = InvariantComplex(base, s, lambdas, tuple(basis), tuple(integer_d), tuple(denominators))
+    vars(c)["_positions"] = tuple(index)  # fill the cache with what was built here
     return c
 
 
@@ -204,6 +204,12 @@ class CohomologyGroup:
     ambient_dim: int
     dim: int
     steps: tuple[tuple[int, int, tuple[tuple[int, int], ...], int], ...]
+
+    @cached_property
+    def boundaries(self) -> dict[int, SparseColumn]:
+        """The boundary vectors, reduced columns of d_{k-1} that span
+        Im d_{k-1}, keyed by their lows."""
+        return {j: {**dict(rest), j: lead} for j, lead, rest, slot in self.steps if slot < 0}
 
     @property
     def section(self) -> Matrix:
@@ -296,9 +302,11 @@ def filtered_complex(c: InvariantComplex):
 
     The basis is adapted: each eta_I (x) h sits in filtration degree deg h.
     The engine reads the complex's integer columns, `c.integer_d`, with no
-    conversion of its own.
+    conversion of its own, and builds its dense `d` only when read.
     """
     from .engine import FilteredComplex
 
     degrees = tuple(tuple(p for _, p, _ in layer) for layer in c.basis)
-    return FilteredComplex(c.differentials, degrees, 2 * c.base.n, integer_d=c.integer_d)
+    return FilteredComplex(
+        None, degrees, 2 * c.base.n, integer_d=c.integer_d, denominators=c.denominators
+    )

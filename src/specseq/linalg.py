@@ -10,9 +10,11 @@ without fractions.  The differentials take that second path: the
 filtered-complex checks, the engine's persistence pairing (which clears the
 columns it knows reduce to zero), direct cohomology, and the star-duality
 check, which reads its ranks of cohomology classes from a `reduce_columns`
-that builds no V.  So do the Lefschetz structure's powers of L, ranks and
-kernels.  `invariant.build_model` makes the integer columns of the model
-directly.  All arithmetic is exact.
+that builds no V and starts from the boundaries as pivots.  So do the
+Lefschetz structure's powers of L, ranks and kernels.
+`invariant.build_model` makes the integer columns of the model directly,
+and `from_integer_columns` gives the dense view of them.  All arithmetic is
+exact.
 """
 
 from __future__ import annotations
@@ -405,11 +407,22 @@ def integer_columns(m: Matrix, den: int | None = None) -> list[SparseColumn]:
     return [{i: x.numerator * (den // x.denominator) for i, x in col.items()} for col in cols]
 
 
+def from_integer_columns(cols: Sequence[SparseColumn], rows: int, den: int = 1) -> Matrix:
+    """The `rows` x len(cols) matrix with sparse integer columns `cols`, each
+    entry over `den`: `integer_columns` undone."""
+    entries = [[_ZERO] * len(cols) for _ in range(rows)]
+    for j, col in enumerate(cols):
+        for i, x in col.items():
+            entries[i][j] = Fraction(x, den)
+    return Matrix(rows, len(cols), tuple(map(tuple, entries)))
+
+
 def reduce_columns(
     cols: Sequence[SparseColumn],
     cleared: Mapping[int, SparseColumn] | None = None,
     *,
     with_v: bool = True,
+    pivots: Mapping[int, SparseColumn] | None = None,
 ) -> Reduction:
     """The column reduction R = D V of the integer matrix D with columns `cols`.
 
@@ -430,10 +443,22 @@ def reduce_columns(
     `with_v=False` no V is built and the V returned is empty; the zero
     columns and the lows are the same, and each nonzero R column is a
     positive multiple of the one the full reduction gives.
+
+    `pivots` maps lows to columns already reduced, one per low, that the
+    reduction starts from as if they stood before `cols`; they are not
+    reduced again and are not returned.  Each nonzero R column then extends
+    a basis of the span of the pivots, so the number of them in a prefix of
+    `cols` is the rank that prefix adds to that span.  Pivots have no V
+    column, so they need `with_v=False`.
     """
+    if pivots and with_v:
+        raise ValueError("pivots have no V columns; reduce with with_v=False")
     R: list[SparseColumn] = []
     V: list[SparseColumn] = []
     by_low: dict[int, int] = {}
+    # Each low -> the reduced column with that low and its V column (empty
+    # for a pivot).
+    reduced = {low: (col, {}) for low, col in pivots.items()} if pivots else {}
     for j, col in enumerate(cols):
         if cleared and j in cleared:
             R.append({})
@@ -443,13 +468,13 @@ def reduce_columns(
         r = dict(col)
         v = {j: 1} if with_v else {}
         low = max(r, default=None)
-        while low in by_low:
-            i = by_low[low]
-            g = gcd(R[i][low], r[low])
-            a, c = R[i][low] // g, r[low] // g
-            r = _combine(a, r, c, R[i])
+        while low in reduced:
+            p, pv = reduced[low]
+            g = gcd(p[low], r[low])
+            a, c = p[low] // g, r[low] // g
+            r = _combine(a, r, c, p)
             if with_v:
-                v = _combine(a, v, c, V[i])
+                v = _combine(a, v, c, pv)
             low = max(r, default=None)
         g = gcd(*r.values(), *v.values())
         if g != 1:
@@ -457,6 +482,7 @@ def reduce_columns(
             v = {i: x // g for i, x in v.items()}
         if low is not None:
             by_low[low] = j
+            reduced[low] = r, v
         R.append(r)
         if with_v:
             V.append(v)

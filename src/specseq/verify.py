@@ -10,7 +10,9 @@ Each verifier compares engine output against a closed-form prediction:
 - Betti recursions inverting those formulas.
 - Harmonic bases and the star duality between their two halves, on the
   integer bases and star images of the base's Lefschetz structure
-  (`lefschetz.lefschetz_columns`).
+  (`lefschetz.lefschetz_columns`).  Its ranks of cohomology classes are
+  column reductions that start from the boundaries of H^k, already reduced
+  by direct cohomology, and reduce only the new columns.
 
 Verifiers whose theorem carries hypotheses (S-type lambdas, hard
 Lefschetz) report a hypothesis violation instead of pass/fail when the
@@ -375,19 +377,19 @@ def _integer_chain(
 def _class_ranks(q: CohomologyGroup, *groups: Sequence[SparseColumn]) -> list[int]:
     """Ranks of the classes of the cocycles in groups[0], groups[0] + groups[1], ...
 
-    One `reduce_columns` over [the boundaries of q (its steps with slot -1) |
-    the groups], which builds no V.  The reduction runs left to right, so
-    the nonzero reduced columns of each prefix are a basis of its span.
-    Those after the boundaries count the rank with the boundaries minus the
-    rank of the boundaries, which is the rank of the classes.
+    One `reduce_columns` of the groups, which builds no V, starting from the
+    boundaries of q as pivots: they are reduced columns with distinct lows
+    already.  The reduction runs left to right, so the nonzero reduced
+    columns of each prefix extend a basis of the boundaries to one of the
+    span of both, and their number is the rank of the classes.
     """
-    columns = [{**dict(rest), j: lead} for j, lead, rest, slot in q.steps if slot < 0]
-    ends = [len(columns)]
+    columns: list[SparseColumn] = []
+    ends = []
     for group in groups:
         columns += group
         ends.append(len(columns))
-    reduced = reduce_columns(columns, with_v=False)[0]
-    return [sum(1 for r in reduced[ends[0] : end] if r) for end in ends[1:]]
+    reduced = reduce_columns(columns, with_v=False, pivots=q.boundaries)[0]
+    return [sum(1 for r in reduced[:end] if r) for end in ends]
 
 
 def model_star_duality(

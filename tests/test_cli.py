@@ -1,3 +1,4 @@
+import argparse
 import json
 import re
 from fractions import Fraction
@@ -64,6 +65,44 @@ def test_analyze_rejects_ill_typed_or_oversized_file(tmp_path, capsys, fields, n
     assert named in err
 
 
+def _outcome(capsys, parse, argv):
+    """Exit code, stdout and stderr of running `argv` through `parse`."""
+    try:
+        args = parse(argv)
+        code = args.func(args)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+# Per subcommand: a missing required argument (or, where none is required, a
+# bad value) and an unrecognised option, parsed by the subcommand and by the
+# root parser after it.
+_SUBCOMMAND_ERRORS = {
+    "analyze": (("analyze",), ("analyze", "--bogus"), ("analyze", "hopf-s3", "--bogus")),
+    "generate": (("generate",), ("generate", "--seed", "1", "--bogus")),
+    "recursion": (("recursion", "--s", "1"), ("recursion", "--bogus")),
+    "star-check": (("star-check", "--n", "x"), ("star-check", "--bogus")),
+    "presets": (("presets", "s5", "extra"), ("presets", "--bogus")),
+    "decompose": (("decompose",), ("decompose", "--n", "1", "e1", "--bogus")),
+}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [(), ("-h",), ("--version",), ("bogus",), ("--version", "analyze")]
+    + [(name, "-h") for name in _SUBCOMMAND_ERRORS]
+    + [argv for errors in _SUBCOMMAND_ERRORS.values() for argv in errors],
+)
+def test_main_prints_what_the_whole_parser_prints(capsys, argv):
+    # `main` builds only the parser of the subcommand it is given; its help,
+    # usage, error text and exit code are those of the parser built whole.
+    whole = _outcome(capsys, lambda a: cli.build_parser().parse_args(a), list(argv))
+    assert _outcome(capsys, main, list(argv)) == whole
+    assert whole[0] in (0, 2)
+
+
 def test_analyze_computes_the_sequence_once(monkeypatch, capsys):
     # Every binding of each name is wrapped, so calls made inside `invariant`
     # and `lefschetz` themselves are counted too; each real call counts once.
@@ -105,11 +144,13 @@ def test_analyze_computes_the_sequence_once(monkeypatch, capsys):
     # cohomology applies no d_k to the reduced columns of d_{k-1}.
     targets.append((invariant, "apply_columns"))
     calls = {}
+    returned = {}
     for module, name in targets:
 
         def counted(*args, _fn=getattr(module, name), _name=name, **kwargs):
             calls[_name] = calls.get(_name, 0) + 1
-            return _fn(*args, **kwargs)
+            returned[_name] = _fn(*args, **kwargs)
+            return returned[_name]
 
         monkeypatch.setattr(module, name, counted)
     dense = []
@@ -123,31 +164,54 @@ def test_analyze_computes_the_sequence_once(monkeypatch, capsys):
         "__matmul__",
         lambda a, b, _fn=linalg.Matrix.__matmul__: dense.append("matmul") or _fn(a, b),
     )
-    # `build_model` scatters the complex's integer columns itself and the
-    # engine takes them over, so no differential is converted.  (The
-    # Lefschetz structure converts the L matrices of the base module.)
-    converted = []
-    for module in (engine, invariant, verify, linalg):
-        if hasattr(module, "integer_columns"):
-            monkeypatch.setattr(
-                module,
-                "integer_columns",
-                lambda m, *a, _fn=getattr(module, "integer_columns"): converted.append(m)
-                or _fn(m, *a),
-            )
     built = []
     monkeypatch.setattr(cli, "to_complex", lambda mf, _fn=cli.to_complex: built.append(_fn(mf)) or built[-1])
+    # Only the parser of `analyze` is built.
+    parsers = []
+    monkeypatch.setattr(
+        cli, "build_parser", lambda *a, _fn=cli.build_parser: parsers.append(_fn(*a)) or parsers[-1]
+    )
+    # Star duality hands each of its reductions the boundaries of H^k as
+    # pivots, reduced already, and only the columns of its groups to reduce.
+    star_ranks, star_reductions = [], []
+    monkeypatch.setattr(
+        verify,
+        "_class_ranks",
+        lambda q, *groups, _fn=verify._class_ranks: star_ranks.append((q, groups))
+        or _fn(q, *groups),
+    )
+    monkeypatch.setattr(
+        verify,
+        "reduce_columns",
+        lambda cols, *a, _fn=verify.reduce_columns, **kw: star_reductions.append((cols, kw))
+        or _fn(cols, *a, **kw),
+    )
     for preset, hlp_checks in (("hopf-s3", 4), ("s2xs3", 4), ("torus-t3", 0)):
         calls.clear()
         dense.clear()
-        converted.clear()
         built.clear()
+        parsers.clear()
+        star_ranks.clear()
+        star_reductions.clear()
         code, _, _ = run(capsys, "analyze", preset, "--quiet")
         assert code == 0
         assert calls.pop("check_hard_lefschetz", 0) <= hlp_checks
         assert dense == []
         [c] = built
-        assert not [m for m in converted if any(m is d for d in c.differentials)]
+        # `build_model` scatters the complex's integer columns itself and the
+        # engine takes them over: neither builds a dense view of any d_k, so
+        # none is converted back to columns either.
+        assert "differentials" not in vars(c)
+        assert "d" not in vars(returned["filtered_complex"])
+        [parser] = parsers
+        [sub] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        assert list(sub.choices) == ["analyze"]
+        assert bool(star_ranks) == c.is_s_type()
+        assert len(star_reductions) == len(star_ranks)
+        for (q, groups), (cols, kw) in zip(star_ranks, star_reductions):
+            assert any(q is h for h in returned["cohomology"]) and kw["pivots"] is q.boundaries
+            handed = [col for group in groups for col in group]
+            assert len(cols) == len(handed) and all(a is b for a, b in zip(cols, handed))
         assert calls.pop("reduce_columns") == c.max_degree + 1
         assert calls == {"filtered_complex": 1, "run_to_convergence": 1, "cohomology": 1}
 

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import subquotient_oracle as oracle
 
+from specseq import engine
 from specseq.engine import (
     FilteredComplex,
     FiltrationError,
@@ -126,6 +127,47 @@ def test_handed_over_columns_are_checked():
         FilteredComplex(d, degrees, 0, integer_d=([{0: 1}], [{}, {}], [{}]))
     with pytest.raises(FiltrationError, match="every degree"):
         FilteredComplex(d, degrees, 0, integer_d=([{0: 1}], [{}]))
+
+
+@pytest.mark.parametrize(
+    "integer_d, message",
+    [
+        # d_0 has two columns, but degree 0 has one basis vector.
+        (([{0: 1}, {}], [{}], [{}]), "differential at degree 0 has the wrong shape"),
+        # d_1 hits row 1 of degree 2, which has one basis vector.
+        (([{}], [{1: 1}], [{}]), "differential at degree 1 has the wrong shape"),
+        (([{}], [{-1: 1}], [{}]), "differential at degree 1 has the wrong shape"),
+        # d_2 targets the zero space.
+        (([{}], [{}], [{0: 1}]), "differential at degree 2 has the wrong shape"),
+    ],
+)
+def test_integer_columns_of_the_wrong_shape_are_refused_before_any_reduction(
+    monkeypatch, integer_d, message
+):
+    # A complex given integer columns has no matrices to take its shape
+    # from; its columns are checked against the filtration degrees.
+    def no_reduction(*args, **kwargs):
+        raise AssertionError("reduced before the shape check")
+
+    monkeypatch.setattr(engine, "reduce_columns", no_reduction)
+    degrees = ((0,), (0,), (0,))
+    with pytest.raises(FiltrationError, match=message):
+        FilteredComplex(None, degrees, 0, integer_d=integer_d, denominators=(1, 1, 1))
+
+
+def test_integer_columns_build_the_dense_view_only_when_read():
+    degrees = ((0,), (1, 0), (1,))
+    fc = FilteredComplex(
+        None, degrees, 1, integer_d=([{0: 2}], [{}, {0: 1}], [{}]), denominators=(3, 1, 1)
+    )
+    assert "d" not in vars(fc)
+    assert fc.d == (
+        Matrix.from_rows([[Fraction(2, 3)], [0]]),
+        Matrix.from_rows([[0, 1]]),
+        Matrix.zero(0, 1),
+    )
+    with pytest.raises(FiltrationError, match="denominators"):
+        FilteredComplex(None, degrees, 1, integer_d=fc.integer_d)
 
 
 def _assert_page_turning(pages, ker_dim, rk_in):

@@ -246,3 +246,18 @@ def test_cleared_columns_are_not_reduced():
     assert (R, V, lows) == reduce_columns(d1)
     assert (R, V, lows) == ([{0: 1}, {}], [{0: 1}, {0: 1, 1: 1}], {0: 0})
     assert reduce_columns(d1, {1: {0: 1, 1: 1}}, with_v=False) == ([{0: 1}, {}], [], {0: 0})
+
+
+@settings(deadline=None, max_examples=100)
+@given(integer_matrices, integer_matrices)
+def test_reduction_from_pivots_is_the_reduction_of_the_pivots_then_the_columns(first, cols):
+    # Reducing `first` gives pivots with distinct lows; starting from them,
+    # the columns reduce as they do after `first` in one reduction.
+    R_first, _, lows_first = reduce_columns(first, with_v=False)
+    pivots = {low: R_first[j] for low, j in lows_first.items()}
+    R, V, lows = reduce_columns(cols, with_v=False, pivots=pivots)
+    whole_R, _, whole_lows = reduce_columns(first + cols, with_v=False)
+    assert V == [] and R == whole_R[len(first) :]
+    assert lows == {low: j - len(first) for low, j in whole_lows.items() if j >= len(first)}
+    with pytest.raises(ValueError, match="with_v=False"):
+        reduce_columns(cols, pivots=pivots or {0: {0: 1}})

@@ -9,13 +9,12 @@ the power before.  The hard-Lefschetz ranks, each primitive subspace
 PH^d = Ker L^{n-d+1} and each Ker L come from one `reduce_columns` each,
 the kernels as the columns of V at the zero columns of R, and the star
 images L^{n-d} beta of the PH^d basis vectors from the same powers.
-`lefschetz_columns` returns those integer bases; they are all the S-type
-verifiers read.
+`lefschetz_columns` returns those integer bases.  The S-type verifiers
+read nothing else, and `lefschetz_decompose_class` solves on them too.
 
-The rest is built from those vectors in dense `Fraction` arithmetic on
-first use, and kept: the canonical subspaces that `primitive_subspace` and
-`kernel_L` return, and the Lefschetz blocks with B_p and B_p^{-1} that
-`lefschetz_blocks`, `lefschetz_decompose_class` and `star_matrix` read.
+Only `primitive_subspace` and `kernel_L` leave the integer columns: they
+return the canonical `Subspace` spanned by those bases, built in dense
+`Fraction` arithmetic on first use and kept.
 """
 
 from __future__ import annotations
@@ -96,10 +95,6 @@ class LefschetzModule:
             for part in (columns.primitive, columns.kernel)
         )
 
-    @cached_property
-    def _pieces(self) -> _Pieces:
-        return _compute_pieces(self)
-
 
 @dataclass(frozen=True)
 class LefschetzReport:
@@ -130,23 +125,6 @@ class LefschetzColumns:
 class _Structure:
     report: LefschetzReport
     columns: LefschetzColumns
-
-
-@dataclass(frozen=True)
-class _Pieces:
-    """The Lefschetz blocks of one module, indexed by degree p = 0..2n.
-
-    `blocks[p]` and `systems[p]` are what `lefschetz_blocks` returns;
-    `to_pieces[p]` is B_p^{-1}, or None when B_p is not invertible, which
-    happens only without hard Lefschetz.  `lifts[d][m]` is L^m on the
-    canonical basis of PH^d, for d <= n and m <= n - d: the columns of every
-    block and of every model star.
-    """
-
-    blocks: tuple[tuple[tuple[int, Subspace], ...], ...]
-    systems: tuple[Matrix, ...]
-    to_pieces: tuple[Matrix | None, ...]
-    lifts: tuple[tuple[Matrix, ...], ...]
 
 
 def integer_l_maps(module: LefschetzModule) -> tuple[tuple[list[SparseColumn], ...], int]:
@@ -223,39 +201,6 @@ def _span(dim: int, vectors: list[SparseColumn]) -> Subspace:
     return Subspace.span(dim, ([v.get(i, 0) for i in range(dim)] for v in vectors))
 
 
-def _compute_pieces(module: LefschetzModule) -> _Pieces:
-    n = module.n
-    primitive = module._subspaces[0]
-    # L^{n-d+1} kills PH^d, so no block and no star needs a higher power.
-    lifts = []
-    for d in range(n + 1):
-        table = [primitive[d].basis]
-        for m in range(n - d):
-            table.append(module.L_maps[d + 2 * m] @ table[-1])
-        lifts.append(tuple(table))
-    blocks, systems, to_pieces = [], [], []
-    for p in range(2 * n + 1):
-        pieces: list[tuple[int, Subspace]] = []
-        cols: list[tuple[Fraction, ...]] = []
-        for i in range(p // 2 + 1):
-            d = p - 2 * i
-            if i > n - d:  # d > n, or L^i kills PH^d
-                continue
-            images = lifts[d][i].columns()
-            if any(any(col) for col in images):
-                pieces.append((i, primitive[d]))
-                cols += images
-        system = Matrix.from_cols(cols, rows=module.dims[p])
-        try:
-            inv = inverse(system)
-        except ValueError:
-            inv = None
-        blocks.append(tuple(pieces))
-        systems.append(system)
-        to_pieces.append(inv)
-    return _Pieces(tuple(blocks), tuple(systems), tuple(to_pieces), tuple(lifts))
-
-
 def _check_degree(module: LefschetzModule, p: int) -> None:
     if not 0 <= p <= 2 * module.n:
         raise ValueError("degree out of range")
@@ -282,65 +227,51 @@ def kernel_L(module: LefschetzModule, p: int) -> Subspace:
     return module._subspaces[1][p]
 
 
-def lefschetz_blocks(
-    module: LefschetzModule, p: int
-) -> tuple[list[tuple[int, Subspace]], Matrix]:
-    """The Lefschetz pieces of H^p and the matrix B_p of their images.
-
-    Blocks are (i, primitive subspace of H^{p-2i}) for each i with L^i
-    nonzero on that subspace; the columns of B_p are L^i beta over each
-    block's basis in turn.  Under hard Lefschetz H^p is the direct sum of
-    the pieces L^i PH^{p-2i}, so B_p is square and invertible.
-    """
-    _check_degree(module, p)
-    pieces = module._pieces
-    return list(pieces.blocks[p]), pieces.systems[p]
-
-
 def lefschetz_decompose_class(
     module: LefschetzModule, p: int, v: Sequence[Fraction]
 ) -> list[tuple[int, tuple[Fraction, ...]]]:
     """Unique decomposition v = sum_i L^i beta_i with beta_i primitive.
 
     Requires the hard Lefschetz property; the returned beta_i are vectors
-    in H^{p-2i} and only the nonzero components are listed.  The coordinates
-    of v on the pieces are B_p^{-1} v.
+    in H^{p-2i} and only the nonzero components are listed.  One
+    `reduce_columns` runs over the pieces e^i L^i beta_t, for each beta_t
+    in the integer basis of PH^{p-2i} with i <= n - (p-2i), and then D v,
+    where e is the denominator of `integer_l_maps` and D the lcm of the
+    denominators of v.  Under hard Lefschetz the pieces are a basis of H^p,
+    so D v reduces to zero, and its column w of V gives
+    beta_i = sum_t w_t e^i beta_t / (-w_last D).
     """
     if not check_hard_lefschetz(module).hlp:
         raise HardLefschetzError("module does not satisfy hard Lefschetz")
     _check_degree(module, p)
     if len(v) != module.dims[p]:
         raise ValueError("vector length does not match dim H^p")
-    pieces = module._pieces
-    coords = pieces.to_pieces[p].apply(v)
-    out = []
-    pos = 0
-    for i, prim in pieces.blocks[p]:
-        coeffs = coords[pos : pos + prim.dim]
-        pos += prim.dim
-        if any(coeffs):
-            out.append((i, prim.basis.apply(coeffs)))
-    return out
-
-
-def star_matrix(module: LefschetzModule, p: int) -> Matrix:
-    """Model star H^p -> H^{2n-p}: sum_i L^i beta_i maps to sum_i L^{n-p+i} beta_i.
-
-    One product, [L^{n-p+i} beta columns] @ B_p^{-1}, with the columns
-    kept in the module's blocks.  Needs the hard Lefschetz property; the
-    caller checks it once for the whole module.  On PH^p it is L^{n-p},
-    which `lefschetz_columns` applies without this matrix.
-    """
-    _check_degree(module, p)
     n = module.n
-    pieces = module._pieces
-    to_pieces = pieces.to_pieces[p]
-    if to_pieces is None:
-        raise HardLefschetzError(f"H^{p} is not the sum of its Lefschetz pieces")
-    cols: list[tuple[Fraction, ...]] = []
-    for i, prim in pieces.blocks[p]:
-        cols += pieces.lifts[p - 2 * i][n - p + i].columns()
-    return Matrix.from_cols(cols, rows=module.dims[2 * n - p]) @ to_pieces
+    L, e = module._integer_l_maps
+    primitive = module._structure.columns.primitive
+    blocks = []  # (i, index of the first piece of L^i PH^{p-2i})
+    cols: list[SparseColumn] = []
+    for i in range(p // 2 + 1):
+        d = p - 2 * i
+        if i > n - d:  # d > n, or L^i kills PH^d
+            continue
+        blocks.append((i, len(cols)))
+        for beta in primitive[d]:
+            for m in range(i):
+                beta = apply_columns(L[d + 2 * m], beta)
+            cols.append(beta)
+    den = lcm(*(x.denominator for x in v))
+    cols.append({j: (x * den).numerator for j, x in enumerate(v) if x})
+    w = reduce_columns(cols)[1][-1]
+    scale = -w[len(cols) - 1] * den
+    out = []
+    for i, start in blocks:
+        basis = primitive[p - 2 * i]
+        beta = apply_columns(basis, {t: w.get(start + t, 0) for t in range(len(basis))})
+        if beta:
+            dim = module.dims[p - 2 * i]
+            out.append((i, tuple(Fraction(beta.get(j, 0) * e**i, scale) for j in range(dim))))
+    return out
 
 
 def reconstruct_class(

@@ -8,9 +8,10 @@ Each verifier compares engine output against a closed-form prediction:
 - C-type degeneration: stable page <= 2 and de Rham dims given by the
   binomial convolution with the base dims.
 - Betti recursions inverting those formulas.
-- Harmonic bases and the star duality between their two halves, on the
-  integer bases and star images of the base's Lefschetz structure
-  (`lefschetz.lefschetz_columns`).  Its ranks of cohomology classes are
+- Harmonic bases and the star duality between their two halves, both
+  built from the integer bases and star images of the base's Lefschetz
+  structure (`lefschetz.lefschetz_columns`), never from the canonical
+  subspaces.  Star duality's ranks of cohomology classes are
   column reductions that start from the boundaries of H^k, already reduced
   by direct cohomology, and reduce only the new columns.
 
@@ -37,13 +38,7 @@ from .invariant import (
     cohomology,
     filtered_complex,
 )
-from .lefschetz import (
-    LefschetzModule,
-    check_hard_lefschetz,
-    kernel_L,
-    lefschetz_columns,
-    primitive_subspace,
-)
+from .lefschetz import LefschetzModule, check_hard_lefschetz, lefschetz_columns
 from .linalg import SparseColumn, apply_columns, reduce_columns
 
 _ZERO = Fraction(0)
@@ -156,9 +151,11 @@ def kernel_d2(c: InvariantComplex, p: int, q: int) -> tuple[int, int]:
     violation = _hypothesis(c)
     if violation:
         raise HypothesisError(violation)
+    if p < 0:
+        raise ValueError("degree out of range")
     page2 = compute_page(filtered_complex(c), 2)
     actual = page2.dim(p, q) - page2.d_rank(p, q)
-    zdim = kernel_L(c.base, p).dim if p <= 2 * c.base.n else 0
+    zdim = check_hard_lefschetz(c.base).kernel_L_dims[p] if p <= 2 * c.base.n else 0
     hdim = c.base.dim_at(p)
     expected = _binom(c.s - 1, q) * hdim + _binom(c.s - 1, q - 1) * zdim
     return actual, expected
@@ -322,14 +319,14 @@ def _eta_product(factors: Sequence[dict[tuple[int, ...], int]]) -> dict[tuple[in
     return acc
 
 
-def _chain_from_eta(c: InvariantComplex, eta_form, p: int, h: Sequence[Fraction]):
-    """The chain sum_I coeff_I eta_I (x) h as an InvariantElement."""
-    degree = p + (len(next(iter(eta_form))) if eta_form else 0)
+def _chain_from_eta(
+    c: InvariantComplex, eta_form: dict[tuple[int, ...], int], p: int, h: SparseColumn
+) -> InvariantElement:
+    """The chain sum_I a_I eta_I (x) h as an InvariantElement."""
+    degree, vector = _integer_chain(c, eta_form, p, h)
     coeffs = [_ZERO] * c.dim(degree)
-    for subset, ec in eta_form.items():
-        for t, hv in enumerate(h):
-            if hv:
-                coeffs[c.index_of(degree, (subset, p, t))] += ec * hv
+    for i, x in vector.items():
+        coeffs[i] = Fraction(x)
     return InvariantElement(degree, tuple(coeffs))
 
 
@@ -347,18 +344,19 @@ def harmonic_basis_S(
 
     Part A: products of differences (eta_1 - eta_i) over subsets of {2..s}
     times primitive classes.  Part B: eta_1 eta_I times Ker(L) classes.
+    The classes are the integer bases of PH^p and Ker L that
+    `lefschetz_columns` holds.
     """
     violation = _hypothesis(c)
     if violation:
         raise HypothesisError(violation)
+    columns = lefschetz_columns(c.base)
     part_a: list[InvariantElement] = []
     part_b: list[InvariantElement] = []
     for differences, with_eta_1 in _harmonic_eta_forms(c.s):
         for p in range(2 * c.base.n + 1):
-            primitive = primitive_subspace(c.base, p).basis.columns()
-            kernel = kernel_L(c.base, p).basis.columns()
-            part_a += [_chain_from_eta(c, differences, p, beta) for beta in primitive]
-            part_b += [_chain_from_eta(c, with_eta_1, p, kappa) for kappa in kernel]
+            part_a += [_chain_from_eta(c, differences, p, beta) for beta in columns.primitive[p]]
+            part_b += [_chain_from_eta(c, with_eta_1, p, kappa) for kappa in columns.kernel[p]]
     return part_a, part_b
 
 

@@ -37,7 +37,12 @@ def dense_differentials(c: InvariantComplex) -> tuple[Matrix, ...]:
 
 
 def lefschetz_structure(module: LefschetzModule):
-    """(report, primitive, kernel, blocks, systems, to_pieces), as `_Structure` holds them."""
+    """(report, primitive, kernel, blocks, systems, to_pieces) of the module.
+
+    `blocks[p]` are the pieces (i, PH^{p-2i}) with L^i nonzero on them,
+    `systems[p]` is B_p, the matrix of their L^i beta columns, and
+    `to_pieces[p]` is B_p^{-1}, or None when B_p is not invertible.
+    """
     n = module.n
     degrees = range(2 * n + 1)
     failing = None

@@ -1,0 +1,155 @@
+"""Mutation check: does some test fail on each recorded mutant of the package?
+
+    python tests/mutants.py              # every mutant
+    python tests/mutants.py e-power ...  # the named ones
+
+Each mutant replaces one snippet of the source of `src/specseq`.  The
+package, the tests and `pyproject.toml` are copied into a temporary
+directory, the snippet is replaced in the copy, and pytest runs the
+mutant's tests there with a fixed Hypothesis seed; the working tree is
+never written.  One line per mutant: "caught by" and the first test that
+failed (with the number of the others), "SURVIVED" when every test passed,
+or "STALE" when the snippet is not in the source exactly once.  The exit
+status is 1 when any mutant survived or is stale.
+
+A mutant that survives is a missing test, unless it is equivalent to the
+code it replaces.  Standard library only; the name keeps tier-1 from
+collecting this file.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+_DECOMPOSE = ["tests/test_lefschetz.py", "tests/test_acceptance.py::test_criterion_8_decompositions"]
+_STAR = ["tests/test_verify.py", "tests/test_acceptance.py", "tests/test_analyze_golden.py"]
+_VIEWS = ["tests/test_invariant.py", "tests/test_engine.py"]
+
+# (name, file under src/specseq, snippet, replacement, tests to run)
+MUTANTS = [
+    # lefschetz_decompose_class on the integer columns.
+    (
+        "e-power",
+        "lefschetz.py",
+        "beta.get(j, 0) * e**i, scale",
+        "beta.get(j, 0), scale",
+        _DECOMPOSE,
+    ),
+    (
+        "scale-sign",
+        "lefschetz.py",
+        "scale = -w[len(cols) - 1] * den",
+        "scale = w[len(cols) - 1] * den",
+        _DECOMPOSE,
+    ),
+    # Allowing i > n - d instead is an equivalent mutant: those pieces
+    # L^i beta are zero columns, which take no part in the reduction.
+    (
+        "i-at-n-minus-d-dropped",
+        "lefschetz.py",
+        "if i > n - d:  # d > n, or L^i kills PH^d",
+        "if i >= n - d:",
+        _DECOMPOSE,
+    ),
+    (
+        "v-first",
+        "lefschetz.py",
+        "cols.append({j: (x * den).numerator for j, x in enumerate(v) if x})",
+        "cols.insert(0, {j: (x * den).numerator for j, x in enumerate(v) if x})",
+        _DECOMPOSE,
+    ),
+    # Star duality's ranks from the boundaries of H^k, and the dense views.
+    (
+        "drop-a-boundary-pivot",
+        "verify.py",
+        "pivots=q.boundaries)",
+        "pivots=dict(list(q.boundaries.items())[1:]))",
+        _STAR,
+    ),
+    (
+        "boundaries-one-degree-down",
+        "verify.py",
+        "_class_ranks(classes[k2], closed, a2, b2)",
+        "_class_ranks(classes[k2 - 1], closed, a2, b2)",
+        _STAR,
+    ),
+    (
+        "model-view-den-plus-one",
+        "invariant.py",
+        "from_integer_columns(cols, self.dim(k + 1), den)",
+        "from_integer_columns(cols, self.dim(k + 1), den + 1)",
+        _VIEWS,
+    ),
+    (
+        "engine-view-den-plus-one",
+        "engine.py",
+        "from_integer_columns(cols, self.dim(k + 1), den)",
+        "from_integer_columns(cols, self.dim(k + 1), den + 1)",
+        _VIEWS,
+    ),
+    (
+        "row-index-at-the-target-dimension",
+        "engine.py",
+        "if not 0 <= i < rows:",
+        "if not 0 <= i <= rows:",
+        _VIEWS,
+    ),
+]
+
+
+def run(file: str, snippet: str, replacement: str, tests: list[str]) -> str:
+    with tempfile.TemporaryDirectory() as tmp:
+        copy = Path(tmp)
+        ignore = shutil.ignore_patterns("__pycache__", ".hypothesis")
+        for part in ("src", "tests"):
+            shutil.copytree(ROOT / part, copy / part, ignore=ignore)
+        shutil.copy(ROOT / "pyproject.toml", copy)
+        path = copy / "src" / "specseq" / file
+        text = path.read_text()
+        if text.count(snippet) != 1:
+            return f"STALE: the snippet occurs {text.count(snippet)} times in {file}"
+        path.write_text(text.replace(snippet, replacement))
+        proc = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "--tb=no", "-rfE",
+             "--hypothesis-seed=0", *tests],
+            cwd=copy,
+            env={**os.environ, "PYTHONPATH": str(copy / "src")},
+            capture_output=True,
+            text=True,
+        )
+    failed = [
+        line.split()[1] for line in proc.stdout.splitlines() if line.startswith(("FAILED ", "ERROR "))
+    ]
+    if failed:
+        more = f" and {len(failed) - 1} more" if len(failed) > 1 else ""
+        return f"caught by {failed[0]}{more}"
+    if proc.returncode == 0:
+        return "SURVIVED"
+    return f"ERROR: pytest exited with {proc.returncode}"
+
+
+def main(names: list[str]) -> int:
+    known = {m[0] for m in MUTANTS}
+    unknown = [n for n in names if n not in known]
+    if unknown:
+        print(f"unknown mutant: {', '.join(unknown)}", file=sys.stderr)
+        return 2
+    bad = 0
+    for name, file, snippet, replacement, tests in MUTANTS:
+        if names and name not in names:
+            continue
+        outcome = run(file, snippet, replacement, tests)
+        bad += not outcome.startswith("caught")
+        print(f"{name}: {outcome}", flush=True)
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -133,11 +133,11 @@ def test_analyze_computes_the_sequence_once(monkeypatch, capsys):
         if hasattr(module, name)
     ]
     # The Lefschetz structure and star duality work on integer columns: no
-    # dense kernel, inverse, star matrix, product or canonical subspace.
+    # dense kernel, inverse, product or canonical subspace.
     targets += [
         (module, name)
         for module in (verify, lefschetz, linalg)
-        for name in ("star_matrix", "inverse", "kernel_basis", "subspace_sum")
+        for name in ("_span", "inverse", "kernel_basis", "subspace_sum")
         if hasattr(module, name)
     ]
     # d o d = 0 is checked once, when the engine's complex is built: direct

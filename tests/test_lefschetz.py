@@ -13,12 +13,10 @@ from specseq.lefschetz import (
     integer_l_maps,
     kernel_L,
     l_power,
-    lefschetz_blocks,
     lefschetz_columns,
     lefschetz_decompose_class,
     primitive_subspace,
     reconstruct_class,
-    star_matrix,
     zero_l_block,
 )
 from specseq.linalg import Matrix, Subspace, image_basis, integer_columns
@@ -37,6 +35,39 @@ def pdim_strategy(n):
 modules = st.integers(1, 3).flatmap(
     lambda n: st.tuples(st.just(n), pdim_strategy(n), st.integers(0, 2**31))
 ).map(lambda t: generate_hlp_module(t[2], t[0], t[1]))
+
+
+def _conjugate(m, diagonals):
+    """m with L_p replaced by D_{p+2} L_p D_p^{-1}, D_p = diag(diagonals[p])."""
+    l_maps = tuple(
+        Matrix(
+            l.rows,
+            l.cols,
+            tuple(
+                tuple(diagonals[p + 2][i] * x / diagonals[p][j] for j, x in enumerate(row))
+                for i, row in enumerate(l.entries)
+            ),
+        )
+        for p, l in enumerate(m.L_maps)
+    )
+    return LefschetzModule(m.n, m.dims, l_maps)
+
+
+_odd_units = st.builds(Q, st.sampled_from([1, -1, 3, -3, 5]), st.sampled_from([1, 3, 5]))
+
+# A graded automorphism keeps hard Lefschetz.  A diagonal one with odd
+# entries over 2^p in degree p gives L a common denominator e > 1 (a factor
+# 1/4 on an L that has an odd entry), which the generated modules never have.
+scaled_modules = (
+    modules.flatmap(
+        lambda m: st.tuples(
+            st.just(m),
+            st.tuples(*(st.lists(_odd_units, min_size=d, max_size=d) for d in m.dims)),
+        )
+    )
+    .map(lambda t: _conjugate(t[0], [[u / 2**p for u in us] for p, us in enumerate(t[1])]))
+    .filter(lambda m: integer_l_maps(m)[1] > 1)
+)
 
 
 def test_check_hlp_cp1(cp1):
@@ -126,7 +157,7 @@ def test_decompose_trivial_cases(cp1):
 
 
 @settings(deadline=None, max_examples=25)
-@given(modules, st.data())
+@given(modules | scaled_modules, st.data())
 def test_decompose_reconstruct_roundtrip(m, data):
     p = data.draw(st.integers(0, 2 * m.n))
     v = tuple(
@@ -150,11 +181,15 @@ def test_decompose_requires_hlp():
 @settings(deadline=None, max_examples=25)
 @given(modules)
 def test_star_matrix_matches_per_class_construction(m):
-    # Oracle: decompose each basis class, v = sum_i L^i beta_i, and map it to
-    # sum_i L^{n-p+i} beta_i one class at a time.
+    # The oracle's star matrix against the decomposition: decompose each
+    # basis class, v = sum_i L^i beta_i, and map it to sum_i L^{n-p+i} beta_i
+    # one class at a time.
     n = m.n
+    to_pieces = oracle.lefschetz_structure(m)[5]
     for p in range(2 * n + 1):
-        star = star_matrix(m, p)
+        if to_pieces[p] is None:
+            continue
+        star = oracle.star_matrix(m, p)
         assert (star.rows, star.cols) == (m.dims[2 * n - p], m.dims[p])
         for t in range(m.dims[p]):
             v = tuple(Q(int(j == t)) for j in range(m.dims[p]))
@@ -171,20 +206,14 @@ def _maybe_broken(m, seed):
 
 
 @settings(deadline=None, max_examples=30)
-@given(modules, st.integers(0, 2**31))
+@given(modules | scaled_modules, st.integers(0, 2**31))
 def test_structure_matches_the_l_power_oracle(m, seed):
     m = _maybe_broken(m, seed)
-    report, primitive, kernel, blocks, systems, to_pieces = oracle.lefschetz_structure(m)
+    report, primitive, kernel = oracle.lefschetz_structure(m)[:3]
     assert check_hard_lefschetz(m) == report
     for p in range(2 * m.n + 1):
         assert primitive_subspace(m, p) == primitive[p]
         assert kernel_L(m, p) == kernel[p]
-        assert lefschetz_blocks(m, p) == (list(blocks[p]), systems[p])
-        if to_pieces[p] is None:
-            with pytest.raises(HardLefschetzError):
-                star_matrix(m, p)
-        else:
-            assert star_matrix(m, p) == oracle.star_matrix(m, p)
 
 
 def _dense(v, dim):
@@ -215,15 +244,15 @@ def test_star_images_are_positive_multiples_of_the_star(m, seed):
     m = _maybe_broken(m, seed)
     n = m.n
     columns = lefschetz_columns(m)
+    to_pieces = oracle.lefschetz_structure(m)[5]
     for p, dim in enumerate(m.dims):
         assert len(columns.star[p]) == len(columns.primitive[p])
         if not columns.primitive[p]:
             continue
-        try:
-            star = star_matrix(m, p)
-        except HardLefschetzError:
+        if to_pieces[p] is None:
             assert not check_hard_lefschetz(m).hlp
             continue
+        star = oracle.star_matrix(m, p)
         for beta, image in zip(columns.primitive[p], columns.star[p], strict=True):
             expected = star.apply(_dense(beta, dim))
             actual = _dense(image, m.dims[2 * n - p])
@@ -245,15 +274,6 @@ def test_integer_l_maps_share_one_denominator():
     assert den == 6
     assert columns == ([{0: 3, 1: 4}], [], [{}, {}])
     assert [integer_columns(l, den) for l in m.L_maps] == list(columns)
-
-
-def test_star_matrix_requires_hlp():
-    m = LefschetzModule(
-        1, (1, 0, 1), (Matrix.zero(1, 1), Matrix.zero(0, 0), Matrix.zero(0, 1))
-    )
-    # H^2 has no Lefschetz piece at all: L H^0 = 0.
-    with pytest.raises(HardLefschetzError):
-        star_matrix(m, 2)
 
 
 def test_zero_l_block_breaks_hlp():

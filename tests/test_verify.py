@@ -15,7 +15,7 @@ from specseq.invariant import (
     differential,
     filtered_complex,
 )
-from specseq import verify
+from specseq import lefschetz, linalg, verify
 from specseq.lefschetz import (
     LefschetzModule,
     check_hard_lefschetz,
@@ -95,6 +95,14 @@ def test_kernel_d2_matches_prediction(base, s):
 def test_kernel_d2_hypothesis_guard(cp1):
     with pytest.raises(HypothesisError):
         kernel_d2(build_model(cp1, 1, [0]), 0, 0)
+
+
+def test_kernel_d2_at_the_degree_edges(cp2):
+    c = build_model(cp2, 2, [1, 1])
+    with pytest.raises(ValueError, match="degree out of range"):
+        kernel_d2(c, -1, 1)
+    # Above the top degree H^p and Ker L are zero.
+    assert [kernel_d2(c, 2 * cp2.n + 1, q) for q in range(3)] == [(0, 0)] * 3
 
 
 def test_expected_dims_mainS_examples(cp1, cp2):
@@ -345,6 +353,25 @@ def test_harmonic_basis_S_counts_and_independence(base, s):
         classes = [q.project.apply(v) for v in vecs]
         span = Subspace.span(q.dim, classes) if classes else Subspace.zero(q.dim)
         assert span.dim == len(vecs) == q.dim
+
+
+def test_harmonic_basis_and_star_duality_build_no_canonical_subspace(monkeypatch):
+    # Both read the integer bases of the Lefschetz structure, so neither
+    # builds the dense `Subspace` of `primitive_subspace` or `kernel_L`.
+    spans = []
+    monkeypatch.setattr(
+        lefschetz, "_span", lambda *a, _fn=lefschetz._span: spans.append(a) or _fn(*a)
+    )
+    monkeypatch.setattr(
+        linalg.Subspace,
+        "span",
+        staticmethod(lambda *a, _fn=linalg.Subspace.span: spans.append(a) or _fn(*a)),
+    )
+    c = build_model(generate_hlp_module(4, 2, (1, 1, 1)), 2, [1, 1])
+    part_a, part_b = harmonic_basis_S(c)
+    assert model_star_duality(c).passed
+    assert part_a and part_b
+    assert spans == []
 
 
 def test_model_star_duality_presets():

@@ -16,7 +16,7 @@ usual e^1, eta_1 notation.
 from __future__ import annotations
 
 import itertools
-import operator
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
@@ -55,7 +55,7 @@ class ModelFrame:
         return 2 * self.n + self.s
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Multivector:
     """Homogeneous element of the exterior algebra over the model space.
 
@@ -100,7 +100,7 @@ class Multivector:
 
     def is_transverse(self) -> bool:
         td = self.frame.transverse_dim
-        return all(i < td for idx, _ in self.terms for i in idx)
+        return all(not idx or idx[-1] < td for idx, _ in self.terms)
 
     def coefficient(self, idx: Sequence[int]) -> Fraction:
         idx = tuple(idx)
@@ -110,24 +110,26 @@ class Multivector:
         return _ZERO
 
     def __add__(self, other: "Multivector") -> "Multivector":
-        return self._combine(other, operator.add)
-
-    def __sub__(self, other: "Multivector") -> "Multivector":
-        return self._combine(other, operator.sub)
-
-    def _combine(self, other: "Multivector", op) -> "Multivector":
         _check_frames(self, other)
         if self.degree != other.degree:
             raise ValueError("cannot add forms of different degrees")
         acc = dict(self.terms)
         for idx, c in other.terms:
-            acc[idx] = op(acc.get(idx, _ZERO), c)
+            prev = acc.get(idx)
+            acc[idx] = c if prev is None else prev + c
         return Multivector._trusted(self.frame, self.degree, acc)
+
+    def __sub__(self, other: "Multivector") -> "Multivector":
+        return self + -other
 
     def __neg__(self) -> "Multivector":
         return self.scaled(-1)
 
     def scaled(self, c) -> "Multivector":
+        if c == 1:
+            return self
+        if c == -1:
+            return Multivector(self.frame, self.degree, tuple((idx, -v) for idx, v in self.terms))
         c = c if isinstance(c, Fraction) else Fraction(c)
         if not c:
             return Multivector.zero(self.frame, self.degree)
@@ -138,7 +140,7 @@ class Multivector:
 
 
 def _check_frames(a: Multivector, b: Multivector):
-    if a.frame != b.frame:
+    if a.frame is not b.frame and a.frame != b.frame:
         raise FrameMismatch(f"frames differ: {a.frame} vs {b.frame}")
 
 
@@ -186,17 +188,31 @@ def _inversion_parity(seq: Sequence[int]) -> int:
 
 
 def _merge_sign(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[tuple[int, ...], int] | None:
-    """Sorted concatenation of two increasing tuples with the wedge sign."""
-    if set(a) & set(b):
-        return None
-    return tuple(sorted(a + b)), (-1) ** _inversion_parity(a + b)
+    """Sorted concatenation of two increasing tuples with the wedge sign, or
+    None when they share an index.
+
+    The inversions of a + b are the pairs x in a, y in b with x > y; for each
+    y they are the bits of a's mask above y.
+    """
+    mask = 0
+    for x in a:
+        mask |= 1 << x
+    parity = 0
+    for y in b:
+        if mask & (1 << y):
+            return None
+        parity += (mask >> y).bit_count()
+    return tuple(sorted(a + b)), -1 if parity & 1 else 1
 
 
 def _complement_sign(idx: tuple[int, ...], total: int) -> tuple[tuple[int, ...], int]:
+    """The indices of range(total) missing from idx, and the sign of idx + them.
+
+    idx[k] - k complement indices lie below idx[k], each an inversion.
+    """
     comp = tuple(i for i in range(total) if i not in idx)
-    merged = _merge_sign(idx, comp)
-    assert merged is not None
-    return comp, merged[1]
+    k = len(idx)
+    return comp, -1 if (sum(idx) - k * (k - 1) // 2) & 1 else 1
 
 
 def wedge(a: Multivector, b: Multivector) -> Multivector:
@@ -208,14 +224,30 @@ def wedge(a: Multivector, b: Multivector) -> Multivector:
             if merged is None:
                 continue
             idx, sign = merged
-            acc[idx] = acc.get(idx, _ZERO) + sign * ca * cb
+            c = ca * cb if sign > 0 else -(ca * cb)
+            prev = acc.get(idx)
+            acc[idx] = c if prev is None else prev + c
     return Multivector._trusted(a.frame, a.degree + b.degree, acc)
 
 
 def lefschetz_L(a: Multivector) -> Multivector:
-    """omega ^ a (degree +2)."""
+    """omega ^ a (degree +2): insert each pair e^{2i-1} ^ e^{2i} missing from a term.
+
+    The pair passes the indices below it as a block of two, so no sign
+    arises; L is the transpose of lambda_op's contraction.
+    """
     _require_transverse(a)
-    return wedge(omega(a.frame), a)
+    acc: dict[tuple[int, ...], Fraction] = {}
+    for idx, c in a.terms:
+        for i in range(a.frame.n):
+            lo = 2 * i
+            if lo in idx or lo + 1 in idx:
+                continue
+            p = bisect_left(idx, lo)
+            key = idx[:p] + (lo, lo + 1) + idx[p:]
+            prev = acc.get(key)
+            acc[key] = c if prev is None else prev + c
+    return Multivector._trusted(a.frame, a.degree + 2, acc)
 
 
 def _require_transverse(a: Multivector):
@@ -238,9 +270,10 @@ def hodge_star_transverse(a: Multivector) -> Multivector:
     _require_transverse(a)
     td = a.frame.transverse_dim
     acc: dict[tuple[int, ...], Fraction] = {}
+    # Distinct terms have distinct complements, so nothing accumulates.
     for idx, c in a.terms:
         comp, sign = _complement_sign(idx, td)
-        acc[comp] = acc.get(comp, _ZERO) + sign * c
+        acc[comp] = c if sign > 0 else -c
     return Multivector._trusted(a.frame, td - a.degree, acc)
 
 
@@ -255,7 +288,7 @@ def full_hodge_star(a: Multivector) -> Multivector:
     acc: dict[tuple[int, ...], Fraction] = {}
     for idx, c in a.terms:
         comp, sign = _complement_sign(idx, total)
-        acc[comp] = acc.get(comp, _ZERO) + sign * c
+        acc[comp] = c if sign > 0 else -c
     return Multivector._trusted(a.frame, total - a.degree, acc)
 
 
@@ -296,7 +329,8 @@ def lambda_op(a: Multivector) -> Multivector:
         for k in range(len(idx) - 1):
             if idx[k] % 2 == 0 and idx[k + 1] == idx[k] + 1:
                 key = idx[:k] + idx[k + 2 :]
-                acc[key] = acc.get(key, _ZERO) + c
+                prev = acc.get(key)
+                acc[key] = c if prev is None else prev + c
     return Multivector._trusted(a.frame, a.degree - 2, acc)
 
 

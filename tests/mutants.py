@@ -31,6 +31,7 @@ ROOT = Path(__file__).resolve().parent.parent
 _DECOMPOSE = ["tests/test_lefschetz.py", "tests/test_acceptance.py::test_criterion_8_decompositions"]
 _STAR = ["tests/test_verify.py", "tests/test_acceptance.py", "tests/test_analyze_golden.py"]
 _VIEWS = ["tests/test_invariant.py", "tests/test_engine.py"]
+_EXTERIOR = ["tests/test_exterior.py"]
 
 # (name, file under src/specseq, snippet, replacement, tests to run)
 MUTANTS = [
@@ -100,6 +101,37 @@ MUTANTS = [
         "if not 0 <= i < rows:",
         "if not 0 <= i <= rows:",
         _VIEWS,
+    ),
+    # The exterior-algebra signs and the pair insertion.  Shifting the merge
+    # mask by y + 1 is an equivalent mutant: y is not an index of a.
+    (
+        "merge-parity-below-y",
+        "exterior.py",
+        "parity += (mask >> y).bit_count()",
+        "parity += (mask & ((1 << y) - 1)).bit_count()",
+        _EXTERIOR,
+    ),
+    (
+        "complement-parity-off-by-one-per-index",
+        "exterior.py",
+        "(sum(idx) - k * (k - 1) // 2) & 1",
+        "(sum(idx) - k * (k + 1) // 2) & 1",
+        _EXTERIOR,
+    ),
+    (
+        "pair-insertion-sign-at-odd-i",
+        "exterior.py",
+        "acc[key] = c if prev is None else prev + c\n    return Multivector._trusted(a.frame, a.degree + 2, acc)",
+        "acc[key] = (-c if i % 2 else c) if prev is None else prev + (-c if i % 2 else c)\n"
+        "    return Multivector._trusted(a.frame, a.degree + 2, acc)",
+        _EXTERIOR,
+    ),
+    (
+        "scaled-minus-one-is-self",
+        "exterior.py",
+        "return Multivector(self.frame, self.degree, tuple((idx, -v) for idx, v in self.terms))",
+        "return self",
+        _EXTERIOR,
     ),
 ]
 

@@ -12,6 +12,7 @@ from specseq.exterior import (
     Multivector,
     TransverseRequired,
     _complement_sign,
+    _merge_sign,
     covector,
     eta,
     form_inner_product,
@@ -30,6 +31,7 @@ from specseq.exterior import (
     transverse_volume,
     wedge,
 )
+from specseq.modelfile import FLAG_LIMITS
 
 Q = Fraction
 
@@ -68,6 +70,35 @@ def test_sub_and_scaled_drop_zero_terms():
         a - mono(f, 1, (0,))
     with pytest.raises(FrameMismatch):
         a - mono(ModelFrame(3), 2, (0, 1))
+
+
+def _sign_by_count(a, b):
+    """(-1) to the number of pairs x in a, y in b with x > y: the sign of
+    sorting the concatenation a + b of two increasing tuples."""
+    return (-1) ** sum(x > y for x in a for y in b)
+
+
+def _complement_by_count(idx, total):
+    comp = tuple(i for i in range(total) if i not in idx)
+    return comp, _sign_by_count(idx, comp)
+
+
+def test_merge_and_complement_signs_count_the_inversions():
+    subsets = [c for k in range(8) for c in itertools.combinations(range(7), k)]
+    for a in subsets:
+        for total in range(max(a, default=-1) + 1, 8):
+            assert _complement_sign(a, total) == _complement_by_count(a, total)
+        for b in subsets:
+            expect = None if set(a) & set(b) else (tuple(sorted(a + b)), _sign_by_count(a, b))
+            assert _merge_sign(a, b) == expect
+
+
+def test_scaled_by_one_minus_one_and_zero_match_the_products():
+    f = ModelFrame(2)
+    a = mono(f, 2, (0, 1), Q(2, 3)) + mono(f, 2, (1, 3), -5)
+    for c in (1, -1, 0, Q(1), Q(-1), Q(0)):
+        product = Multivector(f, 2, tuple((idx, Q(c) * v) for idx, v in a.terms if c))
+        assert a.scaled(c) == product
 
 
 def test_wedge_basic():
@@ -124,6 +155,16 @@ def test_lefschetz_L_cases():
     assert lefschetz_L(covector(f2, 1)) == mono(f2, 3, (0, 2, 3))
 
 
+@settings(deadline=None, max_examples=80)
+@given(
+    st.integers(0, 4).flatmap(
+        lambda n: st.integers(0, 2 * n).flatmap(lambda r: random_forms(ModelFrame(n), r))
+    )
+)
+def test_lefschetz_L_is_the_wedge_with_omega(a):
+    assert lefschetz_L(a) == wedge(omega(a.frame), a)
+
+
 def test_symplectic_star_low_degree():
     f = ModelFrame(1)
     assert symplectic_star(scalar(f)) == transverse_volume(f)
@@ -175,7 +216,7 @@ def _symplectic_star_by_pairing(a):
     for b_idx in monomials(a.frame, a.degree):
         val = sum((c * _omega_pairing(b_idx, m_idx) for m_idx, c in a.terms), Q(0))
         if val:
-            comp, sign = _complement_sign(b_idx, td)
+            comp, sign = _complement_by_count(b_idx, td)
             acc[comp] = acc.get(comp, Q(0)) + sign * val
     return Multivector.make(a.frame, td - a.degree, acc)
 
@@ -343,8 +384,14 @@ def test_full_hodge_star_top_form():
     assert full_hodge_star(eta(f, 1)) == transverse_volume(f)
 
 
-@pytest.mark.parametrize("n", [0, 1, 2])
-@pytest.mark.parametrize("s", [0, 1, 2, 3])
+def _flag_range(flag):
+    low, high = FLAG_LIMITS["star-check"][flag]
+    return range(low, high + 1)
+
+
+# Every frame `specseq star-check` accepts.
+@pytest.mark.parametrize("n", _flag_range("n"))
+@pytest.mark.parametrize("s", _flag_range("s"))
 def test_star_relation_exhaustive(n, s):
     assert star_relation_counterexamples(ModelFrame(n, s)) == []
 

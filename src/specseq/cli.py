@@ -4,6 +4,9 @@ Subcommands: analyze, generate, recursion, star-check, presets, decompose,
 listed once in `build_parser`.  `main` builds the parser of the subcommand
 its command line names and no other; help, usage and error text are those of
 the parser with every subcommand.
+`analyze` runs every verifier that applies on the one complex it builds;
+the verifiers share the analysis the complex keeps, so its pages and its
+cohomology are computed once, and the report prints them from there.
 Exit codes: 0 all applicable checks pass, 1 a check fails (or the input is
 inconsistent with the theorems), 2 invalid input.
 """
@@ -19,7 +22,6 @@ import time
 from fractions import Fraction
 
 from . import __version__
-from .engine import run_to_convergence
 from .exterior import (
     ModelFrame,
     Multivector,
@@ -28,7 +30,7 @@ from .exterior import (
     primitive_decompose,
     star_relation_counterexamples,
 )
-from .invariant import cohomology, filtered_complex
+from .invariant import betti_numbers
 from .lefschetz import generate_hlp_module
 from .modelfile import (
     FLAG_LIMITS,
@@ -114,17 +116,14 @@ def cmd_analyze(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
     start = time.perf_counter()
-    fc = filtered_complex(complex_)
-    sequence = run_to_convergence(fc)
-    pages, stable_at = sequence
-    classes = cohomology(complex_, fc)
-    betti = tuple(q.dim for q in classes)
-    reports = [verify_E2(complex_, sequence)]
+    reports = [verify_E2(complex_)]
     if complex_.is_s_type():
-        reports.append(verify_mainS(complex_, sequence, betti))
-        reports.append(model_star_duality(complex_, classes))
+        reports.append(verify_mainS(complex_))
+        reports.append(model_star_duality(complex_))
     if complex_.is_c_type():
-        reports.append(verify_mainC(complex_, sequence))
+        reports.append(verify_mainC(complex_))
+    pages, stable_at = complex_.spectral_sequence
+    betti = betti_numbers(complex_)
     elapsed = time.perf_counter() - start
     name = mf.name or args.model
     if not args.quiet:

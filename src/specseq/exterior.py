@@ -342,14 +342,16 @@ def primitive_decompose(a: Multivector) -> list[tuple[int, Multivector]]:
     c_m = m! (n-d)! / (n-d-m)!, and Lambda^m kills L^i beta for i < m.  So,
     from the largest m down, beta_m = Lambda^m(rest) / c_m and rest loses
     L^m beta_m.  There are no primitive forms of degree d > n, and
-    L^m beta = 0 when m > n - d, so those m are skipped.  Returns the nonzero
-    (i, beta_i) in increasing i.
+    L^m beta = 0 when m > n - d, so those m are skipped.  The last step,
+    m = 0, has c_0 = 1, so for a form of degree r <= n, beta_0 is what is
+    left; for r > n there is no m = 0 step, and what is left must be zero.
+    Returns the nonzero (i, beta_i) in increasing i.
     """
     _require_transverse(a)
     n = a.frame.n
     rest = a
     out = []
-    for m in range(a.degree // 2, -1, -1):
+    for m in range(a.degree // 2, 0, -1):
         d = a.degree - 2 * m
         if d > n or m > n - d:
             continue
@@ -364,7 +366,10 @@ def primitive_decompose(a: Multivector) -> list[tuple[int, Multivector]]:
             image = lefschetz_L(image)
         rest = rest - image
         out.append((m, beta))
-    if not rest.is_zero():
+    if a.degree <= n:
+        if not rest.is_zero():
+            out.append((0, rest))
+    elif not rest.is_zero():
         raise ValueError("the primitive components do not reconstruct the form")
     return out[::-1]
 

@@ -13,12 +13,16 @@ what the spectral-sequence engine consumes.
 A complex holds each d_k as sparse integer columns and one denominator
 (`InvariantComplex.integer_d` and `.denominators`): `build_model` scatters
 integer products of the lambda numerators and the integer columns of L
-straight into them, and the engine, direct cohomology and the star-duality
-check read them.  `InvariantComplex.differentials`, the same maps as dense
-`Fraction` matrices, is a view for callers, built on first read; `analyze`
-never reads it.  Each layer of the basis is listed in descending basic
-degree, so the engine's reduction of each d_k is in basis order and direct
-cohomology can share it, and with it the engine's d o d = 0 check.
+straight into them.  The complex keeps its analysis, each part built once,
+on first read: the engine's filtered complex on those columns
+(`InvariantComplex.filtered_complex`, which checks d o d = 0 and reduces
+each d_k once), the pages with the stable page (`.spectral_sequence`) and
+direct cohomology (`.cohomology`), read off the same reductions.  Each layer
+of the basis is listed in descending basic degree, so those reductions are
+in basis order.  Every verifier reads these, so a model is analysed once,
+whichever verifiers run.  `InvariantComplex.differentials`, the same maps
+as dense `Fraction` matrices, is the engine's dense view, built on first
+read; `analyze` never reads it.
 """
 
 from __future__ import annotations
@@ -28,21 +32,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
+from .engine import FilteredComplex, SpectralPage, run_to_convergence
 from .lefschetz import LefschetzModule, integer_l_maps
-from .linalg import (
-    ContainmentError,
-    DimensionMismatch,
-    Matrix,
-    SparseColumn,
-    apply_columns,
-    from_integer_columns,
-    reduce_columns,
-)
-
-if TYPE_CHECKING:
-    from .engine import FilteredComplex
+from .linalg import DimensionMismatch, Matrix, SparseColumn
 
 _ZERO = Fraction(0)
 
@@ -87,17 +81,62 @@ class InvariantComplex:
         return tuple({b: i for i, b in enumerate(layer)} for layer in self.basis)
 
     @cached_property
-    def differentials(self) -> tuple[Matrix, ...]:
-        """Each d_k: C^k -> C^{k+1} as a dense `Fraction` matrix,
-        `integer_d[k]` over `denominators[k]`.
+    def filtered_complex(self) -> FilteredComplex:
+        """The complex with its basic-degree filtration, engine-ready.
 
-        A view for callers, built on first read; nothing on the `analyze`
-        path reads it.
+        The basis is adapted: each eta_I (x) h sits in filtration degree
+        deg h.  The engine reads `integer_d` with no conversion of its own,
+        checks d o d = 0 on it once, and builds its dense `d` only when read.
         """
-        return tuple(
-            from_integer_columns(cols, self.dim(k + 1), den)
-            for k, (cols, den) in enumerate(zip(self.integer_d, self.denominators))
+        degrees = tuple(tuple(p for _, p, _ in layer) for layer in self.basis)
+        return FilteredComplex(
+            None, degrees, 2 * self.base.n, integer_d=self.integer_d, denominators=self.denominators
         )
+
+    @cached_property
+    def spectral_sequence(self) -> tuple[tuple[SpectralPage, ...], int]:
+        """Pages E_0..E_{P+2} (E_{P+2} is E_infinity) and the first stable
+        page, as `run_to_convergence` gives them for `filtered_complex`."""
+        pages, stable_at = run_to_convergence(self.filtered_complex)
+        return tuple(pages), stable_at
+
+    @cached_property
+    def cohomology(self) -> tuple[CohomologyGroup, ...]:
+        """Per degree k, H^k, read off the engine's reduction of each d_k
+        (`FilteredComplex.basis_reductions`).
+
+        The reduction of d_k serves two degrees: its zero columns give
+        Ker d_k for H^k, and its nonzero columns give Im d_k, with distinct
+        lows, for H^{k+1}.  Since the engine checked d o d = 0, the reduced
+        column of d_{k-1} with its low at j lies in Ker d_k, so the engine
+        cleared column j of d_k: its V column is that boundary.  The other
+        zero columns of the reduced d_k are the essential indices, and their
+        V columns give the classes.  Each group's `boundaries` are those
+        reduced columns of d_{k-1} themselves.
+        """
+        reductions = self.filtered_complex.basis_reductions()
+        out = []
+        for k, (R, V, _) in enumerate(reductions):
+            lows_prev = reductions[k - 1][2] if k else {}
+            essential = [j for j, r in enumerate(R) if not r and j not in lows_prev]
+            slot = {j: t for t, j in enumerate(essential)}
+            steps = []
+            for j in range(len(R) - 1, -1, -1):
+                if R[j]:
+                    continue
+                rest = tuple((i, x) for i, x in V[j].items() if i != j)
+                steps.append((j, V[j][j], rest, slot.get(j, -1)))
+            group = CohomologyGroup(len(R), len(essential), tuple(steps))
+            vars(group)["boundaries"] = {low: V[low] for low in lows_prev}
+            out.append(group)
+        return tuple(out)
+
+    @property
+    def differentials(self) -> tuple[Matrix, ...]:
+        """Each d_k: C^k -> C^{k+1} as a dense `Fraction` matrix, the
+        engine's view `FilteredComplex.d`; nothing on the `analyze` path
+        reads it."""
+        return self.filtered_complex.d
 
     def is_s_type(self) -> bool:
         return all(lam == 1 for lam in self.lambdas)
@@ -244,69 +283,17 @@ class CohomologyGroup:
         return tuple(out)
 
 
-def cohomology(c: InvariantComplex, fc: FilteredComplex | None = None) -> list[CohomologyGroup]:
-    """Per degree k, H^k from one exact column reduction of each d_k.
-
-    Reducing d_k (`linalg.reduce_columns`) serves two degrees: its zero
-    columns give Ker d_k for H^k, and its nonzero columns give Im d_k, with
-    distinct lows, for H^{k+1}.  Each reduced column of d_{k-1} must be
-    killed by d_k and have its low at a zero column of the reduced d_k;
-    otherwise `ContainmentError` names k.  `.dim` is the Betti number,
-    `.project` maps cocycles to their classes and the columns of `.section`
-    are representative cocycles.
-
-    `fc` is `filtered_complex(c)`, when the caller has it: its reductions
-    (`FilteredComplex.basis_reductions`, which checks that they are in
-    basis order) serve here, and `d_k` is not applied to the reduced
-    columns of d_{k-1}, because `fc` checked d o d = 0 on the same columns
-    when it was built.  A filtered complex built on other columns than
-    `c.integer_d` is refused with `ValueError`.  Without `fc` each d_k is
-    reduced here and every check runs.
-    """
-    cols = c.integer_d
-    if fc is None:
-        reductions = [reduce_columns(d) for d in cols]
-    elif fc.integer_d is not cols:
-        raise ValueError("the filtered complex is not built on the columns of this complex")
-    else:
-        reductions = fc.basis_reductions()
-    check = fc is None
-    out = []
-    for k, (R, V, _) in enumerate(reductions):
-        boundaries: dict[int, SparseColumn] = {}
-        if k:
-            R_prev, _, lows_prev = reductions[k - 1]
-            for low, j in lows_prev.items():
-                if R[low] or (check and apply_columns(cols[k], R_prev[j])):
-                    raise ContainmentError(f"Im d_{k - 1} is not inside Ker d_{k} in degree {k}")
-                boundaries[low] = R_prev[j]
-        essential = [j for j in range(c.dim(k)) if not R[j] and j not in boundaries]
-        slot = {j: t for t, j in enumerate(essential)}
-        steps = []
-        for j in range(c.dim(k) - 1, -1, -1):
-            if R[j]:
-                continue
-            vec = boundaries[j] if j in boundaries else V[j]
-            rest = tuple((i, x) for i, x in vec.items() if i != j)
-            steps.append((j, vec[j], rest, slot.get(j, -1)))
-        out.append(CohomologyGroup(c.dim(k), len(essential), tuple(steps)))
-    return out
+def cohomology(c: InvariantComplex) -> tuple[CohomologyGroup, ...]:
+    """H^k for every degree k: `InvariantComplex.cohomology`.  `.dim` is the
+    Betti number, `.project` maps cocycles to their classes and the columns
+    of `.section` are representative cocycles."""
+    return c.cohomology
 
 
 def betti_numbers(c: InvariantComplex) -> tuple[int, ...]:
-    return tuple(q.dim for q in cohomology(c))
+    return tuple(q.dim for q in c.cohomology)
 
 
-def filtered_complex(c: InvariantComplex):
-    """The complex with its basic-degree filtration, engine-ready.
-
-    The basis is adapted: each eta_I (x) h sits in filtration degree deg h.
-    The engine reads the complex's integer columns, `c.integer_d`, with no
-    conversion of its own, and builds its dense `d` only when read.
-    """
-    from .engine import FilteredComplex
-
-    degrees = tuple(tuple(p for _, p, _ in layer) for layer in c.basis)
-    return FilteredComplex(
-        None, degrees, 2 * c.base.n, integer_d=c.integer_d, denominators=c.denominators
-    )
+def filtered_complex(c: InvariantComplex) -> FilteredComplex:
+    """The engine's filtered complex of c: `InvariantComplex.filtered_complex`."""
+    return c.filtered_complex

@@ -15,6 +15,10 @@ Each verifier compares engine output against a closed-form prediction:
   column reductions that start from the boundaries of H^k, already reduced
   by direct cohomology, and reduce only the new columns.
 
+Every verifier takes only the complex and reads the analysis it keeps
+(`InvariantComplex.spectral_sequence` and `.cohomology`), so the pages and
+the cohomology of one model are computed once, whichever verifiers run.
+
 Verifiers whose theorem carries hypotheses (S-type lambdas, hard
 Lefschetz) report a hypothesis violation instead of pass/fail when the
 input does not qualify.
@@ -28,15 +32,12 @@ from fractions import Fraction
 from math import comb
 from typing import Sequence
 
-from .engine import SpectralPage, compute_page, run_to_convergence
 from .exterior import _merge_sign, index_subset_sign
 from .invariant import (
     CohomologyGroup,
     InvariantComplex,
     InvariantElement,
     betti_numbers,
-    cohomology,
-    filtered_complex,
 )
 from .lefschetz import LefschetzModule, check_hard_lefschetz, lefschetz_columns
 from .linalg import SparseColumn, apply_columns, reduce_columns
@@ -46,10 +47,6 @@ _ZERO = Fraction(0)
 
 class HypothesisError(ValueError):
     """The theorem's hypotheses do not hold for this input."""
-
-
-# Pages E_0..E_{P+2} and the stable page, as `run_to_convergence` returns them.
-PageSequence = tuple[list[SpectralPage], int]
 
 
 @dataclass(frozen=True)
@@ -108,17 +105,9 @@ def _hypothesis(c: InvariantComplex) -> str | None:
     return None
 
 
-def verify_E2(c: InvariantComplex, sequence: PageSequence | None = None) -> VerificationReport:
-    """dim E_2^{p,q} = dim H^p * C(s,q), and d_0 = d_1 = 0.
-
-    `sequence` is the model's `run_to_convergence` result, when the caller
-    has it; otherwise pages 0..2 are computed here.
-    """
-    if sequence is None:
-        fc = filtered_complex(c)
-        pages = [compute_page(fc, r) for r in range(3)]
-    else:
-        pages = sequence[0]
+def verify_E2(c: InvariantComplex) -> VerificationReport:
+    """dim E_2^{p,q} = dim H^p * C(s,q), and d_0 = d_1 = 0."""
+    pages = c.spectral_sequence[0]
     witnesses = []
     for r in (0, 1):
         for pq, rk in sorted(pages[r].d_ranks.items()):
@@ -153,7 +142,7 @@ def kernel_d2(c: InvariantComplex, p: int, q: int) -> tuple[int, int]:
         raise HypothesisError(violation)
     if p < 0:
         raise ValueError("degree out of range")
-    page2 = compute_page(filtered_complex(c), 2)
+    page2 = c.spectral_sequence[0][2]
     actual = page2.dim(p, q) - page2.d_rank(p, q)
     zdim = check_hard_lefschetz(c.base).kernel_L_dims[p] if p <= 2 * c.base.n else 0
     hdim = c.base.dim_at(p)
@@ -181,29 +170,16 @@ def expected_dims_mainS(base: LefschetzModule, s: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _limiting_totals(c: InvariantComplex, sequence: PageSequence | None):
-    if sequence is None:
-        sequence = run_to_convergence(filtered_complex(c))
-    pages, stable_at = sequence
-    return pages[-1].antidiagonal_totals(c.max_degree), stable_at
-
-
-def verify_mainS(
-    c: InvariantComplex,
-    sequence: PageSequence | None = None,
-    betti: tuple[int, ...] | None = None,
-) -> VerificationReport:
-    """S-type degeneration: stable page <= 3 and dims match the prediction.
-
-    `sequence` and `betti` are the model's `run_to_convergence` result and
-    direct cohomology dims, when the caller has them.
-    """
+def verify_mainS(c: InvariantComplex) -> VerificationReport:
+    """S-type degeneration: stable page <= 3, and the E_infinity totals and
+    the direct cohomology dims match the prediction."""
     violation = _hypothesis(c)
     if violation:
         return VerificationReport("mainS", False, (), (), (), violation)
     expected = expected_dims_mainS(c.base, c.s)
-    totals, stable_at = _limiting_totals(c, sequence)
-    direct = betti_numbers(c) if betti is None else betti
+    pages, stable_at = c.spectral_sequence
+    totals = pages[-1].antidiagonal_totals(c.max_degree)
+    direct = betti_numbers(c)
     witnesses = []
     if stable_at > 3:
         witnesses.append(Witness("stable page", None, "<= 3", stable_at))
@@ -226,18 +202,15 @@ def expected_dims_mainC(base: LefschetzModule, s: int) -> tuple[int, ...]:
     )
 
 
-def verify_mainC(c: InvariantComplex, sequence: PageSequence | None = None) -> VerificationReport:
-    """C-type degeneration: stable page <= 2 and dims match the convolution.
-
-    `sequence` is the model's `run_to_convergence` result, when the caller
-    has it.
-    """
+def verify_mainC(c: InvariantComplex) -> VerificationReport:
+    """C-type degeneration: stable page <= 2 and dims match the convolution."""
     if not c.is_c_type():
         return VerificationReport(
             "mainC", False, (), (), (), "not C-type: some lambda_i is nonzero"
         )
     expected = expected_dims_mainC(c.base, c.s)
-    totals, stable_at = _limiting_totals(c, sequence)
+    pages, stable_at = c.spectral_sequence
+    totals = pages[-1].antidiagonal_totals(c.max_degree)
     witnesses = []
     if stable_at > 2:
         witnesses.append(Witness("stable page", None, "<= 2", stable_at))
@@ -390,9 +363,7 @@ def _class_ranks(q: CohomologyGroup, *groups: Sequence[SparseColumn]) -> list[in
     return [sum(1 for r in reduced[:end] if r) for end in ends]
 
 
-def model_star_duality(
-    c: InvariantComplex, classes: Sequence[CohomologyGroup] | None = None
-) -> VerificationReport:
+def model_star_duality(c: InvariantComplex) -> VerificationReport:
     """Star carries the part-A span onto the complementary part-B summand.
 
     Per degree k with k' = 2n+s-k: star images of part A are cocycles, their
@@ -411,14 +382,11 @@ def model_star_duality(
     any span.  Closedness applies the complex's integer d, and every rank of
     classes is one column reduction (`_class_ranks`); two spans are equal
     iff each has the rank of their sum.
-
-    `classes` is the model's `cohomology`, when the caller has it.
     """
     violation = _hypothesis(c)
     if violation:
         return VerificationReport("star-duality", False, (), (), (), violation)
-    if classes is None:
-        classes = cohomology(c)
+    classes = c.cohomology
     n, s = c.base.n, c.s
     total_deg = 2 * n + s
     columns = lefschetz_columns(c.base)

@@ -32,6 +32,19 @@ _DECOMPOSE = ["tests/test_lefschetz.py", "tests/test_acceptance.py::test_criteri
 _STAR = ["tests/test_verify.py", "tests/test_acceptance.py", "tests/test_analyze_golden.py"]
 _VIEWS = ["tests/test_invariant.py", "tests/test_engine.py"]
 _EXTERIOR = ["tests/test_exterior.py"]
+_ENGINE = ["tests/test_linalg.py", "tests/test_engine.py", "tests/test_invariant.py"]
+_VERIFY = ["tests/test_verify.py"]
+_LOW = """\
+        low = max(r, default=None)
+        while low in reduced:
+            p, pv = reduced[low]
+            g = gcd(p[low], r[low])
+            a, c = p[low] // g, r[low] // g
+            r = _combine(a, r, c, p)
+            if with_v:
+                v = _combine(a, v, c, pv)
+            low = max(r, default=None)
+"""
 
 # (name, file under src/specseq, snippet, replacement, tests to run)
 MUTANTS = [
@@ -82,13 +95,6 @@ MUTANTS = [
         _STAR,
     ),
     (
-        "model-view-den-plus-one",
-        "invariant.py",
-        "from_integer_columns(cols, self.dim(k + 1), den)",
-        "from_integer_columns(cols, self.dim(k + 1), den + 1)",
-        _VIEWS,
-    ),
-    (
         "engine-view-den-plus-one",
         "engine.py",
         "from_integer_columns(cols, self.dim(k + 1), den)",
@@ -101,6 +107,30 @@ MUTANTS = [
         "if not 0 <= i < rows:",
         "if not 0 <= i <= rows:",
         _VIEWS,
+    ),
+    # The persistence pairing, the pages and the E_2 verdict read from them.
+    # Every model's pages 0, 1 and 2 agree (d_0 = d_1 = 0), so only a
+    # doctored page 2 tells the E_2 verdict's page apart.
+    (
+        "highest-row-as-the-low",
+        "linalg.py",
+        _LOW,
+        _LOW.replace("max(r", "min(r"),
+        _ENGINE,
+    ),
+    (
+        "cancel-at-the-gap-itself",
+        "engine.py",
+        "if b - a < r:  # d_{b-a} cancelled x against y",
+        "if b - a <= r:",
+        _ENGINE,
+    ),
+    (
+        "E2-verdict-reads-page-1",
+        "verify.py",
+        "actual = pages[2].cell_dims()",
+        "actual = pages[1].cell_dims()",
+        _VERIFY,
     ),
     # The exterior-algebra signs and the pair insertion.  Shifting the merge
     # mask by y + 1 is an equivalent mutant: y is not an index of a.
@@ -124,6 +154,13 @@ MUTANTS = [
         "acc[key] = c if prev is None else prev + c\n    return Multivector._trusted(a.frame, a.degree + 2, acc)",
         "acc[key] = (-c if i % 2 else c) if prev is None else prev + (-c if i % 2 else c)\n"
         "    return Multivector._trusted(a.frame, a.degree + 2, acc)",
+        _EXTERIOR,
+    ),
+    (
+        "beta-0-dropped",
+        "exterior.py",
+        "out.append((0, rest))",
+        "pass",
         _EXTERIOR,
     ),
     (

@@ -104,14 +104,41 @@ def test_main_prints_what_the_whole_parser_prints(capsys, argv):
 
 
 def test_analyze_computes_the_sequence_once(monkeypatch, capsys):
-    # Every binding of each name is wrapped, so calls made inside `invariant`
-    # and `lefschetz` themselves are counted too; each real call counts once.
+    # The work is counted, not the calls that reach it: filtered complexes
+    # built, reductions of each d_k, spectral sequences run and cohomology
+    # groups built.  Every binding of each name is wrapped, and each real
+    # call counts once.
+    work = {}
+
+    def count(name):
+        work[name] = work.get(name, 0) + 1
+
+    monkeypatch.setattr(
+        engine.FilteredComplex,
+        "__post_init__",
+        lambda fc, d, _fn=engine.FilteredComplex.__post_init__: count("FilteredComplex")
+        or _fn(fc, d),
+    )
+    monkeypatch.setattr(
+        invariant,
+        "CohomologyGroup",
+        lambda *a, _cls=invariant.CohomologyGroup: count("CohomologyGroup") or _cls(*a),
+    )
+    reduced = []
+    for module in (engine, verify, lefschetz):
+        monkeypatch.setattr(
+            module,
+            "reduce_columns",
+            lambda cols, *a, _fn=module.reduce_columns, _m=module, **kw: reduced.append(
+                (_m, cols, kw)
+            )
+            or _fn(cols, *a, **kw),
+        )
+    # No page is computed outside the one run to convergence, and no
+    # Lefschetz piece is decomposed or powered.
     names = (
-        "filtered_complex",
         "run_to_convergence",
         "compute_page",
-        "betti_numbers",
-        "cohomology",
         "check_hard_lefschetz",
         "lefschetz_decompose_class",
         "l_power",
@@ -122,35 +149,20 @@ def test_analyze_computes_the_sequence_once(monkeypatch, capsys):
         for name in names
         if hasattr(module, name)
     ]
-    # Each differential is reduced once, by the engine, and direct cohomology
-    # reads that reduction; no rref quotient is built.  The reductions of
-    # star duality and of the Lefschetz structure go through the `verify`
-    # and `lefschetz` bindings, which are not counted.
-    targets += [
-        (module, name)
-        for module in (engine, invariant, linalg)
-        for name in ("reduce_columns", "quotient", "image_basis")
-        if hasattr(module, name)
-    ]
     # The Lefschetz structure and star duality work on integer columns: no
-    # dense kernel, inverse, product or canonical subspace.
+    # dense kernel, inverse, product, canonical subspace or rref quotient.
     targets += [
         (module, name)
-        for module in (verify, lefschetz, linalg)
-        for name in ("_span", "inverse", "kernel_basis", "subspace_sum")
+        for module in (verify, lefschetz, linalg, invariant)
+        for name in ("_span", "inverse", "kernel_basis", "subspace_sum", "quotient", "image_basis")
         if hasattr(module, name)
     ]
-    # d o d = 0 is checked once, when the engine's complex is built: direct
-    # cohomology applies no d_k to the reduced columns of d_{k-1}.
-    targets.append((invariant, "apply_columns"))
     calls = {}
-    returned = {}
     for module, name in targets:
 
         def counted(*args, _fn=getattr(module, name), _name=name, **kwargs):
             calls[_name] = calls.get(_name, 0) + 1
-            returned[_name] = _fn(*args, **kwargs)
-            return returned[_name]
+            return _fn(*args, **kwargs)
 
         monkeypatch.setattr(module, name, counted)
     dense = []
@@ -173,47 +185,41 @@ def test_analyze_computes_the_sequence_once(monkeypatch, capsys):
     )
     # Star duality hands each of its reductions the boundaries of H^k as
     # pivots, reduced already, and only the columns of its groups to reduce.
-    star_ranks, star_reductions = [], []
+    star_ranks = []
     monkeypatch.setattr(
         verify,
         "_class_ranks",
         lambda q, *groups, _fn=verify._class_ranks: star_ranks.append((q, groups))
         or _fn(q, *groups),
     )
-    monkeypatch.setattr(
-        verify,
-        "reduce_columns",
-        lambda cols, *a, _fn=verify.reduce_columns, **kw: star_reductions.append((cols, kw))
-        or _fn(cols, *a, **kw),
-    )
     for preset, hlp_checks in (("hopf-s3", 4), ("s2xs3", 4), ("torus-t3", 0)):
-        calls.clear()
-        dense.clear()
-        built.clear()
-        parsers.clear()
-        star_ranks.clear()
-        star_reductions.clear()
+        for log in (work, reduced, calls, dense, built, parsers, star_ranks):
+            log.clear()
         code, _, _ = run(capsys, "analyze", preset, "--quiet")
         assert code == 0
-        assert calls.pop("check_hard_lefschetz", 0) <= hlp_checks
-        assert dense == []
         [c] = built
+        degrees = c.max_degree + 1
+        assert work == {"FilteredComplex": 1, "CohomologyGroup": degrees}
+        # Each d_k is reduced once, by the engine, and direct cohomology
+        # reads that reduction.
+        assert [sum(cols is d for _, cols, _ in reduced) for d in c.integer_d] == [1] * degrees
+        assert calls.pop("check_hard_lefschetz", 0) <= hlp_checks
+        assert calls == {"run_to_convergence": 1}
+        assert dense == []
         # `build_model` scatters the complex's integer columns itself and the
-        # engine takes them over: neither builds a dense view of any d_k, so
-        # none is converted back to columns either.
-        assert "differentials" not in vars(c)
-        assert "d" not in vars(returned["filtered_complex"])
+        # engine takes them over: the one dense view of the d_k, the
+        # engine's, is never built, so none is converted back to columns.
+        assert "d" not in vars(c.filtered_complex)
         [parser] = parsers
         [sub] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
         assert list(sub.choices) == ["analyze"]
         assert bool(star_ranks) == c.is_s_type()
+        star_reductions = [(cols, kw) for m, cols, kw in reduced if m is verify]
         assert len(star_reductions) == len(star_ranks)
         for (q, groups), (cols, kw) in zip(star_ranks, star_reductions):
-            assert any(q is h for h in returned["cohomology"]) and kw["pivots"] is q.boundaries
+            assert any(q is h for h in c.cohomology) and kw["pivots"] is q.boundaries
             handed = [col for group in groups for col in group]
             assert len(cols) == len(handed) and all(a is b for a, b in zip(cols, handed))
-        assert calls.pop("reduce_columns") == c.max_degree + 1
-        assert calls == {"filtered_complex": 1, "run_to_convergence": 1, "cohomology": 1}
 
 
 def test_analyze_json_report(tmp_path, capsys):

@@ -7,15 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from specseq.engine import PageCell, run_to_convergence
+from specseq.engine import FilteredComplex, PageCell
 from specseq.invariant import (
     betti_numbers,
     build_model,
     cohomology,
     differential,
-    filtered_complex,
 )
-from specseq import lefschetz, linalg, verify
+from specseq import engine, invariant, lefschetz, linalg, verify
 from specseq.lefschetz import (
     LefschetzModule,
     check_hard_lefschetz,
@@ -105,6 +104,44 @@ def test_kernel_d2_at_the_degree_edges(cp2):
     assert [kernel_d2(c, 2 * cp2.n + 1, q) for q in range(3)] == [(0, 0)] * 3
 
 
+def test_kernel_d2_over_every_cell_builds_one_filtered_complex(monkeypatch, cp2):
+    built = []
+    monkeypatch.setattr(
+        FilteredComplex,
+        "__post_init__",
+        lambda fc, d, _fn=FilteredComplex.__post_init__: built.append(fc) or _fn(fc, d),
+    )
+    c = build_model(cp2, 3, [1, 1, 1])
+    for p in range(2 * cp2.n + 1):
+        for q in range(c.s + 1):
+            ker, expected = kernel_d2(c, p, q)
+            assert ker == expected
+    assert len(built) == 1
+
+
+@pytest.mark.parametrize("lambdas", [[1, 1], [0, 0]])
+def test_the_verifiers_reduce_each_differential_once(monkeypatch, cp2, lambdas):
+    # The verifiers as `analyze` runs them, each given only the complex.
+    reduced = []
+    for module in (engine, invariant, verify, lefschetz):
+        if hasattr(module, "reduce_columns"):
+            monkeypatch.setattr(
+                module,
+                "reduce_columns",
+                lambda cols, *a, _fn=module.reduce_columns, **kw: reduced.append(cols)
+                or _fn(cols, *a, **kw),
+            )
+    c = build_model(cp2, 2, lambdas)
+    reports = [verify_E2(c)]
+    if c.is_s_type():
+        reports += [verify_mainS(c), model_star_duality(c)]
+    else:
+        reports.append(verify_mainC(c))
+    betti_numbers(c)
+    assert all(r.passed for r in reports)
+    assert [sum(cols is d for cols in reduced) for d in c.integer_d] == [1] * (c.max_degree + 1)
+
+
 def test_expected_dims_mainS_examples(cp1, cp2):
     assert expected_dims_mainS(cp1, 1) == (1, 0, 0, 1)
     assert expected_dims_mainS(cp2, 1) == (1, 0, 0, 0, 0, 1)
@@ -153,16 +190,23 @@ def _doctored(pages, r, dims=None, d_ranks=None):
         cells[(p, q)] = PageCell(p, q, dim)
     out = list(pages)
     out[r] = replace(page, cells=cells, d_ranks=page.d_ranks if d_ranks is None else d_ranks)
-    return out
+    return tuple(out)
+
+
+def _cache(c, **analysis):
+    """Put doctored parts of the analysis into the cache of c, where every
+    verifier reads them."""
+    vars(c).update(analysis)
 
 
 def test_witnesses_name_cell_and_values(cp1):
     hopf = build_model(cp1, 1, [1])
-    pages, stable_at = run_to_convergence(filtered_complex(hopf))
-    assert verify_E2(hopf, (pages, stable_at)).passed
+    assert verify_E2(hopf).passed
+    pages, stable_at = hopf.spectral_sequence
     pages = _doctored(pages, 1, d_ranks={(0, 1): 1})
     pages = _doctored(pages, 2, dims={(2, 0): 3})
-    r = verify_E2(hopf, (pages, stable_at))
+    _cache(hopf, spectral_sequence=(pages, stable_at))
+    r = verify_E2(hopf)
     assert not r.passed
     assert r.witnesses == (
         Witness("rank d_1", (0, 1), 0, 1),
@@ -173,9 +217,15 @@ def test_witnesses_name_cell_and_values(cp1):
 
 def test_witnesses_name_degree_and_values(cp1):
     hopf = build_model(cp1, 1, [1])
-    pages, _ = run_to_convergence(filtered_complex(hopf))
-    pages = _doctored(pages, -1, dims={(2, 1): 0})
-    r = verify_mainS(hopf, (pages, 5), (1, 0, 1, 1))
+    pages, _ = hopf.spectral_sequence
+    classes = cohomology(hopf)
+    _cache(
+        hopf,
+        spectral_sequence=(_doctored(pages, -1, dims={(2, 1): 0}), 5),
+        cohomology=classes[:2] + (replace(classes[2], dim=1),) + classes[3:],
+    )
+    assert betti_numbers(hopf) == (1, 0, 1, 1)
+    r = verify_mainS(hopf)
     assert r.witnesses == (
         Witness("stable page", None, "<= 3", 5),
         Witness("E_infinity total", 3, 1, 0),
@@ -184,8 +234,9 @@ def test_witnesses_name_degree_and_values(cp1):
     assert str(r.witnesses[1]) == "E_infinity total in degree 3: expected 1, got 0"
 
     cosymplectic = build_model(cp1, 1, [0])
-    pages, _ = run_to_convergence(filtered_complex(cosymplectic))
-    r = verify_mainC(cosymplectic, (_doctored(pages, -1, dims={(0, 1): 2}), 3))
+    pages, _ = cosymplectic.spectral_sequence
+    _cache(cosymplectic, spectral_sequence=(_doctored(pages, -1, dims={(0, 1): 2}), 3))
+    r = verify_mainC(cosymplectic)
     assert r.witnesses == (
         Witness("stable page", None, "<= 2", 3),
         Witness("E_infinity total", 1, 1, 2),
@@ -194,13 +245,13 @@ def test_witnesses_name_degree_and_values(cp1):
 
 def test_star_duality_witnesses_name_degree_and_values(cp1):
     hopf = build_model(cp1, 1, [1])
-    classes = cohomology(hopf)
-    assert model_star_duality(hopf, classes).passed
+    assert model_star_duality(hopf).passed
     # Classes that make every basis vector of C^3 a boundary kill H^3, so the
     # class of the star image of 1 (degree 0) vanishes.
     steps = tuple((j, 1, (), -1) for j in reversed(range(hopf.dim(3))))
-    classes[3] = replace(classes[3], dim=0, steps=steps)
-    r = model_star_duality(hopf, classes)
+    classes = cohomology(hopf)
+    _cache(hopf, cohomology=classes[:3] + (replace(classes[3], dim=0, steps=steps),))
+    r = model_star_duality(hopf)
     assert r.witnesses == (
         Witness("rank of star-image classes", 0, 1, 0),
         Witness("rank of star-image classes vs part B", 0, 1, 0),
@@ -249,12 +300,13 @@ def test_star_duality_witnesses_part_a_meeting_the_star_images(t2):
     # eta_1 component of the class of a nonzero closed star image never
     # vanishes, and part A has none.)
     m = build_model(t2, 2, [1, 1])
+    assert model_star_duality(m).passed
     classes = cohomology(m)
-    assert model_star_duality(m, classes).passed
     exact = [st for st in classes[2].steps if st[3] < 0]
     exact += [(m.index_of(2, ((1,), 1, t)), 1, (), -1) for t in range(2)]
-    classes[2] = replace(classes[2], steps=tuple(sorted(exact, reverse=True)))
-    r = model_star_duality(m, classes)
+    doctored = replace(classes[2], steps=tuple(sorted(exact, reverse=True)))
+    _cache(m, cohomology=classes[:2] + (doctored,) + classes[3:])
+    r = model_star_duality(m)
     assert r.witnesses == (Witness("dim of part A + star images", 2, 4, 2),)
 
 

@@ -21,26 +21,25 @@ F^p C^k cap d^{-1}(F^{p+r} C^{k+1}); the tests keep that subquotient engine
 as the reference these counts are checked against.  A page depends only on
 the set of gaps g < r, so pages with the same set share their cells.
 
-Where every degree lists its basis in descending filtration degree, as the
-invariant-forms models do, the reduction runs on the columns and rows in
-basis order: it is then the reduction R = D V of d_k itself, and direct
-cohomology can read it instead of reducing d_k again
-(`FilteredComplex.basis_reductions`).  Each d_k is reduced after d_{k-1},
-and the columns at the lows of the reduced d_{k-1} are cleared, not reduced
-(Chen & Kerber, *Persistent homology computation with a twist*, 2011).
+Every degree lists its basis in descending filtration degree, as the
+invariant-forms models do, so the reduction runs on the columns and rows in
+basis order: it is the reduction R = D V of d_k itself, and direct
+cohomology reads it instead of reducing d_k again (`invariant.cohomology`).
+Each d_k is reduced after d_{k-1}, and the columns at the lows of the
+reduced d_{k-1} are cleared, not reduced (Chen & Kerber, *Persistent
+homology computation with a twist*, 2011).
 
-The checks and the reductions read each d_k as sparse integer columns.  The
-invariant-forms models hand over the columns they hold, with their
-denominators, and the dense `Fraction` matrices `FilteredComplex.d` are then
-built only when a caller reads them, which `analyze` never does.
+A complex is given as sparse integer columns with one denominator per d_k,
+and the checks and the reductions read those columns.  The dense `Fraction`
+matrices `FilteredComplex.d` are built only when a caller reads them, which
+`analyze` never does.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Sequence
 
 from .linalg import (
     Matrix,
@@ -49,7 +48,6 @@ from .linalg import (
     Subspace,
     apply_columns,
     from_integer_columns,
-    integer_columns,
     rank,
     reduce_columns,
 )
@@ -64,55 +62,43 @@ class FilteredComplex:
     """Cochain complex in degrees 0..K with a bounded decreasing filtration.
 
     `degrees[k][j]` is the filtration degree, in 0..max_filtration, of basis
-    vector j in degree k.  d_k maps degree k to degree k+1; the last one
-    targets the zero space.  The checks and the persistence pairing read each
-    d_k as sparse integer columns, `integer_d`.  A complex is built either
-    from the dense matrices d_k, `FilteredComplex(d, degrees, P)`, and then
-    converts them, or, as `invariant.filtered_complex` builds it, from the
-    columns its model holds and their denominators,
-    `FilteredComplex(None, degrees, P, integer_d=..., denominators=...)`;
-    then the dense `d` is built only when read.  Each d_k is reduced once, on
-    first use (`reductions`), and every page computed from the complex reads
-    the pairs of that reduction.
+    vector j in degree k; each degree lists its basis in descending
+    filtration degree.  d_k maps degree k to degree k+1, and the last one
+    targets the zero space.  d_k is `integer_d[k]`, sparse integer columns,
+    over `denominators[k]`.  Each d_k is reduced once, on first use
+    (`reductions`), and every page computed from the complex reads the
+    pairs of that reduction.
     """
 
-    matrices: InitVar[Sequence[Matrix] | None]
     degrees: tuple[tuple[int, ...], ...]
     max_filtration: int
-    # Each d_k as sparse integer columns over denominators[k]; converted from
-    # the matrices when only they are given.
-    integer_d: tuple[list[SparseColumn], ...] | None = field(
-        default=None, kw_only=True, repr=False
-    )
-    denominators: tuple[int, ...] | None = field(default=None, kw_only=True, repr=False)
+    integer_d: tuple[list[SparseColumn], ...] = field(repr=False)
+    denominators: tuple[int, ...] = field(repr=False)
     # The pairs, the cancelled gaps and the cells of the last page computed.
     _last_page: list = field(
         default_factory=lambda: [None, None, None], init=False, repr=False
     )
 
-    def __post_init__(self, matrices):
-        if matrices is not None:
-            matrices = vars(self)["d"] = tuple(matrices)
-            if self.integer_d is None:
-                object.__setattr__(self, "integer_d", tuple(map(integer_columns, matrices)))
-        elif self.integer_d is None or self.denominators is None:
-            raise FiltrationError("give the matrices, or the integer columns and their denominators")
+    def __post_init__(self):
         K = len(self.degrees) - 1
         P = self.max_filtration
         if K < 0 or P < 0:
             raise FiltrationError("empty complex or negative filtration bound")
-        given = len(matrices) if matrices is not None else len(self.denominators)
-        if len(self.integer_d) != K + 1 or given != K + 1:
-            raise FiltrationError("d and the filtration degrees must cover every degree")
+        if len(self.integer_d) != K + 1 or len(self.denominators) != K + 1:
+            raise FiltrationError(
+                "d, its denominators and the filtration degrees must cover every degree"
+            )
         for k, src in enumerate(self.degrees):
             if any(isinstance(x, bool) or not isinstance(x, int) or not 0 <= x <= P for x in src):
                 raise FiltrationError(f"filtration degrees at degree {k} must be integers in 0..{P}")
+            if any(a < b for a, b in zip(src, src[1:])):
+                raise FiltrationError(
+                    f"degree {k} does not list its basis in descending filtration degree"
+                )
             tgt = self.degrees[k + 1] if k < K else ()
             rows = len(tgt)
             cols = self.integer_d[k]
-            if len(cols) != len(src) or matrices is not None and (
-                matrices[k].cols != len(src) or matrices[k].rows != rows
-            ):
+            if len(cols) != len(src):
                 raise FiltrationError(f"differential at degree {k} has the wrong shape")
             for j, col in enumerate(cols):
                 for i in col:
@@ -132,9 +118,8 @@ class FilteredComplex:
 
     @cached_property
     def d(self) -> tuple[Matrix, ...]:
-        """Each d_k as a dense `Fraction` matrix: the matrices the complex was
-        built from, or else `integer_d[k]` over `denominators[k]`, built on
-        first read."""
+        """Each d_k as a dense `Fraction` matrix, `integer_d[k]` over
+        `denominators[k]`, built on first read."""
         return tuple(
             from_integer_columns(cols, self.dim(k + 1), den)
             for k, (cols, den) in enumerate(zip(self.integer_d, self.denominators))
@@ -172,22 +157,10 @@ class FilteredComplex:
         return out
 
     @cached_property
-    def _orders(self) -> tuple[Sequence[int], ...]:
-        """Per degree 0..K+1, the basis indices by descending filtration degree,
-        ties in basis order: a `range` where the basis is in that order."""
-        out = []
-        for src in (*self.degrees, ()):
-            if all(a >= b for a, b in zip(src, src[1:])):
-                out.append(range(len(src)))
-            else:
-                out.append(sorted(range(len(src)), key=src.__getitem__, reverse=True))
-        return tuple(out)
-
-    @cached_property
     def reductions(self) -> tuple[Reduction, ...]:
-        """`reductions[k]` is `linalg.reduce_columns` of d_k with its columns
-        (the vectors x of degree k) and its rows (the vectors y of degree
-        k+1) each in descending filtration degree, ties in basis order.
+        """`reductions[k]` is `linalg.reduce_columns` of d_k: its columns are
+        the vectors x of degree k and its rows the vectors y of degree k+1,
+        each in descending filtration degree, as the basis lists them.
 
         The columns of d_k at the lows of the reduced d_{k-1} are cleared
         (Chen & Kerber 2011): the reduced column of d_{k-1} with its low at
@@ -196,33 +169,13 @@ class FilteredComplex:
         is zero and its V column is that boundary; R, the lows and every
         other column of V are those of the full reduction."""
         out: list[Reduction] = []
-        for k, cols in enumerate(self.integer_d):
-            order, rows = self._orders[k], self._orders[k + 1]
-            if not (isinstance(order, range) and isinstance(rows, range)):
-                at = {i: t for t, i in enumerate(rows)}
-                cols = [{at[i]: x for i, x in cols[j].items()} for j in order]
+        for cols in self.integer_d:
             cleared = {}
-            if k:
+            if out:
                 R_prev, _, lows_prev = out[-1]
                 cleared = {low: R_prev[j] for low, j in lows_prev.items()}
             out.append(reduce_columns(cols, cleared))
         return tuple(out)
-
-    def basis_reductions(self) -> tuple[Reduction, ...]:
-        """`reductions`, checked to be those of each d_k in basis order.
-
-        They are when every degree lists its basis in descending filtration
-        degree, as the invariant-forms models do; then direct cohomology can
-        read them (`invariant.cohomology`).  Otherwise this raises
-        `FiltrationError`, since the reductions are of reordered columns.
-        """
-        for k, order in enumerate(self._orders[:-1]):
-            if not isinstance(order, range):
-                raise FiltrationError(
-                    f"degree {k} does not list its basis in descending filtration degree, "
-                    "so its reduction is not in basis order"
-                )
-        return self.reductions
 
     @cached_property
     def pairs(self) -> tuple[tuple[tuple[int, int], ...], ...]:
@@ -233,8 +186,7 @@ class FilteredComplex:
         for k, (_, _, by_low) in enumerate(self.reductions):
             src = self.degrees[k]
             tgt = self.degrees[k + 1] if k < self.max_degree else ()
-            order, rows = self._orders[k], self._orders[k + 1]
-            out.append(tuple(sorted((src[order[j]], tgt[rows[low]]) for low, j in by_low.items())))
+            out.append(tuple(sorted((src[j], tgt[low]) for low, j in by_low.items())))
         return tuple(out)
 
     def cohomology_dims(self) -> tuple[int, ...]:
@@ -245,11 +197,6 @@ class FilteredComplex:
             self.dim(k) - ranks[k] - (ranks[k - 1] if k else 0)
             for k in range(self.max_degree + 1)
         )
-
-
-def trivial_filtration(chain_dims: Sequence[int], d: Sequence[Matrix]) -> FilteredComplex:
-    """The two-step filtration F^0 = everything, F^1 = 0."""
-    return FilteredComplex(tuple(d), tuple((0,) * dim for dim in chain_dims), 0)
 
 
 @dataclass(frozen=True)
@@ -340,15 +287,12 @@ def run_to_convergence(fc: FilteredComplex) -> tuple[list[SpectralPage], int]:
     return pages, stable_at
 
 
-def infinity_page(fc: FilteredComplex) -> SpectralPage:
-    return compute_page(fc, fc.max_filtration + 2)
-
-
 def check_abutment(fc: FilteredComplex) -> bool:
-    """Anti-diagonal totals of the stable page equal the cohomology dims.
+    """Anti-diagonal totals of E_{P+2}, which is E_infinity, equal the
+    cohomology dims.
 
     The page side comes from the persistence pairs, the cohomology side
     from `linalg.rank`; the check fails when the two eliminations disagree.
     """
-    einf = infinity_page(fc)
+    einf = compute_page(fc, fc.max_filtration + 2)
     return einf.antidiagonal_totals(fc.max_degree) == fc.cohomology_dims()

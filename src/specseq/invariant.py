@@ -17,10 +17,10 @@ straight into them.  The complex keeps its analysis, each part built once,
 on first read: the engine's filtered complex on those columns
 (`InvariantComplex.filtered_complex`, which checks d o d = 0 and reduces
 each d_k once), the pages with the stable page (`.spectral_sequence`) and
-direct cohomology (`.cohomology`), read off the same reductions.  Each layer
-of the basis is listed in descending basic degree, so those reductions are
-in basis order.  Every verifier reads these, so a model is analysed once,
-whichever verifiers run.  `InvariantComplex.differentials`, the same maps
+direct cohomology (`.cohomology`), a view of the same reductions.  Each
+layer of the basis is listed in descending basic degree, as the engine
+requires, so those reductions are in basis order.  Every verifier reads
+these, so a model is analysed once, whichever verifiers run.  `InvariantComplex.differentials`, the same maps
 as dense `Fraction` matrices, is the engine's dense view, built on first
 read; `analyze` never reads it.
 """
@@ -32,11 +32,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from .engine import FilteredComplex, SpectralPage, run_to_convergence
 from .lefschetz import LefschetzModule, integer_l_maps
-from .linalg import DimensionMismatch, Matrix, SparseColumn
+from .linalg import DimensionMismatch, Matrix, Reduction, SparseColumn
 
 _ZERO = Fraction(0)
 
@@ -89,9 +89,7 @@ class InvariantComplex:
         checks d o d = 0 on it once, and builds its dense `d` only when read.
         """
         degrees = tuple(tuple(p for _, p, _ in layer) for layer in self.basis)
-        return FilteredComplex(
-            None, degrees, 2 * self.base.n, integer_d=self.integer_d, denominators=self.denominators
-        )
+        return FilteredComplex(degrees, 2 * self.base.n, self.integer_d, self.denominators)
 
     @cached_property
     def spectral_sequence(self) -> tuple[tuple[SpectralPage, ...], int]:
@@ -102,34 +100,13 @@ class InvariantComplex:
 
     @cached_property
     def cohomology(self) -> tuple[CohomologyGroup, ...]:
-        """Per degree k, H^k, read off the engine's reduction of each d_k
-        (`FilteredComplex.basis_reductions`).
-
-        The reduction of d_k serves two degrees: its zero columns give
-        Ker d_k for H^k, and its nonzero columns give Im d_k, with distinct
-        lows, for H^{k+1}.  Since the engine checked d o d = 0, the reduced
-        column of d_{k-1} with its low at j lies in Ker d_k, so the engine
-        cleared column j of d_k: its V column is that boundary.  The other
-        zero columns of the reduced d_k are the essential indices, and their
-        V columns give the classes.  Each group's `boundaries` are those
-        reduced columns of d_{k-1} themselves.
-        """
-        reductions = self.filtered_complex.basis_reductions()
-        out = []
-        for k, (R, V, _) in enumerate(reductions):
-            lows_prev = reductions[k - 1][2] if k else {}
-            essential = [j for j, r in enumerate(R) if not r and j not in lows_prev]
-            slot = {j: t for t, j in enumerate(essential)}
-            steps = []
-            for j in range(len(R) - 1, -1, -1):
-                if R[j]:
-                    continue
-                rest = tuple((i, x) for i, x in V[j].items() if i != j)
-                steps.append((j, V[j][j], rest, slot.get(j, -1)))
-            group = CohomologyGroup(len(R), len(essential), tuple(steps))
-            vars(group)["boundaries"] = {low: V[low] for low in lows_prev}
-            out.append(group)
-        return tuple(out)
+        """Per degree k, H^k as a view of the engine's reduction of d_k and
+        the lows of its reduction of d_{k-1} (`FilteredComplex.reductions`)."""
+        reductions = self.filtered_complex.reductions
+        return tuple(
+            CohomologyGroup(reduction, reductions[k - 1][2] if k else {})
+            for k, reduction in enumerate(reductions)
+        )
 
     @property
     def differentials(self) -> tuple[Matrix, ...]:
@@ -226,42 +203,51 @@ def element(c: InvariantComplex, k: int, terms: dict[BasisElement, Fraction]) ->
     return InvariantElement(k, tuple(coeffs))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, slots=True)
 class CohomologyGroup:
-    """H^k = Ker d_k / Im d_{k-1} on a basis of Q^N triangular in the low.
+    """H^k = Ker d_k / Im d_{k-1}, a view of the reductions R = D V of d_k
+    and of d_{k-1} that hold it, with nothing copied.
 
-    Every index j of C^k (dimension N) is the lowest nonzero entry of one
-    basis vector: a reduced column of d_{k-1} when j is one of its lows, the
-    column V_j of the reduction of d_k when j is an essential index, and e_j
-    when column j of the reduced d_k is nonzero.  The first two kinds span
-    Ker d_k, and the essential ones give the classes.  `steps` lists, by
-    descending j, the vectors that are not e_j as (j, lead, rest, slot): the
-    integer entry at j, the other entries, and the class index, or -1 for a
-    boundary.
+    `reduction` is (R, V, lows) of d_k and `lows_prev` maps each low of the
+    reduced d_{k-1} to its column.  Every index j of C^k (dimension N) is
+    the lowest nonzero entry of one vector of a basis of Q^N: V_j when
+    column j of R is zero, and e_j otherwise.  The zero columns of R span
+    Ker d_k.  Since d o d = 0, the reduced column of d_{k-1} with its low at
+    j lies in Ker d_k, so the engine cleared column j of d_k and V_j is that
+    boundary; these span Im d_{k-1}.  The other zero columns of R are the
+    essential indices, and their V columns give the classes.  The view
+    keeps no state of its own: each property reads the reductions afresh.
     """
 
-    ambient_dim: int
-    dim: int
-    steps: tuple[tuple[int, int, tuple[tuple[int, int], ...], int], ...]
+    reduction: Reduction
+    lows_prev: Mapping[int, int]
 
-    @cached_property
+    @property
+    def ambient_dim(self) -> int:
+        return len(self.reduction[0])
+
+    @property
+    def essential(self) -> tuple[int, ...]:
+        """The indices whose V columns are the classes, ascending."""
+        R = self.reduction[0]
+        return tuple(j for j, r in enumerate(R) if not r and j not in self.lows_prev)
+
+    @property
+    def dim(self) -> int:
+        return len(self.essential)
+
+    @property
     def boundaries(self) -> dict[int, SparseColumn]:
         """The boundary vectors, reduced columns of d_{k-1} that span
         Im d_{k-1}, keyed by their lows."""
-        return {j: {**dict(rest), j: lead} for j, lead, rest, slot in self.steps if slot < 0}
+        V = self.reduction[1]
+        return {low: V[low] for low in self.lows_prev}
 
     @property
     def section(self) -> Matrix:
         """Representative cocycles of the classes, as the columns of a matrix."""
-        cols = [[_ZERO] * self.ambient_dim for _ in range(self.dim)]
-        for j, lead, rest, slot in self.steps:
-            if slot >= 0:
-                cols[slot][j] = Fraction(lead)
-                for i, x in rest:
-                    cols[slot][i] = Fraction(x)
-        return Matrix.from_cols(cols, rows=self.ambient_dim) if cols else Matrix.zero(
-            self.ambient_dim, 0
-        )
+        V, n = self.reduction[1], self.ambient_dim
+        return Matrix.from_cols([[V[j].get(i, 0) for i in range(n)] for j in self.essential], n)
 
     def project(self, v: Sequence[Fraction]) -> tuple[Fraction, ...]:
         """Coordinates of v at the classes, by back-substitution over the basis.
@@ -270,16 +256,18 @@ class CohomologyGroup:
         """
         if len(v) != self.ambient_dim:
             raise DimensionMismatch("vector length does not match the chain dimension")
+        R, V, _ = self.reduction
+        slot = {j: t for t, j in enumerate(self.essential)}
         v = [x if isinstance(x, Fraction) else Fraction(x) for x in v]
-        out = [_ZERO] * self.dim
-        for j, lead, rest, slot in self.steps:
-            if not v[j]:
+        out = [_ZERO] * len(slot)
+        for j in range(len(v) - 1, -1, -1):
+            if R[j] or not v[j]:  # at a nonzero R_j the basis vector is e_j
                 continue
-            c = v[j] / lead
-            for i, x in rest:
+            c = v[j] / V[j][j]
+            for i, x in V[j].items():
                 v[i] -= c * x
-            if slot >= 0:
-                out[slot] = c
+            if j in slot:
+                out[slot[j]] = c
         return tuple(out)
 
 

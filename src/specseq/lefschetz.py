@@ -10,11 +10,10 @@ PH^d = Ker L^{n-d+1} and each Ker L come from one `reduce_columns` each,
 the kernels as the columns of V at the zero columns of R, and the star
 images L^{n-d} beta of the PH^d basis vectors from the same powers.
 `lefschetz_columns` returns those integer bases.  The S-type verifiers
-read nothing else, and `lefschetz_decompose_class` solves on them too.
-
-Only `primitive_subspace` and `kernel_L` leave the integer columns: they
-return the canonical `Subspace` spanned by those bases, built in dense
-`Fraction` arithmetic on first use and kept.
+read nothing else, `lefschetz_decompose_class` solves on them too, and
+`reconstruct_class` applies the integer columns of L.  No dense subspace
+is built here; the tests keep dense kernels of the powers of L as the
+reference.
 """
 
 from __future__ import annotations
@@ -29,7 +28,6 @@ from typing import Sequence
 from .linalg import (
     Matrix,
     SparseColumn,
-    Subspace,
     apply_columns,
     integer_columns,
     inverse,
@@ -87,14 +85,6 @@ class LefschetzModule:
     def _structure(self) -> _Structure:
         return _compute_structure(self)
 
-    @cached_property
-    def _subspaces(self) -> tuple[tuple[Subspace, ...], tuple[Subspace, ...]]:
-        columns = self._structure.columns
-        return tuple(
-            tuple(_span(dim, vectors) for dim, vectors in zip(self.dims, part))
-            for part in (columns.primitive, columns.kernel)
-        )
-
 
 @dataclass(frozen=True)
 class LefschetzReport:
@@ -133,26 +123,6 @@ def integer_l_maps(module: LefschetzModule) -> tuple[tuple[list[SparseColumn], .
     The columns of L_p are those of `linalg.integer_columns(L_p, e)`.
     """
     return module._integer_l_maps
-
-
-def l_power(module: LefschetzModule, p: int, m: int) -> Matrix:
-    """Matrix of L^m : H^p -> H^{p+2m} (zero-dimensional outside 0..2n).
-
-    Computed afresh on each call; the Lefschetz structure builds the powers
-    it reads in its own table.
-    """
-    if m < 0:
-        raise ValueError("negative power")
-    result = Matrix.identity(module.dim_at(p))
-    deg = p
-    for _ in range(m):
-        if 0 <= deg <= 2 * module.n:
-            step = module.L_maps[deg]
-        else:
-            step = Matrix.zero(module.dim_at(deg + 2), module.dim_at(deg))
-        result = step @ result
-        deg += 2
-    return result
 
 
 def _kernel(cols: list[SparseColumn]) -> list[SparseColumn]:
@@ -196,11 +166,6 @@ def _compute_structure(module: LefschetzModule) -> _Structure:
     return _Structure(report, LefschetzColumns(primitive, kernel, star))
 
 
-def _span(dim: int, vectors: list[SparseColumn]) -> Subspace:
-    """The canonical subspace spanned by sparse integer vectors of length dim."""
-    return Subspace.span(dim, ([v.get(i, 0) for i in range(dim)] for v in vectors))
-
-
 def _check_degree(module: LefschetzModule, p: int) -> None:
     if not 0 <= p <= 2 * module.n:
         raise ValueError("degree out of range")
@@ -214,17 +179,6 @@ def check_hard_lefschetz(module: LefschetzModule) -> LefschetzReport:
 def lefschetz_columns(module: LefschetzModule) -> LefschetzColumns:
     """The integer bases of PH^p and Ker L, and the star images of PH^p."""
     return module._structure.columns
-
-
-def primitive_subspace(module: LefschetzModule, p: int) -> Subspace:
-    """Ker(L^{n-p+1}: H^p -> H^{2n-p+2}); zero above the middle degree."""
-    _check_degree(module, p)
-    return module._subspaces[0][p]
-
-
-def kernel_L(module: LefschetzModule, p: int) -> Subspace:
-    _check_degree(module, p)
-    return module._subspaces[1][p]
 
 
 def lefschetz_decompose_class(
@@ -277,11 +231,22 @@ def lefschetz_decompose_class(
 def reconstruct_class(
     module: LefschetzModule, p: int, components: Sequence[tuple[int, Sequence[Fraction]]]
 ) -> tuple[Fraction, ...]:
-    """Inverse of lefschetz_decompose_class: sum_i L^i beta_i in H^p."""
+    """Inverse of lefschetz_decompose_class: sum_i L^i beta_i in H^p.
+
+    Each D beta_i, with D the lcm of its denominators, is taken through the
+    integer columns of L (`integer_l_maps`, over e) i times, and the result
+    divided by D e^i.
+    """
+    L, e = module._integer_l_maps
     acc = [_ZERO] * module.dim_at(p)
     for i, beta in components:
-        img = l_power(module, p - 2 * i, i).apply(tuple(Fraction(x) for x in beta))
-        acc = [x + y for x, y in zip(acc, img)]
+        beta = [Fraction(x) for x in beta]
+        den = lcm(*(x.denominator for x in beta))
+        w = {j: (x * den).numerator for j, x in enumerate(beta) if x}
+        for d in range(p - 2 * i, p, 2):
+            w = apply_columns(L[d], w)
+        for j, x in w.items():
+            acc[j] += Fraction(x, den * e**i)
     return tuple(acc)
 
 

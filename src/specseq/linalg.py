@@ -1,20 +1,25 @@
 """Exact linear algebra over the rationals.
 
-Two representations live here.  `Matrix` and `Subspace` are dense, with
-`fractions.Fraction` entries; subspaces are kept in a canonical
-column-echelon basis so that equality of subspaces is plain equality of the
-stored data, and ranks, kernels and quotients come from row reduction.
-`integer_columns` gives a matrix as sparse integer columns, scaled by one
-common denominator, and `reduce_columns` and `apply_columns` work on them
-without fractions.  The differentials take that second path: the
-filtered-complex checks, the engine's persistence pairing (which clears the
-columns it knows reduce to zero), direct cohomology, and the star-duality
+Two representations live here.  `integer_columns` gives a matrix as sparse
+integer columns, scaled by one common denominator, and `reduce_columns` and
+`apply_columns` work on them without fractions.  Everything the library
+computes takes this path: the filtered-complex checks, the engine's
+persistence pairing (which clears the columns it knows reduce to zero),
+direct cohomology, which is a view of those reductions, the star-duality
 check, which reads its ranks of cohomology classes from a `reduce_columns`
-that builds no V and starts from the boundaries as pivots.  So do the
+that builds no V and starts from the boundaries as pivots, and the
 Lefschetz structure's powers of L, ranks and kernels.
-`invariant.build_model` makes the integer columns of the model directly,
-and `from_integer_columns` gives the dense view of them.  All arithmetic is
-exact.
+`invariant.build_model` makes the integer columns of the model directly.
+
+`Matrix` and `Subspace` are dense, with `fractions.Fraction` entries;
+subspaces are kept in a canonical column-echelon basis so that equality of
+subspaces is plain equality of the stored data, and ranks, kernels and
+quotients come from row reduction.  `Matrix` is the input format of the
+model files and the modules, and `from_integer_columns` gives the dense
+view of integer columns.  The rest of the dense toolkit serves
+`generate_hlp_module` (`inverse`), `engine.check_abutment` (`rank`), the
+dense views, the test oracles and the benchmark probes; `analyze` calls
+none of it.  All arithmetic is exact.
 """
 
 from __future__ import annotations

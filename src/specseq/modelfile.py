@@ -96,7 +96,9 @@ def parse_rational(value, where: str) -> Fraction:
 def parse_model(text: str) -> ModelFile:
     try:
         data = json.loads(text)
-    except ValueError as exc:  # also an integer literal past Python's digit limit
+    # ValueError also covers an integer literal past Python's digit limit, and
+    # RecursionError arrays or objects nested past the interpreter's stack.
+    except (ValueError, RecursionError) as exc:
         raise ModelFileError(f"not valid JSON: {exc}") from None
     if not isinstance(data, dict):
         raise ModelFileError("top level must be an object")
@@ -170,6 +172,8 @@ def load_model(path: str) -> ModelFile:
             text = fh.read()
     except OSError as exc:
         raise ModelFileError(f"cannot read {path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ModelFileError(f"{path} is not UTF-8 text: {exc}") from None
     return parse_model(text)
 
 

@@ -2,8 +2,11 @@
 
 `dense_differentials` builds each d_k entry by entry as dense `Fraction`
 columns; `lefschetz_structure` and `star_matrix` recompute a module's
-Lefschetz data with `l_power` for every power they read.  Neither shares the
-sparse integer scatter of `build_model` or the power table of the library.
+Lefschetz data with `l_power`, a dense product of the L matrices, for every
+power they read.  Neither shares the sparse integer scatter of `build_model`
+or the power table of the library.  `primitive_subspace` and `kernel_L` are
+the canonical dense subspaces spanned by the library's integer bases
+(`lefschetz_columns`), for comparison with the `l_power` kernels.
 """
 
 from __future__ import annotations
@@ -11,8 +14,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from specseq.invariant import InvariantComplex
-from specseq.lefschetz import LefschetzModule, LefschetzReport, l_power
-from specseq.linalg import Matrix, Subspace, inverse, kernel_basis, rank
+from specseq.lefschetz import LefschetzModule, LefschetzReport, lefschetz_columns
+from specseq.linalg import Matrix, SparseColumn, Subspace, inverse, kernel_basis, rank
 
 
 def dense_differentials(c: InvariantComplex) -> tuple[Matrix, ...]:
@@ -34,6 +37,37 @@ def dense_differentials(c: InvariantComplex) -> tuple[Matrix, ...]:
             cols.append(col)
         out.append(Matrix.from_cols(cols, rows=rows) if cols else Matrix.zero(rows, 0))
     return tuple(out)
+
+
+def l_power(module: LefschetzModule, p: int, m: int) -> Matrix:
+    """Matrix of L^m : H^p -> H^{p+2m} (zero-dimensional outside 0..2n)."""
+    if m < 0:
+        raise ValueError("negative power")
+    result = Matrix.identity(module.dim_at(p))
+    deg = p
+    for _ in range(m):
+        if 0 <= deg <= 2 * module.n:
+            step = module.L_maps[deg]
+        else:
+            step = Matrix.zero(module.dim_at(deg + 2), module.dim_at(deg))
+        result = step @ result
+        deg += 2
+    return result
+
+
+def _span(dim: int, vectors: list[SparseColumn]) -> Subspace:
+    """The canonical subspace spanned by sparse integer vectors of length dim."""
+    return Subspace.span(dim, ([v.get(i, 0) for i in range(dim)] for v in vectors))
+
+
+def primitive_subspace(module: LefschetzModule, p: int) -> Subspace:
+    """The span of the library's integer basis of PH^p; zero above the middle degree."""
+    return _span(module.dims[p], lefschetz_columns(module).primitive[p])
+
+
+def kernel_L(module: LefschetzModule, p: int) -> Subspace:
+    """The span of the library's integer basis of Ker(L: H^p -> H^{p+2})."""
+    return _span(module.dims[p], lefschetz_columns(module).kernel[p])
 
 
 def lefschetz_structure(module: LefschetzModule):

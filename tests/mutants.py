@@ -79,6 +79,14 @@ MUTANTS = [
         "cols.insert(0, {j: (x * den).numerator for j, x in enumerate(v) if x})",
         _DECOMPOSE,
     ),
+    # reconstruct_class on the integer columns of L.
+    (
+        "reconstruct-without-the-e-power",
+        "lefschetz.py",
+        "acc[j] += Fraction(x, den * e**i)",
+        "acc[j] += Fraction(x, den)",
+        _DECOMPOSE,
+    ),
     # Star duality's ranks from the boundaries of H^k, and the dense views.
     (
         "drop-a-boundary-pivot",
@@ -106,6 +114,38 @@ MUTANTS = [
         "engine.py",
         "if not 0 <= i < rows:",
         "if not 0 <= i <= rows:",
+        _VIEWS,
+    ),
+    # The engine reduces in basis order, so it must refuse any other order.
+    (
+        "basis-order-unchecked",
+        "engine.py",
+        "if any(a < b for a, b in zip(src, src[1:])):",
+        "if False:",
+        _ENGINE,
+    ),
+    # The reductions that the pages and H^k read, which the certificate in
+    # tests/reduction_certificate.py checks.
+    (
+        "dropped-v-update",
+        "linalg.py",
+        "                v = _combine(a, v, c, pv)\n",
+        "                pass\n",
+        _ENGINE,
+    ),
+    (
+        "clear-at-the-columns-not-the-lows",
+        "engine.py",
+        "cleared = {low: R_prev[j] for low, j in lows_prev.items()}",
+        "cleared = {j: R_prev[j] for low, j in lows_prev.items()}",
+        _ENGINE,
+    ),
+    # H^k as a view of the reductions.
+    (
+        "boundary-counted-as-a-class",
+        "invariant.py",
+        "if not r and j not in self.lows_prev)",
+        "if not r)",
         _VIEWS,
     ),
     # The persistence pairing, the pages and the E_2 verdict read from them.

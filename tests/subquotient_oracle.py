@@ -10,23 +10,50 @@ Pages come straight from the definition
 with d_r the map induced by d on the subquotients.  It reads a
 `FilteredComplex` only through `filt`, `d`, `dim`, `max_degree` and
 `max_filtration`, so it shares none of the rank formulas it checks.
+
+`dense_complex` builds a `FilteredComplex` from dense matrices on a basis in
+any order, as the tests' hand-made complexes come.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import lcm
+from typing import Sequence
 
+from specseq.engine import FilteredComplex
 from specseq.linalg import (
     DimensionMismatch,
     Matrix,
     Quotient,
     Subspace,
+    integer_columns,
     intersect,
     preimage,
     quotient,
     rank,
     subspace_sum,
 )
+
+
+def dense_complex(
+    d: Sequence[Matrix], degrees: Sequence[Sequence[int]], max_filtration: int
+) -> FilteredComplex:
+    """The complex with differentials d_k on a basis of filtration degrees
+    `degrees`, each degree's basis first sorted into descending filtration
+    degree (ties in basis order), as the engine takes it.  Each d_k is
+    handed over as integer columns over the lcm of its denominators."""
+    orders = [sorted(range(len(src)), key=lambda j, src=src: -src[j]) for src in degrees]
+    orders.append([])
+    integer_d, denominators = [], []
+    for k, m in enumerate(d):
+        cols, rows = orders[k], orders[k + 1]
+        sorted_m = Matrix.from_rows([[m.entries[i][j] for j in cols] for i in rows], len(cols))
+        den = lcm(*(x.denominator for row in m.entries for x in row))
+        integer_d.append(integer_columns(sorted_m, den))
+        denominators.append(den)
+    sorted_degrees = tuple(tuple(src[j] for j in order) for src, order in zip(degrees, orders))
+    return FilteredComplex(sorted_degrees, max_filtration, tuple(integer_d), tuple(denominators))
 
 
 class InducedMapError(ValueError):

@@ -11,7 +11,10 @@ from fractions import Fraction
 import pytest
 
 import exterior_oracle as oracle
-from specseq.engine import check_abutment, compute_page, run_to_convergence, trivial_filtration
+import model_oracle
+from reduction_certificate import certify
+from subquotient_oracle import dense_complex
+from specseq.engine import check_abutment, compute_page, run_to_convergence
 from specseq.exterior import (
     ModelFrame,
     Multivector,
@@ -29,7 +32,6 @@ from specseq.lefschetz import (
     check_hard_lefschetz,
     generate_hlp_module,
     lefschetz_decompose_class,
-    primitive_subspace,
     reconstruct_class,
 )
 from specseq.linalg import Matrix, Subspace, image_basis, kernel_basis, quotient
@@ -226,13 +228,15 @@ def test_criterion_8_decompositions(capsys):
         for n in (1, 2, 3)
         for _ in range(4)
     ]
+    # PH^d as the kernel of the dense L^{n-d+1}, independent of the library.
+    primitive = {id(m): model_oracle.lefschetz_structure(m)[1] for m in modules}
     for _ in range(1000):
         m = rng.choice(modules)
         p = rng.randint(0, 2 * m.n)
         v = tuple(Fraction(rng.randint(-4, 4)) for _ in range(m.dim_at(p)))
         comps = lefschetz_decompose_class(m, p, v)
         for i, beta in comps:
-            if not primitive_subspace(m, p - 2 * i).contains_vector(beta):
+            if not primitive[id(m)][p - 2 * i].contains_vector(beta):
                 failures += 1
         if reconstruct_class(m, p, comps) != v:
             failures += 1
@@ -299,13 +303,19 @@ def test_criterion_10_engine_sanity(capsys, suite_S, suite_C):
             failures += 1
         if run_to_convergence(fc)[0][-1].antidiagonal_totals(c.max_degree) != betti_numbers(c):
             failures += 1
+    # Every reduction the pages and the cohomology read holds its certificate.
+    for c in suite_S + suite_C:
+        try:
+            certify(filtered_complex(c))
+        except AssertionError:
+            failures += 1
     # Trivially filtered complex: E_1 is plain cohomology and stays there.
     d = (
         Matrix.from_rows([[0, 0], [0, 0]]),
         Matrix.from_rows([[1, 0]]),
         Matrix.zero(0, 1),
     )
-    fc = trivial_filtration((2, 2, 1), d)
+    fc = dense_complex(d, ((0, 0), (0, 0), (0,)), 0)
     page1 = compute_page(fc, 1)
     if not page1.antidiagonal_totals(2) == fc.cohomology_dims() == (2, 1, 0):
         failures += 1
@@ -316,5 +326,6 @@ def test_criterion_10_engine_sanity(capsys, suite_S, suite_C):
         capsys,
         10,
         failures == 0,
-        f"abutment on 50 suite models plus trivial filtration, {failures} failures",
+        f"abutment on 50 suite models, certified reductions on 200, plus trivial filtration, "
+        f"{failures} failures",
     )

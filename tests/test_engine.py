@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import subquotient_oracle as oracle
+from reduction_certificate import certify
 
 from specseq import engine
 from specseq.engine import (
@@ -13,9 +14,7 @@ from specseq.engine import (
     FiltrationError,
     check_abutment,
     compute_page,
-    infinity_page,
     run_to_convergence,
-    trivial_filtration,
 )
 from specseq.invariant import betti_numbers, build_model, filtered_complex
 from specseq.lefschetz import generate_hlp_module
@@ -43,6 +42,15 @@ def _make_model(t):
     else:
         lambdas = [Q((seed % 7) - 3, 1 + seed % 3)] * s
     return build_model(base, s, lambdas)
+
+
+def trivial_filtration(chain_dims, d):
+    """The two-step filtration F^0 = everything, F^1 = 0."""
+    return oracle.dense_complex(d, tuple((0,) * dim for dim in chain_dims), 0)
+
+
+def infinity_page(fc):
+    return compute_page(fc, fc.max_filtration + 2)
 
 
 def test_two_term_complex_dies_at_E1():
@@ -89,14 +97,14 @@ def test_hopf_pages(cp1):
 
 
 def test_malformed_filtration_rejected():
-    d = (Matrix.from_rows([[1]]), Matrix.zero(0, 1))
+    d = ([{0: 1}], [{}])  # d_0 = (1)
     # F^1 in degree 0 is everything but d does not map it into F^1 of degree 1.
     with pytest.raises(FiltrationError):
-        FilteredComplex(d, ((1,), (0,)), 1)
+        FilteredComplex(((1,), (0,)), 1, d, (1, 1))
 
 
 def test_filtration_degrees_checked():
-    d = (Matrix.from_rows([[1]]), Matrix.zero(0, 1))
+    d = ([{0: 1}], [{}])  # d_0 = (1)
     for degrees, bound in (
         (((0,), (2,)), 1),  # above the bound
         (((-1,), (0,)), 1),  # negative
@@ -106,8 +114,8 @@ def test_filtration_degrees_checked():
         (((0,), (0,)), -1),  # negative bound
     ):
         with pytest.raises(FiltrationError):
-            FilteredComplex(d, degrees, bound)
-    assert FilteredComplex(d, ((0,), (1,)), 1).filt(1, 1).dim == 1
+            FilteredComplex(degrees, bound, d, (1, 1))
+    assert FilteredComplex(((0,), (1,)), 1, d, (1, 1)).filt(1, 1).dim == 1
 
 
 def test_non_complex_rejected():
@@ -117,16 +125,15 @@ def test_non_complex_rejected():
 
 
 def test_handed_over_columns_are_checked():
-    # The checks read the integer columns a caller hands over, not the
-    # matrices: here d is a complex, but the columns square to nonzero.
-    d = (Matrix.from_rows([[1]]), Matrix.zero(1, 1), Matrix.zero(0, 1))
+    # The checks read the integer columns a caller hands over: these square
+    # to nonzero, have too many columns, or miss a degree.
     degrees = ((0,), (0,), (0,))
     with pytest.raises(FiltrationError, match="d o d"):
-        FilteredComplex(d, degrees, 0, integer_d=([{0: 1}], [{0: 1}], [{}]))
+        FilteredComplex(degrees, 0, ([{0: 1}], [{0: 1}], [{}]), (1, 1, 1))
     with pytest.raises(FiltrationError, match="wrong shape"):
-        FilteredComplex(d, degrees, 0, integer_d=([{0: 1}], [{}, {}], [{}]))
+        FilteredComplex(degrees, 0, ([{0: 1}], [{}, {}], [{}]), (1, 1, 1))
     with pytest.raises(FiltrationError, match="every degree"):
-        FilteredComplex(d, degrees, 0, integer_d=([{0: 1}], [{}]))
+        FilteredComplex(degrees, 0, ([{0: 1}], [{}]), (1, 1, 1))
 
 
 @pytest.mark.parametrize(
@@ -144,22 +151,20 @@ def test_handed_over_columns_are_checked():
 def test_integer_columns_of_the_wrong_shape_are_refused_before_any_reduction(
     monkeypatch, integer_d, message
 ):
-    # A complex given integer columns has no matrices to take its shape
-    # from; its columns are checked against the filtration degrees.
+    # A complex has no matrices to take its shape from; its columns are
+    # checked against the filtration degrees.
     def no_reduction(*args, **kwargs):
         raise AssertionError("reduced before the shape check")
 
     monkeypatch.setattr(engine, "reduce_columns", no_reduction)
     degrees = ((0,), (0,), (0,))
     with pytest.raises(FiltrationError, match=message):
-        FilteredComplex(None, degrees, 0, integer_d=integer_d, denominators=(1, 1, 1))
+        FilteredComplex(degrees, 0, integer_d, (1, 1, 1))
 
 
 def test_integer_columns_build_the_dense_view_only_when_read():
     degrees = ((0,), (1, 0), (1,))
-    fc = FilteredComplex(
-        None, degrees, 1, integer_d=([{0: 2}], [{}, {0: 1}], [{}]), denominators=(3, 1, 1)
-    )
+    fc = FilteredComplex(degrees, 1, ([{0: 2}], [{}, {0: 1}], [{}]), (3, 1, 1))
     assert "d" not in vars(fc)
     assert fc.d == (
         Matrix.from_rows([[Fraction(2, 3)], [0]]),
@@ -167,7 +172,7 @@ def test_integer_columns_build_the_dense_view_only_when_read():
         Matrix.zero(0, 1),
     )
     with pytest.raises(FiltrationError, match="denominators"):
-        FilteredComplex(None, degrees, 1, integer_d=fc.integer_d)
+        FilteredComplex(degrees, 1, fc.integer_d, (3, 1))
 
 
 def _assert_page_turning(pages, ker_dim, rk_in):
@@ -196,6 +201,7 @@ def test_page_turning_identity(m):
 
 
 def _assert_engines_agree(fc):
+    certify(fc)
     pages, stable_at = run_to_convergence(fc)
     ref_pages, ref_stable_at = oracle.run_to_convergence(fc)
     assert stable_at == ref_stable_at
@@ -253,7 +259,7 @@ def _interval_complex(P, K, pieces, free, seed):
         ]
         plain = Matrix.from_cols(cols, rows=len(tgt)) if cols else Matrix.zero(len(tgt), 0)
         d.append((g[k + 1] @ plain @ inverse(g[k])) if k < K else plain)
-    return FilteredComplex(tuple(d), degrees, P)
+    return oracle.dense_complex(d, degrees, P)
 
 
 interval_specs = st.tuples(st.integers(0, 5), st.integers(1, 3)).flatmap(

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from specseq.engine import FilteredComplex, FiltrationError, compute_page, run_to_convergence
+from specseq.engine import FiltrationError, compute_page, run_to_convergence
 from specseq.invariant import (
     InvariantComplex,
     betti_numbers,
@@ -22,7 +22,6 @@ from specseq.linalg import (
     DimensionMismatch,
     Matrix,
     Subspace,
-    apply_columns,
     image_basis,
     integer_columns,
     kernel_basis,
@@ -32,6 +31,8 @@ from specseq.linalg import (
 )
 
 import model_oracle as oracle
+from reduction_certificate import certify
+from subquotient_oracle import dense_complex
 
 Q = Fraction
 
@@ -229,6 +230,7 @@ def typed_models():
 @settings(deadline=None, max_examples=40)
 @given(typed_models())
 def test_cohomology_matches_the_quotient_oracle(m):
+    certify(filtered_complex(m))
     for k, h in enumerate(cohomology(m)):
         n = m.dim(k)
         exact = image_basis(m.differentials[k - 1]) if k else Subspace.zero(n)
@@ -297,7 +299,7 @@ def test_filtered_complex_construction(cp1):
 def _dense_filtered_complex(m):
     """`filtered_complex(m)` built the generic way, from the dense matrices."""
     degrees = tuple(tuple(p for _, p, _ in layer) for layer in m.basis)
-    return FilteredComplex(m.differentials, degrees, 2 * m.base.n)
+    return dense_complex(m.differentials, degrees, 2 * m.base.n)
 
 
 @settings(deadline=None, max_examples=40)
@@ -305,6 +307,7 @@ def _dense_filtered_complex(m):
 def test_filtered_complex_takes_the_models_columns(m):
     fc, dense = filtered_complex(m), _dense_filtered_complex(m)
     assert fc.integer_d is m.integer_d
+    certify(fc)
     # The engine's dense view, built on first read, is the model's.
     assert fc.d == oracle.dense_differentials(m)
     assert fc.pairs == dense.pairs
@@ -323,7 +326,9 @@ def test_filtered_complex_takes_the_models_columns(m):
 @settings(deadline=None, max_examples=60)
 @given(typed_models())
 def test_cleared_reductions_match_the_full_reduction(m):
-    reductions = filtered_complex(m).basis_reductions()
+    fc = filtered_complex(m)
+    certify(fc)
+    reductions = fc.reductions
     for k, (R, V, lows) in enumerate(reductions):
         cols = m.integer_d[k]
         full_R, full_V, full_lows = reduce_columns(cols)
@@ -332,10 +337,7 @@ def test_cleared_reductions_match_the_full_reduction(m):
         if k:
             R_prev, _, lows_prev = reductions[k - 1]
             cleared = {low: R_prev[j] for low, j in lows_prev.items()}
-        for j, (r, v) in enumerate(zip(R, V, strict=True)):
-            # R = D V, and V is upper triangular with a nonzero diagonal.
-            assert apply_columns(cols, v) == r
-            assert max(v) == j and v[j]
+        for j, v in enumerate(V):
             # A cleared column keeps the boundary with its low at j; every
             # other column of V is the full reduction's.
             assert v == cleared.get(j, full_V[j])
@@ -352,11 +354,9 @@ def test_reductions_of_a_reordered_basis_are_not_handed_over(cp1):
     d[k - 1] = [dict(sorted((last - i, x) for i, x in col.items())) for col in d[k - 1]]
     d[k] = d[k][::-1]
     reordered = InvariantComplex(m.base, m.s, m.lambdas, tuple(basis), tuple(d), m.denominators)
-    fc = filtered_complex(reordered)
-    # The engine sorts the basis itself, so its pairs do not move ...
-    assert fc.pairs == filtered_complex(m).pairs
-    # ... but its reductions are of reordered columns, which direct
-    # cohomology cannot read.
-    for read in (fc.basis_reductions, lambda: betti_numbers(reordered)):
+    # The engine reduces in basis order, which is then not the filtration
+    # order, so it refuses the complex that its pages and direct cohomology
+    # would read.
+    for read in (lambda: filtered_complex(reordered), lambda: betti_numbers(reordered)):
         with pytest.raises(FiltrationError, match=f"degree {k} "):
             read()

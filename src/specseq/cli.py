@@ -248,6 +248,11 @@ def cmd_recursion(args) -> int:
     return EXIT_OK
 
 
+def _format_terms(a: Multivector) -> str:
+    """The terms of a form as {idx: c, ...}, each coefficient printed by `str`."""
+    return "{" + ", ".join(f"{idx}: {c}" for idx, c in a.terms) + "}"
+
+
 def cmd_star_check(args) -> int:
     pairs = []
     if args.n is not None or args.s is not None:
@@ -271,7 +276,7 @@ def cmd_star_check(args) -> int:
             subset, alpha_idx, lhs, rhs = bad[0]
             print(
                 f"n={n} s={s}: FAIL on eta subset {subset}, monomial {alpha_idx}: "
-                f"got {lhs.terms}, expected {rhs.terms}"
+                f"got {_format_terms(lhs)}, expected {_format_terms(rhs)}"
             )
             return EXIT_FAIL
         print(f"n={n} s={s}: pass ({count} cases)")

@@ -4,9 +4,12 @@ The model space is R^{2n} (+) R^s with an orthonormal covector basis
 e^1,...,e^{2n}, eta_1,...,eta_s, the standard symplectic two-form
 omega = sum e^{2i-1} ^ e^{2i} on the transverse factor, and the compatible
 complex structure J e_{2i-1} = e_{2i}.  Everything here is fiberwise linear
-algebra with exact rational coefficients: wedge products, the symplectic
-and metric star operators, the Lefschetz operators L and Lambda, and the
-primitive decomposition.
+algebra with exact `int`/`Fraction` arithmetic: wedge products, the
+symplectic and metric star operators, the Lefschetz operators L and Lambda,
+and the primitive decomposition.  A whole-number coefficient is stored as an
+`int`, so forms with whole coefficients, such as every monomial the star
+check builds, never touch `Fraction`; `Fraction(k) == k` and their hashes
+agree, so equality of forms does not depend on which type a coefficient has.
 
 Index layout: 0..2n-1 are the transverse covectors (0-based), 2n..2n+s-1
 are eta_1..eta_s.  Public constructors take 1-based labels to match the
@@ -23,8 +26,9 @@ from math import factorial
 from typing import Mapping, Sequence
 
 Q = Fraction
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
+Coeff = int | Fraction  # exact; `make` stores a whole number as an int
+_ZERO = 0
+_ONE = 1
 
 
 class FrameMismatch(ValueError):
@@ -61,19 +65,27 @@ class Multivector:
 
     `terms` maps strictly increasing index tuples of length `degree` to
     nonzero rational coefficients; it is stored sorted for canonical
-    equality.
+    equality.  The operations use exact `int`/`Fraction` arithmetic, on
+    ints wherever both operands are whole numbers held as ints.
     """
 
     frame: ModelFrame
     degree: int
-    terms: tuple[tuple[tuple[int, ...], Fraction], ...]
+    terms: tuple[tuple[tuple[int, ...], Coeff], ...]
 
     @staticmethod
-    def make(frame: ModelFrame, degree: int, coeffs: Mapping[tuple[int, ...], Fraction]) -> "Multivector":
-        """The form sum c e^idx, with every index tuple checked against the frame."""
+    def make(frame: ModelFrame, degree: int, coeffs: Mapping[tuple[int, ...], Coeff]) -> "Multivector":
+        """The form sum c e^idx, with every index tuple checked against the frame.
+
+        The one point where coefficients are normalised for exact
+        `int`/`Fraction` arithmetic: a whole number is stored as an `int`,
+        any other value as a `Fraction`.
+        """
         cleaned = {}
         for idx, c in coeffs.items():
-            c = c if isinstance(c, Fraction) else Fraction(c)
+            if type(c) is not int:
+                c = c if isinstance(c, Fraction) else Fraction(c)
+                c = c.numerator if c.denominator == 1 else c
             if not c:
                 continue
             idx = tuple(idx)
@@ -85,10 +97,13 @@ class Multivector:
         return Multivector._trusted(frame, degree, cleaned)
 
     @staticmethod
-    def _trusted(frame: ModelFrame, degree: int, coeffs: Mapping[tuple[int, ...], Fraction]) -> "Multivector":
+    def _trusted(frame: ModelFrame, degree: int, coeffs: Mapping[tuple[int, ...], Coeff]) -> "Multivector":
         """`make` for the results of operations on valid forms: the index
-        tuples are known to be valid and the coefficients to be Fractions, so
+        tuples are known to be valid and the coefficients to be exact, so
         only the zero terms are dropped."""
+        if len(coeffs) == 1:
+            ((i, c),) = coeffs.items()
+            return Multivector(frame, degree, ((i, c),) if c else ())
         return Multivector(frame, degree, tuple(sorted((i, c) for i, c in coeffs.items() if c)))
 
     @staticmethod
@@ -102,7 +117,7 @@ class Multivector:
         td = self.frame.transverse_dim
         return all(not idx or idx[-1] < td for idx, _ in self.terms)
 
-    def coefficient(self, idx: Sequence[int]) -> Fraction:
+    def coefficient(self, idx: Sequence[int]) -> Coeff:
         idx = tuple(idx)
         for t, c in self.terms:
             if t == idx:
@@ -130,7 +145,7 @@ class Multivector:
             return self
         if c == -1:
             return Multivector(self.frame, self.degree, tuple((idx, -v) for idx, v in self.terms))
-        c = c if isinstance(c, Fraction) else Fraction(c)
+        c = c if isinstance(c, (int, Fraction)) else Fraction(c)
         if not c:
             return Multivector.zero(self.frame, self.degree)
         return Multivector(self.frame, self.degree, tuple((idx, c * v) for idx, v in self.terms))
@@ -145,7 +160,7 @@ def _check_frames(a: Multivector, b: Multivector):
 
 
 def scalar(frame: ModelFrame, value=1) -> Multivector:
-    return Multivector.make(frame, 0, {(): Fraction(value)})
+    return Multivector.make(frame, 0, {(): value})
 
 
 def covector(frame: ModelFrame, i: int) -> Multivector:
@@ -217,7 +232,7 @@ def _complement_sign(idx: tuple[int, ...], total: int) -> tuple[tuple[int, ...],
 
 def wedge(a: Multivector, b: Multivector) -> Multivector:
     _check_frames(a, b)
-    acc: dict[tuple[int, ...], Fraction] = {}
+    acc: dict[tuple[int, ...], Coeff] = {}
     for ia, ca in a.terms:
         for ib, cb in b.terms:
             merged = _merge_sign(ia, ib)
@@ -237,7 +252,7 @@ def lefschetz_L(a: Multivector) -> Multivector:
     arises; L is the transpose of lambda_op's contraction.
     """
     _require_transverse(a)
-    acc: dict[tuple[int, ...], Fraction] = {}
+    acc: dict[tuple[int, ...], Coeff] = {}
     for idx, c in a.terms:
         for i in range(a.frame.n):
             lo = 2 * i
@@ -269,7 +284,7 @@ def hodge_star_transverse(a: Multivector) -> Multivector:
     """Metric Hodge star on the transverse factor, volume omega^n/n!."""
     _require_transverse(a)
     td = a.frame.transverse_dim
-    acc: dict[tuple[int, ...], Fraction] = {}
+    acc: dict[tuple[int, ...], Coeff] = {}
     # Distinct terms have distinct complements, so nothing accumulates.
     for idx, c in a.terms:
         comp, sign = _complement_sign(idx, td)
@@ -285,7 +300,7 @@ def full_hodge_star(a: Multivector) -> Multivector:
     because the transverse factor is even-dimensional.
     """
     total = a.frame.total_dim
-    acc: dict[tuple[int, ...], Fraction] = {}
+    acc: dict[tuple[int, ...], Coeff] = {}
     for idx, c in a.terms:
         comp, sign = _complement_sign(idx, total)
         acc[comp] = c if sign > 0 else -c
@@ -295,7 +310,7 @@ def full_hodge_star(a: Multivector) -> Multivector:
 def j_action(a: Multivector) -> Multivector:
     """Pullback along J (J e_{2i-1} = e_{2i}), acting factorwise on forms."""
     _require_transverse(a)
-    acc: dict[tuple[int, ...], Fraction] = {}
+    acc: dict[tuple[int, ...], Coeff] = {}
     for idx, c in a.terms:
         # On covectors, J e^{2i-1} = -e^{2i} and J e^{2i} = e^{2i-1};
         # 0-based: even t -> -(t+1), odd t -> t-1.  The image indices of a
@@ -323,7 +338,7 @@ def lambda_op(a: Multivector) -> Multivector:
     _require_transverse(a)
     if a.degree < 2:
         return Multivector.zero(a.frame, a.degree - 2)
-    acc: dict[tuple[int, ...], Fraction] = {}
+    acc: dict[tuple[int, ...], Coeff] = {}
     for idx, c in a.terms:
         # In an increasing tuple a pair (2i, 2i+1), 0-based, sits side by side.
         for k in range(len(idx) - 1):
@@ -374,7 +389,7 @@ def primitive_decompose(a: Multivector) -> list[tuple[int, Multivector]]:
     return out[::-1]
 
 
-def form_inner_product(a: Multivector, b: Multivector) -> Fraction:
+def form_inner_product(a: Multivector, b: Multivector) -> Coeff:
     """Metric inner product of forms; the monomial basis is orthonormal."""
     _check_frames(a, b)
     if a.degree != b.degree:

@@ -10,10 +10,11 @@ PH^d = Ker L^{n-d+1} and each Ker L come from one `reduce_columns` each,
 the kernels as the columns of V at the zero columns of R, and the star
 images L^{n-d} beta of the PH^d basis vectors from the same powers.
 `lefschetz_columns` returns those integer bases.  The S-type verifiers
-read nothing else, `lefschetz_decompose_class` solves on them too, and
-`reconstruct_class` applies the integer columns of L.  No dense subspace
-is built here; the tests keep dense kernels of the powers of L as the
-reference.
+read nothing else, and `lefschetz_decompose_class` solves on them too.
+The arithmetic is exact `int`/`Fraction` arithmetic: `int` on the columns,
+`Fraction` only where a result is divided by a denominator.  No dense
+subspace is built here; the tests keep dense kernels of the powers of L,
+and the reconstruction sum_i L^i beta_i, as the reference.
 """
 
 from __future__ import annotations
@@ -226,28 +227,6 @@ def lefschetz_decompose_class(
             dim = module.dims[p - 2 * i]
             out.append((i, tuple(Fraction(beta.get(j, 0) * e**i, scale) for j in range(dim))))
     return out
-
-
-def reconstruct_class(
-    module: LefschetzModule, p: int, components: Sequence[tuple[int, Sequence[Fraction]]]
-) -> tuple[Fraction, ...]:
-    """Inverse of lefschetz_decompose_class: sum_i L^i beta_i in H^p.
-
-    Each D beta_i, with D the lcm of its denominators, is taken through the
-    integer columns of L (`integer_l_maps`, over e) i times, and the result
-    divided by D e^i.
-    """
-    L, e = module._integer_l_maps
-    acc = [_ZERO] * module.dim_at(p)
-    for i, beta in components:
-        beta = [Fraction(x) for x in beta]
-        den = lcm(*(x.denominator for x in beta))
-        w = {j: (x * den).numerator for j, x in enumerate(beta) if x}
-        for d in range(p - 2 * i, p, 2):
-            w = apply_columns(L[d], w)
-        for j, x in w.items():
-            acc[j] += Fraction(x, den * e**i)
-    return tuple(acc)
 
 
 def check_top_degree(module: LefschetzModule) -> bool:

@@ -3,9 +3,10 @@
 `dense_differentials` builds each d_k entry by entry as dense `Fraction`
 columns; `lefschetz_structure` and `star_matrix` recompute a module's
 Lefschetz data with `l_power`, a dense product of the L matrices, for every
-power they read.  Neither shares the sparse integer scatter of `build_model`
-or the power table of the library.  `primitive_subspace` and `kernel_L` are
-the canonical dense subspaces spanned by the library's integer bases
+power they read, and `reconstruct_class` sums the dense images L^i beta_i.
+None of them shares the sparse integer scatter of `build_model` or the
+power table of the library.  `primitive_subspace` and `kernel_L` are the
+canonical dense subspaces spanned by the library's integer bases
 (`lefschetz_columns`), for comparison with the `l_power` kernels.
 """
 
@@ -53,6 +54,14 @@ def l_power(module: LefschetzModule, p: int, m: int) -> Matrix:
         result = step @ result
         deg += 2
     return result
+
+
+def reconstruct_class(module: LefschetzModule, p: int, components) -> tuple[Fraction, ...]:
+    """Inverse of `lefschetz_decompose_class`: sum_i L^i beta_i in H^p."""
+    acc = [Fraction(0)] * module.dim_at(p)
+    for i, beta in components:
+        acc = [a + b for a, b in zip(acc, l_power(module, p - 2 * i, i).apply(beta))]
+    return tuple(acc)
 
 
 def _span(dim: int, vectors: list[SparseColumn]) -> Subspace:

@@ -79,13 +79,20 @@ MUTANTS = [
         "cols.insert(0, {j: (x * den).numerator for j, x in enumerate(v) if x})",
         _DECOMPOSE,
     ),
-    # reconstruct_class on the integer columns of L.
+    # The Lefschetz structure: the star images L^{n-d} beta and Ker L.
     (
-        "reconstruct-without-the-e-power",
+        "star-images-one-power-too-high",
         "lefschetz.py",
-        "acc[j] += Fraction(x, den * e**i)",
-        "acc[j] += Fraction(x, den)",
-        _DECOMPOSE,
+        "apply_columns(powers[p][n - p], beta)",
+        "apply_columns(powers[p][n - p + 1], beta)",
+        _STAR,
+    ),
+    (
+        "kernel-L-vector-dropped",
+        "lefschetz.py",
+        "kernel = tuple(_kernel(cols) for cols in L)",
+        "kernel = tuple(_kernel(cols)[1:] for cols in L)",
+        _STAR,
     ),
     # Star duality's ranks from the boundaries of H^k, and the dense views.
     (
@@ -201,6 +208,21 @@ MUTANTS = [
         "exterior.py",
         "out.append((0, rest))",
         "pass",
+        _EXTERIOR,
+    ),
+    # Whole-number coefficients held as ints.
+    (
+        "make-keeps-the-numerator-of-every-fraction",
+        "exterior.py",
+        "c = c.numerator if c.denominator == 1 else c",
+        "c = c.numerator",
+        _EXTERIOR,
+    ),
+    (
+        "scaled-int-path-drops-the-sign",
+        "exterior.py",
+        "c = c if isinstance(c, (int, Fraction)) else Fraction(c)",
+        "c = abs(c) if isinstance(c, int) else c if isinstance(c, Fraction) else Fraction(c)",
         _EXTERIOR,
     ),
     (

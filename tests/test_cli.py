@@ -375,6 +375,19 @@ def test_star_check_single(capsys):
     assert "n=2 s=2: pass" in out
 
 
+def test_star_check_prints_the_first_counterexample_and_exits_1(capsys, monkeypatch):
+    frame = ModelFrame(2, 2)
+    got = Multivector.make(frame, 3, {(0, 1, 4): 1, (2, 3, 4): Fraction(1, 2)})
+    expected = Multivector.make(frame, 3, {(0, 1, 4): Fraction(-1)})
+    monkeypatch.setattr(cli, "star_relation_counterexamples", lambda f: [((1,), (0, 1), got, expected)])
+    code, out, _ = run(capsys, "star-check", "--n", "2", "--s", "2")
+    assert code == 1
+    assert out.splitlines() == [
+        "n=2 s=2: FAIL on eta subset (1,), monomial (0, 1): "
+        "got {(0, 1, 4): 1, (2, 3, 4): 1/2}, expected {(0, 1, 4): -1}"
+    ]
+
+
 def test_star_check_range(capsys):
     code, _, err = run(capsys, "star-check", "--n", "5")
     assert code == 2

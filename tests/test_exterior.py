@@ -396,6 +396,63 @@ def test_star_relation_exhaustive(n, s):
     assert star_relation_counterexamples(ModelFrame(n, s)) == []
 
 
+def test_star_check_does_no_fraction_arithmetic(monkeypatch):
+    # Every coefficient the star check builds is +-1, held as an int.
+    calls = []
+    for name in ("__mul__", "__rmul__", "__neg__", "__add__", "__radd__"):
+        op = getattr(Fraction, name)
+        monkeypatch.setattr(Fraction, name, lambda *args, op=op, name=name: calls.append(name) or op(*args))
+    assert star_relation_counterexamples(ModelFrame(2, 2)) == []
+    assert calls == []
+
+
+mixed_coefficients = st.one_of(
+    st.integers(-3, 3),
+    st.fractions(min_value=-3, max_value=3, max_denominator=3),
+    st.integers(-3, 3).map(Q),
+)
+
+
+def mixed_forms(frame, degree, transverse=True):
+    """Forms whose coefficients mix ints, whole-number Fractions and other
+    Fractions, as the results of operations may hold them, each paired with
+    its all-Fraction copy."""
+    idxs = monomials(frame, degree, transverse)
+    return st.lists(mixed_coefficients, min_size=len(idxs), max_size=len(idxs)).map(
+        lambda cs: (
+            Multivector(frame, degree, tuple((i, c) for i, c in zip(idxs, cs) if c)),
+            Multivector(frame, degree, tuple((i, Q(c)) for i, c in zip(idxs, cs) if c)),
+        )
+    )
+
+
+def assert_same(x, y):
+    assert x == y and hash(x) == hash(y)
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.data())
+def test_mixed_int_and_fraction_coefficients_give_the_same_results(data):
+    n, s = data.draw(st.integers(0, 3)), data.draw(st.integers(0, 2))
+    f = ModelFrame(n, s)
+    r, p = data.draw(st.integers(0, 2 * n)), data.draw(st.integers(0, f.total_dim))
+    a, qa = data.draw(mixed_forms(f, r))
+    a2, qa2 = data.draw(mixed_forms(f, r))
+    b, qb = data.draw(mixed_forms(f, p, transverse=False))
+    c = data.draw(mixed_coefficients)
+    assert_same(a, qa)
+    assert_same(Multivector.make(f, r, dict(a.terms)), a)
+    assert_same(wedge(a, b), wedge(qa, qb))
+    assert_same(a + a2, qa + qa2)
+    assert_same(a - a2, qa - qa2)
+    assert_same(a.scaled(c), qa.scaled(Q(c)))
+    assert_same(full_hodge_star(b), full_hodge_star(qb))
+    for op in (lefschetz_L, hodge_star_transverse, symplectic_star, j_action):
+        assert_same(op(a), op(qa))
+    assert_same(lambda_op(a), oracle.lambda_op(qa))
+    assert_same(tuple(primitive_decompose(a)), tuple(oracle.primitive_decompose(qa)))
+
+
 def test_form_inner_product_orthonormal():
     f = ModelFrame(2)
     a = mono(f, 2, (0, 1), 3)

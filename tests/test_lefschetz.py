@@ -13,13 +13,12 @@ from specseq.lefschetz import (
     integer_l_maps,
     lefschetz_columns,
     lefschetz_decompose_class,
-    reconstruct_class,
     zero_l_block,
 )
 from specseq.linalg import Matrix, Subspace, image_basis, integer_columns
 
 import model_oracle as oracle
-from model_oracle import kernel_L, l_power, primitive_subspace
+from model_oracle import kernel_L, l_power, primitive_subspace, reconstruct_class
 
 Q = Fraction
 

@@ -103,12 +103,12 @@ class Multivector:
         only the zero terms are dropped."""
         if len(coeffs) == 1:
             ((i, c),) = coeffs.items()
-            return Multivector(frame, degree, ((i, c),) if c else ())
-        return Multivector(frame, degree, tuple(sorted((i, c) for i, c in coeffs.items() if c)))
+            return _form(frame, degree, ((i, c),) if c else ())
+        return _form(frame, degree, tuple(sorted((i, c) for i, c in coeffs.items() if c)))
 
     @staticmethod
     def zero(frame: ModelFrame, degree: int) -> "Multivector":
-        return Multivector(frame, max(degree, 0), ())
+        return _form(frame, max(degree, 0), ())
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -144,14 +144,30 @@ class Multivector:
         if c == 1:
             return self
         if c == -1:
-            return Multivector(self.frame, self.degree, tuple((idx, -v) for idx, v in self.terms))
+            return _form(self.frame, self.degree, tuple((idx, -v) for idx, v in self.terms))
         c = c if isinstance(c, (int, Fraction)) else Fraction(c)
         if not c:
             return Multivector.zero(self.frame, self.degree)
-        return Multivector(self.frame, self.degree, tuple((idx, c * v) for idx, v in self.terms))
+        return _form(self.frame, self.degree, tuple((idx, c * v) for idx, v in self.terms))
 
     def __rmul__(self, c) -> "Multivector":
         return self.scaled(c)
+
+
+_SET_FRAME = Multivector.frame.__set__
+_SET_DEGREE = Multivector.degree.__set__
+_SET_TERMS = Multivector.terms.__set__
+
+
+def _form(frame: ModelFrame, degree: int, terms: tuple) -> Multivector:
+    """The form with these fields, for the results of operations: the slots
+    are set directly, which takes half the time of the frozen dataclass's
+    `__init__`.  The result is the same frozen `Multivector`."""
+    form = object.__new__(Multivector)
+    _SET_FRAME(form, frame)
+    _SET_DEGREE(form, degree)
+    _SET_TERMS(form, terms)
+    return form
 
 
 def _check_frames(a: Multivector, b: Multivector):
@@ -220,12 +236,20 @@ def _merge_sign(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[tuple[int, ...]
     return tuple(sorted(a + b)), -1 if parity & 1 else 1
 
 
+# frozenset(range(total)) per total, built once; one immutable entry per
+# frame dimension in use.
+_INDICES: dict[int, frozenset[int]] = {}
+
+
 def _complement_sign(idx: tuple[int, ...], total: int) -> tuple[tuple[int, ...], int]:
     """The indices of range(total) missing from idx, and the sign of idx + them.
 
     idx[k] - k complement indices lie below idx[k], each an inversion.
     """
-    comp = tuple(i for i in range(total) if i not in idx)
+    indices = _INDICES.get(total)
+    if indices is None:
+        indices = _INDICES[total] = frozenset(range(total))
+    comp = tuple(sorted(indices.difference(idx)))
     k = len(idx)
     return comp, -1 if (sum(idx) - k * (k - 1) // 2) & 1 else 1
 
@@ -252,6 +276,11 @@ def lefschetz_L(a: Multivector) -> Multivector:
     arises; L is the transpose of lambda_op's contraction.
     """
     _require_transverse(a)
+    return _insert_pairs(a)
+
+
+def _insert_pairs(a: Multivector) -> Multivector:
+    """`lefschetz_L` on a form known to be transverse."""
     acc: dict[tuple[int, ...], Coeff] = {}
     for idx, c in a.terms:
         for i in range(a.frame.n):
@@ -336,6 +365,11 @@ def lambda_op(a: Multivector) -> Multivector:
     pair}.  No sign arises, because L = omega ^ . inserts a pair without one.
     """
     _require_transverse(a)
+    return _contract_pairs(a)
+
+
+def _contract_pairs(a: Multivector) -> Multivector:
+    """`lambda_op` on a form known to be transverse."""
     if a.degree < 2:
         return Multivector.zero(a.frame, a.degree - 2)
     acc: dict[tuple[int, ...], Coeff] = {}
@@ -360,7 +394,8 @@ def primitive_decompose(a: Multivector) -> list[tuple[int, Multivector]]:
     L^m beta = 0 when m > n - d, so those m are skipped.  The last step,
     m = 0, has c_0 = 1, so for a form of degree r <= n, beta_0 is what is
     left; for r > n there is no m = 0 step, and what is left must be zero.
-    Returns the nonzero (i, beta_i) in increasing i.
+    Returns the nonzero (i, beta_i) in increasing i.  Lambda and L keep a
+    form transverse, so only `a` is checked.
     """
     _require_transverse(a)
     n = a.frame.n
@@ -372,13 +407,13 @@ def primitive_decompose(a: Multivector) -> list[tuple[int, Multivector]]:
             continue
         beta = rest
         for _ in range(m):
-            beta = lambda_op(beta)
+            beta = _contract_pairs(beta)
         if beta.is_zero():
             continue
         beta = beta.scaled(Fraction(factorial(n - d - m), factorial(m) * factorial(n - d)))
         image = beta
         for _ in range(m):
-            image = lefschetz_L(image)
+            image = _insert_pairs(image)
         rest = rest - image
         out.append((m, beta))
     if a.degree <= n:

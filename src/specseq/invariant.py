@@ -13,14 +13,16 @@ what the spectral-sequence engine consumes.
 A complex holds each d_k as sparse integer columns and one denominator
 (`InvariantComplex.integer_d` and `.denominators`): `build_model` scatters
 integer products of the lambda numerators and the integer columns of L
-straight into them.  The complex keeps its analysis, each part built once,
-on first read: the engine's filtered complex on those columns
-(`InvariantComplex.filtered_complex`, which checks d o d = 0 and reduces
-each d_k once), the pages with the stable page (`.spectral_sequence`) and
-direct cohomology (`.cohomology`), a view of the same reductions.  Each
-layer of the basis is listed in descending basic degree, as the engine
-requires, so those reductions are in basis order.  Every verifier reads
-these, so a model is analysed once, whichever verifiers run.  `InvariantComplex.differentials`, the same maps
+straight into them, each entry placed by the offset of its block
+eta_I (x) H^p in the basis (`InvariantComplex.offsets`).  The complex
+keeps its analysis, each part built once, on first read: the engine's
+filtered complex on those columns (`InvariantComplex.filtered_complex`,
+which checks d o d = 0 and reduces each d_k once), the pages with the
+stable page (`.spectral_sequence`) and direct cohomology (`.cohomology`),
+a view of the same reductions.  Each layer of the basis is listed in
+descending basic degree, as the engine requires, so those reductions are
+in basis order.  Every verifier reads these, so a model is analysed once,
+whichever verifiers run.  `InvariantComplex.differentials`, the same maps
 as dense `Fraction` matrices, is the engine's dense view, built on first
 read; `analyze` never reads it.
 """
@@ -42,12 +44,14 @@ _ZERO = Fraction(0)
 
 # basis element: (I as sorted 1-based tuple, basic degree p, basis index t)
 BasisElement = tuple[tuple[int, ...], int, int]
+# block of consecutive basis elements: (I, basic degree p)
+Block = tuple[tuple[int, ...], int]
 
 
 @dataclass(frozen=True)
 class InvariantElement:
     total_degree: int
-    coeffs: tuple[Fraction, ...]
+    coeffs: tuple[int | Fraction, ...]  # exact; whole numbers may be ints
 
 
 @dataclass(frozen=True)
@@ -70,15 +74,28 @@ class InvariantComplex:
         return 0
 
     def index_of(self, k: int, element: BasisElement) -> int:
-        """Position of `element` in the basis of C^k."""
-        position = self._positions[k].get(element) if 0 <= k <= self.max_degree else None
-        if position is None:
+        """Position of `element` = (I, p, t) in the basis of C^k: the offset
+        of its block (I, p) plus t."""
+        subset, p, t = element
+        start = self.offsets[k].get((subset, p)) if 0 <= k <= self.max_degree else None
+        if start is None or not 0 <= t < self.base.dims[p]:
             raise ValueError(f"{element!r} is not a basis element in degree {k}")
-        return position
+        return start + t
 
     @cached_property
-    def _positions(self) -> tuple[dict[BasisElement, int], ...]:
-        return tuple({b: i for i, b in enumerate(layer)} for layer in self.basis)
+    def offsets(self) -> tuple[dict[Block, int], ...]:
+        """Per degree k, the position in the basis of C^k of the first element
+        eta_I (x) h_{p,0} of each block (I, p); the block's elements follow
+        it in t, as `build_model` lays them out.  A basis laid out in any
+        other way has no offsets, and reading them raises ValueError."""
+        out = []
+        for k, layer in enumerate(self.basis):
+            starts: dict[Block, int] = {}
+            for i, (subset, p, t) in enumerate(layer):
+                if starts.setdefault((subset, p), i - t) != i - t:
+                    raise ValueError(f"the basis of C^{k} is not laid out in blocks (I, p)")
+            out.append(starts)
+        return tuple(out)
 
     @cached_property
     def filtered_complex(self) -> FilteredComplex:
@@ -132,9 +149,10 @@ def build_model(base: LefschetzModule, s: int, lambdas: Sequence) -> InvariantCo
     over their common denominator e) give d_k times (the lambda denominator
     times e).  Dividing by the gcd of that scale and every entry leaves d_k
     times the common denominator of its own entries, so the columns equal
-    `linalg.integer_columns(d_k)`, rows in ascending order.  The complex
-    keeps the columns, their denominators and the position of every basis
-    element; it builds no dense matrix.
+    `linalg.integer_columns(d_k)`, rows in ascending order.  Each block
+    eta_I (x) H^p of consecutive basis elements starts at one offset, which
+    places every entry.  The complex keeps the columns, their denominators
+    and the offsets; it builds no dense matrix.
     """
     if s < 1:
         raise ValueError("s must be at least 1; s = 0 has no eta directions")
@@ -144,18 +162,20 @@ def build_model(base: LefschetzModule, s: int, lambdas: Sequence) -> InvariantCo
     n = base.n
     max_deg = 2 * n + s
     basis: list[tuple[BasisElement, ...]] = []
-    index: list[dict[BasisElement, int]] = []
+    offsets: list[dict[Block, int]] = []
     for k in range(max_deg + 1):
         layer: list[BasisElement] = []
+        starts: dict[Block, int] = {}
         for q in range(min(s, k) + 1):
             p = k - q
-            if p > 2 * n:
+            if p > 2 * n or not base.dims[p]:
                 continue
             for subset in itertools.combinations(range(1, s + 1), q):
+                starts[(subset, p)] = len(layer)
                 for t in range(base.dims[p]):
                     layer.append((subset, p, t))
         basis.append(tuple(layer))
-        index.append({b: i for i, b in enumerate(layer)})
+        offsets.append(starts)
     lam_den = lcm(*(lam.denominator for lam in lambdas))
     lam_num = [lam.numerator * (lam_den // lam.denominator) for lam in lambdas]
     l_cols, l_den = integer_l_maps(base)
@@ -163,19 +183,20 @@ def build_model(base: LefschetzModule, s: int, lambdas: Sequence) -> InvariantCo
     integer_d: list[list[SparseColumn]] = []
     denominators: list[int] = []
     for k in range(max_deg + 1):
-        target = index[k + 1] if k < max_deg else {}
+        target = offsets[k + 1] if k < max_deg else {}
         columns: list[SparseColumn] = []
         for subset, p, t in basis[k]:
             col: list[tuple[int, int]] = []
-            if k < max_deg and p + 2 <= 2 * n:
+            image = l_cols[p][t] if k < max_deg and p + 2 <= 2 * n else None
+            if image:
                 for m, i in enumerate(subset):
                     a = lam_num[i - 1]
                     if not a:
                         continue
                     if m % 2:
                         a = -a
-                    rest = subset[:m] + subset[m + 1 :]
-                    col += [(target[(rest, p + 2, u)], a * v) for u, v in l_cols[p][t].items()]
+                    start = target[(subset[:m] + subset[m + 1 :], p + 2)]
+                    col += [(start + u, a * v) for u, v in image.items()]
             # Distinct (m, u) hit distinct rows, so no entry is a sum.
             col.sort()
             columns.append(dict(col))
@@ -185,7 +206,7 @@ def build_model(base: LefschetzModule, s: int, lambdas: Sequence) -> InvariantCo
         integer_d.append(columns)
         denominators.append(scale // g)
     c = InvariantComplex(base, s, lambdas, tuple(basis), tuple(integer_d), tuple(denominators))
-    vars(c)["_positions"] = tuple(index)  # fill the cache with what was built here
+    vars(c)["offsets"] = tuple(offsets)  # fill the cache with what was built here
     return c
 
 

@@ -6,8 +6,8 @@ integer columns, scaled by one common denominator, and `reduce_columns` and
 computes takes this path: the filtered-complex checks, the engine's
 persistence pairing (which clears the columns it knows reduce to zero),
 direct cohomology, which is a view of those reductions, the star-duality
-check, which reads its ranks of cohomology classes from a `reduce_columns`
-that builds no V and starts from the boundaries as pivots, and the
+check, which reduces its groups of cocycles with no V, starting from the
+boundaries and the groups reduced before them as pivots, and the
 Lefschetz structure's powers of L, ranks and kernels.
 `invariant.build_model` makes the integer columns of the model directly.
 
@@ -450,10 +450,12 @@ def reduce_columns(
     positive multiple of the one the full reduction gives.
 
     `pivots` maps lows to columns already reduced, one per low, that the
-    reduction starts from as if they stood before `cols`; they are not
-    reduced again and are not returned.  Each nonzero R column then extends
-    a basis of the span of the pivots, so the number of them in a prefix of
-    `cols` is the rank that prefix adds to that span.  Pivots have no V
+    reduction starts from as if they stood before `cols`; the mapping is
+    copied once, and the pivots are not reduced again and not returned.
+    Each nonzero R column then extends a basis of the span of the pivots,
+    so the number of lows returned is the rank that `cols` adds to that
+    span, and the pivots together with the reduced columns at those lows
+    are the pivots to reduce further columns from.  Pivots have no V
     column, so they need `with_v=False`.
     """
     if pivots and with_v:
@@ -461,9 +463,10 @@ def reduce_columns(
     R: list[SparseColumn] = []
     V: list[SparseColumn] = []
     by_low: dict[int, int] = {}
-    # Each low -> the reduced column with that low and its V column (empty
+    # Each low -> the reduced column with that low, and its V column (none
     # for a pivot).
-    reduced = {low: (col, {}) for low, col in pivots.items()} if pivots else {}
+    reduced = dict(pivots) if pivots else {}
+    reduced_v: dict[int, SparseColumn] = {}
     for j, col in enumerate(cols):
         if cleared and j in cleared:
             R.append({})
@@ -474,20 +477,26 @@ def reduce_columns(
         v = {j: 1} if with_v else {}
         low = max(r, default=None)
         while low in reduced:
-            p, pv = reduced[low]
+            p = reduced[low]
             g = gcd(p[low], r[low])
             a, c = p[low] // g, r[low] // g
             r = _combine(a, r, c, p)
             if with_v:
-                v = _combine(a, v, c, pv)
+                v = _combine(a, v, c, reduced_v[low])
             low = max(r, default=None)
-        g = gcd(*r.values(), *v.values())
+        if v or len(r) != 1:
+            g = gcd(*r.values(), *v.values())
+        else:  # one entry, the gcd of which is its absolute value
+            (x,) = r.values()
+            g = abs(x)
         if g != 1:
             r = {i: x // g for i, x in r.items()}
             v = {i: x // g for i, x in v.items()}
         if low is not None:
             by_low[low] = j
-            reduced[low] = r, v
+            reduced[low] = r
+            if with_v:
+                reduced_v[low] = v
         R.append(r)
         if with_v:
             V.append(v)

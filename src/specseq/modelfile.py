@@ -42,6 +42,22 @@ MAX_CHAIN_DIM = 1024
 # a model file.  The presets and the generated models use at most 4 bits.
 MAX_RATIONAL_BITS = 64
 
+# Largest model file `load_model` reads, in bytes; a larger one is refused
+# after reading one byte past this limit.  With s >= 1, sum(dims) is at most
+# MAX_CHAIN_DIM / 2, so the L matrices have at most (MAX_CHAIN_DIM / 4)^2
+# entries in all (sum_p dims[p+2] dims[p] <= sum(dims)^2 / 4).  Each entry
+# is at most a sign, two numbers of MAX_RATIONAL_BITS bits and a slash, in
+# quotes and followed by a comma, with 16 bytes for indentation and line
+# breaks (`dump_model` uses 9).  Another MiB allows for the name, the
+# description, the labels and the rest of the layout.
+_ENTRY_BYTES = 2 * len(str(2**MAX_RATIONAL_BITS - 1)) + 5 + 16
+MAX_FILE_BYTES = (MAX_CHAIN_DIM // 4) ** 2 * _ENTRY_BYTES + 2**20
+
+# `load_model` reads this much first: a read of n bytes allocates n bytes
+# up front, which for the whole limit costs more than reading a typical
+# model file.
+_FIRST_READ = 2**16
+
 # Accepted range (lowest, highest) of each command's --n and --s flags; None
 # leaves a flag unbounded above.  `generate` stays within 2^4 * 12 chain
 # dimensions, `star-check` enumerates 2^(2n+s) cases and `decompose` works in
@@ -167,11 +183,18 @@ def parse_model(text: str) -> ModelFile:
 
 
 def load_model(path: str) -> ModelFile:
+    """The model in the file at `path`, read only up to MAX_FILE_BYTES."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        with open(path, "rb") as fh:
+            data = fh.read(_FIRST_READ)
+            if len(data) == _FIRST_READ:
+                data += fh.read(MAX_FILE_BYTES + 1 - _FIRST_READ)
     except OSError as exc:
         raise ModelFileError(f"cannot read {path}: {exc}") from None
+    if len(data) > MAX_FILE_BYTES:
+        raise ModelFileError(f"{path} is larger than the limit of {MAX_FILE_BYTES} bytes")
+    try:
+        text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise ModelFileError(f"{path} is not UTF-8 text: {exc}") from None
     return parse_model(text)

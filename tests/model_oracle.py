@@ -8,15 +8,32 @@ None of them shares the sparse integer scatter of `build_model` or the
 power table of the library.  `primitive_subspace` and `kernel_L` are the
 canonical dense subspaces spanned by the library's integer bases
 (`lefschetz_columns`), for comparison with the `l_power` kernels.
+`star_duality_reference` is `verify.model_star_duality` as it read its
+ranks before each group was reduced once per degree: two reductions of
+prefixes of the groups per degree, each from the boundaries of H^k, on
+chains placed by a search of the basis, with the eta forms built afresh
+on every call.
 """
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 
-from specseq.invariant import InvariantComplex
+from specseq.exterior import index_subset_sign
+from specseq.invariant import CohomologyGroup, InvariantComplex
 from specseq.lefschetz import LefschetzModule, LefschetzReport, lefschetz_columns
-from specseq.linalg import Matrix, SparseColumn, Subspace, inverse, kernel_basis, rank
+from specseq.linalg import (
+    Matrix,
+    SparseColumn,
+    Subspace,
+    apply_columns,
+    inverse,
+    kernel_basis,
+    rank,
+    reduce_columns,
+)
+from specseq.verify import VerificationReport, Witness, _eta_product, _hypothesis
 
 
 def dense_differentials(c: InvariantComplex) -> tuple[Matrix, ...]:
@@ -135,3 +152,90 @@ def star_matrix(module: LefschetzModule, p: int) -> Matrix:
     for i, prim in blocks[p]:
         cols += (l_power(module, p - 2 * i, n - p + i) @ prim.basis).columns()
     return Matrix.from_cols(cols, rows=module.dims[2 * n - p]) @ to_pieces[p]
+
+
+def _chain(c: InvariantComplex, eta_form, p: int, h: SparseColumn) -> tuple[int, SparseColumn]:
+    """sum_I a_I eta_I (x) h, each element placed by its index in the basis."""
+    degree = p + len(next(iter(eta_form)))
+    layer = c.basis[degree]
+    return degree, {
+        layer.index((subset, p, t)): a * x for subset, a in eta_form.items() for t, x in h.items()
+    }
+
+
+def _eta_forms(s: int):
+    """Per subset I of {2..s}: prod_{i in I} (eta_1 - eta_i), and eta_1 eta_I."""
+    for q in range(s):
+        for subset in itertools.combinations(range(2, s + 1), q):
+            yield _eta_product([{(1,): 1, (i,): -1} for i in subset]), {(1,) + subset: 1}
+
+
+def _class_ranks(q: CohomologyGroup, *groups: list[SparseColumn]) -> list[int]:
+    """Ranks of the classes of groups[0], groups[0] + groups[1], ...: one
+    reduction of all the groups from the boundaries of q, counted over the
+    prefixes."""
+    columns: list[SparseColumn] = []
+    ends = []
+    for group in groups:
+        columns += group
+        ends.append(len(columns))
+    reduced = reduce_columns(columns, with_v=False, pivots=q.boundaries)[0]
+    return [sum(1 for r in reduced[:end] if r) for end in ends]
+
+
+def star_duality_reference(c: InvariantComplex) -> VerificationReport:
+    violation = _hypothesis(c)
+    if violation:
+        return VerificationReport("star-duality", False, (), (), (), violation)
+    n, s = c.base.n, c.s
+    total_deg = 2 * n + s
+    columns = lefschetz_columns(c.base)
+    part_a: dict[int, list[SparseColumn]] = {}
+    part_b: dict[int, list[SparseColumn]] = {}
+    images: dict[int, list[SparseColumn]] = {}
+    for differences, with_eta_1 in _eta_forms(s):
+        complements = {
+            tuple(j for j in range(1, s + 1) if j not in subset): a
+            * (-1) ** index_subset_sign(subset, s)
+            for subset, a in differences.items()
+        }
+        q = len(next(iter(differences)))
+        for p in range(2 * n + 1):
+            for kappa in columns.kernel[p]:
+                k, v = _chain(c, with_eta_1, p, kappa)
+                part_b.setdefault(k, []).append(v)
+            sign = (-1) ** ((s - q) * p)
+            star_form = {subset: sign * a for subset, a in complements.items()}
+            for beta, w in zip(columns.primitive[p], columns.star[p]):
+                k, v = _chain(c, differences, p, beta)
+                part_a.setdefault(k, []).append(v)
+                images.setdefault(k, []).append(_chain(c, star_form, 2 * n - p, w)[1])
+    witnesses = []
+    checked = []
+    for k in range(total_deg + 1):
+        k2 = total_deg - k
+        starred_k = images.get(k, [])
+        closed = [v for v in starred_k if not apply_columns(c.integer_d[k2], v)]
+        if len(closed) != len(starred_k):
+            witnesses.append(Witness("non-closed star images", k, 0, len(starred_k) - len(closed)))
+        a2, b2 = part_a.get(k2, []), part_b.get(k2, [])
+        rank_img, combined, both = _class_ranks(c.cohomology[k2], closed, a2, b2)
+        rank_a2, target = _class_ranks(c.cohomology[k2], a2, b2)
+        if rank_img != len(closed):
+            witnesses.append(Witness("rank of star-image classes", k, len(closed), rank_img))
+        if rank_img != len(b2):
+            witnesses.append(Witness("rank of star-image classes vs part B", k, len(b2), rank_img))
+        direct = rank_a2 + rank_img
+        if combined != direct:
+            witnesses.append(Witness("dim of part A + star images", k2, direct, combined))
+        if not combined == target == both:
+            witnesses.append(
+                Witness(
+                    "dims of part A + star images, part A + part B",
+                    k2,
+                    (both, both),
+                    (combined, target),
+                )
+            )
+        checked.append((k, rank_img))
+    return VerificationReport("star-duality", not witnesses, (), tuple(checked), tuple(witnesses))

@@ -9,6 +9,8 @@ import exterior_oracle as oracle
 from specseq import cli, engine, invariant, lefschetz, linalg, verify
 from specseq.cli import main, parse_form, format_form
 from specseq.exterior import ModelFrame, Multivector, lefschetz_L, primitive_decompose
+from specseq.modelfile import MAX_FILE_BYTES, dump_model
+from specseq.presets import PRESETS
 
 
 def run(capsys, *argv):
@@ -52,6 +54,20 @@ def test_analyze_malformed_file_exits_2_without_a_traceback(tmp_path, capsys, co
     assert code == 2 and out == ""
     [line] = err.splitlines()
     assert line.startswith("error: ") and named in line
+
+
+def test_analyze_reads_a_file_up_to_the_byte_limit(tmp_path, capsys):
+    text = dump_model(PRESETS["hopf-s3"])
+    at_limit = tmp_path / "at-limit.json"
+    at_limit.write_text(text + " " * (MAX_FILE_BYTES - len(text)))
+    assert at_limit.stat().st_size == MAX_FILE_BYTES
+    code, out, _ = run(capsys, "analyze", str(at_limit), "--quiet")
+    assert code == 0 and "mainS: pass" in out
+    past = tmp_path / "past-limit.json"
+    past.write_text(text + " " * (MAX_FILE_BYTES + 1 - len(text)))
+    code, out, err = run(capsys, "analyze", str(past))
+    assert code == 2 and out == ""
+    assert err == f"error: {past} is larger than the limit of {MAX_FILE_BYTES} bytes\n"
 
 
 def test_analyze_invalid_file_exits_2(tmp_path, capsys):
@@ -199,17 +215,19 @@ def test_analyze_computes_the_sequence_once(monkeypatch, capsys):
     monkeypatch.setattr(
         cli, "build_parser", lambda *a, _fn=cli.build_parser: parsers.append(_fn(*a)) or parsers[-1]
     )
-    # Star duality hands each of its reductions the boundaries of H^k as
-    # pivots, reduced already, and only the columns of its groups to reduce.
-    star_ranks = []
+    # Star duality builds its groups of cocycles as chains: part A on the
+    # primitive classes, part B on the Ker L classes and the star images on
+    # the images L^(n-p) beta, each an integer column of `lefschetz_columns`.
+    # The column a chain is built on names its group.
+    chains = []
     monkeypatch.setattr(
         verify,
-        "_class_ranks",
-        lambda q, *groups, _fn=verify._class_ranks: star_ranks.append((q, groups))
-        or _fn(q, *groups),
+        "_integer_chain",
+        lambda c, form, p, h, _fn=verify._integer_chain: chains.append((h, _fn(c, form, p, h)))
+        or chains[-1][1],
     )
     for preset, hlp_checks in (("hopf-s3", 4), ("s2xs3", 4), ("torus-t3", 0)):
-        for log in (work, reduced, calls, dense, built, parsers, star_ranks):
+        for log in (work, reduced, calls, dense, built, parsers, chains):
             log.clear()
         code, _, _ = run(capsys, "analyze", preset, "--quiet")
         assert code == 0
@@ -229,16 +247,37 @@ def test_analyze_computes_the_sequence_once(monkeypatch, capsys):
         [parser] = parsers
         [sub] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
         assert list(sub.choices) == ["analyze"]
-        assert bool(star_ranks) == c.is_s_type()
         star_reductions = [(cols, kw) for m, cols, kw in reduced if m is verify]
-        assert len(star_reductions) == len(star_ranks)
-        for (q, groups), (cols, kw) in zip(star_ranks, star_reductions):
-            # The pivots are the boundaries of H^k, V columns of the engine's
+        assert bool(star_reductions) == c.is_s_type()
+        columns = verify.lefschetz_columns(c.base)
+        groups = {"A": columns.primitive, "B": columns.kernel, "images": columns.star}
+        group_of = {}  # id of a chain -> its group and its degree
+        for h, (k, v) in chains:
+            [name] = [
+                name
+                for name, by_p in groups.items()
+                if any(h is x for layer in by_p for x in layer)
+            ]
+            group_of[id(v)] = name, k
+        handed_a = {key: 0 for key, (name, _) in group_of.items() if name == "A"}
+        for cols, kw in star_reductions:
+            assert kw["with_v"] is False
+            # Each call is handed chains of one group and one degree k only.
+            assert len({group_of[id(col)] for col in cols}) <= 1
+            for col in cols:
+                if id(col) in handed_a:
+                    handed_a[id(col)] += 1
+            # Its pivots hold the boundaries of H^k, V columns of the engine's
             # reduction themselves, not copies.
-            assert any(q is h for h in c.cohomology) and kw["pivots"] == q.boundaries
-            assert all(b is q.reduction[1][low] for low, b in kw["pivots"].items())
-            handed = [col for group in groups for col in group]
-            assert len(cols) == len(handed) and all(a is b for a, b in zip(cols, handed))
+            candidates = [group_of[id(cols[0])][1]] if cols else range(degrees)
+            assert any(
+                all(kw["pivots"].get(low) is q.reduction[1][low] for low in q.lows_prev)
+                for q in (c.cohomology[k] for k in candidates)
+            )
+        # Part A is reduced once per degree: each of its columns is handed to
+        # exactly one call.
+        assert bool(handed_a) == c.is_s_type()
+        assert all(count == 1 for count in handed_a.values())
 
 
 def test_analyze_json_report(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
 import pytest
@@ -451,6 +452,49 @@ def test_mixed_int_and_fraction_coefficients_give_the_same_results(data):
         assert_same(op(a), op(qa))
     assert_same(lambda_op(a), oracle.lambda_op(qa))
     assert_same(tuple(primitive_decompose(a)), tuple(oracle.primitive_decompose(qa)))
+
+
+def assert_pinned(x):
+    """x is a frozen Multivector equal, by ==, hash and repr, to the one the
+    dataclass constructor builds from its fields."""
+    assert type(x) is Multivector
+    built = Multivector(x.frame, x.degree, x.terms)
+    assert x == built and hash(x) == hash(built) and repr(x) == repr(built)
+    for name, value in (("frame", x.frame), ("degree", x.degree + 1), ("terms", ())):
+        with pytest.raises(FrozenInstanceError):
+            setattr(x, name, value)
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.data())
+def test_every_operation_returns_a_frozen_form_equal_to_the_constructed_one(data):
+    n, s = data.draw(st.integers(0, 3)), data.draw(st.integers(0, 2))
+    f = ModelFrame(n, s)
+    r, p = data.draw(st.integers(0, 2 * n)), data.draw(st.integers(0, f.total_dim))
+    a, _ = data.draw(mixed_forms(f, r))
+    a2, _ = data.draw(mixed_forms(f, r))
+    b, _ = data.draw(mixed_forms(f, p, transverse=False))
+    c = data.draw(st.one_of(st.sampled_from([1, -1, 0]), mixed_coefficients))
+    results = [
+        Multivector.make(f, r, dict(a.terms)),
+        Multivector.zero(f, r),
+        a.scaled(c),
+        c * a,
+        -a,
+        a + a2,
+        a - a2,
+        wedge(a, b),
+        full_hodge_star(b),
+        scalar(f, c),
+        omega(f),
+        transverse_volume(f),
+    ]
+    ops = (lefschetz_L, lambda_op, hodge_star_transverse, symplectic_star, j_action)
+    results += [op(a) for op in ops]
+    results += [beta for _, beta in primitive_decompose(a)]
+    results += [covector(f, i) for i in range(1, 2 * n + 1)] + [eta(f, j) for j in range(1, s + 1)]
+    for x in results:
+        assert_pinned(x)
 
 
 def test_form_inner_product_orthonormal():

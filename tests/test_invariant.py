@@ -147,6 +147,25 @@ def test_index_of_finds_every_basis_element_and_names_an_unknown_one(t2):
             m.index_of(k, b)
 
 
+def test_offsets_place_every_basis_element_and_need_a_block_layout(t2):
+    m = build_model(t2, 2, [1, 1])
+    # Read from the basis, the offsets are the ones build_model filled in.
+    fresh = InvariantComplex(m.base, m.s, m.lambdas, m.basis, m.integer_d, m.denominators)
+    assert fresh.offsets == m.offsets
+    assert all(
+        layer[m.offsets[k][(subset, p)] + t] == (subset, p, t)
+        for k, layer in enumerate(m.basis)
+        for subset, p, t in layer
+    )
+    # H^1 of T^2 has two classes; swapped, they are no block with offsets.
+    basis = list(m.basis)
+    assert basis[1][:2] == (((), 1, 0), ((), 1, 1))
+    basis[1] = (basis[1][1], basis[1][0]) + basis[1][2:]
+    swapped = InvariantComplex(m.base, m.s, m.lambdas, tuple(basis), m.integer_d, m.denominators)
+    with pytest.raises(ValueError, match="C\\^1 is not laid out in blocks"):
+        swapped.index_of(1, ((), 1, 0))
+
+
 def test_chain_dims_binomial_convolution(t2):
     m = build_model(t2, 3, [1, 1, 1])
     for k in range(m.max_degree + 1):

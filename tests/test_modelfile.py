@@ -4,7 +4,11 @@ from fractions import Fraction
 import pytest
 
 from specseq.invariant import betti_numbers
+from specseq.lefschetz import LefschetzModule
+from specseq.linalg import Matrix
 from specseq.modelfile import (
+    MAX_CHAIN_DIM,
+    MAX_FILE_BYTES,
     MAX_RATIONAL_BITS,
     ModelFileError,
     dump_model,
@@ -129,3 +133,16 @@ def test_from_module_roundtrip(cp1):
     assert parse_model(dump_model(mf)) == mf
     assert mf.s == 1
     assert mf.dims == (1, 0, 1)
+
+
+def test_a_model_at_the_caps_fits_the_file_byte_limit():
+    # The most L entries a file can have: s = 1 and dims (256, 0, 256), so
+    # 2 * 512 chain dimensions, every entry a rational at the bit cap.
+    size = MAX_CHAIN_DIM // 4
+    widest = Fraction(-(2**MAX_RATIONAL_BITS - 1), 2**MAX_RATIONAL_BITS - 2)
+    L = (Matrix(size, size, ((widest,) * size,) * size), Matrix.zero(0, 0), Matrix.zero(0, size))
+    base = LefschetzModule(1, (size, 0, size), L)
+    mf = from_module(base, 1, (1,), name="widest", description="L at the entry and bit caps")
+    text = dump_model(mf)
+    assert len(text.encode()) <= MAX_FILE_BYTES - 2**20
+    assert parse_model(text) == mf

@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import model_oracle
+
 from specseq.engine import FilteredComplex, PageCell
 from specseq.invariant import (
     betti_numbers,
@@ -322,6 +324,26 @@ def test_star_duality_witnesses_part_a_meeting_the_star_images(t2):
     _cache(m, cohomology=classes[:2] + (doctored,) + classes[3:])
     r = model_star_duality(m)
     assert r.witnesses == (Witness("dim of part A + star images", 2, 4, 2),)
+
+
+@settings(deadline=None, max_examples=40)
+@given(hlp_bases, st.integers(1, 3), st.data())
+def test_star_duality_matches_the_two_reduction_reference(base, s, data):
+    c = build_model(base, s, [1] * s)
+    assert model_star_duality(c) == model_oracle.star_duality_reference(c)
+    # On doctored views of H^k: boundaries dropped, and vectors with their
+    # lows elsewhere added, so that classes vanish or stop being independent.
+    doctored = []
+    for q in cohomology(c):
+        boundaries = {low: b for low, b in q.boundaries.items() if data.draw(st.booleans())}
+        for low in data.draw(st.sets(st.integers(0, max(q.ambient_dim - 1, 0)), max_size=3)):
+            if low < q.ambient_dim and low not in boundaries:
+                entries = st.dictionaries(st.integers(0, low), st.integers(-2, 2), max_size=3)
+                below = {i: x for i, x in data.draw(entries).items() if x and i < low}
+                boundaries[low] = below | {low: data.draw(st.sampled_from([1, -1, 2]))}
+        doctored.append(_with_boundaries(q, boundaries))
+    _cache(c, cohomology=tuple(doctored))
+    assert model_star_duality(c) == model_oracle.star_duality_reference(c)
 
 
 def test_primitive_betti_recursion_examples():

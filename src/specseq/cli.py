@@ -1,12 +1,14 @@
 """Command line front end.
 
 Subcommands: analyze, generate, recursion, star-check, presets, decompose,
-listed once in `build_parser`.  `main` builds the parser of the subcommand
-its command line names and no other; help, usage and error text are those of
-the parser with every subcommand.
+listed once in `_commands`.  `main` builds only the parser of the
+subcommand its first word names, and the root parser with every subcommand
+only when the first word names none or that parser leaves arguments over;
+help, usage and error text are those of the root parser.
 `analyze` runs every verifier that applies on the one complex it builds;
 the verifiers share the analysis the complex keeps, so its pages and its
-cohomology are computed once, and the report prints them from there.
+cohomology are computed once, and the report renders each distinct page
+table once, however many pages share it.
 Exit codes: 0 all applicable checks pass, 1 a check fails (or the input is
 inconsistent with the theorems), 2 invalid input.
 """
@@ -81,14 +83,44 @@ def _write(flag: str, path: str, text: str) -> bool:
     return True
 
 
-def _page_table(page, max_p: int, max_q: int) -> str:
-    lines = [f"E_{page.r} (rows q, columns p):"]
-    header = "  q\\p " + "".join(f"{p:>4}" for p in range(max_p + 1))
-    lines.append(header)
+def _table_body(page, max_p: int, max_q: int) -> str:
+    """The page's table under its `E_r` title line."""
+    lines = ["  q\\p " + "".join(f"{p:>4}" for p in range(max_p + 1))]
     for q in range(max_q, -1, -1):
-        row = f"  {q:>3} " + "".join(f"{page.dim(p, q):>4}" for p in range(max_p + 1))
-        lines.append(row)
+        lines.append(f"  {q:>3} " + "".join(f"{page.dim(p, q):>4}" for p in range(max_p + 1)))
     return "\n".join(lines)
+
+
+def _per_table(render, pages) -> list:
+    """`render(page)` for each page, called once per distinct `cells`
+    mapping: the pages on which the same gaps have cancelled share one."""
+    out, seen = [], {}
+    for page in pages:
+        key = id(page.cells)
+        if key not in seen:
+            seen[key] = render(page)
+        out.append(seen[key])
+    return out
+
+
+def _report_json(head: dict, pages, tail: dict) -> str:
+    """`json.dumps` of `head`, then "pages", then `tail`, with indent 2 and a
+    final newline; each page is its nonzero cells as {"p,q": dim}.  Each
+    distinct `cells` mapping is encoded once, indented for its place two
+    levels down, and every page that shares it reuses that text."""
+    encoded = _per_table(
+        lambda page: json.dumps(
+            {f"{p},{q}": d for (p, q), d in page.cell_dims().items()}, indent=2
+        ).replace("\n", "\n    "),
+        pages,
+    )
+    rows = ",\n    ".join(f'"{page.r}": {text}' for page, text in zip(pages, encoded))
+    return (
+        json.dumps(head, indent=2)[: -len("\n}")]
+        + f',\n  "pages": {{\n    {rows}\n  }},\n'
+        + json.dumps(tail, indent=2)[len("{\n") :]
+        + "\n"
+    )
 
 
 def _report_dict(r: VerificationReport) -> dict:
@@ -131,10 +163,10 @@ def cmd_analyze(args) -> int:
         print(f"chain dims: {tuple(complex_.dim(k) for k in range(complex_.max_degree + 1))}")
         print(f"de Rham dims: {betti}")
         print(f"stable at page {stable_at}")
-        max_p = 2 * mf.n
-        max_q = mf.s
-        for page in pages[: min(stable_at, len(pages) - 1) + 1]:
-            print(_page_table(page, max_p, max_q))
+        shown = pages[: min(stable_at, len(pages) - 1) + 1]
+        bodies = _per_table(lambda page: _table_body(page, 2 * mf.n, mf.s), shown)
+        for page, body in zip(shown, bodies):
+            print(f"E_{page.r} (rows q, columns p):\n{body}")
     failed = False
     for r in reports:
         if not r.applicable:
@@ -146,7 +178,7 @@ def cmd_analyze(args) -> int:
             failed = True
         print(f"{r.theorem}: {verdict}")
     if args.json:
-        payload = {
+        head = {
             "tool_version": __version__,
             "model": name,
             "n": mf.n,
@@ -155,14 +187,9 @@ def cmd_analyze(args) -> int:
             "chain_dims": [complex_.dim(k) for k in range(complex_.max_degree + 1)],
             "de_rham_dims": list(betti),
             "stable_at": stable_at,
-            "pages": {
-                str(page.r): {f"{p},{q}": d for (p, q), d in page.cell_dims().items()}
-                for page in pages
-            },
-            "verifications": [_report_dict(r) for r in reports],
-            "elapsed_s": elapsed,
         }
-        if not _write("--json", args.json, json.dumps(payload, indent=2) + "\n"):
+        tail = {"verifications": [_report_dict(r) for r in reports], "elapsed_s": elapsed}
+        if not _write("--json", args.json, _report_json(head, pages, tail)):
             return EXIT_INVALID
     return EXIT_FAIL if failed else EXIT_OK
 
@@ -423,19 +450,11 @@ def _decompose_arguments(p: argparse.ArgumentParser) -> None:
     p._negative_number_matcher = re.compile(r"^-(\d|e\d)")
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The root parser with the subcommand `command`, or with every
-    subcommand when `command` names none.
-
-    With one subcommand, the usage line still names all six, so the help,
-    usage and error text do not depend on which are registered.  (With all
-    six, argparse lists them itself, and names the argument `command` in
-    its errors.)
-    """
-    # Name, help line, handler and the function adding its arguments.  The
-    # table is read on each call, so a handler rebound on this module (as a
-    # tracer does) is the one registered.
-    commands = (
+def _commands() -> tuple:
+    """Name, help line, handler and the function adding its arguments, per
+    subcommand.  The table is read on each call, so a handler rebound on
+    this module (as a tracer does) is the one run."""
+    return (
         ("analyze", "run the engine and all applicable theorem checks", cmd_analyze, _analyze_arguments),
         ("generate", "emit a seeded random model file", cmd_generate, _generate_arguments),
         ("recursion", "basic/primitive Betti numbers from de Rham ones", cmd_recursion, _recursion_arguments),
@@ -443,15 +462,17 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         ("presets", "list presets or print one as a model file", cmd_presets, _presets_arguments),
         ("decompose", "Lefschetz-decompose a transverse form", cmd_decompose, _decompose_arguments),
     )
-    chosen = [row for row in commands if row[0] == command]
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The root parser with every subcommand."""
     parser = argparse.ArgumentParser(
         prog="specseq",
         description="Exact spectral sequences for invariant-form models of foliated manifolds",
     )
     parser.add_argument("--version", action="version", version=f"specseq {__version__}")
-    metavar = "{" + ",".join(row[0] for row in commands) + "}" if chosen else None
-    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
-    for name, help_text, handler, add_arguments in chosen or commands:
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, help_text, handler, add_arguments in _commands():
         p = sub.add_parser(name, help=help_text)
         add_arguments(p)
         p.set_defaults(func=handler)
@@ -459,11 +480,25 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    """Run one command line, building the parser of the subcommand its first
-    word names and no other (every subcommand's when it names none, as for
-    `--help`, `--version` or an unknown command)."""
+    """Run one command line.
+
+    When its first word names a subcommand, only that subcommand's parser is
+    built, as `specseq <command>`, which is the prog the root parser gives
+    it, so its help, usage and errors read the same.  The root parser is
+    built only when the first word names no subcommand (as for `--help`,
+    `--version` or an unknown command), or when the subcommand's parser
+    leaves arguments over, which the root parser reports.
+    """
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = build_parser(argv[0] if argv else None).parse_args(argv)
+    for name, _, handler, add_arguments in _commands():
+        if argv and argv[0] == name:
+            parser = argparse.ArgumentParser(prog=f"specseq {name}")
+            add_arguments(parser)
+            args, rest = parser.parse_known_args(argv[1:])
+            if not rest:
+                return handler(args)
+            break
+    args = build_parser().parse_args(argv)
     return args.func(args)
 
 

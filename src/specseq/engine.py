@@ -19,7 +19,10 @@ on E_r for r <= g and that d_g kills, so with k = p + q
 The first line is dim Z_r / B_r for the subquotient Z_r^{p,q} =
 F^p C^k cap d^{-1}(F^{p+r} C^{k+1}); the tests keep that subquotient engine
 as the reference these counts are checked against.  A page depends only on
-the set of gaps g < r, so pages with the same set share their cells.
+the set of gaps g < r, so one sweep groups the pairs by gap, and the pages
+with the same set share their cells.  A pair with gap g changes E_g into
+E_{g+1} and no later page, so the sequence is stable from 1 + the largest
+gap on.
 
 Every degree lists its basis in descending filtration degree, as the
 invariant-forms models do, so the reduction runs on the columns and rows in
@@ -37,7 +40,7 @@ matrices `FilteredComplex.d` are built only when a caller reads them, which
 
 from __future__ import annotations
 
-from collections import Counter
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -67,17 +70,13 @@ class FilteredComplex:
     targets the zero space.  d_k is `integer_d[k]`, sparse integer columns,
     over `denominators[k]`.  Each d_k is reduced once, on first use
     (`reductions`), and every page computed from the complex reads the
-    pairs of that reduction.
+    pairs of that reduction, grouped by gap once (`gap_sweep`).
     """
 
     degrees: tuple[tuple[int, ...], ...]
     max_filtration: int
     integer_d: tuple[list[SparseColumn], ...] = field(repr=False)
     denominators: tuple[int, ...] = field(repr=False)
-    # The pairs, the cancelled gaps and the cells of the last page computed.
-    _last_page: list = field(
-        default_factory=lambda: [None, None, None], init=False, repr=False
-    )
 
     def __post_init__(self):
         K = len(self.degrees) - 1
@@ -146,17 +145,6 @@ class FilteredComplex:
         return Subspace.coordinate(len(src), [j for j, deg in enumerate(src) if deg >= p])
 
     @cached_property
-    def _gr_dims(self) -> dict[tuple[int, int], int]:
-        """dim gr^p C^k = dim F^p C^k / F^{p+1} C^k at each (p, k - p) where it
-        is nonzero, k ascending, then p ascending."""
-        out = {}
-        for k, src in enumerate(self.degrees):
-            counts = Counter(src)
-            for p in sorted(counts):
-                out[(p, k - p)] = counts[p]
-        return out
-
-    @cached_property
     def reductions(self) -> tuple[Reduction, ...]:
         """`reductions[k]` is `linalg.reduce_columns` of d_k: its columns are
         the vectors x of degree k and its rows the vectors y of degree k+1,
@@ -188,6 +176,32 @@ class FilteredComplex:
             tgt = self.degrees[k + 1] if k < self.max_degree else ()
             out.append(tuple(sorted((src[j], tgt[low]) for low, j in by_low.items())))
         return tuple(out)
+
+    @cached_property
+    def gap_sweep(self) -> tuple[tuple[int, ...], dict, tuple[dict, ...]]:
+        """The pairs grouped by gap, in one sweep: the distinct gaps g
+        ascending, each g's ranks {(p, q): rank d_g^{p,q}} (a pair with x at
+        (p, q) adds one), and `cells[i]`, the cells of the pages on which the
+        first i gaps have cancelled.  E_0 has dim gr^p C^{p+q} at each (p, q)
+        where that is nonzero, k = p + q ascending, then p ascending.  A pair
+        with gap g cancels x at (p, q) against y at (p + g, q - g + 1), the
+        target of d_g."""
+        ranks: dict[int, dict[tuple[int, int], int]] = {}
+        for k, degree_pairs in enumerate(self.pairs):
+            for a, b in degree_pairs:
+                at = ranks.setdefault(b - a, {})
+                at[(a, k - a)] = at.get((a, k - a), 0) + 1
+        gaps = tuple(sorted(ranks))
+        dims = {
+            (p, k - p): src.count(p) for k, src in enumerate(self.degrees) for p in sorted(set(src))
+        }
+        cells = [{pq: PageCell(*pq, dim) for pq, dim in dims.items()}]
+        for g in gaps:
+            for (p, q), count in ranks[g].items():
+                dims[(p, q)] -= count
+                dims[(p + g, q - g + 1)] -= count
+            cells.append({pq: PageCell(*pq, dim) for pq, dim in dims.items()})
+        return gaps, ranks, tuple(cells)
 
     def cohomology_dims(self) -> tuple[int, ...]:
         """dim H^k from `rank` of each d_k, an elimination independent of the
@@ -241,50 +255,25 @@ class SpectralPage:
 def compute_page(fc: FilteredComplex, r: int) -> SpectralPage:
     """Page E_r, counted from the persistence pairs: each pair with gap
     g < r has cancelled x against y, and the pairs with g = r give the ranks
-    of d_r.  The cells depend only on the set of cancelled gaps, so a page
-    with the same pairs and the same set as the last page computed from `fc`
-    shares that page's cells (`PageCell` is frozen)."""
+    of d_r.  Both are read from `fc.gap_sweep`, so every page with the same
+    set of cancelled gaps shares one `cells` mapping (`PageCell` is frozen),
+    and every page from E_{P+1} on is E_infinity with no ranks."""
     if r < 0:
         raise ValueError("page index must be non-negative")
-    pairs = fc.pairs
-    cancelled: set[int] = set()
-    ranks: dict[tuple[int, int], int] = {}
-    for k, degree_pairs in enumerate(pairs):
-        for a, b in degree_pairs:
-            if b - a < r:
-                cancelled.add(b - a)
-            elif b - a == r:
-                ranks[(a, k - a)] = ranks.get((a, k - a), 0) + 1
-    last = fc._last_page
-    if last[0] is pairs and last[1] == cancelled:
-        return SpectralPage(r, last[2], ranks)
-    dims = dict(fc._gr_dims)
-    for k, degree_pairs in enumerate(pairs):
-        for a, b in degree_pairs:
-            if b - a < r:  # d_{b-a} cancelled x against y
-                dims[(a, k - a)] -= 1
-                dims[(b, k + 1 - b)] -= 1
-    cells = {(p, q): PageCell(p, q, dim) for (p, q), dim in dims.items()}
-    last[:] = pairs, cancelled, cells
-    return SpectralPage(r, cells, ranks)
+    gaps, ranks, cells = fc.gap_sweep
+    return SpectralPage(r, cells[bisect_left(gaps, r)], dict(ranks.get(r, ())))
 
 
 def run_to_convergence(fc: FilteredComplex) -> tuple[list[SpectralPage], int]:
     """All pages through E_{P+2} (which is E_infinity) and the first stable page.
 
-    Each page is one `compute_page(fc, r)` call, r ascending, so a page whose
-    set of cancelled gaps is that of the page before shares its cells.
-    d_r vanishes exactly when E_{r+1} has the cell dimensions of E_r, so the
-    stable page is the first one from which every page has the cell
-    dimensions of E_{P+2}.
+    Each page is one `compute_page(fc, r)` call.  A pair with gap g lives on
+    E_r for r <= g and on no later page, so the stable page is 1 + the
+    largest gap, and 0 when there are no pairs.
     """
-    last = fc.max_filtration + 2
-    pages = [compute_page(fc, r) for r in range(last + 1)]
-    final_dims = pages[last].cell_dims()
-    stable_at = last
-    while stable_at > 0 and pages[stable_at - 1].cell_dims() == final_dims:
-        stable_at -= 1
-    return pages, stable_at
+    pages = [compute_page(fc, r) for r in range(fc.max_filtration + 3)]
+    gaps = fc.gap_sweep[0]
+    return pages, gaps[-1] + 1 if gaps else 0
 
 
 def check_abutment(fc: FilteredComplex) -> bool:

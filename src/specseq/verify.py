@@ -35,7 +35,7 @@ from math import comb
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
-from .exterior import _merge_sign, index_subset_sign
+from .exterior import index_subset_sign
 from .invariant import (
     InvariantComplex,
     InvariantElement,
@@ -280,23 +280,6 @@ def harmonic_basis_C(c: InvariantComplex) -> list[InvariantElement]:
     return out
 
 
-def _eta_product(factors: Sequence[dict[tuple[int, ...], int]]) -> dict[tuple[int, ...], int]:
-    """Wedge product in the exterior algebra on eta_1..eta_s (1-based tuples),
-    with integer coefficients."""
-    acc = {(): 1}
-    for f in factors:
-        nxt: dict[tuple[int, ...], int] = {}
-        for idx_a, ca in acc.items():
-            for idx_b, cb in f.items():
-                merged = _merge_sign(idx_a, idx_b)
-                if merged is None:
-                    continue
-                key, sign = merged
-                nxt[key] = nxt.get(key, 0) + sign * ca * cb
-        acc = {k: v for k, v in nxt.items() if v}
-    return acc
-
-
 def _chain_from_eta(
     c: InvariantComplex, eta_form: EtaForm, p: int, h: SparseColumn
 ) -> InvariantElement:
@@ -318,13 +301,18 @@ def _harmonic_eta_forms(s: int) -> tuple[tuple[EtaForm, EtaForm, EtaForm], ...]:
     and the star of the first's eta part, each eta_J sent to
     (-1)^sign(J, J^c) eta_{J^c}, before the factor (-1)^((s - |I|) * deg h).
 
-    They depend on s alone, so they are built once per s, as read-only
-    mappings.
+    With I = (i_0 < ... < i_{q-1}), the product has q + 1 terms: every
+    factor gives -eta_i, which is (-1)^q eta_I, or the factor at position m
+    gives eta_1, moved to the front past m others, and the rest give -eta_i,
+    which is (-1)^(q - 1 + m) eta_1 eta_{I minus i_m}.  The forms depend on
+    s alone, so they are built once per s, as read-only mappings.
     """
     out = []
     for q in range(s):
         for subset in itertools.combinations(range(2, s + 1), q):
-            differences = _eta_product([{(1,): 1, (i,): -1} for i in subset])
+            differences = {subset: (-1) ** q}
+            for m in range(q):
+                differences[(1,) + subset[:m] + subset[m + 1 :]] = (-1) ** (q - 1 + m)
             complements = {
                 tuple(j for j in range(1, s + 1) if j not in idx): a
                 * (-1) ** index_subset_sign(idx, s)
@@ -370,6 +358,21 @@ def _integer_chain(
     }
 
 
+def _added_rank(
+    cols: list[SparseColumn], pivots: Mapping[int, SparseColumn], extend: bool = False
+) -> tuple[int, Mapping[int, SparseColumn]]:
+    """The rank that `cols` adds to the span of `pivots`, from a reduction
+    with no V, and the pivots to reduce further columns from: with `extend`,
+    `pivots` together with the reduced columns at the new lows, otherwise
+    `pivots` itself.  No columns need no reduction."""
+    if not cols:
+        return 0, pivots
+    R, _, lows = reduce_columns(cols, with_v=False, pivots=pivots)
+    if extend and lows:
+        pivots = pivots | {low: R[j] for low, j in lows.items()}
+    return len(lows), pivots
+
+
 def model_star_duality(c: InvariantComplex) -> VerificationReport:
     """Star carries the part-A span onto the complementary part-B summand.
 
@@ -396,7 +399,9 @@ def model_star_duality(c: InvariantComplex) -> VerificationReport:
     through more steps.)  The star images alone are reduced only when they
     add fewer classes to part A's than there are of them; otherwise their
     classes are independent.  Two spans are equal iff each has the rank of
-    their sum.
+    their sum.  A group with no columns adds no rank and is not reduced, and
+    pivots are extended by a group's reduced columns only for a reduction
+    that reads them.
     """
     violation = _hypothesis(c)
     if violation:
@@ -433,19 +438,15 @@ def model_star_duality(c: InvariantComplex) -> VerificationReport:
             witnesses.append(Witness("non-closed star images", k, 0, len(starred_k) - len(closed)))
         a2, b2 = part_a.get(k2, []), part_b.get(k2, [])
         boundaries = classes[k2].boundaries
-        R, _, lows = reduce_columns(a2, with_v=False, pivots=boundaries)
-        rank_a2 = len(lows)
-        with_a = boundaries | {low: R[j] for low, j in lows.items()}
-        R, _, lows = reduce_columns(closed, with_v=False, pivots=with_a)
-        added = len(lows)
+        rank_a2, with_a = _added_rank(a2, boundaries, extend=bool(closed or b2))
+        added, with_images = _added_rank(closed, with_a, extend=bool(b2))
         combined = rank_a2 + added
-        with_images = with_a | {low: R[j] for low, j in lows.items()}
-        target = rank_a2 + len(reduce_columns(b2, with_v=False, pivots=with_a)[2])
-        both = combined + len(reduce_columns(b2, with_v=False, pivots=with_images)[2])
+        target = rank_a2 + _added_rank(b2, with_a)[0]
+        both = combined + _added_rank(b2, with_images)[0]
         if added == len(closed):  # independent even beside part A's classes
             rank_img = added
         else:
-            rank_img = len(reduce_columns(closed, with_v=False, pivots=boundaries)[2])
+            rank_img = _added_rank(closed, boundaries)[0]
         if rank_img != len(closed):
             witnesses.append(Witness("rank of star-image classes", k, len(closed), rank_img))
         if rank_img != len(b2):

@@ -12,7 +12,8 @@ canonical dense subspaces spanned by the library's integer bases
 ranks before each group was reduced once per degree: two reductions of
 prefixes of the groups per degree, each from the boundaries of H^k, on
 chains placed by a search of the basis, with the eta forms built afresh
-on every call.
+on every call by `_eta_product`, the wedge product expanded factor by
+factor, which the library's closed-form eta forms are checked against.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from specseq.exterior import index_subset_sign
+from specseq.exterior import _merge_sign, index_subset_sign
 from specseq.invariant import CohomologyGroup, InvariantComplex
 from specseq.lefschetz import LefschetzModule, LefschetzReport, lefschetz_columns
 from specseq.linalg import (
@@ -33,7 +34,24 @@ from specseq.linalg import (
     rank,
     reduce_columns,
 )
-from specseq.verify import VerificationReport, Witness, _eta_product, _hypothesis
+from specseq.verify import VerificationReport, Witness, _hypothesis
+
+
+def _eta_product(factors) -> dict[tuple[int, ...], int]:
+    """Wedge product in the exterior algebra on eta_1..eta_s (1-based
+    tuples), with integer coefficients, expanded factor by factor."""
+    acc = {(): 1}
+    for f in factors:
+        nxt: dict[tuple[int, ...], int] = {}
+        for idx_a, ca in acc.items():
+            for idx_b, cb in f.items():
+                merged = _merge_sign(idx_a, idx_b)
+                if merged is None:
+                    continue
+                key, sign = merged
+                nxt[key] = nxt.get(key, 0) + sign * ca * cb
+        acc = {k: v for k, v in nxt.items() if v}
+    return acc
 
 
 def dense_differentials(c: InvariantComplex) -> tuple[Matrix, ...]:

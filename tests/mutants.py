@@ -34,6 +34,7 @@ _VIEWS = ["tests/test_invariant.py", "tests/test_engine.py"]
 _EXTERIOR = ["tests/test_exterior.py"]
 _ENGINE = ["tests/test_linalg.py", "tests/test_engine.py", "tests/test_invariant.py"]
 _VERIFY = ["tests/test_verify.py"]
+_CLI = ["tests/test_cli.py"]
 _LOW = """\
         low = max(r, default=None)
         while low in reduced:
@@ -186,8 +187,15 @@ MUTANTS = [
     (
         "cancel-at-the-gap-itself",
         "engine.py",
-        "if b - a < r:  # d_{b-a} cancelled x against y",
-        "if b - a <= r:",
+        "cells[bisect_left(gaps, r)]",
+        "cells[bisect_left(gaps, r + 1)]",
+        _ENGINE,
+    ),
+    (
+        "stable-at-max-gap",
+        "engine.py",
+        "return pages, gaps[-1] + 1 if gaps else 0",
+        "return pages, gaps[-1] if gaps else 0",
         _ENGINE,
     ),
     (
@@ -196,6 +204,22 @@ MUTANTS = [
         "actual = pages[2].cell_dims()",
         "actual = pages[1].cell_dims()",
         _VERIFY,
+    ),
+    # The eta forms of the harmonic basis, written in closed form.
+    (
+        "eta-closed-form-sign",
+        "verify.py",
+        "(-1) ** (q - 1 + m)",
+        "(-1) ** (q + m)",
+        _STAR,
+    ),
+    # The root parser reports what the subcommand's parser leaves over.
+    (
+        "leftover-arguments-ignored",
+        "cli.py",
+        "            if not rest:\n                return handler(args)\n",
+        "            return handler(args)\n",
+        _CLI,
     ),
     # The exterior-algebra signs and the pair insertion.  Shifting the merge
     # mask by y + 1 is an equivalent mutant: y is not an index of a.

@@ -139,7 +139,9 @@ def compute_page(fc, r: int) -> OraclePage:
 
 def run_to_convergence(fc) -> tuple[list[OraclePage], int]:
     """All pages through E_{P+2} and the first page from which every later
-    page has the same cell dimensions and vanishing differentials."""
+    page has the same cell dimensions and vanishing differentials, found by
+    comparing the pages; the engine's stable page, 1 + the largest gap, is
+    checked against it."""
     last = fc.max_filtration + 2
     pages = [compute_page(fc, r) for r in range(last + 1)]
     final_dims = pages[last].cell_dims()

@@ -9,7 +9,7 @@ import exterior_oracle as oracle
 from specseq import cli, engine, invariant, lefschetz, linalg, verify
 from specseq.cli import main, parse_form, format_form
 from specseq.exterior import ModelFrame, Multivector, lefschetz_L, primitive_decompose
-from specseq.modelfile import MAX_FILE_BYTES, dump_model
+from specseq.modelfile import MAX_FILE_BYTES, dump_model, to_complex
 from specseq.presets import PRESETS
 
 
@@ -99,11 +99,16 @@ def test_analyze_rejects_ill_typed_or_oversized_file(tmp_path, capsys, fields, n
     assert named in err
 
 
-def _outcome(capsys, parse, argv):
-    """Exit code, stdout and stderr of running `argv` through `parse`."""
+def _run_whole(argv):
+    """Run `argv` through the parser built with every subcommand."""
+    args = cli.build_parser().parse_args(argv)
+    return args.func(args)
+
+
+def _outcome(capsys, run_argv, argv):
+    """Exit code, stdout and stderr of `run_argv(argv)`."""
     try:
-        args = parse(argv)
-        code = args.func(args)
+        code = run_argv(argv)
     except SystemExit as exc:
         code = exc.code
     captured = capsys.readouterr()
@@ -123,16 +128,31 @@ _SUBCOMMAND_ERRORS = {
 }
 
 
+# Command lines at the edge of the subcommand's own parser: arguments left
+# over, an option only the root parser knows, '--', an abbreviated option and
+# a form read through the custom negative-number matcher.
+_EDGES = (
+    ("analyze", "hopf-s3", "extra"),
+    ("analyze", "hopf-s3", "--version"),
+    ("analyze", "--", "hopf-s3", "x"),
+    ("analyze", "--js", "PATH", "hopf-s3"),
+    ("decompose", "--n", "1", "-1/60"),
+)
+
+
 @pytest.mark.parametrize(
     "argv",
     [(), ("-h",), ("--version",), ("bogus",), ("--version", "analyze")]
     + [(name, "-h") for name in _SUBCOMMAND_ERRORS]
-    + [argv for errors in _SUBCOMMAND_ERRORS.values() for argv in errors],
+    + [argv for errors in _SUBCOMMAND_ERRORS.values() for argv in errors]
+    + list(_EDGES),
 )
-def test_main_prints_what_the_whole_parser_prints(capsys, argv):
-    # `main` builds only the parser of the subcommand it is given; its help,
-    # usage, error text and exit code are those of the parser built whole.
-    whole = _outcome(capsys, lambda a: cli.build_parser().parse_args(a), list(argv))
+def test_main_prints_what_the_whole_parser_prints(capsys, monkeypatch, tmp_path, argv):
+    # `main` builds only the parser of the subcommand it is given, and the
+    # whole parser when that one leaves arguments over; its help, usage,
+    # error text and exit code are those of the parser built whole.
+    monkeypatch.chdir(tmp_path)  # where `--js PATH` writes its report
+    whole = _outcome(capsys, _run_whole, list(argv))
     assert _outcome(capsys, main, list(argv)) == whole
     assert whole[0] in (0, 2)
 
@@ -210,10 +230,13 @@ def test_analyze_computes_the_sequence_once(monkeypatch, capsys):
     )
     built = []
     monkeypatch.setattr(cli, "to_complex", lambda mf, _fn=cli.to_complex: built.append(_fn(mf)) or built[-1])
-    # Only the parser of `analyze` is built.
+    # Only the parser of `analyze` is built: every parser built is recorded.
     parsers = []
     monkeypatch.setattr(
-        cli, "build_parser", lambda *a, _fn=cli.build_parser: parsers.append(_fn(*a)) or parsers[-1]
+        argparse.ArgumentParser,
+        "__init__",
+        lambda self, *a, _fn=argparse.ArgumentParser.__init__, **kw: parsers.append(self)
+        or _fn(self, *a, **kw),
     )
     # Star duality builds its groups of cocycles as chains: part A on the
     # primitive classes, part B on the Ker L classes and the star images on
@@ -245,8 +268,8 @@ def test_analyze_computes_the_sequence_once(monkeypatch, capsys):
         # engine's, is never built, so none is converted back to columns.
         assert "d" not in vars(c.filtered_complex)
         [parser] = parsers
-        [sub] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-        assert list(sub.choices) == ["analyze"]
+        assert parser.prog == "specseq analyze"
+        assert not any(isinstance(a, argparse._SubParsersAction) for a in parser._actions)
         star_reductions = [(cols, kw) for m, cols, kw in reduced if m is verify]
         assert bool(star_reductions) == c.is_s_type()
         columns = verify.lefschetz_columns(c.base)
@@ -278,6 +301,26 @@ def test_analyze_computes_the_sequence_once(monkeypatch, capsys):
         # exactly one call.
         assert bool(handed_a) == c.is_s_type()
         assert all(count == 1 for count in handed_a.values())
+
+
+def test_report_json_is_the_report_dumped_whole():
+    # Each distinct page is encoded once and spliced in; the text is what one
+    # `json.dumps` of the whole report gives, also for pages with no nonzero
+    # cell and for a head and a tail that need escapes.
+    head = {"model": 'a "quoted"\nname \u00e9', "n": 1, "lambdas": ["1/2"], "stable_at": 3}
+    tail = {"verifications": [{"witnesses": [], "passed": True}], "elapsed_s": 0.25}
+    dying = engine.FilteredComplex(((0,), (0,)), 0, ([{0: 1}], [{}]), (1, 1))
+    for fc in (dying, to_complex(PRESETS["s2xs3"]).filtered_complex):
+        pages, _ = engine.run_to_convergence(fc)
+        whole = {
+            **head,
+            "pages": {
+                str(page.r): {f"{p},{q}": d for (p, q), d in page.cell_dims().items()}
+                for page in pages
+            },
+            **tail,
+        }
+        assert cli._report_json(head, pages, tail) == json.dumps(whole, indent=2) + "\n"
 
 
 def test_analyze_json_report(tmp_path, capsys):

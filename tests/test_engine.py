@@ -200,11 +200,29 @@ def test_page_turning_identity(m):
     )
 
 
+def _assert_pages_read_one_sweep(fc, pages, stable_at):
+    """The stable page is 1 + the largest gap (0 with no pairs), a page with
+    vanishing d_r shares its cells with E_{r+1}, and every page past E_{P+2}
+    is E_{P+2} with its own r and no ranks."""
+    gaps = [b - a for degree_pairs in fc.pairs for a, b in degree_pairs]
+    assert stable_at == (max(gaps) + 1 if gaps else 0)
+    for page, nxt in zip(pages, pages[1:]):
+        if page.differentials_vanish():
+            assert page.cells is nxt.cells, page.r
+    last = pages[-1]
+    assert last.r == fc.max_filtration + 2
+    for r in (last.r + 1, last.r + 7):
+        beyond = compute_page(fc, r)
+        assert beyond.r == r and beyond.d_ranks == {}
+        assert beyond.cells == last.cells
+
+
 def _assert_engines_agree(fc):
     certify(fc)
     pages, stable_at = run_to_convergence(fc)
     ref_pages, ref_stable_at = oracle.run_to_convergence(fc)
     assert stable_at == ref_stable_at
+    _assert_pages_read_one_sweep(fc, pages, stable_at)
     for page, ref in zip(pages, ref_pages, strict=True):
         assert page.cell_dims() == ref.cell_dims(), page.r
         assert page.d_ranks == ref.d_ranks(), page.r
@@ -313,9 +331,11 @@ def test_interval_pieces_on_every_page(spec):
 
 def test_abutment_fails_on_a_doctored_pairing(cp1):
     # The cohomology side never reads the pairs, so a pairing that lost a
-    # pair must fail the check.
+    # pair must fail the check.  The pages read the pairs through the one
+    # gap sweep a complex keeps, so the pairs of a fresh complex are
+    # doctored before any page is computed from it.
+    assert check_abutment(filtered_complex(build_model(cp1, 1, [1])))
     fc = filtered_complex(build_model(cp1, 1, [1]))
-    assert check_abutment(fc)
     k = next(k for k, pairs in enumerate(fc.pairs) if pairs)
     doctored = list(fc.pairs)
     doctored[k] = fc.pairs[k][1:]

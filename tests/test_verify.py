@@ -1,3 +1,4 @@
+import itertools
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 import model_oracle
 
 from specseq.engine import FilteredComplex, PageCell
+from specseq.exterior import index_subset_sign
 from specseq.invariant import (
     betti_numbers,
     build_model,
@@ -344,6 +346,24 @@ def test_star_duality_matches_the_two_reduction_reference(base, s, data):
         doctored.append(_with_boundaries(q, boundaries))
     _cache(c, cohomology=tuple(doctored))
     assert model_star_duality(c) == model_oracle.star_duality_reference(c)
+
+
+@pytest.mark.parametrize("s", range(1, 8))
+def test_closed_form_eta_forms_match_the_expanded_product(s):
+    # Per subset I of {2..s}, in order: prod (eta_1 - eta_i) written in
+    # closed form, eta_1 eta_I, and the star complements of the first, each
+    # equal (keys in any order) to the product expanded factor by factor.
+    subsets = [I for q in range(s) for I in itertools.combinations(range(2, s + 1), q)]
+    forms = verify._harmonic_eta_forms(s)
+    assert len(forms) == len(subsets)
+    for subset, (differences, with_eta_1, complements) in zip(subsets, forms):
+        expanded = model_oracle._eta_product([{(1,): 1, (i,): -1} for i in subset])
+        assert dict(differences) == expanded
+        assert dict(with_eta_1) == {(1,) + subset: 1}
+        assert dict(complements) == {
+            tuple(j for j in range(1, s + 1) if j not in idx): a * (-1) ** index_subset_sign(idx, s)
+            for idx, a in expanded.items()
+        }
 
 
 def test_primitive_betti_recursion_examples():

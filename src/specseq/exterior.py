@@ -14,6 +14,16 @@ agree, so equality of forms does not depend on which type a coefficient has.
 Index layout: 0..2n-1 are the transverse covectors (0-based), 2n..2n+s-1
 are eta_1..eta_s.  Public constructors take 1-based labels to match the
 usual e^1, eta_1 notation.
+
+An operation whose result terms cannot collide sets them in order without
+an accumulator.  For increasing tuples of one length, A < B exactly when
+the least index of the symmetric difference lies in A.  So the complements
+of a form's terms come in reverse order (the Hodge stars), and one monomial
+wedged with each of a form's terms gives distinct products in the same
+order (`wedge` with a one-term factor).  The pair contraction and insertion
+behind Lambda and L map terms to `{idx: c}` maps, and the primitive
+decomposition runs on such maps, building a form only for each piece it
+returns.
 """
 
 from __future__ import annotations
@@ -23,7 +33,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 Q = Fraction
 Coeff = int | Fraction  # exact; `make` stores a whole number as an int
@@ -75,7 +85,8 @@ class Multivector:
 
     @staticmethod
     def make(frame: ModelFrame, degree: int, coeffs: Mapping[tuple[int, ...], Coeff]) -> "Multivector":
-        """The form sum c e^idx, with every index tuple checked against the frame.
+        """The form sum c e^idx, with every index tuple checked against the
+        frame: `degree` strictly increasing ints in range(frame.total_dim).
 
         The one point where coefficients are normalised for exact
         `int`/`Fraction` arithmetic: a whole number is stored as an `int`,
@@ -86,14 +97,13 @@ class Multivector:
             if type(c) is not int:
                 c = c if isinstance(c, Fraction) else Fraction(c)
                 c = c.numerator if c.denominator == 1 else c
-            if not c:
-                continue
             idx = tuple(idx)
-            if len(idx) != degree or list(idx) != sorted(set(idx)):
+            if len(idx) != degree or any(type(i) is not int for i in idx) or list(idx) != sorted(set(idx)):
                 raise ValueError(f"bad index tuple {idx} for degree {degree}")
-            if idx and idx[-1] >= frame.total_dim:
+            if idx and (idx[0] < 0 or idx[-1] >= frame.total_dim):
                 raise ValueError(f"index out of range for frame: {idx}")
-            cleaned[idx] = c
+            if c:
+                cleaned[idx] = c
         return Multivector._trusted(frame, degree, cleaned)
 
     @staticmethod
@@ -222,9 +232,15 @@ def _merge_sign(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[tuple[int, ...]
     """Sorted concatenation of two increasing tuples with the wedge sign, or
     None when they share an index.
 
-    The inversions of a + b are the pairs x in a, y in b with x > y; for each
-    y they are the bits of a's mask above y.
+    When every index of one tuple lies below every index of the other, the
+    merge is a concatenation, with |a| |b| inversions when b comes first.
+    Otherwise the inversions of a + b are the pairs x in a, y in b with
+    x > y; for each y they are the bits of a's mask above y.
     """
+    if not a or not b or a[-1] < b[0]:
+        return a + b, 1
+    if b[-1] < a[0]:
+        return b + a, -1 if len(a) & len(b) & 1 else 1
     mask = 0
     for x in a:
         mask |= 1 << x
@@ -254,19 +270,37 @@ def _complement_sign(idx: tuple[int, ...], total: int) -> tuple[tuple[int, ...],
     return comp, -1 if (sum(idx) - k * (k - 1) // 2) & 1 else 1
 
 
+def _complement_star(a: Multivector, total: int) -> Multivector:
+    """The Hodge star of a on range(total): e^I -> sign(I, I^c) e^(I^c).
+
+    Distinct terms have distinct complements, which come in reverse order,
+    so the result's terms are set directly.
+    """
+    terms = []
+    for idx, c in reversed(a.terms):
+        comp, sign = _complement_sign(idx, total)
+        terms.append((comp, c if sign > 0 else -c))
+    return _form(a.frame, total - a.degree, tuple(terms))
+
+
 def wedge(a: Multivector, b: Multivector) -> Multivector:
     _check_frames(a, b)
-    acc: dict[tuple[int, ...], Coeff] = {}
+    products = []
     for ia, ca in a.terms:
         for ib, cb in b.terms:
             merged = _merge_sign(ia, ib)
-            if merged is None:
-                continue
-            idx, sign = merged
-            c = ca * cb if sign > 0 else -(ca * cb)
-            prev = acc.get(idx)
-            acc[idx] = c if prev is None else prev + c
-    return Multivector._trusted(a.frame, a.degree + b.degree, acc)
+            if merged is not None:
+                idx, sign = merged
+                products.append((idx, ca * cb if sign > 0 else -(ca * cb)))
+    degree = a.degree + b.degree
+    if len(a.terms) == 1 or len(b.terms) == 1:
+        # One monomial times distinct monomials: distinct products, in order.
+        return _form(a.frame, degree, tuple(products))
+    acc: dict[tuple[int, ...], Coeff] = {}
+    for idx, c in products:
+        prev = acc.get(idx)
+        acc[idx] = c if prev is None else prev + c
+    return Multivector._trusted(a.frame, degree, acc)
 
 
 def lefschetz_L(a: Multivector) -> Multivector:
@@ -276,14 +310,14 @@ def lefschetz_L(a: Multivector) -> Multivector:
     arises; L is the transpose of lambda_op's contraction.
     """
     _require_transverse(a)
-    return _insert_pairs(a)
+    return Multivector._trusted(a.frame, a.degree + 2, _insert_pairs(a.terms, a.frame.n))
 
 
-def _insert_pairs(a: Multivector) -> Multivector:
-    """`lefschetz_L` on a form known to be transverse."""
+def _insert_pairs(terms: Iterable[tuple[tuple[int, ...], Coeff]], n: int) -> dict[tuple[int, ...], Coeff]:
+    """L on the (idx, c) terms of a transverse form over n pairs, as an {idx: c} map."""
     acc: dict[tuple[int, ...], Coeff] = {}
-    for idx, c in a.terms:
-        for i in range(a.frame.n):
+    for idx, c in terms:
+        for i in range(n):
             lo = 2 * i
             if lo in idx or lo + 1 in idx:
                 continue
@@ -291,7 +325,7 @@ def _insert_pairs(a: Multivector) -> Multivector:
             key = idx[:p] + (lo, lo + 1) + idx[p:]
             prev = acc.get(key)
             acc[key] = c if prev is None else prev + c
-    return Multivector._trusted(a.frame, a.degree + 2, acc)
+    return acc
 
 
 def _require_transverse(a: Multivector):
@@ -312,13 +346,7 @@ def symplectic_star(a: Multivector) -> Multivector:
 def hodge_star_transverse(a: Multivector) -> Multivector:
     """Metric Hodge star on the transverse factor, volume omega^n/n!."""
     _require_transverse(a)
-    td = a.frame.transverse_dim
-    acc: dict[tuple[int, ...], Coeff] = {}
-    # Distinct terms have distinct complements, so nothing accumulates.
-    for idx, c in a.terms:
-        comp, sign = _complement_sign(idx, td)
-        acc[comp] = c if sign > 0 else -c
-    return Multivector._trusted(a.frame, td - a.degree, acc)
+    return _complement_star(a, a.frame.transverse_dim)
 
 
 def full_hodge_star(a: Multivector) -> Multivector:
@@ -328,12 +356,7 @@ def full_hodge_star(a: Multivector) -> Multivector:
     internal index order (transverse first) agrees with the standard one
     because the transverse factor is even-dimensional.
     """
-    total = a.frame.total_dim
-    acc: dict[tuple[int, ...], Coeff] = {}
-    for idx, c in a.terms:
-        comp, sign = _complement_sign(idx, total)
-        acc[comp] = c if sign > 0 else -c
-    return Multivector._trusted(a.frame, total - a.degree, acc)
+    return _complement_star(a, a.frame.total_dim)
 
 
 def j_action(a: Multivector) -> Multivector:
@@ -365,22 +388,22 @@ def lambda_op(a: Multivector) -> Multivector:
     pair}.  No sign arises, because L = omega ^ . inserts a pair without one.
     """
     _require_transverse(a)
-    return _contract_pairs(a)
-
-
-def _contract_pairs(a: Multivector) -> Multivector:
-    """`lambda_op` on a form known to be transverse."""
     if a.degree < 2:
         return Multivector.zero(a.frame, a.degree - 2)
+    return Multivector._trusted(a.frame, a.degree - 2, _contract_pairs(a.terms))
+
+
+def _contract_pairs(terms: Iterable[tuple[tuple[int, ...], Coeff]]) -> dict[tuple[int, ...], Coeff]:
+    """Lambda on the (idx, c) terms of a transverse form, as an {idx: c} map."""
     acc: dict[tuple[int, ...], Coeff] = {}
-    for idx, c in a.terms:
+    for idx, c in terms:
         # In an increasing tuple a pair (2i, 2i+1), 0-based, sits side by side.
         for k in range(len(idx) - 1):
             if idx[k] % 2 == 0 and idx[k + 1] == idx[k] + 1:
                 key = idx[:k] + idx[k + 2 :]
                 prev = acc.get(key)
                 acc[key] = c if prev is None else prev + c
-    return Multivector._trusted(a.frame, a.degree - 2, acc)
+    return acc
 
 
 def primitive_decompose(a: Multivector) -> list[tuple[int, Multivector]]:
@@ -395,11 +418,12 @@ def primitive_decompose(a: Multivector) -> list[tuple[int, Multivector]]:
     m = 0, has c_0 = 1, so for a form of degree r <= n, beta_0 is what is
     left; for r > n there is no m = 0 step, and what is left must be zero.
     Returns the nonzero (i, beta_i) in increasing i.  Lambda and L keep a
-    form transverse, so only `a` is checked.
+    form transverse, so only `a` is checked; rest, Lambda^m(rest) and
+    L^m beta_m are {idx: c} maps.
     """
     _require_transverse(a)
     n = a.frame.n
-    rest = a
+    rest = dict(a.terms)
     out = []
     for m in range(a.degree // 2, 0, -1):
         d = a.degree - 2 * m
@@ -407,20 +431,25 @@ def primitive_decompose(a: Multivector) -> list[tuple[int, Multivector]]:
             continue
         beta = rest
         for _ in range(m):
-            beta = _contract_pairs(beta)
-        if beta.is_zero():
+            beta = _contract_pairs(beta.items())
+        scale = Fraction(factorial(n - d - m), factorial(m) * factorial(n - d))
+        if scale == 1:  # as in `scaled`, whole coefficients stay ints
+            beta = {idx: c for idx, c in beta.items() if c}
+        else:
+            beta = {idx: scale * c for idx, c in beta.items() if c}
+        if not beta:
             continue
-        beta = beta.scaled(Fraction(factorial(n - d - m), factorial(m) * factorial(n - d)))
         image = beta
         for _ in range(m):
-            image = _insert_pairs(image)
-        rest = rest - image
-        out.append((m, beta))
-    if a.degree <= n:
-        if not rest.is_zero():
-            out.append((0, rest))
-    elif not rest.is_zero():
-        raise ValueError("the primitive components do not reconstruct the form")
+            image = _insert_pairs(image.items(), n)
+        for idx, c in image.items():
+            prev = rest.get(idx)
+            rest[idx] = -c if prev is None else prev - c
+        out.append((m, Multivector._trusted(a.frame, d, beta)))
+    if any(rest.values()):
+        if a.degree > n:
+            raise ValueError("the primitive components do not reconstruct the form")
+        out.append((0, Multivector._trusted(a.frame, a.degree, rest)))
     return out[::-1]
 
 
@@ -440,23 +469,19 @@ def star_relation_counterexamples(frame: ModelFrame) -> list[tuple]:
     *(eta_I ^ alpha) = (-1)^(sign(I, I^c) + (s-|I|) r) eta_{I^c} ^ *_b alpha.
     Returns the list of (I, alpha-index, got, expected) mismatches.
     """
-    s = frame.s
+    s, td = frame.s, frame.transverse_dim
     # Per eta subset I: eta_I, eta_{I^c} and sign(I, I^c), built once.
     subsets = []
     for size in range(s + 1):
         for subset in itertools.combinations(range(1, s + 1), size):
-            eta_part = scalar(frame)
-            for j in subset:
-                eta_part = wedge(eta_part, eta(frame, j))
-            comp_part = scalar(frame)
-            for j in range(1, s + 1):
-                if j not in subset:
-                    comp_part = wedge(comp_part, eta(frame, j))
-            subsets.append((subset, eta_part, comp_part, index_subset_sign(subset, s)))
+            comp = tuple(td + j - 1 for j in range(1, s + 1) if j not in subset)
+            eta_part = _form(frame, size, ((tuple(td + j - 1 for j in subset), _ONE),))
+            comp_part = _form(frame, s - size, ((comp, _ONE),))
+            subsets.append((subset, eta_part, comp_part, index_subset_sign(subset)))
     bad = []
-    for r in range(frame.transverse_dim + 1):
+    for r in range(td + 1):
         for alpha_idx in monomials(frame, r):
-            alpha = Multivector.make(frame, r, {alpha_idx: _ONE})
+            alpha = _form(frame, r, ((alpha_idx, _ONE),))
             star_alpha = hodge_star_transverse(alpha)
             for subset, eta_part, comp_part, subset_sign in subsets:
                 lhs = full_hodge_star(wedge(eta_part, alpha))
@@ -467,7 +492,12 @@ def star_relation_counterexamples(frame: ModelFrame) -> list[tuple]:
     return bad
 
 
-def index_subset_sign(subset: Sequence[int], s: int) -> int:
-    """Inversion parity (0 or 1) of (subset, complement) as a permutation of 1..s."""
-    comp = [j for j in range(1, s + 1) if j not in subset]
-    return _inversion_parity(list(subset) + comp)
+def index_subset_sign(subset: Sequence[int]) -> int:
+    """Inversion parity (0 or 1) of (subset, complement) as a permutation of 1..s.
+
+    `subset` = (i_1 < ... < i_k) must be increasing, of 1-based indices.
+    i_m has i_m - m complement indices below it, each an inversion, so s
+    does not enter.
+    """
+    k = len(subset)
+    return (sum(subset) - k * (k + 1) // 2) & 1

@@ -315,7 +315,7 @@ def _harmonic_eta_forms(s: int) -> tuple[tuple[EtaForm, EtaForm, EtaForm], ...]:
                 differences[(1,) + subset[:m] + subset[m + 1 :]] = (-1) ** (q - 1 + m)
             complements = {
                 tuple(j for j in range(1, s + 1) if j not in idx): a
-                * (-1) ** index_subset_sign(idx, s)
+                * (-1) ** index_subset_sign(idx)
                 for idx, a in differences.items()
             }
             forms = differences, {(1,) + subset: 1}, complements

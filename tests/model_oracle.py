@@ -214,7 +214,7 @@ def star_duality_reference(c: InvariantComplex) -> VerificationReport:
     for differences, with_eta_1 in _eta_forms(s):
         complements = {
             tuple(j for j in range(1, s + 1) if j not in subset): a
-            * (-1) ** index_subset_sign(subset, s)
+            * (-1) ** index_subset_sign(subset)
             for subset, a in differences.items()
         }
         q = len(next(iter(differences)))

@@ -231,6 +231,13 @@ MUTANTS = [
         _EXTERIOR,
     ),
     (
+        "merge-all-below-sign-ignores-a",
+        "exterior.py",
+        "len(a) & len(b) & 1",
+        "len(b) & 1",
+        _EXTERIOR,
+    ),
+    (
         "complement-parity-off-by-one-per-index",
         "exterior.py",
         "(sum(idx) - k * (k - 1) // 2) & 1",
@@ -238,18 +245,55 @@ MUTANTS = [
         _EXTERIOR,
     ),
     (
-        "pair-insertion-sign-at-odd-i",
+        "subset-sign-off-by-one-per-index",
         "exterior.py",
-        "acc[key] = c if prev is None else prev + c\n    return Multivector._trusted(a.frame, a.degree + 2, acc)",
-        "acc[key] = (-c if i % 2 else c) if prev is None else prev + (-c if i % 2 else c)\n"
-        "    return Multivector._trusted(a.frame, a.degree + 2, acc)",
+        "(sum(subset) - k * (k + 1) // 2) & 1",
+        "(sum(subset) - k * (k - 1) // 2) & 1",
+        _EXTERIOR,
+    ),
+    # Results set in order without an accumulator where terms cannot collide.
+    (
+        "star-terms-in-input-order",
+        "exterior.py",
+        "for idx, c in reversed(a.terms):",
+        "for idx, c in a.terms:",
         _EXTERIOR,
     ),
     (
+        "wedge-keeps-overlapping-products",
+        "exterior.py",
+        "merged = _merge_sign(ia, ib)",
+        "merged = _merge_sign(ia, ib) or (tuple(sorted(ia + ib)), 1)",
+        _EXTERIOR,
+    ),
+    (
+        "one-term-wedge-path-for-two-multi-term-factors",
+        "exterior.py",
+        "if len(a.terms) == 1 or len(b.terms) == 1:",
+        "if len(a.terms) == 1 or len(b.terms) >= 1:",
+        _EXTERIOR,
+    ),
+    (
+        "pair-insertion-sign-at-odd-i",
+        "exterior.py",
+        "acc[key] = c if prev is None else prev + c\n    return acc\n\n\ndef _require_transverse",
+        "acc[key] = (-c if i % 2 else c) if prev is None else prev + (-c if i % 2 else c)\n"
+        "    return acc\n\n\ndef _require_transverse",
+        _EXTERIOR,
+    ),
+    # The primitive decomposition on {idx: c} maps.
+    (
         "beta-0-dropped",
         "exterior.py",
-        "out.append((0, rest))",
+        "out.append((0, Multivector._trusted(a.frame, a.degree, rest)))",
         "pass",
+        _EXTERIOR,
+    ),
+    (
+        "decomposition-adds-the-image-back",
+        "exterior.py",
+        "rest[idx] = -c if prev is None else prev - c",
+        "rest[idx] = c if prev is None else prev + c",
         _EXTERIOR,
     ),
     # Whole-number coefficients held as ints.

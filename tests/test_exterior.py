@@ -13,6 +13,7 @@ from specseq.exterior import (
     Multivector,
     TransverseRequired,
     _complement_sign,
+    _inversion_parity,
     _merge_sign,
     covector,
     eta,
@@ -52,13 +53,15 @@ def random_forms(frame, degree):
 
 @pytest.mark.parametrize(
     "degree, idx",
-    [(2, (1, 0)), (2, (1, 1)), (1, (4,)), (2, (0, 4)), (2, (0,)), (1, (0, 1))],
+    [(2, (1, 0)), (2, (1, 1)), (1, (4,)), (2, (0, 4)), (2, (0,)), (1, (0, 1)), (1, (-1,)), (1, (1.0,))],
 )
 def test_make_rejects_bad_index_tuples(degree, idx):
-    # Unsorted, repeated, out of range (total dim 2n + s = 4) or of the wrong
-    # length; operations on valid forms skip these checks, `make` does not.
-    with pytest.raises(ValueError):
-        Multivector.make(ModelFrame(1, 2), degree, {idx: Q(1)})
+    # Unsorted, repeated, out of range (total dim 2n + s = 4), of the wrong
+    # length or not an int, with a zero coefficient too; operations on valid
+    # forms skip these checks, `make` does not.
+    for c in (Q(1), 0):
+        with pytest.raises(ValueError):
+            Multivector.make(ModelFrame(1, 2), degree, {idx: c})
 
 
 def test_sub_and_scaled_drop_zero_terms():
@@ -122,6 +125,50 @@ def test_wedge_expansion():
     assert wedge(a, b) == expect
 
 
+def _wedge_by_pairs(a, b):
+    """The sum over term pairs of +-ca cb e^(ia + ib), signed by counting
+    the inversions, the pairs that share an index left out."""
+    acc = {}
+    for ia, ca in a.terms:
+        for ib, cb in b.terms:
+            if not set(ia) & set(ib):
+                idx = tuple(sorted(ia + ib))
+                acc[idx] = acc.get(idx, 0) + _sign_by_count(ia, ib) * ca * cb
+    return Multivector.make(a.frame, a.degree + b.degree, acc)
+
+
+# Forms on ModelFrame(3, 2), indices 0..7.  Against (2, 5), the terms of
+# MIXED lie wholly below (0, 1), wholly above (6, 7), interleaved (1, 3),
+# (0, 3), (3, 4) and (1, 6), or overlapping (2, 4) and (5, 7).
+ONE = {(2, 5): Q(2, 3)}
+MIXED = {(0, 1): 1, (0, 3): -2, (1, 3): Q(1, 2), (1, 6): 3, (2, 4): -1, (3, 4): 5, (5, 7): 4, (6, 7): Q(-3, 2)}
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [
+        (ONE, MIXED),  # one term on the left
+        (MIXED, ONE),  # one term on the right
+        ({(): 3}, MIXED),  # a one-term scalar
+        (MIXED, {(): Q(-1, 2)}),
+        (ONE, {(0, 1): 1}),  # one term each: wholly below, above, interleaved, overlapping
+        (ONE, {(6, 7): -1}),
+        ({(0, 1): 1}, ONE),
+        ({(6, 7): -1}, ONE),
+        (ONE, {(3, 4): 2}),
+        (ONE, {(2, 4): 2}),
+        (ONE, {}),
+        ({(0,): 1, (2,): 2, (5,): -1}, MIXED),  # products that collide
+        ({(1, 2): 1, (3, 5): -1, (0, 4): 2}, {(0, 6): 1, (2, 3): 1, (4, 7): Q(1, 3)}),
+    ],
+)
+def test_wedge_matches_the_sum_over_term_pairs(a, b):
+    f = ModelFrame(3, 2)
+    a = Multivector.make(f, len(next(iter(a))), a)
+    b = Multivector.make(f, len(next(iter(b))) if b else 2, b)
+    assert wedge(a, b) == _wedge_by_pairs(a, b)
+
+
 def test_wedge_frame_mismatch():
     with pytest.raises(FrameMismatch):
         wedge(covector(ModelFrame(1), 1), covector(ModelFrame(2), 1))
@@ -135,7 +182,7 @@ def test_wedge_graded_commutative(data):
     q = data.draw(st.integers(0, 3))
     a = data.draw(random_forms(f, p))
     b = data.draw(random_forms(f, q))
-    assert wedge(a, b) == wedge(b, a).scaled((-1) ** (p * q))
+    assert wedge(a, b) == wedge(b, a).scaled((-1) ** (p * q)) == _wedge_by_pairs(a, b)
 
 
 @settings(deadline=None, max_examples=30)
@@ -259,6 +306,26 @@ def test_hodge_star_signs(n):
             a = mono(f, r, idx)
             twice = hodge_star_transverse(hodge_star_transverse(a))
             assert twice == a.scaled((-1) ** (r * (2 * n - r)))
+
+
+def _star_by_complements(a, total):
+    acc = {}
+    for idx, c in a.terms:
+        comp, sign = _complement_by_count(idx, total)
+        acc[comp] = sign * c
+    return Multivector.make(a.frame, total - a.degree, acc)
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.data())
+def test_stars_match_the_complement_of_each_term(data):
+    n, s = data.draw(st.integers(0, 3)), data.draw(st.integers(0, 2))
+    f = ModelFrame(n, s)
+    a, _ = data.draw(mixed_forms(f, data.draw(st.integers(0, 2 * n))))
+    b, _ = data.draw(mixed_forms(f, data.draw(st.integers(0, f.total_dim)), transverse=False))
+    assert hodge_star_transverse(a) == _star_by_complements(a, f.transverse_dim)
+    assert full_hodge_star(a) == _star_by_complements(a, f.total_dim)
+    assert full_hodge_star(b) == _star_by_complements(b, f.total_dim)
 
 
 def test_j_action_cases():
@@ -506,8 +573,8 @@ def test_form_inner_product_orthonormal():
 
 
 def test_index_subset_sign():
-    assert index_subset_sign((), 3) == 0
-    assert index_subset_sign((1,), 3) == 0
-    assert index_subset_sign((2,), 3) == 1  # (2,1,3) has one inversion
-    assert index_subset_sign((1, 2, 3), 3) == 0
-    assert index_subset_sign((3,), 3) == 0  # (3,1,2) has two inversions
+    for s in range(8):
+        for k in range(s + 1):
+            for subset in itertools.combinations(range(1, s + 1), k):
+                complement = [j for j in range(1, s + 1) if j not in subset]
+                assert index_subset_sign(subset) == _inversion_parity(list(subset) + complement)

@@ -361,7 +361,7 @@ def test_closed_form_eta_forms_match_the_expanded_product(s):
         assert dict(differences) == expanded
         assert dict(with_eta_1) == {(1,) + subset: 1}
         assert dict(complements) == {
-            tuple(j for j in range(1, s + 1) if j not in idx): a * (-1) ** index_subset_sign(idx, s)
+            tuple(j for j in range(1, s + 1) if j not in idx): a * (-1) ** index_subset_sign(idx)
             for idx, a in expanded.items()
         }
 

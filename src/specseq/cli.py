@@ -144,7 +144,7 @@ def cmd_analyze(args) -> int:
             return EXIT_INVALID
     try:
         complex_ = to_complex(mf)
-    except (ModelFileError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
     start = time.perf_counter()
@@ -159,12 +159,12 @@ def cmd_analyze(args) -> int:
     elapsed = time.perf_counter() - start
     name = mf.name or args.model
     if not args.quiet:
-        print(f"model {name}: n={mf.n} s={mf.s} lambdas={[str(x) for x in mf.lambdas]}")
+        print(f"model {name}: n={mf.base.n} s={mf.s} lambdas={[str(x) for x in mf.lambdas]}")
         print(f"chain dims: {tuple(complex_.dim(k) for k in range(complex_.max_degree + 1))}")
         print(f"de Rham dims: {betti}")
         print(f"stable at page {stable_at}")
         shown = pages[: min(stable_at, len(pages) - 1) + 1]
-        bodies = _per_table(lambda page: _table_body(page, 2 * mf.n, mf.s), shown)
+        bodies = _per_table(lambda page: _table_body(page, 2 * mf.base.n, mf.s), shown)
         for page, body in zip(shown, bodies):
             print(f"E_{page.r} (rows q, columns p):\n{body}")
     failed = False
@@ -181,7 +181,7 @@ def cmd_analyze(args) -> int:
         head = {
             "tool_version": __version__,
             "model": name,
-            "n": mf.n,
+            "n": mf.base.n,
             "s": mf.s,
             "lambdas": [str(x) for x in mf.lambdas],
             "chain_dims": [complex_.dim(k) for k in range(complex_.max_degree + 1)],
@@ -314,7 +314,7 @@ def cmd_star_check(args) -> int:
 def cmd_presets(args) -> int:
     if args.name is None:
         for name, mf in PRESETS.items():
-            print(f"{name:10s} n={mf.n} s={mf.s} lambdas={[str(x) for x in mf.lambdas]}  {mf.description}")
+            print(f"{name:10s} n={mf.base.n} s={mf.s} lambdas={[str(x) for x in mf.lambdas]}  {mf.description}")
         return EXIT_OK
     if args.name not in PRESETS:
         print(f"error: unknown preset {args.name!r}", file=sys.stderr)

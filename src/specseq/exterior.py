@@ -20,10 +20,11 @@ an accumulator.  For increasing tuples of one length, A < B exactly when
 the least index of the symmetric difference lies in A.  So the complements
 of a form's terms come in reverse order (the Hodge stars), and one monomial
 wedged with each of a form's terms gives distinct products in the same
-order (`wedge` with a one-term factor).  The pair contraction and insertion
-behind Lambda and L map terms to `{idx: c}` maps, and the primitive
-decomposition runs on such maps, building a form only for each piece it
-returns.
+order (`wedge` with a one-term factor).  J maps distinct monomials to
+distinct monomials, each with a closed-form sign, which are only sorted
+(`j_action`).  The pair contraction and insertion behind Lambda and L map
+terms to `{idx: c}` maps, and the primitive decomposition runs on such
+maps, building a form only for each piece it returns.
 """
 
 from __future__ import annotations
@@ -208,11 +209,6 @@ def omega(frame: ModelFrame) -> Multivector:
     return Multivector(frame, 2, tuple(((2 * i, 2 * i + 1), _ONE) for i in range(frame.n)))
 
 
-def transverse_volume(frame: ModelFrame) -> Multivector:
-    """omega^n / n! = e^1 ^ ... ^ e^{2n}."""
-    return Multivector.make(frame, 2 * frame.n, {tuple(range(frame.transverse_dim)): _ONE})
-
-
 def monomials(frame: ModelFrame, degree: int, transverse: bool = True) -> list[tuple[int, ...]]:
     top = frame.transverse_dim if transverse else frame.total_dim
     if degree < 0 or degree > top:
@@ -360,25 +356,25 @@ def full_hodge_star(a: Multivector) -> Multivector:
 
 
 def j_action(a: Multivector) -> Multivector:
-    """Pullback along J (J e_{2i-1} = e_{2i}), acting factorwise on forms."""
+    """Pullback along J (J e_{2i-1} = e_{2i}), acting factorwise on forms.
+
+    On covectors, J e^{2i-1} = -e^{2i} and J e^{2i} = e^{2i-1}; 0-based,
+    even t -> -(t+1) and odd t -> t-1.  A lone index of its pair moves to
+    its partner, and a full pair (2i, 2i+1) maps to (2i+1, 2i), one
+    inversion.  So e^I maps to (-1)^(even indices + full pairs) e^J(I), and
+    distinct monomials have distinct images, whose terms are set directly
+    (in sorted order; J does not keep the order of the terms).
+    """
     _require_transverse(a)
-    acc: dict[tuple[int, ...], Coeff] = {}
+    terms = []
     for idx, c in a.terms:
-        # On covectors, J e^{2i-1} = -e^{2i} and J e^{2i} = e^{2i-1};
-        # 0-based: even t -> -(t+1), odd t -> t-1.  The image indices of a
-        # monomial are distinct, so only a reordering sign remains.
-        sign = 1
-        mapped = []
-        for t in idx:
-            if t % 2 == 0:
-                mapped.append(t + 1)
-                sign = -sign
-            else:
-                mapped.append(t - 1)
-        sign *= (-1) ** _inversion_parity(mapped)
-        key = tuple(sorted(mapped))
-        acc[key] = acc.get(key, _ZERO) + sign * c
-    return Multivector._trusted(a.frame, a.degree, acc)
+        present = set(idx)
+        key = tuple([t if t ^ 1 in present else t ^ 1 for t in idx])
+        evens = len([t for t in idx if not t & 1])
+        pairs = len(idx) - len({t >> 1 for t in idx})  # two indices in one slot t >> 1
+        terms.append((key, -c if (evens + pairs) & 1 else c))
+    terms.sort()
+    return _form(a.frame, a.degree, tuple(terms))
 
 
 def lambda_op(a: Multivector) -> Multivector:
@@ -451,15 +447,6 @@ def primitive_decompose(a: Multivector) -> list[tuple[int, Multivector]]:
             raise ValueError("the primitive components do not reconstruct the form")
         out.append((0, Multivector._trusted(a.frame, a.degree, rest)))
     return out[::-1]
-
-
-def form_inner_product(a: Multivector, b: Multivector) -> Coeff:
-    """Metric inner product of forms; the monomial basis is orthonormal."""
-    _check_frames(a, b)
-    if a.degree != b.degree:
-        return _ZERO
-    d = dict(b.terms)
-    return sum((c * d.get(idx, _ZERO) for idx, c in a.terms), _ZERO)
 
 
 def star_relation_counterexamples(frame: ModelFrame) -> list[tuple]:

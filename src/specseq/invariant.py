@@ -13,10 +13,10 @@ what the spectral-sequence engine consumes.
 A complex holds each d_k as sparse integer columns and one denominator
 (`InvariantComplex.integer_d` and `.denominators`): `build_model` scatters
 integer products of the lambda numerators and the integer columns of L
-straight into them, each entry placed by the offset of its block
-eta_I (x) H^p in the basis (`InvariantComplex.offsets`).  The complex
-keeps its analysis, each part built once, on first read: the engine's
-filtered complex on those columns (`InvariantComplex.filtered_complex`,
+(`LefschetzModule.L`) straight into them, each entry placed by the offset
+of its block eta_I (x) H^p in the basis (`InvariantComplex.offsets`).  The
+complex keeps its analysis, each part built once, on first read: the
+engine's filtered complex on those columns (`InvariantComplex.filtered_complex`,
 which checks d o d = 0 and reduces each d_k once), the pages with the
 stable page (`.spectral_sequence`) and direct cohomology (`.cohomology`),
 a view of the same reductions.  Each layer of the basis is listed in
@@ -37,7 +37,7 @@ from math import gcd, lcm
 from typing import Mapping, Sequence
 
 from .engine import FilteredComplex, SpectralPage, run_to_convergence
-from .lefschetz import LefschetzModule, integer_l_maps
+from .lefschetz import LefschetzModule
 from .linalg import DimensionMismatch, Matrix, Reduction, SparseColumn
 
 _ZERO = Fraction(0)
@@ -145,14 +145,14 @@ def build_model(base: LefschetzModule, s: int, lambdas: Sequence) -> InvariantCo
     Each d_k is scattered straight into sparse integer columns, with no
     fractions: its entries are the products +-lambda_i times an entry of L,
     so the integer numerators a_i of the lambda_i over their common
-    denominator times the integer columns of L (`lefschetz.integer_l_maps`,
-    over their common denominator e) give d_k times (the lambda denominator
+    denominator times the integer columns of L (`base.L`, over their common
+    denominator e = `base.den`) give d_k times (the lambda denominator
     times e).  Dividing by the gcd of that scale and every entry leaves d_k
-    times the common denominator of its own entries, so the columns equal
-    `linalg.integer_columns(d_k)`, rows in ascending order.  Each block
-    eta_I (x) H^p of consecutive basis elements starts at one offset, which
-    places every entry.  The complex keeps the columns, their denominators
-    and the offsets; it builds no dense matrix.
+    times the least common denominator of its own entries, with rows in
+    ascending order: the columns that the dense d_k gives over that
+    denominator.  Each block eta_I (x) H^p of consecutive basis elements
+    starts at one offset, which places every entry.  The complex keeps the
+    columns, their denominators and the offsets; it builds no dense matrix.
     """
     if s < 1:
         raise ValueError("s must be at least 1; s = 0 has no eta directions")
@@ -178,7 +178,7 @@ def build_model(base: LefschetzModule, s: int, lambdas: Sequence) -> InvariantCo
         offsets.append(starts)
     lam_den = lcm(*(lam.denominator for lam in lambdas))
     lam_num = [lam.numerator * (lam_den // lam.denominator) for lam in lambdas]
-    l_cols, l_den = integer_l_maps(base)
+    l_cols, l_den = base.L, base.den
     scale = lam_den * l_den
     integer_d: list[list[SparseColumn]] = []
     denominators: list[int] = []

@@ -1,42 +1,36 @@
 """Finite graded models of basic cohomology with the Lefschetz operator.
 
 A module holds the dimensions of the graded pieces H^0..H^{2n} and, per
-degree, the matrix of cup product with the transverse symplectic class.
-Its Lefschetz structure is computed once per module, on first use, and kept
-on it.  It works on sparse integer columns: every L_p over one common
-denominator (`integer_l_maps`), each power of L one `apply_columns` from
-the power before.  The hard-Lefschetz ranks, each primitive subspace
-PH^d = Ker L^{n-d+1} and each Ker L come from one `reduce_columns` each,
-the kernels as the columns of V at the zero columns of R, and the star
-images L^{n-d} beta of the PH^d basis vectors from the same powers.
-`lefschetz_columns` returns those integer bases.  The S-type verifiers
-read nothing else, and `lefschetz_decompose_class` solves on them too.
-The arithmetic is exact `int`/`Fraction` arithmetic: `int` on the columns,
-`Fraction` only where a result is divided by a denominator.  No dense
-subspace is built here; the tests keep dense kernels of the powers of L,
-and the reconstruction sum_i L^i beta_i, as the reference.
+degree, cup product with the transverse symplectic class: every
+L_p: H^p -> H^{p+2} as sparse integer columns over one common denominator
+(`LefschetzModule.L` and `.den`).  That is the only form of L a module
+stores; the model file, the presets and `generate_hlp_module` produce it,
+and `LefschetzModule.L_maps`, the dense `Fraction` matrices, is a view built
+on first read for `dump_model` and the test oracles.  The Lefschetz
+structure is computed once per module, on first use, and kept on it: each
+power of L is one `apply_columns` from the power before.  The
+hard-Lefschetz ranks, each primitive subspace PH^d = Ker L^{n-d+1} and each
+Ker L come from one `reduce_columns` each, the kernels as the columns of V
+at the zero columns of R, and the star images L^{n-d} beta of the PH^d
+basis vectors from the same powers.  `lefschetz_columns` returns those
+integer bases.  The S-type verifiers read nothing else, and
+`lefschetz_decompose_class` solves on them too.  The arithmetic is exact:
+`int` on the columns, `Fraction` only where a result is divided by a
+denominator.  No dense subspace is built here; the tests keep dense kernels
+of the powers of L, and the reconstruction sum_i L^i beta_i, as the
+reference.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
+from math import gcd, lcm
 from typing import Sequence
 
-from .linalg import (
-    Matrix,
-    SparseColumn,
-    apply_columns,
-    integer_columns,
-    inverse,
-    reduce_columns,
-)
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
+from .linalg import Matrix, SparseColumn, apply_columns, from_integer_columns, reduce_columns
 
 
 class HardLefschetzError(ValueError):
@@ -45,9 +39,15 @@ class HardLefschetzError(ValueError):
 
 @dataclass(frozen=True)
 class LefschetzModule:
+    """L_p: H^p -> H^{p+2} is `L[p]` / `den`: dims[p] sparse integer columns,
+    with row indices below dims[p+2] (no rows at p > 2n - 2) and nonzero
+    int entries.  `den` is the least such denominator, so equal modules
+    compare equal."""
+
     n: int
     dims: tuple[int, ...]
-    L_maps: tuple[Matrix, ...]  # L_maps[p]: H^p -> H^{p+2}
+    L: tuple[list[SparseColumn], ...] = field(hash=False)  # lists do not hash
+    den: int = 1
     labels: tuple[tuple[str, ...], ...] | None = None
 
     def __post_init__(self):
@@ -57,12 +57,23 @@ class LefschetzModule:
             raise ValueError("dims must have length 2n+1")
         if any(d < 0 for d in self.dims):
             raise ValueError("dims must be non-negative")
-        if len(self.L_maps) != 2 * self.n + 1:
-            raise ValueError("one L matrix per degree 0..2n is required")
-        for p, m in enumerate(self.L_maps):
-            target = self.dims[p + 2] if p + 2 <= 2 * self.n else 0
-            if m.cols != self.dims[p] or m.rows != target:
-                raise ValueError(f"L matrix at degree {p} has shape {m.rows}x{m.cols}")
+        if len(self.L) != 2 * self.n + 1:
+            raise ValueError("one list of L columns per degree 0..2n is required")
+        for p, cols in enumerate(self.L):
+            if len(cols) != self.dims[p]:
+                raise ValueError(f"L at degree {p} has {len(cols)} columns, not dims[{p}] = {self.dims[p]}")
+            rows = self.dim_at(p + 2)
+            for col in cols:
+                for i, x in col.items():
+                    if type(i) is not int or not 0 <= i < rows:
+                        raise ValueError(f"L at degree {p} has row index {i!r}, not below {rows}")
+                    if type(x) is not int or not x:
+                        raise ValueError(f"L at degree {p} has entry {x!r}, not a nonzero int")
+        if type(self.den) is not int or self.den < 1:
+            raise ValueError(f"den must be a positive int, not {self.den!r}")
+        g = gcd(self.den, *(x for cols in self.L for col in cols for x in col.values()))
+        if g != 1:
+            raise ValueError(f"den {self.den} is not the least: {g} divides it and every entry of L")
         if self.labels is not None:
             if len(self.labels) != len(self.dims) or any(
                 len(ls) != d for ls, d in zip(self.labels, self.dims)
@@ -75,12 +86,14 @@ class LefschetzModule:
         return 0
 
     # Each of these is computed on first use and kept: the module is
-    # immutable, and every Lefschetz query on it reads them.
+    # immutable, and every query on it reads them.
 
     @cached_property
-    def _integer_l_maps(self) -> tuple[tuple[list[SparseColumn], ...], int]:
-        den = lcm(*(x.denominator for m in self.L_maps for row in m.entries for x in row))
-        return tuple(integer_columns(m, den) for m in self.L_maps), den
+    def L_maps(self) -> tuple[Matrix, ...]:
+        """Each L_p as a dense `Fraction` matrix, dims[p+2] x dims[p]."""
+        return tuple(
+            from_integer_columns(cols, self.dim_at(p + 2), self.den) for p, cols in enumerate(self.L)
+        )
 
     @cached_property
     def _structure(self) -> _Structure:
@@ -102,7 +115,7 @@ class LefschetzColumns:
     `primitive[p]` is a basis of PH^p (empty above the middle degree) and
     `kernel[p]` one of Ker(L: H^p -> H^{p+2}).  `star[p][t]` is
     L^{n-p} primitive[p][t] times e^{n-p}, where e is the common denominator
-    of the L matrices (`integer_l_maps`).  On a primitive class the model
+    `LefschetzModule.den` of the L columns.  On a primitive class the model
     star is L^{n-p}, so each `star[p][t]` is a positive multiple of the star
     of `primitive[p][t]`.  Every vector is a sparse integer column.
     """
@@ -118,14 +131,6 @@ class _Structure:
     columns: LefschetzColumns
 
 
-def integer_l_maps(module: LefschetzModule) -> tuple[tuple[list[SparseColumn], ...], int]:
-    """Every L_p as sparse integer columns over one common denominator e, and e.
-
-    The columns of L_p are those of `linalg.integer_columns(L_p, e)`.
-    """
-    return module._integer_l_maps
-
-
 def _kernel(cols: list[SparseColumn]) -> list[SparseColumn]:
     """A basis of the kernel of the integer matrix with columns `cols`."""
     R, V, _ = reduce_columns(cols)
@@ -134,7 +139,7 @@ def _kernel(cols: list[SparseColumn]) -> list[SparseColumn]:
 
 def _compute_structure(module: LefschetzModule) -> _Structure:
     n = module.n
-    L = module._integer_l_maps[0]
+    L = module.L
     # powers[d][m] = e^m L^m: H^d -> H^{d+2m} for d <= n and m <= n - d + 1,
     # each one `apply_columns` from the one before: every power read here.
     powers = []
@@ -191,10 +196,9 @@ def lefschetz_decompose_class(
     in H^{p-2i} and only the nonzero components are listed.  One
     `reduce_columns` runs over the pieces e^i L^i beta_t, for each beta_t
     in the integer basis of PH^{p-2i} with i <= n - (p-2i), and then D v,
-    where e is the denominator of `integer_l_maps` and D the lcm of the
-    denominators of v.  Under hard Lefschetz the pieces are a basis of H^p,
-    so D v reduces to zero, and its column w of V gives
-    beta_i = sum_t w_t e^i beta_t / (-w_last D).
+    where e is `module.den` and D the lcm of the denominators of v.  Under
+    hard Lefschetz the pieces are a basis of H^p, so D v reduces to zero,
+    and its column w of V gives beta_i = sum_t w_t e^i beta_t / (-w_last D).
     """
     if not check_hard_lefschetz(module).hlp:
         raise HardLefschetzError("module does not satisfy hard Lefschetz")
@@ -202,7 +206,7 @@ def lefschetz_decompose_class(
     if len(v) != module.dims[p]:
         raise ValueError("vector length does not match dim H^p")
     n = module.n
-    L, e = module._integer_l_maps
+    L, e = module.L, module.den
     primitive = module._structure.columns.primitive
     blocks = []  # (i, index of the first piece of L^i PH^{p-2i})
     cols: list[SparseColumn] = []
@@ -229,13 +233,8 @@ def lefschetz_decompose_class(
     return out
 
 
-def check_top_degree(module: LefschetzModule) -> bool:
-    """Homological-orientability shadow: the top graded piece is a line."""
-    return module.dims[2 * module.n] == 1
-
-
 def _free_hlp_data(n: int, primitive_dims: Sequence[int]):
-    """Basis and L of the free module generated by the primitive blocks.
+    """Dims and L columns of the free module generated by the primitive blocks.
 
     Degree-r basis: all (j, i, t) with j + 2i = r, 0 <= i <= n - j,
     t < primitive_dims[j]; L shifts i by one and kills i = n - j.
@@ -253,35 +252,51 @@ def _free_hlp_data(n: int, primitive_dims: Sequence[int]):
                 layer.append((j, i, t))
         layer.sort()
         basis.append(layer)
-    l_maps = []
+    l_free = []
     for p in range(2 * n + 1):
-        target = basis[p + 2] if p + 2 <= 2 * n else []
-        index = {b: r for r, b in enumerate(target)}
-        rows = [[_ZERO] * len(basis[p]) for _ in range(len(target))]
-        for c, (j, i, t) in enumerate(basis[p]):
-            if i + 1 <= n - j:
-                rows[index[(j, i + 1, t)]][c] = _ONE
-        l_maps.append(Matrix(len(target), len(basis[p]), tuple(tuple(r) for r in rows)))
-    dims = tuple(len(layer) for layer in basis)
-    return dims, tuple(l_maps)
+        index = {b: r for r, b in enumerate(basis[p + 2])} if p + 2 <= 2 * n else {}
+        l_free.append([{index[(j, i + 1, t)]: 1} if i < n - j else {} for j, i, t in basis[p]])
+    return tuple(len(layer) for layer in basis), l_free
 
 
-def _unipotent(rng: random.Random, d: int) -> Matrix:
-    rows = [
-        [
-            _ONE if i == j else (Fraction(rng.randint(-2, 2)) if j > i else _ZERO)
-            for j in range(d)
-        ]
-        for i in range(d)
-    ]
-    return Matrix(d, d, tuple(tuple(r) for r in rows))
+def _unipotent(rng: random.Random, d: int) -> list[SparseColumn]:
+    """The columns of a random integer d x d upper unitriangular matrix, its
+    entries above the diagonal drawn row by row from -2..2."""
+    cols: list[SparseColumn] = [{j: 1} for j in range(d)]
+    for i in range(d):
+        for j in range(i + 1, d):
+            x = rng.randint(-2, 2)
+            if x:
+                cols[j][i] = x
+    return cols
+
+
+def _unipotent_inverse(cols: list[SparseColumn]) -> list[SparseColumn]:
+    """The columns of the inverse of an upper unitriangular integer matrix,
+    each solved from A b = e_j by back-substitution: b_k is what is left of
+    the right-hand side at row k, and b_k times column k of A comes off it."""
+    inv = []
+    for j in range(len(cols)):
+        rest = {j: 1}
+        b = {}
+        for k in range(j, -1, -1):
+            x = rest.pop(k, 0)
+            if x:
+                b[k] = x
+                for i, y in cols[k].items():
+                    if i != k:
+                        rest[i] = rest.get(i, 0) - x * y
+        inv.append(b)
+    return inv
 
 
 def generate_hlp_module(seed: int, n: int, primitive_dims: Sequence[int]) -> LefschetzModule:
     """Seeded hard-Lefschetz module with the given primitive dimensions.
 
     The free module over the primitive blocks is conjugated by a random
-    unipotent graded automorphism so L is not trivially block-structured.
+    unipotent graded automorphism A so L is not trivially block-structured:
+    L_p = A_{p+2} L_free_p A_p^{-1}, column by column.  Both A and its
+    inverse are integer matrices, so the module's denominator is 1.
     """
     primitive_dims = tuple(primitive_dims)
     if len(primitive_dims) != n + 1:
@@ -291,18 +306,21 @@ def generate_hlp_module(seed: int, n: int, primitive_dims: Sequence[int]) -> Lef
     dims, l_free = _free_hlp_data(n, primitive_dims)
     rng = random.Random(seed)
     autos = [_unipotent(rng, d) for d in dims]
-    autos_inv = [inverse(a) for a in autos]
-    l_maps = []
+    L = []
     for p in range(2 * n + 1):
         if p + 2 <= 2 * n:
-            l_maps.append(autos[p + 2] @ l_free[p] @ autos_inv[p])
+            images = (apply_columns(l_free[p], w) for w in _unipotent_inverse(autos[p]))
+            L.append([dict(sorted(apply_columns(autos[p + 2], v).items())) for v in images])
         else:
-            l_maps.append(l_free[p])
-    return LefschetzModule(n, dims, tuple(l_maps))
+            L.append(l_free[p])
+    return LefschetzModule(n, dims, tuple(L))
 
 
 def zero_l_block(module: LefschetzModule, p: int) -> LefschetzModule:
     """Copy of the module with L zeroed out at degree p (non-HLP generator)."""
-    l_maps = list(module.L_maps)
-    l_maps[p] = Matrix.zero(l_maps[p].rows, l_maps[p].cols)
-    return LefschetzModule(module.n, module.dims, tuple(l_maps), module.labels)
+    L = list(module.L)
+    L[p] = [{} for _ in L[p]]
+    g = gcd(module.den, *(x for cols in L for col in cols for x in col.values()))
+    if g != 1:
+        L = [[{i: x // g for i, x in col.items()} for col in cols] for cols in L]
+    return LefschetzModule(module.n, module.dims, tuple(L), module.den // g, module.labels)

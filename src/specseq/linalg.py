@@ -1,32 +1,32 @@
 """Exact linear algebra over the rationals.
 
-Two representations live here.  `integer_columns` gives a matrix as sparse
-integer columns, scaled by one common denominator, and `reduce_columns` and
+Two representations live here.  A matrix scaled by one common denominator
+is a list of sparse integer columns, and `reduce_columns` and
 `apply_columns` work on them without fractions.  Everything the library
 computes takes this path: the filtered-complex checks, the engine's
 persistence pairing (which clears the columns it knows reduce to zero),
 direct cohomology, which is a view of those reductions, the star-duality
 check, which reduces its groups of cocycles with no V, starting from the
 boundaries and the groups reduced before them as pivots, and the
-Lefschetz structure's powers of L, ranks and kernels.
-`invariant.build_model` makes the integer columns of the model directly.
+Lefschetz structure's powers of L, ranks and kernels.  The model file
+parser, the presets, `generate_hlp_module` and `invariant.build_model`
+make integer columns directly.
 
 `Matrix` and `Subspace` are dense, with `fractions.Fraction` entries;
 subspaces are kept in a canonical column-echelon basis so that equality of
 subspaces is plain equality of the stored data, and ranks, kernels and
-quotients come from row reduction.  `Matrix` is the input format of the
-model files and the modules, and `from_integer_columns` gives the dense
-view of integer columns.  The rest of the dense toolkit serves
-`generate_hlp_module` (`inverse`), `engine.check_abutment` (`rank`), the
-dense views, the test oracles and the benchmark probes; `analyze` calls
-none of it.  All arithmetic is exact.
+quotients come from row reduction.  `from_integer_columns` gives the dense
+view of integer columns, which `LefschetzModule.L_maps` and
+`FilteredComplex.d` are.  The rest of the dense toolkit serves
+`engine.check_abutment` (`rank`), the test oracles and the benchmark
+probes; `analyze` calls none of it.  All arithmetic is exact.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from typing import Iterable, Mapping, Sequence
 
 Q = Fraction
@@ -397,24 +397,9 @@ def quotient(ambient: Subspace, sub: Subspace) -> Quotient:
     return Quotient(ambient, sub, qdim, project, section)
 
 
-def integer_columns(m: Matrix, den: int | None = None) -> list[SparseColumn]:
-    """The columns of `m` times the common denominator of its entries.
-
-    `den`, when given, is a common multiple of those denominators to scale
-    by instead, so that several matrices can share one scale.
-    """
-    cols = [
-        {i: x for i, x in enumerate(col) if x}
-        for col in (zip(*m.entries) if m.rows else [()] * m.cols)
-    ]
-    if den is None:
-        den = lcm(*(x.denominator for col in cols for x in col.values()))
-    return [{i: x.numerator * (den // x.denominator) for i, x in col.items()} for col in cols]
-
-
 def from_integer_columns(cols: Sequence[SparseColumn], rows: int, den: int = 1) -> Matrix:
     """The `rows` x len(cols) matrix with sparse integer columns `cols`, each
-    entry over `den`: `integer_columns` undone."""
+    entry over `den`: the dense view of integer columns."""
     entries = [[_ZERO] * len(cols) for _ in range(rows)]
     for j, col in enumerate(cols):
         for i, x in col.items():
@@ -522,15 +507,3 @@ def _combine(a: int, x: SparseColumn, c: int, y: SparseColumn) -> SparseColumn:
         else:
             del out[i]
     return out
-
-
-def inverse(m: Matrix) -> Matrix:
-    if m.rows != m.cols:
-        raise DimensionMismatch("only square matrices are invertible")
-    n = m.rows
-    aug = [list(r) + [_ONE if i == j else _ZERO for j in range(n)] for i, r in enumerate(m.entries)]
-    aug, pivots = _rref_data(aug, 2 * n)
-    if list(pivots[:n]) != list(range(n)) or len(pivots) < n:
-        raise ValueError("matrix is singular")
-    return Matrix(n, n, tuple(tuple(row[n:]) for row in aug[:n]))
-

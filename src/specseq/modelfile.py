@@ -13,6 +13,9 @@ string, so nothing ever passes through floating point.  Schema:
       "L": [ [["1"]], [], [] ]      # per degree p, a dims[p+2] x dims[p]
     }                               # matrix as rows (empty when 0 rows)
 
+A parsed file is a `ModelFile`: the base module (`LefschetzModule`, which
+holds n, dims, the labels and the L matrices as integer columns over their
+least common denominator), s, the lambdas, the name and the description.
 Parse errors raise ModelFileError naming the offending field.
 """
 
@@ -22,10 +25,10 @@ import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .invariant import InvariantComplex, build_model
 from .lefschetz import LefschetzModule
-from .linalg import Matrix
 
 
 class ModelFileError(ValueError):
@@ -79,14 +82,11 @@ def _is_int(value) -> bool:
 
 @dataclass(frozen=True)
 class ModelFile:
-    n: int
+    base: LefschetzModule
     s: int
     lambdas: tuple[Fraction, ...]
-    dims: tuple[int, ...]
-    L: tuple[Matrix, ...]
     name: str = ""
     description: str = ""
-    labels: tuple[tuple[str, ...], ...] | None = None
 
 
 def parse_rational(value, where: str) -> Fraction:
@@ -148,18 +148,24 @@ def parse_model(text: str) -> ModelFile:
     raw_l = data["L"]
     if not isinstance(raw_l, list) or len(raw_l) != 2 * n + 1:
         raise ModelFileError(f"L: expected a list of {2 * n + 1} matrices")
-    matrices = []
+    entries = []  # (p, i, j, x) per nonzero entry x of L[p] at row i, column j
     for p, rows in enumerate(raw_l):
         want_rows = dims[p + 2] if p + 2 <= 2 * n else 0
         want_cols = dims[p]
         if not isinstance(rows, list) or len(rows) != want_rows:
             raise ModelFileError(f"L[{p}]: expected {want_rows} rows")
-        entries = []
         for i, row in enumerate(rows):
             if not isinstance(row, list) or len(row) != want_cols:
                 raise ModelFileError(f"L[{p}][{i}]: expected {want_cols} entries")
-            entries.append(tuple(parse_rational(x, f"L[{p}][{i}][{j}]") for j, x in enumerate(row)))
-        matrices.append(Matrix(want_rows, want_cols, tuple(entries)))
+            for j, raw in enumerate(row):
+                x = parse_rational(raw, f"L[{p}][{i}][{j}]")
+                if x:
+                    entries.append((p, i, j, x))
+    # Every column over the least common denominator, its rows ascending.
+    den = lcm(*(x.denominator for *_, x in entries))
+    L = tuple([{} for _ in range(d)] for d in dims)
+    for p, i, j, x in entries:
+        L[p][j][i] = x.numerator * (den // x.denominator)
     name = data.get("name", "")
     description = data.get("description", "")
     if not isinstance(name, str) or not isinstance(description, str):
@@ -179,7 +185,7 @@ def parse_model(text: str) -> ModelFile:
         ):
             raise ModelFileError("labels: must mirror dims with string entries")
         labels = tuple(tuple(layer) for layer in raw)
-    return ModelFile(n, s, lambdas, dims, tuple(matrices), name, description, labels)
+    return ModelFile(LefschetzModule(n, dims, L, den, labels), s, lambdas, name, description)
 
 
 def load_model(path: str) -> ModelFile:
@@ -200,37 +206,24 @@ def load_model(path: str) -> ModelFile:
     return parse_model(text)
 
 
-def _rational_str(x: Fraction) -> str:
-    return str(x)
-
-
 def dump_model(mf: ModelFile) -> str:
+    base = mf.base
     data = {
         "name": mf.name,
         "description": mf.description,
-        "n": mf.n,
+        "n": base.n,
         "s": mf.s,
-        "lambdas": [_rational_str(x) for x in mf.lambdas],
-        "dims": list(mf.dims),
-        "L": [
-            [[_rational_str(x) for x in row] for row in m.entries]
-            for m in mf.L
-        ],
+        "lambdas": [str(x) for x in mf.lambdas],
+        "dims": list(base.dims),
+        "L": [[[str(x) for x in row] for row in m.entries] for m in base.L_maps],
     }
-    if mf.labels is not None:
-        data["labels"] = [list(layer) for layer in mf.labels]
+    if base.labels is not None:
+        data["labels"] = [list(layer) for layer in base.labels]
     return json.dumps(data, indent=2) + "\n"
 
 
-def base_module(mf: ModelFile) -> LefschetzModule:
-    try:
-        return LefschetzModule(mf.n, mf.dims, mf.L, mf.labels)
-    except ValueError as exc:
-        raise ModelFileError(str(exc)) from None
-
-
 def to_complex(mf: ModelFile) -> InvariantComplex:
-    return build_model(base_module(mf), mf.s, mf.lambdas)
+    return build_model(mf.base, mf.s, mf.lambdas)
 
 
 def from_module(
@@ -240,13 +233,4 @@ def from_module(
     name: str = "",
     description: str = "",
 ) -> ModelFile:
-    return ModelFile(
-        base.n,
-        s,
-        tuple(Fraction(x) for x in lambdas),
-        base.dims,
-        base.L_maps,
-        name,
-        description,
-        base.labels,
-    )
+    return ModelFile(base, s, tuple(Fraction(x) for x in lambdas), name, description)

@@ -2,7 +2,9 @@
 
 Each preset is a standard textbook example: the base is the basic
 cohomology with its Lefschetz operator, and the lambdas pick the S-type
-(d eta_i = omega) or C-type (d eta_i = 0) structure.
+(d eta_i = omega) or C-type (d eta_i = 0) structure.  Each L_p is written
+as its integer columns, {row of H^{p+2}: entry} per basis class of H^p;
+every preset's L is whole, so its denominator is 1.
 """
 
 from __future__ import annotations
@@ -10,55 +12,26 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .lefschetz import LefschetzModule
-from .linalg import Matrix
 from .modelfile import ModelFile, from_module
 
 _ONE = Fraction(1)
 
 
 def _cp1() -> LefschetzModule:
-    return LefschetzModule(
-        1,
-        (1, 0, 1),
-        (Matrix.from_rows([[1]]), Matrix.zero(0, 0), Matrix.zero(0, 1)),
-    )
+    return LefschetzModule(1, (1, 0, 1), ([{0: 1}], [], [{}]))
 
 
 def _cp2() -> LefschetzModule:
-    return LefschetzModule(
-        2,
-        (1, 0, 1, 0, 1),
-        (
-            Matrix.from_rows([[1]]),
-            Matrix.zero(0, 0),
-            Matrix.from_rows([[1]]),
-            Matrix.zero(0, 0),
-            Matrix.zero(0, 1),
-        ),
-    )
+    return LefschetzModule(2, (1, 0, 1, 0, 1), ([{0: 1}], [], [{0: 1}], [], [{}]))
 
 
 def _s2xs2() -> LefschetzModule:
     # H^2 basis: (omega class, primitive class); L kills the primitive part.
-    return LefschetzModule(
-        2,
-        (1, 0, 2, 0, 1),
-        (
-            Matrix.from_rows([[1], [0]]),
-            Matrix.zero(0, 0),
-            Matrix.from_rows([[1, 0]]),
-            Matrix.zero(0, 0),
-            Matrix.zero(0, 1),
-        ),
-    )
+    return LefschetzModule(2, (1, 0, 2, 0, 1), ([{0: 1}], [], [{0: 1}, {}], [], [{}]))
 
 
 def _t2() -> LefschetzModule:
-    return LefschetzModule(
-        1,
-        (1, 2, 1),
-        (Matrix.from_rows([[1]]), Matrix.zero(0, 2), Matrix.zero(0, 1)),
-    )
+    return LefschetzModule(1, (1, 2, 1), ([{0: 1}], [{}, {}], [{}]))
 
 
 def build_presets() -> dict[str, ModelFile]:

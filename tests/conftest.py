@@ -1,19 +1,17 @@
 import pytest
 
-from specseq.lefschetz import LefschetzModule
+from model_oracle import module_from_matrices
 from specseq.linalg import Matrix
 
 
 @pytest.fixture
 def cp1():
-    return LefschetzModule(
-        1, (1, 0, 1), (Matrix.from_rows([[1]]), Matrix.zero(0, 0), Matrix.zero(0, 1))
-    )
+    return module_from_matrices(1, (1, 0, 1), (Matrix.from_rows([[1]]), Matrix.zero(0, 0), Matrix.zero(0, 1)))
 
 
 @pytest.fixture
 def cp2():
-    return LefschetzModule(
+    return module_from_matrices(
         2,
         (1, 0, 1, 0, 1),
         (
@@ -28,6 +26,4 @@ def cp2():
 
 @pytest.fixture
 def t2():
-    return LefschetzModule(
-        1, (1, 2, 1), (Matrix.from_rows([[1]]), Matrix.zero(0, 2), Matrix.zero(0, 1))
-    )
+    return module_from_matrices(1, (1, 2, 1), (Matrix.from_rows([[1]]), Matrix.zero(0, 2), Matrix.zero(0, 1)))

@@ -4,7 +4,8 @@ Here Lambda is the conjugate *_s L *_s of L by the symplectic star, the
 primitive forms of a degree are a kernel basis of its matrix, and a form is
 decomposed by solving the reconstruction system sum_i L^i beta_i = a over
 those bases.  None of this shares code with the pair contraction and the sl2
-recursion that `specseq.exterior` uses.
+recursion that `specseq.exterior` uses.  The volume form and the metric
+inner product of forms, which only the tests read, are here too.
 """
 
 from __future__ import annotations
@@ -13,8 +14,10 @@ from fractions import Fraction
 from typing import Sequence
 
 from specseq.exterior import (
+    Coeff,
     ModelFrame,
     Multivector,
+    _check_frames,
     _require_transverse,
     lefschetz_L,
     monomials,
@@ -24,6 +27,20 @@ from specseq.linalg import DimensionMismatch, Matrix, kernel_basis, rref
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+
+
+def transverse_volume(frame: ModelFrame) -> Multivector:
+    """omega^n / n! = e^1 ^ ... ^ e^{2n}."""
+    return Multivector.make(frame, 2 * frame.n, {tuple(range(frame.transverse_dim)): _ONE})
+
+
+def form_inner_product(a: Multivector, b: Multivector) -> Coeff:
+    """Metric inner product of forms; the monomial basis is orthonormal."""
+    _check_frames(a, b)
+    if a.degree != b.degree:
+        return 0
+    d = dict(b.terms)
+    return sum((c * d.get(idx, 0) for idx, c in a.terms), 0)
 
 
 def lambda_op(a: Multivector) -> Multivector:

@@ -8,6 +8,9 @@ None of them shares the sparse integer scatter of `build_model` or the
 power table of the library.  `primitive_subspace` and `kernel_L` are the
 canonical dense subspaces spanned by the library's integer bases
 (`lefschetz_columns`), for comparison with the `l_power` kernels.
+`module_from_matrices` builds a module from dense `Fraction` matrices through
+`integer_columns`, and `dense_hlp_module` is `generate_hlp_module` as it
+built L, by dense products with `inverse` of the unipotent automorphisms.
 `star_duality_reference` is `verify.model_star_duality` as it read its
 ranks before each group was reduced once per degree: two reductions of
 prefixes of the groups per degree, each from the boundaries of H^k, on
@@ -19,22 +22,106 @@ factor, which the library's closed-form eta forms are checked against.
 from __future__ import annotations
 
 import itertools
+import random
 from fractions import Fraction
+from math import lcm
 
 from specseq.exterior import _merge_sign, index_subset_sign
 from specseq.invariant import CohomologyGroup, InvariantComplex
 from specseq.lefschetz import LefschetzModule, LefschetzReport, lefschetz_columns
 from specseq.linalg import (
+    DimensionMismatch,
     Matrix,
     SparseColumn,
     Subspace,
+    _rref_data,
     apply_columns,
-    inverse,
     kernel_basis,
     rank,
     reduce_columns,
 )
 from specseq.verify import VerificationReport, Witness, _hypothesis
+
+
+def integer_columns(m: Matrix, den: int | None = None) -> list[SparseColumn]:
+    """The columns of `m` times the common denominator of its entries.
+
+    `den`, when given, is a common multiple of those denominators to scale
+    by instead, so that several matrices can share one scale.
+    """
+    cols = [
+        {i: x for i, x in enumerate(col) if x}
+        for col in (zip(*m.entries) if m.rows else [()] * m.cols)
+    ]
+    if den is None:
+        den = lcm(*(x.denominator for col in cols for x in col.values()))
+    return [{i: x.numerator * (den // x.denominator) for i, x in col.items()} for col in cols]
+
+
+def inverse(m: Matrix) -> Matrix:
+    if m.rows != m.cols:
+        raise DimensionMismatch("only square matrices are invertible")
+    n = m.rows
+    one, zero = Fraction(1), Fraction(0)
+    aug = [list(r) + [one if i == j else zero for j in range(n)] for i, r in enumerate(m.entries)]
+    aug, pivots = _rref_data(aug, 2 * n)
+    if list(pivots[:n]) != list(range(n)) or len(pivots) < n:
+        raise ValueError("matrix is singular")
+    return Matrix(n, n, tuple(tuple(row[n:]) for row in aug[:n]))
+
+
+def module_from_matrices(n: int, dims, maps, labels=None) -> LefschetzModule:
+    """The module whose L_p is the dense matrix maps[p] (any exact entries),
+    its columns over the least common denominator of every entry."""
+    maps = [m if isinstance(m, Matrix) else Matrix.from_rows(m) for m in maps]
+    for p, m in enumerate(maps):
+        # Integer columns carry no zero rows, so the row count is checked here.
+        if m.rows != (dims[p + 2] if p + 2 < len(dims) else 0):
+            raise ValueError(f"L matrix at degree {p} has {m.rows} rows")
+    den = lcm(*(Fraction(x).denominator for m in maps for row in m.entries for x in row))
+    return LefschetzModule(n, tuple(dims), tuple(integer_columns(m, den) for m in maps), den, labels)
+
+
+def check_top_degree(module: LefschetzModule) -> bool:
+    """Homological-orientability shadow: the top graded piece is a line."""
+    return module.dims[2 * module.n] == 1
+
+
+def dense_hlp_module(seed: int, n: int, primitive_dims) -> tuple[Matrix, ...]:
+    """The L matrices of `generate_hlp_module(seed, n, primitive_dims)`, built
+    densely: the free module's L conjugated by unipotent matrices, with the
+    same random draws, each inverse from `inverse`."""
+    basis = []
+    for r in range(2 * n + 1):
+        layer = [
+            (j, (r - j) // 2, t)
+            for j in range(min(r, n) + 1)
+            if (r - j) % 2 == 0 and (r - j) // 2 <= n - j
+            for t in range(primitive_dims[j])
+        ]
+        basis.append(sorted(layer))
+    free = []
+    for p in range(2 * n + 1):
+        target = basis[p + 2] if p + 2 <= 2 * n else []
+        rows = [[Fraction(0)] * len(basis[p]) for _ in target]
+        for c, (j, i, t) in enumerate(basis[p]):
+            if i + 1 <= n - j:
+                rows[target.index((j, i + 1, t))][c] = Fraction(1)
+        free.append(Matrix(len(target), len(basis[p]), tuple(map(tuple, rows))))
+    rng = random.Random(seed)
+    autos = []
+    for layer in basis:
+        d = len(layer)
+        autos.append(
+            Matrix.from_rows(
+                [[1 if i == j else (rng.randint(-2, 2) if j > i else 0) for j in range(d)] for i in range(d)],
+                d,
+            )
+        )
+    return tuple(
+        autos[p + 2] @ free[p] @ inverse(autos[p]) if p + 2 <= 2 * n else free[p]
+        for p in range(2 * n + 1)
+    )
 
 
 def _eta_product(factors) -> dict[tuple[int, ...], int]:

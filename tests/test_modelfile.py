@@ -4,7 +4,6 @@ from fractions import Fraction
 import pytest
 
 from specseq.invariant import betti_numbers
-from specseq.lefschetz import LefschetzModule
 from specseq.linalg import Matrix
 from specseq.modelfile import (
     MAX_CHAIN_DIM,
@@ -17,6 +16,8 @@ from specseq.modelfile import (
     to_complex,
 )
 from specseq.presets import PRESETS
+
+from model_oracle import module_from_matrices
 
 
 def test_roundtrip_presets():
@@ -40,8 +41,8 @@ def test_parse_minimal():
         }
     )
     mf = parse_model(text)
-    assert mf.n == 1
-    assert mf.L[0].entries == ((1,),)
+    assert mf.base.n == 1
+    assert mf.base.L_maps[0].entries == ((1,),)
 
 
 def test_parse_rejects_bad_json():
@@ -132,7 +133,7 @@ def test_from_module_roundtrip(cp1):
     mf = from_module(cp1, 1, (1,), name="x")
     assert parse_model(dump_model(mf)) == mf
     assert mf.s == 1
-    assert mf.dims == (1, 0, 1)
+    assert mf.base.dims == (1, 0, 1)
 
 
 def test_a_model_at_the_caps_fits_the_file_byte_limit():
@@ -141,8 +142,28 @@ def test_a_model_at_the_caps_fits_the_file_byte_limit():
     size = MAX_CHAIN_DIM // 4
     widest = Fraction(-(2**MAX_RATIONAL_BITS - 1), 2**MAX_RATIONAL_BITS - 2)
     L = (Matrix(size, size, ((widest,) * size,) * size), Matrix.zero(0, 0), Matrix.zero(0, size))
-    base = LefschetzModule(1, (size, 0, size), L)
+    base = module_from_matrices(1, (size, 0, size), L)
     mf = from_module(base, 1, (1,), name="widest", description="L at the entry and bit caps")
     text = dump_model(mf)
     assert len(text.encode()) <= MAX_FILE_BYTES - 2**20
     assert parse_model(text) == mf
+
+
+def test_mixed_denominators_roundtrip_byte_for_byte():
+    # L_0 over 2 and 3, L_1 integral and L_2 over 4: the columns of every
+    # degree over the least common denominator 12, written back unchanged.
+    data = {
+        "name": "mixed",
+        "description": "",
+        "n": 2,
+        "s": 2,
+        "lambdas": ["1", "-2/5"],
+        "dims": [2, 1, 2, 1, 1],
+        "L": [[["1/2", "0"], ["-2/3", "5"]], [["3"]], [["0", "-7/4"]], [], []],
+    }
+    text = json.dumps(data, indent=2) + "\n"
+    mf = parse_model(text)
+    assert mf.base.den == 12
+    assert mf.base.L == ([{0: 6, 1: -8}, {1: 60}], [{0: 36}], [{}, {0: -21}], [{}], [{}])
+    assert dump_model(mf) == text
+    assert parse_model(dump_model(mf)) == mf

@@ -20,7 +20,6 @@ from specseq.invariant import (
 )
 from specseq import engine, invariant, lefschetz, linalg, verify
 from specseq.lefschetz import (
-    LefschetzModule,
     check_hard_lefschetz,
     generate_hlp_module,
     zero_l_block,
@@ -280,7 +279,7 @@ def test_star_duality_witnesses_a_non_closed_star_image(monkeypatch):
     # that sends beta to omega makes the star image eta (x) omega of the
     # part-A element beta (degree 2) non-closed: d(eta (x) omega) = omega^2.
     # Then no star image is left in degree 3 to match part B's eta (x) beta.
-    base = LefschetzModule(
+    base = model_oracle.module_from_matrices(
         2,
         (1, 0, 2, 0, 1),
         (

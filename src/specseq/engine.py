@@ -30,7 +30,9 @@ basis order: it is the reduction R = D V of d_k itself, and direct
 cohomology reads it instead of reducing d_k again (`invariant.cohomology`).
 Each d_k is reduced after d_{k-1}, and the columns at the lows of the
 reduced d_{k-1} are cleared, not reduced (Chen & Kerber, *Persistent
-homology computation with a twist*, 2011).
+homology computation with a twist*, 2011).  Each reduction is certified
+before its lows clear any column of the next, and on the cleared columns
+that certificate is the check of d o d = 0.
 
 A complex is given as sparse integer columns with one denominator per d_k,
 and the checks and the reductions read those columns.  The dense `Fraction`
@@ -68,9 +70,9 @@ class FilteredComplex:
     vector j in degree k; each degree lists its basis in descending
     filtration degree.  d_k maps degree k to degree k+1, and the last one
     targets the zero space.  d_k is `integer_d[k]`, sparse integer columns,
-    over `denominators[k]`.  Each d_k is reduced once, on first use
-    (`reductions`), and every page computed from the complex reads the
-    pairs of that reduction, grouped by gap once (`gap_sweep`).
+    over `denominators[k]`.  Each d_k is reduced and certified once, on
+    first use (`reductions`), and every page computed from the complex reads
+    the pairs of that reduction, grouped by gap once (`gap_sweep`).
     """
 
     degrees: tuple[tuple[int, ...], ...]
@@ -87,7 +89,9 @@ class FilteredComplex:
             raise FiltrationError(
                 "d, its denominators and the filtration degrees must cover every degree"
             )
-        for k, src in enumerate(self.degrees):
+        for k, (src, den) in enumerate(zip(self.degrees, self.denominators)):
+            if isinstance(den, bool) or not isinstance(den, int) or den < 1:
+                raise FiltrationError(f"degree {k} has denominator {den!r}, not an integer >= 1")
             if any(isinstance(x, bool) or not isinstance(x, int) or not 0 <= x <= P for x in src):
                 raise FiltrationError(f"filtration degrees at degree {k} must be integers in 0..{P}")
             if any(a < b for a, b in zip(src, src[1:])):
@@ -100,20 +104,19 @@ class FilteredComplex:
             if len(cols) != len(src):
                 raise FiltrationError(f"differential at degree {k} has the wrong shape")
             for j, col in enumerate(cols):
-                for i in col:
+                for i, x in col.items():
                     if not 0 <= i < rows:
                         raise FiltrationError(
                             f"differential at degree {k} has the wrong shape: "
                             f"vector {j} hits row {i} of {rows}"
                         )
+                    if not x:
+                        raise FiltrationError(f"differential at degree {k}: zero in vector {j}")
                     if tgt[i] < src[j]:
                         raise FiltrationError(
                             f"d does not preserve F^{src[j]} at degree {k}: "
                             f"vector {j} hits vector {i} of filtration degree {tgt[i]}"
                         )
-        for k in range(K):
-            if any(apply_columns(self.integer_d[k + 1], col) for col in self.integer_d[k]):
-                raise FiltrationError(f"d o d != 0 at degree {k}")
 
     @cached_property
     def d(self) -> tuple[Matrix, ...]:
@@ -152,17 +155,17 @@ class FilteredComplex:
 
         The columns of d_k at the lows of the reduced d_{k-1} are cleared
         (Chen & Kerber 2011): the reduced column of d_{k-1} with its low at
-        such an index lies in Ker d_k, since d o d = 0 was checked at
-        construction, so that column of d_k reduces to zero.  Its R column
-        is zero and its V column is that boundary; R, the lows and every
-        other column of V are those of the full reduction."""
+        such an index lies in Ker d_k, since d o d = 0, so that column of
+        d_k reduces to zero.  Its R column is zero and its V column is that
+        boundary; R, the lows and every other column of V are those of the
+        full reduction.  `_certify` checks each before its lows clear."""
         out: list[Reduction] = []
-        for cols in self.integer_d:
-            cleared = {}
-            if out:
-                R_prev, _, lows_prev = out[-1]
-                cleared = {low: R_prev[j] for low, j in lows_prev.items()}
-            out.append(reduce_columns(cols, cleared))
+        cleared: dict[int, SparseColumn] = {}
+        for k, cols in enumerate(self.integer_d):
+            R, V, lows = reduce_columns(cols, cleared)
+            _certify(k, cols, (R, V, lows), cleared)
+            out.append((R, V, lows))
+            cleared = {low: R[j] for low, j in lows.items()}
         return tuple(out)
 
     @cached_property
@@ -213,6 +216,33 @@ class FilteredComplex:
         )
 
 
+def _certify(k: int, cols: list[SparseColumn], reduction: Reduction, cleared: dict) -> None:
+    """Certify `reduction` as R = D V of d_k, D with columns `cols` (McConnell,
+    Mehlhorn, Naher & Schweitzer, *Certifying algorithms*, 2011): R_j = D V_j,
+    max(V_j) = j with V_j[j] != 0, and the lows are {max(R_j): j} over the
+    nonzero R_j.  A cleared column holds its boundary from `cleared`, and
+    those of d_{k-1}, certified first, are a basis of Im d_{k-1}, so D
+    killing them is d o d = 0.  The error names d_k and the column."""
+    R, V, lows = reduction
+    found: dict[int, int] = {}
+    for j, (r, v, col) in enumerate(zip(R, V, cols, strict=True)):
+        if not v.get(j) or (len(v) > 1 and max(v) != j):
+            raise FiltrationError(f"d_{k}: V_{j} is not triangular with a nonzero entry at {j}")
+        if j in cleared:
+            if apply_columns(cols, cleared[j]):
+                raise FiltrationError(f"d_{k}, column {j}: d o d != 0 at degree {k - 1}")
+            if r or v != cleared[j]:
+                raise FiltrationError(f"d_{k}: cleared column {j}: R_{j} != 0 or V_{j} != boundary")
+        # At V_j = e_j, D V_j is column j, which holds no zero entry.
+        elif r != (col if len(v) == 1 and v[j] == 1 else apply_columns(cols, v)):
+            raise FiltrationError(f"d_{k}: R_{j} != D V_{j}")
+        if r and found.setdefault(max(r), j) != j:
+            raise FiltrationError(f"d_{k}: columns {found[max(r)]} and {j} share the low {max(r)}")
+    if lows != found:
+        j = min(j for _, j in lows.items() ^ found.items())
+        raise FiltrationError(f"d_{k}: the lows are misrecorded at column {j}")
+
+
 @dataclass(frozen=True)
 class PageCell:
     p: int
@@ -247,9 +277,6 @@ class SpectralPage:
             if 0 <= k <= max_degree:
                 totals[k] += c.dim
         return tuple(totals)
-
-    def differentials_vanish(self) -> bool:
-        return not self.d_ranks
 
 
 def compute_page(fc: FilteredComplex, r: int) -> SpectralPage:

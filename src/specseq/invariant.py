@@ -17,14 +17,15 @@ integer products of the lambda numerators and the integer columns of L
 of its block eta_I (x) H^p in the basis (`InvariantComplex.offsets`).  The
 complex keeps its analysis, each part built once, on first read: the
 engine's filtered complex on those columns (`InvariantComplex.filtered_complex`,
-which checks d o d = 0 and reduces each d_k once), the pages with the
-stable page (`.spectral_sequence`) and direct cohomology (`.cohomology`),
-a view of the same reductions.  Each layer of the basis is listed in
-descending basic degree, as the engine requires, so those reductions are
-in basis order.  Every verifier reads these, so a model is analysed once,
-whichever verifiers run.  `InvariantComplex.differentials`, the same maps
-as dense `Fraction` matrices, is the engine's dense view, built on first
-read; `analyze` never reads it.
+which reduces each d_k once and certifies the reduction, d o d = 0
+included), the pages with the stable page (`.spectral_sequence`) and
+direct cohomology (`.cohomology`), a view of the same reductions.  Each
+layer of the basis is listed in descending basic degree, as the engine
+requires, so those reductions are in basis order.  Every verifier reads
+these, so a model is analysed once, whichever verifiers run.
+`InvariantComplex.differentials`, the same maps as dense `Fraction`
+matrices, is the engine's dense view, built on first read; `analyze`
+never reads it.
 """
 
 from __future__ import annotations
@@ -103,7 +104,8 @@ class InvariantComplex:
 
         The basis is adapted: each eta_I (x) h sits in filtration degree
         deg h.  The engine reads `integer_d` with no conversion of its own,
-        checks d o d = 0 on it once, and builds its dense `d` only when read.
+        checks d o d = 0 on it when it certifies its reductions, and builds
+        its dense `d` only when read.
         """
         degrees = tuple(tuple(p for _, p, _ in layer) for layer in self.basis)
         return FilteredComplex(degrees, 2 * self.base.n, self.integer_d, self.denominators)
@@ -233,8 +235,9 @@ class CohomologyGroup:
     reduced d_{k-1} to its column.  Every index j of C^k (dimension N) is
     the lowest nonzero entry of one vector of a basis of Q^N: V_j when
     column j of R is zero, and e_j otherwise.  The zero columns of R span
-    Ker d_k.  Since d o d = 0, the reduced column of d_{k-1} with its low at
-    j lies in Ker d_k, so the engine cleared column j of d_k and V_j is that
+    Ker d_k.  Since d o d = 0, which the engine's certificate of the
+    reductions checks, the reduced column of d_{k-1} with its low at j lies
+    in Ker d_k, so the engine cleared column j of d_k and V_j is that
     boundary; these span Im d_{k-1}.  The other zero columns of R are the
     essential indices, and their V columns give the classes.  The view
     keeps no state of its own: each property reads the reductions afresh.

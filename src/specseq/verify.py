@@ -280,21 +280,6 @@ def harmonic_basis_C(c: InvariantComplex) -> list[InvariantElement]:
     return out
 
 
-def _chain_from_eta(
-    c: InvariantComplex, eta_form: EtaForm, p: int, h: SparseColumn
-) -> InvariantElement:
-    """The chain sum_I a_I eta_I (x) h as an InvariantElement, with its
-    integer coefficients held as ints."""
-    degree = p + len(next(iter(eta_form)))
-    offsets = c.offsets[degree]
-    coeffs = [0] * c.dim(degree)
-    for subset, a in eta_form.items():
-        start = offsets[(subset, p)]
-        for t, x in h.items():
-            coeffs[start + t] = a * x
-    return InvariantElement(degree, tuple(coeffs))
-
-
 @cache
 def _harmonic_eta_forms(s: int) -> tuple[tuple[EtaForm, EtaForm, EtaForm], ...]:
     """Per subset I of {2..s}: prod_{i in I} (eta_1 - eta_i), eta_1 eta_I,
@@ -336,13 +321,21 @@ def harmonic_basis_S(
     violation = _hypothesis(c)
     if violation:
         raise HypothesisError(violation)
+
+    def element(eta_form: EtaForm, p: int, h: SparseColumn) -> InvariantElement:
+        degree, v = _integer_chain(c, eta_form, p, h)
+        coeffs = [0] * c.dim(degree)
+        for i, x in v.items():
+            coeffs[i] = x
+        return InvariantElement(degree, tuple(coeffs))
+
     columns = lefschetz_columns(c.base)
     part_a: list[InvariantElement] = []
     part_b: list[InvariantElement] = []
     for differences, with_eta_1, _ in _harmonic_eta_forms(c.s):
         for p in range(2 * c.base.n + 1):
-            part_a += [_chain_from_eta(c, differences, p, beta) for beta in columns.primitive[p]]
-            part_b += [_chain_from_eta(c, with_eta_1, p, kappa) for kappa in columns.kernel[p]]
+            part_a += [element(differences, p, beta) for beta in columns.primitive[p]]
+            part_b += [element(with_eta_1, p, kappa) for kappa in columns.kernel[p]]
     return part_a, part_b
 
 

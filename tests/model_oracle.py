@@ -9,8 +9,9 @@ power table of the library.  `primitive_subspace` and `kernel_L` are the
 canonical dense subspaces spanned by the library's integer bases
 (`lefschetz_columns`), for comparison with the `l_power` kernels.
 `module_from_matrices` builds a module from dense `Fraction` matrices through
-`integer_columns`, and `dense_hlp_module` is `generate_hlp_module` as it
-built L, by dense products with `inverse` of the unipotent automorphisms.
+`integer_columns`, `typed_models` draws the models the engine and model
+tests run on, and `dense_hlp_module` is `generate_hlp_module` as it built
+L, by dense products with `inverse` of the unipotent automorphisms.
 `star_duality_reference` is `verify.model_star_duality` as it read its
 ranks before each group was reduced once per degree: two reductions of
 prefixes of the groups per degree, each from the boundaries of H^k, on
@@ -26,9 +27,12 @@ import random
 from fractions import Fraction
 from math import lcm
 
+from hypothesis import strategies as st
+
 from specseq.exterior import _merge_sign, index_subset_sign
-from specseq.invariant import CohomologyGroup, InvariantComplex
+from specseq.invariant import CohomologyGroup, InvariantComplex, build_model
 from specseq.lefschetz import LefschetzModule, LefschetzReport, lefschetz_columns
+from specseq.lefschetz import generate_hlp_module, zero_l_block
 from specseq.linalg import (
     DimensionMismatch,
     Matrix,
@@ -80,6 +84,30 @@ def module_from_matrices(n: int, dims, maps, labels=None) -> LefschetzModule:
             raise ValueError(f"L matrix at degree {p} has {m.rows} rows")
     den = lcm(*(Fraction(x).denominator for m in maps for row in m.entries for x in row))
     return LefschetzModule(n, tuple(dims), tuple(integer_columns(m, den) for m in maps), den, labels)
+
+
+@st.composite
+def typed_models(draw, max_n=3):
+    """S-type, C-type and mixed models of n <= max_n; lambdas with
+    denominators up to 7, and every third base with one L block zeroed, so
+    without hard Lefschetz, and every fifth with fractions in its L maps."""
+    n, s = draw(st.integers(0, max_n)), draw(st.integers(1, 3))
+    pdims = (1,) + tuple(draw(st.integers(0, 2)) for _ in range(n))
+    seed = draw(st.integers(0, 2**31))
+    base = generate_hlp_module(seed, n, pdims)
+    if n and seed % 3 == 0:
+        base = zero_l_block(base, seed % (2 * n + 1))
+    if seed % 5 == 1:
+        # Each L map times its own fraction, which keeps every rank.
+        scaled = tuple(l.scaled(Fraction(2 + p, 3 + p % 4)) for p, l in enumerate(base.L_maps))
+        base = module_from_matrices(base.n, base.dims, scaled)
+    kind = draw(st.sampled_from(["S", "C", "mixed"]))
+    if kind == "mixed":
+        lambdas = st.fractions(min_value=-3, max_value=3, max_denominator=7)
+        lams = draw(st.lists(lambdas, min_size=s, max_size=s))
+    else:
+        lams = [1 if kind == "S" else 0] * s
+    return build_model(base, s, lams)
 
 
 def check_top_degree(module: LefschetzModule) -> bool:

@@ -187,8 +187,8 @@ MUTANTS = [
         _ENGINE,
         "tests/test_invariant.py::test_reductions_of_a_reordered_basis_are_not_handed_over",
     ),
-    # The reductions that the pages and H^k read, which the certificate in
-    # tests/reduction_certificate.py checks.
+    # The reductions that the pages and H^k read, which the engine certifies
+    # (`engine._certify`) before it uses them.
     (
         "dropped-v-update",
         "linalg.py",
@@ -200,10 +200,43 @@ MUTANTS = [
     (
         "clear-at-the-columns-not-the-lows",
         "engine.py",
-        "cleared = {low: R_prev[j] for low, j in lows_prev.items()}",
-        "cleared = {j: R_prev[j] for low, j in lows_prev.items()}",
+        "cleared = {low: R[j] for low, j in lows.items()}",
+        "cleared = {j: R[j] for low, j in lows.items()}",
         _ENGINE,
         "tests/test_engine.py::test_rank_engine_matches_oracle",
+    ),
+    # The certificate of the reductions, each check dropped in turn.
+    (
+        "certificate-skips-the-cleared-columns",
+        "engine.py",
+        "if j in cleared:",
+        "if False:",
+        _ENGINE,
+        "tests/test_invariant.py::test_cohomology_refuses_d_squared_nonzero",
+    ),
+    (
+        "certificate-skips-triangularity",
+        "engine.py",
+        "if not v.get(j) or (len(v) > 1 and max(v) != j):",
+        "if False:",
+        _ENGINE,
+        "tests/test_engine.py::test_doctored_reductions_fail_the_certificate",
+    ),
+    (
+        "certificate-skips-r-equals-d-v",
+        "engine.py",
+        "elif r != (col if len(v) == 1 and v[j] == 1 else apply_columns(cols, v)):",
+        "elif False:",
+        _ENGINE,
+        "tests/test_engine.py::test_doctored_reductions_fail_the_certificate",
+    ),
+    (
+        "certificate-drops-the-lows-check",
+        "engine.py",
+        "if lows != found:",
+        "if False:",
+        _ENGINE,
+        "tests/test_engine.py::test_doctored_reductions_fail_the_certificate",
     ),
     # H^k as a view of the reductions.
     (

@@ -5,7 +5,6 @@ from math import comb
 
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from specseq.engine import FiltrationError, compute_page, run_to_convergence
 from specseq.invariant import (
@@ -17,9 +16,8 @@ from specseq.invariant import (
     element,
     filtered_complex,
 )
-from specseq.lefschetz import generate_hlp_module, zero_l_block
+from specseq.lefschetz import generate_hlp_module
 from specseq.linalg import (
-    DimensionMismatch,
     Matrix,
     Subspace,
     image_basis,
@@ -30,58 +28,10 @@ from specseq.linalg import (
 )
 
 import model_oracle as oracle
-from model_oracle import integer_columns, module_from_matrices
-from reduction_certificate import certify
+from model_oracle import integer_columns, typed_models
 from subquotient_oracle import dense_complex
 
 Q = Fraction
-
-
-def random_models():
-    return st.tuples(
-        st.integers(0, 3),  # n
-        st.integers(1, 4),  # s
-        st.integers(0, 2**31),
-    ).flatmap(
-        lambda t: st.tuples(
-            st.just(t),
-            st.lists(
-                st.fractions(min_value=-2, max_value=2, max_denominator=2),
-                min_size=t[1],
-                max_size=t[1],
-            ),
-        )
-    ).map(
-        lambda pair: build_model(
-            generate_hlp_module(pair[0][2], pair[0][0], (1,) + (1,) * pair[0][0]),
-            pair[0][1],
-            pair[1],
-        )
-    )
-
-
-@st.composite
-def typed_models(draw):
-    """S-type, C-type and mixed models; lambdas with denominators up to 7, and
-    every third base with one L block zeroed, so without hard Lefschetz, and
-    every fifth with fractions in its L maps."""
-    n, s = draw(st.integers(0, 3)), draw(st.integers(1, 3))
-    pdims = (1,) + tuple(draw(st.integers(0, 2)) for _ in range(n))
-    seed = draw(st.integers(0, 2**31))
-    base = generate_hlp_module(seed, n, pdims)
-    if n and seed % 3 == 0:
-        base = zero_l_block(base, seed % (2 * n + 1))
-    if seed % 5 == 1:
-        # Each L map times its own fraction, which keeps every rank.
-        scaled = tuple(l.scaled(Q(2 + p, 3 + p % 4)) for p, l in enumerate(base.L_maps))
-        base = module_from_matrices(base.n, base.dims, scaled)
-    kind = draw(st.sampled_from(["S", "C", "mixed"]))
-    if kind == "mixed":
-        lambdas = st.fractions(min_value=-3, max_value=3, max_denominator=7)
-        lams = draw(st.lists(lambdas, min_size=s, max_size=s))
-    else:
-        lams = [1 if kind == "S" else 0] * s
-    return build_model(base, s, lams)
 
 
 @settings(deadline=None, max_examples=60)
@@ -189,14 +139,14 @@ def test_filtration_subspace_cases(cp1):
 
 
 @settings(deadline=None, max_examples=30)
-@given(random_models())
+@given(typed_models())
 def test_d_squared_zero(m):
     for k in range(m.max_degree):
         assert (m.differentials[k + 1] @ m.differentials[k]).is_zero()
 
 
 @settings(deadline=None, max_examples=20)
-@given(random_models())
+@given(typed_models())
 def test_d_raises_filtration_by_two(m):
     fc = filtered_complex(m)
     for k in range(m.max_degree):
@@ -208,7 +158,7 @@ def test_d_raises_filtration_by_two(m):
 
 
 @settings(deadline=None, max_examples=20)
-@given(random_models())
+@given(typed_models())
 def test_euler_characteristic_vanishes(m):
     chi = sum((-1) ** k * m.dim(k) for k in range(m.max_degree + 1))
     assert chi == 0
@@ -223,33 +173,9 @@ def test_cohomology_representatives_are_cocycles(cp1):
             assert all(x == 0 for x in hopf.differentials[k].apply(col))
 
 
-def _typed_model(n, s, seed, kind, lambdas, pdims, zero_block):
-    base = generate_hlp_module(seed, n, (1 + pdims[0],) + tuple(pdims[1 : n + 1]))
-    if zero_block and n:
-        base = zero_l_block(base, seed % (2 * n - 1))  # no hard Lefschetz
-    lambdas = {"S": [1] * s, "C": [0] * s, "mixed": lambdas[:s]}[kind]
-    return build_model(base, s, lambdas)
-
-
-def typed_models():
-    """S-type, C-type and mixed-lambda models, some without hard Lefschetz;
-    the mixed lambdas have denominators up to 7."""
-    return st.builds(
-        _typed_model,
-        st.integers(0, 3),
-        st.integers(1, 3),
-        st.integers(0, 2**31),
-        st.sampled_from(("S", "C", "mixed")),
-        st.lists(st.fractions(-3, 3, max_denominator=7), min_size=3, max_size=3),
-        st.lists(st.integers(0, 1), min_size=4, max_size=4),
-        st.booleans(),
-    )
-
-
 @settings(deadline=None, max_examples=40)
 @given(typed_models())
 def test_cohomology_matches_the_quotient_oracle(m):
-    certify(filtered_complex(m))
     for k, h in enumerate(cohomology(m)):
         n = m.dim(k)
         exact = image_basis(m.differentials[k - 1]) if k else Subspace.zero(n)
@@ -277,8 +203,8 @@ def test_cohomology_matches_the_quotient_oracle(m):
 
 def test_cohomology_refuses_d_squared_nonzero(cp2):
     # Every degree is one-dimensional and d_3 = (1).  A doctored d_4 = (1)
-    # makes d_4 d_3 nonzero, which the engine refuses when it builds the
-    # filtered complex that direct cohomology reads.
+    # makes d_4 d_3 nonzero, which the engine refuses when it certifies the
+    # reductions that direct cohomology reads.
     m = build_model(cp2, 1, [1])
     doctored = list(m.integer_d)
     doctored[4] = [{0: 1}]
@@ -326,7 +252,6 @@ def _dense_filtered_complex(m):
 def test_filtered_complex_takes_the_models_columns(m):
     fc, dense = filtered_complex(m), _dense_filtered_complex(m)
     assert fc.integer_d is m.integer_d
-    certify(fc)
     # The engine's dense view, built on first read, is the model's.
     assert fc.d == oracle.dense_differentials(m)
     assert fc.pairs == dense.pairs
@@ -345,9 +270,7 @@ def test_filtered_complex_takes_the_models_columns(m):
 @settings(deadline=None, max_examples=60)
 @given(typed_models())
 def test_cleared_reductions_match_the_full_reduction(m):
-    fc = filtered_complex(m)
-    certify(fc)
-    reductions = fc.reductions
+    reductions = filtered_complex(m).reductions
     for k, (R, V, lows) in enumerate(reductions):
         cols = m.integer_d[k]
         full_R, full_V, full_lows = reduce_columns(cols)

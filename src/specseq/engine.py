@@ -222,15 +222,18 @@ def _certify(k: int, cols: list[SparseColumn], reduction: Reduction, cleared: di
     max(V_j) = j with V_j[j] != 0, and the lows are {max(R_j): j} over the
     nonzero R_j.  A cleared column holds its boundary from `cleared`, and
     those of d_{k-1}, certified first, are a basis of Im d_{k-1}, so D
-    killing them is d o d = 0.  The error names d_k and the column."""
+    killing them is d o d = 0, refused as "d o d != 0 at degree k-1";
+    every other error names d_k, and the column where it has one."""
     R, V, lows = reduction
+    if not len(R) == len(V) == len(cols):
+        raise FiltrationError(f"d_{k}: R and V have {len(R)} and {len(V)} columns, not {len(cols)}")
     found: dict[int, int] = {}
-    for j, (r, v, col) in enumerate(zip(R, V, cols, strict=True)):
+    for j, (r, v, col) in enumerate(zip(R, V, cols)):
         if not v.get(j) or (len(v) > 1 and max(v) != j):
             raise FiltrationError(f"d_{k}: V_{j} is not triangular with a nonzero entry at {j}")
         if j in cleared:
             if apply_columns(cols, cleared[j]):
-                raise FiltrationError(f"d_{k}, column {j}: d o d != 0 at degree {k - 1}")
+                raise FiltrationError(f"d o d != 0 at degree {k - 1}")
             if r or v != cleared[j]:
                 raise FiltrationError(f"d_{k}: cleared column {j}: R_{j} != 0 or V_{j} != boundary")
         # At V_j = e_j, D V_j is column j, which holds no zero entry.

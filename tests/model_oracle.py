@@ -31,8 +31,13 @@ from hypothesis import strategies as st
 
 from specseq.exterior import _merge_sign, index_subset_sign
 from specseq.invariant import CohomologyGroup, InvariantComplex, build_model
-from specseq.lefschetz import LefschetzModule, LefschetzReport, lefschetz_columns
-from specseq.lefschetz import generate_hlp_module, zero_l_block
+from specseq.lefschetz import (
+    LefschetzModule,
+    LefschetzReport,
+    generate_hlp_module,
+    lefschetz_columns,
+    zero_l_block,
+)
 from specseq.linalg import (
     DimensionMismatch,
     Matrix,
@@ -88,11 +93,12 @@ def module_from_matrices(n: int, dims, maps, labels=None) -> LefschetzModule:
 
 @st.composite
 def typed_models(draw, max_n=3):
-    """S-type, C-type and mixed models of n <= max_n; lambdas with
-    denominators up to 7, and every third base with one L block zeroed, so
-    without hard Lefschetz, and every fifth with fractions in its L maps."""
-    n, s = draw(st.integers(0, max_n)), draw(st.integers(1, 3))
-    pdims = (1,) + tuple(draw(st.integers(0, 2)) for _ in range(n))
+    """S-type, C-type and mixed models of n <= max_n and s <= 4, over bases
+    with a one- or two-dimensional H^0; lambdas with denominators up to 7,
+    and every third base with one L block zeroed, so without hard
+    Lefschetz, and every fifth with fractions in its L maps."""
+    n, s = draw(st.integers(0, max_n)), draw(st.integers(1, 4))
+    pdims = tuple(draw(st.integers(1, 2) if p == 0 else st.integers(0, 2)) for p in range(n + 1))
     seed = draw(st.integers(0, 2**31))
     base = generate_hlp_module(seed, n, pdims)
     if n and seed % 3 == 0:

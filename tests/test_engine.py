@@ -107,7 +107,7 @@ def test_handed_over_columns_are_checked():
     # to nonzero (refused on the first read of the reductions), have too
     # many columns, or miss a degree.
     degrees = ((0,), (0,), (0,))
-    with pytest.raises(FiltrationError, match="^d_1, column 0: d o d != 0 at degree 0$"):
+    with pytest.raises(FiltrationError, match="^d o d != 0 at degree 0$"):
         FilteredComplex(degrees, 0, ([{0: 1}], [{0: 1}], [{}]), (1, 1, 1)).reductions
     with pytest.raises(FiltrationError, match="wrong shape"):
         FilteredComplex(degrees, 0, ([{0: 1}], [{}, {}], [{}]), (1, 1, 1))
@@ -162,6 +162,7 @@ _DOCTORED = ((0, 0), (0, 0), (0,)), 0, ([{0: 1, 1: 1}, {0: 2, 1: 2}], [{0: 1}, {
     [
         (0, lambda R, V, lows: (R, [V[0], {1: 1}], lows), "d_0: R_1 != D V_1"),  # V not updated
         (0, lambda R, V, lows: (R, V, {0: 0}), "d_0: the lows are misrecorded at column 0"),
+        (0, lambda R, V, lows: (R, V[:1], lows), "d_0: R and V have 2 and 1 columns, not 2"),
         (
             0,
             lambda R, V, lows: ([R[0], {0: 2, 1: 2}], [V[0], {1: 1}], {1: 1}),

@@ -47,12 +47,9 @@ from .presets import PRESETS
 from .sampling import MAX_PRIMITIVE_DIM, SampleConfig, sample_primitive_dims
 from .verify import (
     VerificationReport,
+    analyze_reports,
     basic_betti_from_deRham,
-    model_star_duality,
     primitive_betti_from_deRham,
-    verify_E2,
-    verify_mainC,
-    verify_mainS,
 )
 
 EXIT_OK = 0
@@ -148,12 +145,7 @@ def cmd_analyze(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
     start = time.perf_counter()
-    reports = [verify_E2(complex_)]
-    if complex_.is_s_type():
-        reports.append(verify_mainS(complex_))
-        reports.append(model_star_duality(complex_))
-    if complex_.is_c_type():
-        reports.append(verify_mainC(complex_))
+    reports = analyze_reports(complex_)
     pages, stable_at = complex_.spectral_sequence
     betti = betti_numbers(complex_)
     elapsed = time.perf_counter() - start

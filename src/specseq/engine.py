@@ -105,10 +105,14 @@ class FilteredComplex:
                 raise FiltrationError(f"differential at degree {k} has the wrong shape")
             for j, col in enumerate(cols):
                 for i, x in col.items():
-                    if not 0 <= i < rows:
+                    if type(i) is not int or not 0 <= i < rows:
                         raise FiltrationError(
                             f"differential at degree {k} has the wrong shape: "
-                            f"vector {j} hits row {i} of {rows}"
+                            f"vector {j} hits row {i!r} of {rows}"
+                        )
+                    if type(x) is not int:
+                        raise FiltrationError(
+                            f"differential at degree {k}: vector {j} has entry {x!r}, not an int"
                         )
                     if not x:
                         raise FiltrationError(f"differential at degree {k}: zero in vector {j}")

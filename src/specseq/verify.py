@@ -4,10 +4,9 @@ Each verifier compares engine output against a closed-form prediction:
 
 - E2 description: dim E_2^{p,q} = dim H^p * C(s,q), with d_0 = d_1 = 0.
 - S-type degeneration: stable page <= 3 and de Rham dims given by the
-  primitive / Ker(L) convolution formula.
-- C-type degeneration: stable page <= 2 and de Rham dims given by the
-  binomial convolution with the base dims.
-- Betti recursions inverting those formulas.
+  primitive / Ker(L) convolution formula; C-type: stable page <= 2 and the
+  binomial convolution with the base dims.  One check serves both.
+- Betti recursions inverting those formulas, by one recursion.
 - Harmonic bases and the star duality between their two halves, both
   built from the integer bases and star images of the base's Lefschetz
   structure (`lefschetz.lefschetz_columns`), never from the canonical
@@ -20,9 +19,10 @@ Every verifier takes only the complex and reads the analysis it keeps
 (`InvariantComplex.spectral_sequence` and `.cohomology`), so the pages and
 the cohomology of one model are computed once, whichever verifiers run.
 
-Verifiers whose theorem carries hypotheses (S-type lambdas, hard
-Lefschetz) report a hypothesis violation instead of pass/fail when the
-input does not qualify.
+A report is its witnesses: it passes only where it applies and holds
+none.  Verifiers whose theorem carries hypotheses (S-type lambdas, hard
+Lefschetz) report a hypothesis violation instead when the input does not
+qualify.  `analyze_reports` lists the verifiers that `analyze` runs.
 """
 
 from __future__ import annotations
@@ -83,16 +83,20 @@ def _degree_witnesses(check: str, expected: Sequence[int], actual: Sequence[int]
 
 @dataclass(frozen=True)
 class VerificationReport:
+    """A verdict: the witnesses of its failed comparisons, or why the theorem
+    does not apply.  It passes only where it applies and has no witness."""
+
     theorem: str
-    passed: bool
-    expected: tuple
-    actual: tuple
-    witnesses: tuple = ()
+    witnesses: tuple[Witness, ...] = ()
     hypothesis_violation: str | None = None
 
     @property
     def applicable(self) -> bool:
         return self.hypothesis_violation is None
+
+    @property
+    def passed(self) -> bool:
+        return self.applicable and not self.witnesses
 
 
 def _binom(a: int, b: int) -> int:
@@ -110,30 +114,29 @@ def _hypothesis(c: InvariantComplex) -> str | None:
     return None
 
 
+def analyze_reports(c: InvariantComplex) -> list[VerificationReport]:
+    """The verdicts `analyze` reports: E2, then mainS and star duality on an
+    S-type model, or mainC on a C-type one."""
+    reports = [verify_E2(c)]
+    if c.is_s_type():
+        reports += [verify_mainS(c), model_star_duality(c)]
+    if c.is_c_type():
+        reports.append(verify_mainC(c))
+    return reports
+
+
 def verify_E2(c: InvariantComplex) -> VerificationReport:
     """dim E_2^{p,q} = dim H^p * C(s,q), and d_0 = d_1 = 0."""
     pages = c.spectral_sequence[0]
-    witnesses = []
-    for r in (0, 1):
-        for pq, rk in sorted(pages[r].d_ranks.items()):
-            witnesses.append(Witness(f"rank d_{r}", pq, 0, rk))
-    expected = {}
-    for p in range(2 * c.base.n + 1):
-        for q in range(c.s + 1):
-            d = c.base.dims[p] * _binom(c.s, q)
-            if d:
-                expected[(p, q)] = d
+    witnesses = [
+        Witness(f"rank d_{r}", pq, 0, rk) for r in (0, 1) for pq, rk in sorted(pages[r].d_ranks.items())
+    ]
+    expected = {(p, q): d * _binom(c.s, q) for p, d in enumerate(c.base.dims) for q in range(c.s + 1)}
     actual = pages[2].cell_dims()
     for pq in sorted(expected.keys() | actual.keys()):
         if expected.get(pq, 0) != actual.get(pq, 0):
             witnesses.append(Witness("dim E_2", pq, expected.get(pq, 0), actual.get(pq, 0)))
-    return VerificationReport(
-        "E2",
-        not witnesses,
-        tuple(sorted(expected.items())),
-        tuple(sorted(actual.items())),
-        tuple(witnesses),
-    )
+    return VerificationReport("E2", tuple(witnesses))
 
 
 def kernel_d2(c: InvariantComplex, p: int, q: int) -> tuple[int, int]:
@@ -155,6 +158,27 @@ def kernel_d2(c: InvariantComplex, p: int, q: int) -> tuple[int, int]:
     return actual, expected
 
 
+def _degeneration(
+    c: InvariantComplex,
+    theorem: str,
+    expected: Sequence[int],
+    last_page: int,
+    direct: Sequence[int] | None,
+) -> VerificationReport:
+    """The sequence is stable by page `last_page`, and the E_infinity totals,
+    and the direct cohomology dims where given, are `expected`."""
+    pages, stable_at = c.spectral_sequence
+    witnesses = []
+    if stable_at > last_page:
+        witnesses.append(Witness("stable page", None, f"<= {last_page}", stable_at))
+    witnesses += _degree_witnesses(
+        "E_infinity total", expected, pages[-1].antidiagonal_totals(c.max_degree)
+    )
+    if direct is not None:
+        witnesses += _degree_witnesses("direct cohomology", expected, direct)
+    return VerificationReport(theorem, tuple(witnesses))
+
+
 def expected_dims_mainS(base: LefschetzModule, s: int) -> tuple[int, ...]:
     """Predicted de Rham dims of an S-type model over a hard Lefschetz base."""
     report = check_hard_lefschetz(base)
@@ -166,13 +190,10 @@ def expected_dims_mainS(base: LefschetzModule, s: int) -> tuple[int, ...]:
     def at(seq, i):
         return seq[i] if 0 <= i < len(seq) else 0
 
-    out = []
-    for k in range(2 * base.n + s + 1):
-        total = 0
-        for q in range(s):
-            total += _binom(s - 1, q) * (at(pdim, k - q) + at(zdim, k - q - 1))
-        out.append(total)
-    return tuple(out)
+    return tuple(
+        sum(_binom(s - 1, q) * (at(pdim, k - q) + at(zdim, k - q - 1)) for q in range(s))
+        for k in range(2 * base.n + s + 1)
+    )
 
 
 def verify_mainS(c: InvariantComplex) -> VerificationReport:
@@ -180,29 +201,14 @@ def verify_mainS(c: InvariantComplex) -> VerificationReport:
     the direct cohomology dims match the prediction."""
     violation = _hypothesis(c)
     if violation:
-        return VerificationReport("mainS", False, (), (), (), violation)
-    expected = expected_dims_mainS(c.base, c.s)
-    pages, stable_at = c.spectral_sequence
-    totals = pages[-1].antidiagonal_totals(c.max_degree)
-    direct = betti_numbers(c)
-    witnesses = []
-    if stable_at > 3:
-        witnesses.append(Witness("stable page", None, "<= 3", stable_at))
-    witnesses += _degree_witnesses("E_infinity total", expected, totals)
-    witnesses += _degree_witnesses("direct cohomology", expected, direct)
-    return VerificationReport(
-        "mainS", not witnesses, expected, totals + (("stable_at", stable_at),), tuple(witnesses)
-    )
+        return VerificationReport("mainS", hypothesis_violation=violation)
+    return _degeneration(c, "mainS", expected_dims_mainS(c.base, c.s), 3, betti_numbers(c))
 
 
 def expected_dims_mainC(base: LefschetzModule, s: int) -> tuple[int, ...]:
     """Binomial convolution of the base dims with C(s, .)."""
-
-    def at(i):
-        return base.dims[i] if 0 <= i < len(base.dims) else 0
-
     return tuple(
-        sum(_binom(s, q) * at(k - q) for q in range(s + 1))
+        sum(_binom(s, q) * base.dim_at(k - q) for q in range(s + 1))
         for k in range(2 * base.n + s + 1)
     )
 
@@ -210,19 +216,23 @@ def expected_dims_mainC(base: LefschetzModule, s: int) -> tuple[int, ...]:
 def verify_mainC(c: InvariantComplex) -> VerificationReport:
     """C-type degeneration: stable page <= 2 and dims match the convolution."""
     if not c.is_c_type():
-        return VerificationReport(
-            "mainC", False, (), (), (), "not C-type: some lambda_i is nonzero"
-        )
-    expected = expected_dims_mainC(c.base, c.s)
-    pages, stable_at = c.spectral_sequence
-    totals = pages[-1].antidiagonal_totals(c.max_degree)
-    witnesses = []
-    if stable_at > 2:
-        witnesses.append(Witness("stable page", None, "<= 2", stable_at))
-    witnesses += _degree_witnesses("E_infinity total", expected, totals)
-    return VerificationReport(
-        "mainC", not witnesses, expected, totals + (("stable_at", stable_at),), tuple(witnesses)
-    )
+        return VerificationReport("mainC", hypothesis_violation="not C-type: some lambda_i is nonzero")
+    return _degeneration(c, "mainC", expected_dims_mainC(c.base, c.s), 2, None)
+
+
+def _invert(B: Sequence[int], m: int, top: int, what: str) -> tuple[int, ...]:
+    """x[k] = B[k] - sum_{i<k} C(m, k-i) x[i] for k <= top, refusing a
+    negative x[k], which no manifold of the kind has."""
+    x: list[int] = []
+    for k in range(top + 1):
+        value = B[k] - sum(_binom(m, k - i) * x[i] for i in range(k))
+        if value < 0:
+            raise ValueError(
+                f"negative {what} dimension at degree {k}: "
+                "input is not the Betti sequence of such a manifold"
+            )
+        x.append(value)
+    return tuple(x)
 
 
 def primitive_betti_from_deRham(
@@ -233,21 +243,13 @@ def primitive_betti_from_deRham(
     pdim[k] = B[k] - sum_{i<k} C(s-1, k-i) pdim[i] for k <= n, then the basic
     dims follow from the Lefschetz decomposition and Poincare symmetry.
     """
-    pdim: list[int] = []
-    for k in range(n + 1):
-        value = B[k] - sum(_binom(s - 1, k - i) * pdim[i] for i in range(k))
-        if value < 0:
-            raise ValueError(
-                f"negative primitive dimension at degree {k}: "
-                "input is not the Betti sequence of such a manifold"
-            )
-        pdim.append(value)
+    pdim = _invert(B, s - 1, n, "primitive")
     basic = [0] * (2 * n + 1)
     for r in range(n + 1):
         basic[r] = sum(pdim[r - 2 * i] for i in range(r // 2 + 1))
     for r in range(n + 1, 2 * n + 1):
         basic[r] = basic[2 * n - r]
-    return tuple(pdim), tuple(basic)
+    return pdim, tuple(basic)
 
 
 def basic_betti_from_deRham(B: Sequence[int], s: int) -> tuple[int, ...]:
@@ -255,16 +257,7 @@ def basic_betti_from_deRham(B: Sequence[int], s: int) -> tuple[int, ...]:
     top = len(B) - 1 - s
     if top < 0:
         raise ValueError("Betti list shorter than s+1")
-    b: list[int] = []
-    for k in range(top + 1):
-        value = B[k] - sum(_binom(s, k - i) * b[i] for i in range(k))
-        if value < 0:
-            raise ValueError(
-                f"negative basic dimension at degree {k}: "
-                "input is not the Betti sequence of such a manifold"
-            )
-        b.append(value)
-    return tuple(b)
+    return _invert(B, s, top, "basic")
 
 
 def harmonic_basis_C(c: InvariantComplex) -> list[InvariantElement]:
@@ -398,7 +391,7 @@ def model_star_duality(c: InvariantComplex) -> VerificationReport:
     """
     violation = _hypothesis(c)
     if violation:
-        return VerificationReport("star-duality", False, (), (), (), violation)
+        return VerificationReport("star-duality", hypothesis_violation=violation)
     classes = c.cohomology
     n, s = c.base.n, c.s
     total_deg = 2 * n + s
@@ -422,7 +415,6 @@ def model_star_duality(c: InvariantComplex) -> VerificationReport:
                 part_a.setdefault(k, []).append(v)
                 images.setdefault(k, []).append(_integer_chain(c, star_form, 2 * n - p, w)[1])
     witnesses = []
-    checked = []
     for k in range(total_deg + 1):
         k2 = total_deg - k
         starred_k = images.get(k, [])
@@ -458,7 +450,4 @@ def model_star_duality(c: InvariantComplex) -> VerificationReport:
                     (combined, target),
                 )
             )
-        checked.append((k, rank_img))
-    return VerificationReport(
-        "star-duality", not witnesses, (), tuple(checked), tuple(witnesses)
-    )
+    return VerificationReport("star-duality", tuple(witnesses))

@@ -325,7 +325,7 @@ def _class_ranks(q: CohomologyGroup, *groups: list[SparseColumn]) -> list[int]:
 def star_duality_reference(c: InvariantComplex) -> VerificationReport:
     violation = _hypothesis(c)
     if violation:
-        return VerificationReport("star-duality", False, (), (), (), violation)
+        return VerificationReport("star-duality", hypothesis_violation=violation)
     n, s = c.base.n, c.s
     total_deg = 2 * n + s
     columns = lefschetz_columns(c.base)
@@ -350,7 +350,6 @@ def star_duality_reference(c: InvariantComplex) -> VerificationReport:
                 part_a.setdefault(k, []).append(v)
                 images.setdefault(k, []).append(_chain(c, star_form, 2 * n - p, w)[1])
     witnesses = []
-    checked = []
     for k in range(total_deg + 1):
         k2 = total_deg - k
         starred_k = images.get(k, [])
@@ -376,5 +375,4 @@ def star_duality_reference(c: InvariantComplex) -> VerificationReport:
                     (combined, target),
                 )
             )
-        checked.append((k, rank_img))
-    return VerificationReport("star-duality", not witnesses, (), tuple(checked), tuple(witnesses))
+    return VerificationReport("star-duality", tuple(witnesses))

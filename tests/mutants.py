@@ -6,15 +6,18 @@
 Each mutant replaces one snippet of the source of `src/specseq`.  The
 package, the tests and `pyproject.toml` are copied into a temporary
 directory, the snippet is replaced in the copy, and pytest runs there with a
-fixed Hypothesis seed; the working tree is never written.  Each mutant
-records the test that catches it, which runs first, with `-x`; only when
-that test passes do the mutant's whole test files run.  One line per
-mutant: "caught by" and the test that failed first (for a catch by the
-whole files, with the number of the others and the recorded test that
-missed it), "SURVIVED" when every test passed, or "STALE" when the snippet
-is not in the source exactly once.  The exit status is 1 when any mutant
-survived, is stale, or was caught only by the whole files, whose first
-failing test should then be recorded instead.
+fixed Hypothesis seed.  The copy's conftest loads a Hypothesis profile
+without the shrink phase, since a catch needs only the first failing
+example, not its smallest form; the working tree, tier-1's own Hypothesis
+settings included, is never written.  Each mutant records the test that
+catches it, which runs first, with `-x`; only when that test passes do the
+mutant's whole test files run.  One line per mutant: "caught by" and the
+test that failed first (for a catch by the whole files, with the number of
+the others and the recorded test that missed it), "SURVIVED" when every
+test passed, or "STALE" when the snippet is not in the source exactly once.
+The exit status is 1 when any mutant survived, is stale, or was caught only
+by the whole files, whose first failing test should then be recorded
+instead.
 
 A mutant that survives is a missing test, unless it is equivalent to the
 code it replaces.  Standard library only; the name keeps tier-1 from
@@ -51,6 +54,18 @@ _LOW = """\
             if with_v:
                 v = _combine(a, v, c, reduced_v[low])
             low = max(r, default=None)
+"""
+
+# Appended to the copy's tests/conftest.py, which pytest imports before any
+# test module, so that every test's settings inherit the profile.
+_NO_SHRINK = """
+
+from hypothesis import Phase, settings
+
+settings.register_profile(
+    "mutants", phases=[p for p in Phase if p not in (Phase.shrink, Phase.explain)]
+)
+settings.load_profile("mutants")
 """
 
 # (name, file under src/specseq, snippet, replacement, tests to run, the
@@ -173,8 +188,8 @@ MUTANTS = [
     (
         "row-index-at-the-target-dimension",
         "engine.py",
-        "if not 0 <= i < rows:",
-        "if not 0 <= i <= rows:",
+        "or not 0 <= i < rows:",
+        "or not 0 <= i <= rows:",
         _VIEWS,
         "tests/test_engine.py::test_integer_columns_of_the_wrong_shape_are_refused_before_any_reduction",
     ),
@@ -291,6 +306,41 @@ MUTANTS = [
         "actual = pages[1].cell_dims()",
         _VERIFY,
         "tests/test_verify.py::test_witnesses_name_cell_and_values",
+    ),
+    # Each verdict rule stated once: a report passes only where it applies
+    # with no witness, one degeneration check, one Betti recursion and one
+    # list of the verifiers `analyze` runs.
+    (
+        "passed-ignores-applicability",
+        "verify.py",
+        "return self.applicable and not self.witnesses",
+        "return not self.witnesses",
+        _VERIFY,
+        "tests/test_verify.py::test_a_report_passes_only_where_it_applies_with_no_witness",
+    ),
+    (
+        "degeneration-skips-the-direct-cohomology",
+        "verify.py",
+        'witnesses += _degree_witnesses("direct cohomology", expected, direct)',
+        "pass",
+        _VERIFY,
+        "tests/test_verify.py::test_witnesses_name_degree_and_values",
+    ),
+    (
+        "primitive-recursion-with-C(s)",
+        "verify.py",
+        '_invert(B, s - 1, n, "primitive")',
+        '_invert(B, s, n, "primitive")',
+        _VERIFY,
+        "tests/test_verify.py::test_primitive_betti_recursion_examples",
+    ),
+    (
+        "analyze-drops-star-duality",
+        "verify.py",
+        "reports += [verify_mainS(c), model_star_duality(c)]",
+        "reports += [verify_mainS(c)]",
+        _STAR,
+        "tests/test_verify.py::test_analyze_reports_lists_the_theorems_in_order",
     ),
     # The eta forms of the harmonic basis, written in closed form.
     (
@@ -458,6 +508,8 @@ def run(file: str, snippet: str, replacement: str, tests: list[str], catcher: st
         for part in ("src", "tests"):
             shutil.copytree(ROOT / part, copy / part, ignore=ignore)
         shutil.copy(ROOT / "pyproject.toml", copy)
+        with open(copy / "tests" / "conftest.py", "a", encoding="utf-8") as fh:
+            fh.write(_NO_SHRINK)
         path = copy / "src" / "specseq" / file
         text = path.read_text()
         if text.count(snippet) != 1:

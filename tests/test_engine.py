@@ -133,14 +133,29 @@ def no_reduction(monkeypatch):
         (([{}], [{}], [{0: 1}]), "differential at degree 2 has the wrong shape"),
         # An explicit zero would be taken for the low of its column.
         (([{}], [{0: 0}], [{}]), "^differential at degree 1: zero in vector 0$"),
+        # Entries and row indices are ints, not bools: reduce_columns takes
+        # the gcd of entries, and a row index True would become a low.
+        *(
+            (([{}], [{0: x}], [{}]), f"^differential at degree 1: vector 0 has entry {text}, not an int$")
+            for x, text in ((Fraction(1, 2), r"Fraction\(1, 2\)"), (0.5, r"0\.5"), (True, "True"))
+        ),
+        (
+            ([{True: 1}], [{}, {}], [{}]),
+            "^differential at degree 0 has the wrong shape: vector 0 hits row True of 2$",
+        ),
+        (
+            ([{}], [{0.0: 1}], [{}]),
+            r"^differential at degree 1 has the wrong shape: vector 0 hits row 0\.0 of 1$",
+        ),
     ],
 )
 def test_integer_columns_of_the_wrong_shape_are_refused_before_any_reduction(
     no_reduction, integer_d, message
 ):
     # A complex has no matrices to take its shape from; its columns are
-    # checked against the filtration degrees.
-    degrees = ((0,), (0,), (0,))
+    # checked against the filtration degrees.  Degrees 0 and 2 have one
+    # basis vector, and degree 1 as many as d_1 has columns.
+    degrees = ((0,), (0,) * len(integer_d[1]), (0,))
     with pytest.raises(FiltrationError, match=message):
         FilteredComplex(degrees, 0, integer_d, (1, 1, 1))
 

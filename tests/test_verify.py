@@ -30,6 +30,7 @@ from specseq.modelfile import to_complex
 from specseq.sampling import MAX_PRIMITIVE_DIM, SampleConfig, sample_model, sample_primitive_dims
 from specseq.verify import (
     HypothesisError,
+    VerificationReport,
     Witness,
     basic_betti_from_deRham,
     expected_dims_mainC,
@@ -56,11 +57,28 @@ def test_verify_E2_presets():
         assert verify_E2(to_complex(mf)).passed, name
 
 
-def test_verify_E2_expected_table(cp1):
-    hopf = build_model(cp1, 1, [1])
-    r = verify_E2(hopf)
-    assert r.passed
-    assert dict(r.expected) == {(0, 0): 1, (0, 1): 1, (2, 0): 1, (2, 1): 1}
+def test_a_report_passes_only_where_it_applies_with_no_witness():
+    witness = Witness("dim E_2", (0, 0), 1, 0)
+    assert VerificationReport("E2").passed
+    assert not VerificationReport("E2", (witness,)).passed
+    report = VerificationReport("mainS", hypothesis_violation="not S-type")
+    assert not report.applicable and not report.witnesses and not report.passed
+    assert not VerificationReport("mainS", (witness,), "not S-type").passed
+
+
+@pytest.mark.parametrize(
+    "model, theorems",
+    [
+        (PRESETS["hopf-s3"], ["E2", "mainS", "star-duality"]),
+        (PRESETS["torus-t3"], ["E2", "mainC"]),
+        (replace(PRESETS["hopf-s3"], s=2, lambdas=(Q(1), Q(0))), ["E2"]),
+    ],
+    ids=["S", "C", "mixed"],
+)
+def test_analyze_reports_lists_the_theorems_in_order(model, theorems):
+    reports = verify.analyze_reports(to_complex(model))
+    assert [r.theorem for r in reports] == theorems
+    assert all(r.passed for r in reports)
 
 
 @settings(deadline=None, max_examples=25)
@@ -135,11 +153,7 @@ def test_the_verifiers_reduce_each_differential_once(monkeypatch, cp2, lambdas):
                 or _fn(cols, *a, **kw),
             )
     c = build_model(cp2, 2, lambdas)
-    reports = [verify_E2(c)]
-    if c.is_s_type():
-        reports += [verify_mainS(c), model_star_duality(c)]
-    else:
-        reports.append(verify_mainC(c))
+    reports = verify.analyze_reports(c)
     betti_numbers(c)
     assert all(r.passed for r in reports)
     assert [sum(cols is d for cols in reduced) for d in c.integer_d] == [1] * (c.max_degree + 1)

@@ -19,7 +19,9 @@ complex keeps its analysis, each part built once, on first read: the
 engine's filtered complex on those columns (`InvariantComplex.filtered_complex`,
 which reduces each d_k once and certifies the reduction, d o d = 0
 included), the pages with the stable page (`.spectral_sequence`) and
-direct cohomology (`.cohomology`), a view of the same reductions.  Each
+direct cohomology (`.cohomology`), a view of the same reductions, and the
+S-type harmonic cocycles with the star images of part A
+(`.harmonic_chains`), sparse integer vectors placed by the offsets.  Each
 layer of the basis is listed in descending basic degree, as the engine
 requires, so those reductions are in basis order.  Every verifier reads
 these, so a model is analysed once, whichever verifiers run.
@@ -33,12 +35,14 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from math import gcd, lcm
+from types import MappingProxyType
 from typing import Mapping, Sequence
 
 from .engine import FilteredComplex, SpectralPage, run_to_convergence
-from .lefschetz import LefschetzModule
+from .exterior import index_subset_sign
+from .lefschetz import LefschetzModule, lefschetz_columns
 from .linalg import DimensionMismatch, Matrix, Reduction, SparseColumn
 
 _ZERO = Fraction(0)
@@ -47,6 +51,10 @@ _ZERO = Fraction(0)
 BasisElement = tuple[tuple[int, ...], int, int]
 # block of consecutive basis elements: (I, basic degree p)
 Block = tuple[tuple[int, ...], int]
+# sum_I a_I eta_I with integer a_I, keyed by the 1-based tuples I.
+EtaForm = Mapping[tuple[int, ...], int]
+# a chain: total degree and sparse integer vector
+Chain = tuple[int, SparseColumn]
 
 
 @dataclass(frozen=True)
@@ -127,6 +135,35 @@ class InvariantComplex:
             for k, reduction in enumerate(reductions)
         )
 
+    @cached_property
+    def harmonic_chains(self) -> tuple[tuple[Chain, ...], tuple[Chain, ...], tuple[SparseColumn, ...]]:
+        """The S-type harmonic cocycles (all lambda_i = 1, a hard Lefschetz
+        base, which their readers check first): part A, the products of the
+        differences (eta_1 - eta_i) with the integer basis of each PH^p,
+        part B, eta_1 eta_I times that of Ker L, and the star image of each
+        part-A chain, aligned with part A.  The star sends eta_I (x) h to
+        (-1)^(sign(I, I^c) + (s - |I|) deg h) eta_{I^c} (x) star(h), and a
+        primitive beta of degree p to L^{n-p} beta; the bases and images
+        are the integer columns of `lefschetz_columns`.  Each chain is a
+        positive multiple of one of the rational model, which changes
+        neither closedness nor any span.
+        """
+        n, s = self.base.n, self.s
+        columns = lefschetz_columns(self.base)
+        part_a: list[Chain] = []
+        part_b: list[Chain] = []
+        images: list[SparseColumn] = []
+        for differences, with_eta_1, complements in _harmonic_eta_forms(s):
+            q = len(next(iter(differences)))
+            for p in range(2 * n + 1):
+                part_b += [_integer_chain(self, with_eta_1, p, kappa) for kappa in columns.kernel[p]]
+                sign = (-1) ** ((s - q) * p)
+                star_form = {subset: sign * a for subset, a in complements.items()}
+                for beta, w in zip(columns.primitive[p], columns.star[p]):
+                    part_a.append(_integer_chain(self, differences, p, beta))
+                    images.append(_integer_chain(self, star_form, 2 * n - p, w)[1])
+        return tuple(part_a), tuple(part_b), tuple(images)
+
     @property
     def differentials(self) -> tuple[Matrix, ...]:
         """Each d_k: C^k -> C^{k+1} as a dense `Fraction` matrix, the
@@ -139,6 +176,44 @@ class InvariantComplex:
 
     def is_c_type(self) -> bool:
         return all(lam == 0 for lam in self.lambdas)
+
+
+@cache
+def _harmonic_eta_forms(s: int) -> tuple[tuple[EtaForm, EtaForm, EtaForm], ...]:
+    """Per subset I of {2..s}: prod_{i in I} (eta_1 - eta_i), eta_1 eta_I,
+    and the star of the first's eta part, each eta_J sent to
+    (-1)^sign(J, J^c) eta_{J^c}, before the factor (-1)^((s - |I|) * deg h).
+
+    With I = (i_0 < ... < i_{q-1}), the product has q + 1 terms: every
+    factor gives -eta_i, which is (-1)^q eta_I, or the factor at position m
+    gives eta_1, moved to the front past m others, and the rest give -eta_i,
+    which is (-1)^(q - 1 + m) eta_1 eta_{I minus i_m}.  The forms depend on
+    s alone, so they are built once per s, as read-only mappings.
+    """
+    out = []
+    for q in range(s):
+        for subset in itertools.combinations(range(2, s + 1), q):
+            differences = {subset: (-1) ** q}
+            for m in range(q):
+                differences[(1,) + subset[:m] + subset[m + 1 :]] = (-1) ** (q - 1 + m)
+            complements = {
+                tuple(j for j in range(1, s + 1) if j not in idx): a
+                * (-1) ** index_subset_sign(idx)
+                for idx, a in differences.items()
+            }
+            forms = differences, {(1,) + subset: 1}, complements
+            out.append(tuple(MappingProxyType(form) for form in forms))
+    return tuple(out)
+
+
+def _integer_chain(c: InvariantComplex, eta_form: EtaForm, p: int, h: SparseColumn) -> Chain:
+    """Degree and sparse integer vector of sum_I a_I eta_I (x) h; the
+    element eta_I (x) h_{p,t} sits at the offset of its block (I, p) plus t."""
+    degree = p + len(next(iter(eta_form)))
+    offsets = c.offsets[degree]
+    return degree, {
+        offsets[(subset, p)] + t: a * x for subset, a in eta_form.items() for t, x in h.items()
+    }
 
 
 def build_model(base: LefschetzModule, s: int, lambdas: Sequence) -> InvariantComplex:

@@ -6,18 +6,20 @@ Each verifier compares engine output against a closed-form prediction:
 - S-type degeneration: stable page <= 3 and de Rham dims given by the
   primitive / Ker(L) convolution formula; C-type: stable page <= 2 and the
   binomial convolution with the base dims.  One check serves both.
-- Betti recursions inverting those formulas, by one recursion.
+- Betti recursions inverting those formulas, by one recursion, each
+  refusing a list that its result does not give back.
 - Harmonic bases and the star duality between their two halves, both
-  built from the integer bases and star images of the base's Lefschetz
-  structure (`lefschetz.lefschetz_columns`), never from the canonical
-  subspaces.  Star duality reduces part A and the star images once per
-  degree, with no V: part A from the boundaries of H^k, which direct
-  cohomology holds reduced already, and the star images and part B from
-  those boundaries together with part A's reduced columns.
+  read from the harmonic cocycles and star images the complex keeps
+  (`InvariantComplex.harmonic_chains`).  Star duality reduces part A and
+  the star images once per degree, with no V: part A from the boundaries
+  of H^k, which direct cohomology holds reduced already, and the star
+  images and part B from those boundaries together with part A's reduced
+  columns.
 
 Every verifier takes only the complex and reads the analysis it keeps
-(`InvariantComplex.spectral_sequence` and `.cohomology`), so the pages and
-the cohomology of one model are computed once, whichever verifiers run.
+(`InvariantComplex.spectral_sequence`, `.cohomology` and
+`.harmonic_chains`), so the pages, the cohomology and the chains of one
+model are built once, whichever verifiers run.
 
 A report is its witnesses: it passes only where it applies and holds
 none.  Verifiers whose theorem carries hypotheses (S-type lambdas, hard
@@ -30,24 +32,14 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
 from math import comb
-from types import MappingProxyType
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
-from .exterior import index_subset_sign
-from .invariant import (
-    InvariantComplex,
-    InvariantElement,
-    betti_numbers,
-)
-from .lefschetz import LefschetzModule, check_hard_lefschetz, lefschetz_columns
+from .invariant import Chain, InvariantComplex, InvariantElement, betti_numbers
+from .lefschetz import LefschetzModule, check_hard_lefschetz
 from .linalg import SparseColumn, apply_columns, reduce_columns
 
 _ZERO = Fraction(0)
-
-# sum_I a_I eta_I with integer a_I, keyed by the 1-based tuples I.
-EtaForm = Mapping[tuple[int, ...], int]
 
 
 class HypothesisError(ValueError):
@@ -184,16 +176,13 @@ def expected_dims_mainS(base: LefschetzModule, s: int) -> tuple[int, ...]:
     report = check_hard_lefschetz(base)
     if not report.hlp:
         raise HypothesisError("base module does not satisfy hard Lefschetz")
-    pdim = report.primitive_dims
-    zdim = report.kernel_L_dims
+    return _mainS_dims(report.primitive_dims, report.kernel_L_dims, s)
 
-    def at(seq, i):
-        return seq[i] if 0 <= i < len(seq) else 0
 
-    return tuple(
-        sum(_binom(s - 1, q) * (at(pdim, k - q) + at(zdim, k - q - 1)) for q in range(s))
-        for k in range(2 * base.n + s + 1)
-    )
+def _mainS_dims(pdim: Sequence[int], zdim: Sequence[int], s: int) -> tuple[int, ...]:
+    """sum_q C(s-1, q) (p_{k-q} + z_{k-q-1}) from the primitive dims p and
+    the Ker L dims z, in degrees k <= 2n + s."""
+    return _convolve([a + b for a, b in itertools.zip_longest(pdim, (0, *zdim), fillvalue=0)], s - 1)
 
 
 def verify_mainS(c: InvariantComplex) -> VerificationReport:
@@ -207,10 +196,12 @@ def verify_mainS(c: InvariantComplex) -> VerificationReport:
 
 def expected_dims_mainC(base: LefschetzModule, s: int) -> tuple[int, ...]:
     """Binomial convolution of the base dims with C(s, .)."""
-    return tuple(
-        sum(_binom(s, q) * base.dim_at(k - q) for q in range(s + 1))
-        for k in range(2 * base.n + s + 1)
-    )
+    return _convolve(base.dims, s)
+
+
+def _convolve(x: Sequence[int], m: int) -> tuple[int, ...]:
+    """y[k] = sum_i C(m, k-i) x[i] for k < len(x) + m."""
+    return tuple(sum(_binom(m, k - i) * xi for i, xi in enumerate(x)) for k in range(len(x) + m))
 
 
 def verify_mainC(c: InvariantComplex) -> VerificationReport:
@@ -220,6 +211,9 @@ def verify_mainC(c: InvariantComplex) -> VerificationReport:
     return _degeneration(c, "mainC", expected_dims_mainC(c.base, c.s), 2, None)
 
 
+_IMPOSSIBLE = "input is not the Betti sequence of such a manifold"
+
+
 def _invert(B: Sequence[int], m: int, top: int, what: str) -> tuple[int, ...]:
     """x[k] = B[k] - sum_{i<k} C(m, k-i) x[i] for k <= top, refusing a
     negative x[k], which no manifold of the kind has."""
@@ -227,12 +221,17 @@ def _invert(B: Sequence[int], m: int, top: int, what: str) -> tuple[int, ...]:
     for k in range(top + 1):
         value = B[k] - sum(_binom(m, k - i) * x[i] for i in range(k))
         if value < 0:
-            raise ValueError(
-                f"negative {what} dimension at degree {k}: "
-                "input is not the Betti sequence of such a manifold"
-            )
+            raise ValueError(f"negative {what} dimension at degree {k}: {_IMPOSSIBLE}")
         x.append(value)
     return tuple(x)
+
+
+def _recheck(B: Sequence[int], dims: Sequence[int], what: str) -> None:
+    """Refuse B where it differs from `dims`, the Betti numbers that the
+    recursion's result gives, which no manifold of the kind allows."""
+    wrong = _degree_witnesses(f"Betti number recomputed from the {what} dims", B, dims)
+    if wrong:
+        raise ValueError(f"{wrong[0]}: {_IMPOSSIBLE}")
 
 
 def primitive_betti_from_deRham(
@@ -242,8 +241,12 @@ def primitive_betti_from_deRham(
 
     pdim[k] = B[k] - sum_{i<k} C(s-1, k-i) pdim[i] for k <= n, then the basic
     dims follow from the Lefschetz decomposition and Poincare symmetry.
+    Under hard Lefschetz dim Ker L = pdim[2n-t] in degrees t >= n, 0 below.
     """
+    if len(B) != 2 * n + s + 1:
+        raise ValueError(f"expected {2 * n + s + 1} Betti numbers for n={n}, s={s}")
     pdim = _invert(B, s - 1, n, "primitive")
+    _recheck(B, _mainS_dims(pdim, (0,) * n + pdim[::-1], s), "primitive")
     basic = [0] * (2 * n + 1)
     for r in range(n + 1):
         basic[r] = sum(pdim[r - 2 * i] for i in range(r // 2 + 1))
@@ -257,7 +260,9 @@ def basic_betti_from_deRham(B: Sequence[int], s: int) -> tuple[int, ...]:
     top = len(B) - 1 - s
     if top < 0:
         raise ValueError("Betti list shorter than s+1")
-    return _invert(B, s, top, "basic")
+    basic = _invert(B, s, top, "basic")
+    _recheck(B, _convolve(basic, s), "basic")
+    return basic
 
 
 def harmonic_basis_C(c: InvariantComplex) -> list[InvariantElement]:
@@ -273,75 +278,27 @@ def harmonic_basis_C(c: InvariantComplex) -> list[InvariantElement]:
     return out
 
 
-@cache
-def _harmonic_eta_forms(s: int) -> tuple[tuple[EtaForm, EtaForm, EtaForm], ...]:
-    """Per subset I of {2..s}: prod_{i in I} (eta_1 - eta_i), eta_1 eta_I,
-    and the star of the first's eta part, each eta_J sent to
-    (-1)^sign(J, J^c) eta_{J^c}, before the factor (-1)^((s - |I|) * deg h).
-
-    With I = (i_0 < ... < i_{q-1}), the product has q + 1 terms: every
-    factor gives -eta_i, which is (-1)^q eta_I, or the factor at position m
-    gives eta_1, moved to the front past m others, and the rest give -eta_i,
-    which is (-1)^(q - 1 + m) eta_1 eta_{I minus i_m}.  The forms depend on
-    s alone, so they are built once per s, as read-only mappings.
-    """
-    out = []
-    for q in range(s):
-        for subset in itertools.combinations(range(2, s + 1), q):
-            differences = {subset: (-1) ** q}
-            for m in range(q):
-                differences[(1,) + subset[:m] + subset[m + 1 :]] = (-1) ** (q - 1 + m)
-            complements = {
-                tuple(j for j in range(1, s + 1) if j not in idx): a
-                * (-1) ** index_subset_sign(idx)
-                for idx, a in differences.items()
-            }
-            forms = differences, {(1,) + subset: 1}, complements
-            out.append(tuple(MappingProxyType(form) for form in forms))
-    return tuple(out)
-
-
-def harmonic_basis_S(
-    c: InvariantComplex,
-) -> tuple[list[InvariantElement], list[InvariantElement]]:
-    """The two halves of the S-type harmonic basis.
+def harmonic_basis_S(c: InvariantComplex) -> tuple[list[InvariantElement], list[InvariantElement]]:
+    """The two halves of the S-type harmonic basis, the dense view of parts
+    A and B of `InvariantComplex.harmonic_chains`.
 
     Part A: products of differences (eta_1 - eta_i) over subsets of {2..s}
     times primitive classes.  Part B: eta_1 eta_I times Ker(L) classes.
-    The classes are the integer bases of PH^p and Ker L that
-    `lefschetz_columns` holds.
     """
     violation = _hypothesis(c)
     if violation:
         raise HypothesisError(violation)
-
-    def element(eta_form: EtaForm, p: int, h: SparseColumn) -> InvariantElement:
-        degree, v = _integer_chain(c, eta_form, p, h)
-        coeffs = [0] * c.dim(degree)
-        for i, x in v.items():
-            coeffs[i] = x
-        return InvariantElement(degree, tuple(coeffs))
-
-    columns = lefschetz_columns(c.base)
-    part_a: list[InvariantElement] = []
-    part_b: list[InvariantElement] = []
-    for differences, with_eta_1, _ in _harmonic_eta_forms(c.s):
-        for p in range(2 * c.base.n + 1):
-            part_a += [element(differences, p, beta) for beta in columns.primitive[p]]
-            part_b += [element(with_eta_1, p, kappa) for kappa in columns.kernel[p]]
-    return part_a, part_b
+    return tuple(
+        [InvariantElement(k, tuple(map(v.get, range(c.dim(k)), itertools.repeat(0)))) for k, v in part]
+        for part in c.harmonic_chains[:2]
+    )
 
 
-def _integer_chain(
-    c: InvariantComplex, eta_form: EtaForm, p: int, h: SparseColumn
-) -> tuple[int, SparseColumn]:
-    """Degree and sparse integer vector of sum_I a_I eta_I (x) h; the
-    element eta_I (x) h_{p,t} sits at the offset of its block (I, p) plus t."""
-    degree = p + len(next(iter(eta_form)))
-    offsets = c.offsets[degree]
-    return degree, {
-        offsets[(subset, p)] + t: a * x for subset, a in eta_form.items() for t, x in h.items()
-    }
+def _by_degree(chains: Iterable[Chain]) -> dict[int, list[SparseColumn]]:
+    out: dict[int, list[SparseColumn]] = {}
+    for k, v in chains:
+        out.setdefault(k, []).append(v)
+    return out
 
 
 def _added_rank(
@@ -367,53 +324,15 @@ def model_star_duality(c: InvariantComplex) -> VerificationReport:
     k' they span exactly what part A and part B of degree k' span, with the
     sum direct.  This is the model form of the statement that the second
     half of the harmonic basis consists of star-duals of the first.
-
-    On the complex, eta_I (x) h maps to +-eta_{I^c} (x) star(h) with the
-    exponent sign(I, I^c) + (s - |I|) * deg(h).  On a primitive class beta
-    of degree p, star(h) is L^{n-p} beta.  Part A, part B and the star
-    images are sparse integer vectors built from the integer bases of PH^p
-    and Ker L and the star images L^{n-p} beta that `lefschetz_columns`
-    holds.  Each is a positive multiple of a vector of the rational model,
-    and a scale or a change of basis of PH^p changes neither closedness nor
-    any span.  Closedness applies the complex's integer d.  Each rank of
-    classes is the number of lows that a column reduction with no V returns,
-    starting from the boundaries of H^k' as pivots, already reduced.  Per
-    degree, part A is reduced once, and the star images once, from the
-    boundaries together with part A's reduced columns.  Part B is reduced
-    from those pivots, and from them with the star images' reduced columns
-    added.  (Reduced after part B instead, the star images reduce to zero
-    through more steps.)  The star images alone are reduced only when they
-    add fewer classes to part A's than there are of them; otherwise their
-    classes are independent.  Two spans are equal iff each has the rank of
-    their sum.  A group with no columns adds no rank and is not reduced, and
-    pivots are extended by a group's reduced columns only for a reduction
-    that reads them.
     """
     violation = _hypothesis(c)
     if violation:
         return VerificationReport("star-duality", hypothesis_violation=violation)
     classes = c.cohomology
-    n, s = c.base.n, c.s
-    total_deg = 2 * n + s
-    columns = lefschetz_columns(c.base)
-    primitive, kernel, starred = columns.primitive, columns.kernel, columns.star
-    part_a: dict[int, list[SparseColumn]] = {}
-    part_b: dict[int, list[SparseColumn]] = {}
-    images: dict[int, list[SparseColumn]] = {}  # by the degree of the part-A element
-    for differences, with_eta_1, complements in _harmonic_eta_forms(s):
-        q = len(next(iter(differences)))
-        for p in range(2 * n + 1):
-            for kappa in kernel[p]:
-                k, v = _integer_chain(c, with_eta_1, p, kappa)
-                part_b.setdefault(k, []).append(v)
-            if not primitive[p]:
-                continue
-            sign = (-1) ** ((s - q) * p)
-            star_form = {subset: sign * a for subset, a in complements.items()}
-            for beta, w in zip(primitive[p], starred[p]):
-                k, v = _integer_chain(c, differences, p, beta)
-                part_a.setdefault(k, []).append(v)
-                images.setdefault(k, []).append(_integer_chain(c, star_form, 2 * n - p, w)[1])
+    total_deg = 2 * c.base.n + c.s
+    chains_a, chains_b, starred = c.harmonic_chains
+    part_a, part_b = _by_degree(chains_a), _by_degree(chains_b)
+    images = _by_degree((k, w) for (k, _), w in zip(chains_a, starred))  # by part A's degree
     witnesses = []
     for k in range(total_deg + 1):
         k2 = total_deg - k

@@ -342,14 +342,32 @@ MUTANTS = [
         _STAR,
         "tests/test_verify.py::test_analyze_reports_lists_the_theorems_in_order",
     ),
-    # The eta forms of the harmonic basis, written in closed form.
+    # The harmonic chains the complex keeps: the eta forms, written in
+    # closed form, and part B on the Ker L classes.
     (
         "eta-closed-form-sign",
-        "verify.py",
+        "invariant.py",
         "(-1) ** (q - 1 + m)",
         "(-1) ** (q + m)",
         _STAR,
         "tests/test_verify.py::test_the_verifiers_reduce_each_differential_once",
+    ),
+    (
+        "part-b-on-the-primitive-classes",
+        "invariant.py",
+        "for kappa in columns.kernel[p]",
+        "for kappa in columns.primitive[p]",
+        _STAR,
+        "tests/test_verify.py::test_harmonic_basis_S_hopf",
+    ),
+    # A Betti recursion recomputes the list from its result.
+    (
+        "recursion-skips-the-forward-check",
+        "verify.py",
+        "    if wrong:\n",
+        "    if False:\n",
+        _VERIFY,
+        "tests/test_verify.py::test_recursions_refuse_lists_their_result_cannot_produce",
     ),
     # The root parser reports what the subcommand's parser leaves over.
     (

@@ -238,15 +238,15 @@ def test_analyze_computes_the_sequence_once(monkeypatch, capsys):
         lambda self, *a, _fn=argparse.ArgumentParser.__init__, **kw: parsers.append(self)
         or _fn(self, *a, **kw),
     )
-    # Star duality builds its groups of cocycles as chains: part A on the
-    # primitive classes, part B on the Ker L classes and the star images on
-    # the images L^(n-p) beta, each an integer column of `lefschetz_columns`.
-    # The column a chain is built on names its group.
+    # The complex builds the groups of cocycles that star duality reads as
+    # chains: part A on the primitive classes, part B on the Ker L classes
+    # and the star images on the images L^(n-p) beta, each an integer column
+    # of `lefschetz_columns`.  The column a chain is built on names its group.
     chains = []
     monkeypatch.setattr(
-        verify,
+        invariant,
         "_integer_chain",
-        lambda c, form, p, h, _fn=verify._integer_chain: chains.append((h, _fn(c, form, p, h)))
+        lambda c, form, p, h, _fn=invariant._integer_chain: chains.append((h, _fn(c, form, p, h)))
         or chains[-1][1],
     )
     for preset, hlp_checks in (("hopf-s3", 4), ("s2xs3", 4), ("torus-t3", 0)):
@@ -272,7 +272,7 @@ def test_analyze_computes_the_sequence_once(monkeypatch, capsys):
         assert not any(isinstance(a, argparse._SubParsersAction) for a in parser._actions)
         star_reductions = [(cols, kw) for m, cols, kw in reduced if m is verify]
         assert bool(star_reductions) == c.is_s_type()
-        columns = verify.lefschetz_columns(c.base)
+        columns = lefschetz.lefschetz_columns(c.base)
         groups = {"A": columns.primitive, "B": columns.kernel, "images": columns.star}
         group_of = {}  # id of a chain -> its group and its degree
         for h, (k, v) in chains:
@@ -421,6 +421,22 @@ def test_recursion_inconsistent_exits_1(capsys):
     )
     assert code == 1
     assert "not the Betti sequence" in err
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (("1,0,0,1", "--s", "3", "--n", "0", "--structure", "S"), "degree 1: expected 0, got 3"),
+        (("1,3,3,7", "--s", "1", "--structure", "C"), "degree 3: expected 7, got 1"),
+    ],
+    ids=["S", "C"],
+)
+def test_recursion_refuses_a_list_its_result_cannot_produce(capsys, argv, named):
+    code, out, err = run(capsys, "recursion", "--betti", *argv)
+    assert code == 1
+    assert out == ""
+    [line] = err.splitlines()
+    assert line.startswith("error: ") and named in line and "not the Betti sequence" in line
 
 
 def test_recursion_small_case(capsys):

@@ -304,15 +304,15 @@ def test_star_duality_witnesses_a_non_closed_star_image(monkeypatch):
             Matrix.zero(0, 1),
         ),
     )
-    m = build_model(base, 1, [1])
-    assert model_star_duality(m).passed
-    columns = verify.lefschetz_columns(base)
+    assert model_star_duality(build_model(base, 1, [1])).passed
+    columns = lefschetz.lefschetz_columns(base)
     assert columns.primitive[2] == [{1: 1}]
-    # The star image of beta = e_1 becomes omega = e_0.
+    # The star image of beta = e_1 becomes omega = e_0.  A complex keeps its
+    # chains, so a fresh one reads the doctored columns.
     star = columns.star[:2] + ([{0: 1}],) + columns.star[3:]
     doctored = replace(columns, star=star)
-    monkeypatch.setattr(verify, "lefschetz_columns", lambda module: doctored)
-    r = model_star_duality(m)
+    monkeypatch.setattr(invariant, "lefschetz_columns", lambda module: doctored)
+    r = model_star_duality(build_model(base, 1, [1]))
     assert r.witnesses == (
         Witness("non-closed star images", 2, 0, 1),
         Witness("rank of star-image classes vs part B", 2, 1, 0),
@@ -367,7 +367,7 @@ def test_closed_form_eta_forms_match_the_expanded_product(s):
     # closed form, eta_1 eta_I, and the star complements of the first, each
     # equal (keys in any order) to the product expanded factor by factor.
     subsets = [I for q in range(s) for I in itertools.combinations(range(2, s + 1), q)]
-    forms = verify._harmonic_eta_forms(s)
+    forms = invariant._harmonic_eta_forms(s)
     assert len(forms) == len(subsets)
     for subset, (differences, with_eta_1, complements) in zip(subsets, forms):
         expanded = model_oracle._eta_product([{(1,): 1, (i,): -1} for i in subset])
@@ -399,6 +399,20 @@ def test_recursions_reject_inconsistent_input():
         basic_betti_from_deRham((1, 0, 5, 1), 1)
     with pytest.raises(ValueError):
         primitive_betti_from_deRham((1, 0, 0, 1), 3, 1)
+
+
+def test_recursions_refuse_lists_their_result_cannot_produce():
+    # (1,) gives the S-type dims (1, 3, 3, 1) for s = 3, n = 0, and (1, 2, 1)
+    # the C-type dims (1, 3, 3, 1) for s = 1; neither recursion meets a
+    # negative dimension on the way.
+    with pytest.raises(ValueError, match="primitive dims in degree 1: expected 0, got 3"):
+        primitive_betti_from_deRham((1, 0, 0, 1), 3, 0)
+    with pytest.raises(ValueError, match="basic dims in degree 3: expected 7, got 1"):
+        basic_betti_from_deRham((1, 3, 3, 7), 1)
+    # Nor can a list of the wrong length for n and s.
+    for B in ((1,), (1, 0, 0, 1, 0)):
+        with pytest.raises(ValueError, match="expected 4 Betti numbers for n=1, s=1"):
+            primitive_betti_from_deRham(B, 1, 1)
 
 
 @settings(deadline=None, max_examples=25)
@@ -490,6 +504,48 @@ def test_harmonic_basis_and_star_duality_build_no_canonical_subspace(monkeypatch
     assert model_star_duality(c).passed
     assert part_a and part_b
     assert spans == []
+
+
+def _count_chains(monkeypatch):
+    """The arguments of every chain the complexes build, as they build them."""
+    built = []
+    monkeypatch.setattr(
+        invariant,
+        "_integer_chain",
+        lambda *a, _fn=invariant._integer_chain: built.append(a) or _fn(*a),
+    )
+    return built
+
+
+@pytest.mark.parametrize("model", ["hopf-s3", "s2xs3", "generated"])
+def test_star_duality_and_the_harmonic_basis_build_each_chain_once(monkeypatch, model):
+    # Both read the chains the complex keeps: part A, part B and one star
+    # image per part-A chain, built on the first read and never again.
+    built = _count_chains(monkeypatch)
+    if model == "generated":
+        c = build_model(generate_hlp_module(4, 2, (1, 1, 1)), 3, [1, 1, 1])
+    else:
+        c = to_complex(PRESETS[model])
+    assert model_star_duality(c).passed
+    part_a, part_b = harmonic_basis_S(c)
+    assert part_a and part_b
+    assert len(built) == 2 * len(part_a) + len(part_b)
+    built.clear()
+    assert model_star_duality(c).passed
+    assert harmonic_basis_S(c) == (part_a, part_b)
+    assert built == []
+
+
+def test_the_harmonic_chains_are_built_only_where_the_theorems_apply(monkeypatch, cp1):
+    built = _count_chains(monkeypatch)
+    no_hlp = build_model(zero_l_block(cp1, 0), 1, [1])
+    mixed = to_complex(replace(PRESETS["hopf-s3"], s=2, lambdas=(Q(1), Q(0))))
+    for c in (no_hlp, mixed):
+        assert not model_star_duality(c).applicable
+        with pytest.raises(HypothesisError):
+            harmonic_basis_S(c)
+        assert "harmonic_chains" not in vars(c)
+    assert built == []
 
 
 def test_model_star_duality_presets():

@@ -28,7 +28,6 @@ from .exterior import (
     ModelFrame,
     Multivector,
     _inversion_parity,
-    monomials,
     primitive_decompose,
     star_relation_counterexamples,
 )
@@ -44,7 +43,7 @@ from .modelfile import (
     to_complex,
 )
 from .presets import PRESETS
-from .sampling import MAX_PRIMITIVE_DIM, SampleConfig, sample_primitive_dims
+from .sampling import SampleConfig, random_rational, sample_primitive_dims
 from .verify import (
     VerificationReport,
     analyze_reports,
@@ -187,14 +186,12 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_generate(args) -> int:
-    if not _flags_in_range("generate", n=None if args.n == -1 else args.n, s=args.s):
-        return EXIT_INVALID
-    if not 0 <= args.max_primitive_dim <= MAX_PRIMITIVE_DIM:
-        print(f"error: --max-primitive-dim must be between 0 and {MAX_PRIMITIVE_DIM}", file=sys.stderr)
+    n = None if args.n == -1 else args.n
+    if not _flags_in_range("generate", n=n, s=args.s, **{"max-primitive-dim": args.max_primitive_dim}):
         return EXIT_INVALID
     rng = random.Random(args.seed)
-    n = args.n if args.n != -1 else rng.randint(1, 4)
     cfg = SampleConfig(max_primitive_dim=args.max_primitive_dim)
+    n = rng.randint(1, cfg.n_max) if n is None else n
     pdims = sample_primitive_dims(rng, n, cfg)
     base = generate_hlp_module(rng.getrandbits(32), n, pdims)
     if args.lambdas is not None:
@@ -212,7 +209,7 @@ def cmd_generate(args) -> int:
     elif args.type == "C":
         lambdas = [Fraction(0)] * args.s
     else:
-        lambdas = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(args.s)]
+        lambdas = [random_rational(rng) for _ in range(args.s)]
     mf = from_module(
         base,
         args.s,
@@ -286,10 +283,7 @@ def cmd_star_check(args) -> int:
     for n, s in pairs:
         frame = ModelFrame(n, s)
         bad = star_relation_counterexamples(frame)
-        count = sum(
-            len(monomials(frame, r)) * (2 ** s)
-            for r in range(frame.transverse_dim + 1)
-        )
+        count = 2**frame.total_dim
         total += count
         if bad:
             subset, alpha_idx, lhs, rhs = bad[0]

@@ -14,7 +14,8 @@ A complex holds each d_k as sparse integer columns and one denominator
 (`InvariantComplex.integer_d` and `.denominators`): `build_model` scatters
 integer products of the lambda numerators and the integer columns of L
 (`LefschetzModule.L`) straight into them, each entry placed by the offset
-of its block eta_I (x) H^p in the basis (`InvariantComplex.offsets`).  The
+of its block eta_I (x) H^p in the basis (`InvariantComplex.offsets`, the
+one stored layout; `.basis`, element by element, is a view of them).  The
 complex keeps its analysis, each part built once, on first read: the
 engine's filtered complex on those columns (`InvariantComplex.filtered_complex`,
 which reduces each d_k once and certifies the reduction, d o d = 0
@@ -65,21 +66,25 @@ class InvariantElement:
 
 @dataclass(frozen=True)
 class InvariantComplex:
+    """C^k is the sum of the blocks eta_I (x) H^p with |I| + p = k.  Per k,
+    `offsets` maps each block (I, p), in basis order, to the position of
+    its first element eta_I (x) h_{p,0}; its dims[p] elements follow in t."""
+
     base: LefschetzModule
     s: int
     lambdas: tuple[Fraction, ...]
-    basis: tuple[tuple[BasisElement, ...], ...]  # per total degree
+    offsets: tuple[dict[Block, int], ...] = field(hash=False)  # dicts do not hash
     # d_k: C^k -> C^{k+1} is integer_d[k] / denominators[k], as sparse columns.
     integer_d: tuple[list[SparseColumn], ...] = field(hash=False)  # lists do not hash
     denominators: tuple[int, ...]
 
     @property
     def max_degree(self) -> int:
-        return len(self.basis) - 1
+        return len(self.offsets) - 1
 
     def dim(self, k: int) -> int:
         if 0 <= k <= self.max_degree:
-            return len(self.basis[k])
+            return len(self.integer_d[k])
         return 0
 
     def index_of(self, k: int, element: BasisElement) -> int:
@@ -92,19 +97,13 @@ class InvariantComplex:
         return start + t
 
     @cached_property
-    def offsets(self) -> tuple[dict[Block, int], ...]:
-        """Per degree k, the position in the basis of C^k of the first element
-        eta_I (x) h_{p,0} of each block (I, p); the block's elements follow
-        it in t, as `build_model` lays them out.  A basis laid out in any
-        other way has no offsets, and reading them raises ValueError."""
-        out = []
-        for k, layer in enumerate(self.basis):
-            starts: dict[Block, int] = {}
-            for i, (subset, p, t) in enumerate(layer):
-                if starts.setdefault((subset, p), i - t) != i - t:
-                    raise ValueError(f"the basis of C^{k} is not laid out in blocks (I, p)")
-            out.append(starts)
-        return tuple(out)
+    def basis(self) -> tuple[tuple[BasisElement, ...], ...]:
+        """Per degree k, (I, p, t) for each element eta_I (x) h_{p,t} of the
+        basis of C^k: a view of the offsets, which `analyze` never reads."""
+        dims = self.base.dims
+        return tuple(
+            tuple((subset, p, t) for subset, p in layer for t in range(dims[p])) for layer in self.offsets
+        )
 
     @cached_property
     def filtered_complex(self) -> FilteredComplex:
@@ -115,7 +114,8 @@ class InvariantComplex:
         checks d o d = 0 on it when it certifies its reductions, and builds
         its dense `d` only when read.
         """
-        degrees = tuple(tuple(p for _, p, _ in layer) for layer in self.basis)
+        dims = self.base.dims
+        degrees = tuple(tuple(p for _, p in layer for _ in range(dims[p])) for layer in self.offsets)
         return FilteredComplex(degrees, 2 * self.base.n, self.integer_d, self.denominators)
 
     @cached_property
@@ -227,8 +227,8 @@ def build_model(base: LefschetzModule, s: int, lambdas: Sequence) -> InvariantCo
     times e).  Dividing by the gcd of that scale and every entry leaves d_k
     times the least common denominator of its own entries, with rows in
     ascending order: the columns that the dense d_k gives over that
-    denominator.  Each block eta_I (x) H^p of consecutive basis elements
-    starts at one offset, which places every entry.  The complex keeps the
+    denominator.  Each block eta_I (x) H^p starts at a running offset, where
+    the one before ends, which places every entry.  The complex keeps the
     columns, their denominators and the offsets; it builds no dense matrix.
     """
     if s < 1:
@@ -238,20 +238,17 @@ def build_model(base: LefschetzModule, s: int, lambdas: Sequence) -> InvariantCo
         raise ValueError("lambdas must have length s")
     n = base.n
     max_deg = 2 * n + s
-    basis: list[tuple[BasisElement, ...]] = []
     offsets: list[dict[Block, int]] = []
     for k in range(max_deg + 1):
-        layer: list[BasisElement] = []
         starts: dict[Block, int] = {}
+        size = 0
         for q in range(min(s, k) + 1):
             p = k - q
             if p > 2 * n or not base.dims[p]:
                 continue
             for subset in itertools.combinations(range(1, s + 1), q):
-                starts[(subset, p)] = len(layer)
-                for t in range(base.dims[p]):
-                    layer.append((subset, p, t))
-        basis.append(tuple(layer))
+                starts[(subset, p)] = size
+                size += base.dims[p]
         offsets.append(starts)
     lam_den = lcm(*(lam.denominator for lam in lambdas))
     lam_num = [lam.numerator * (lam_den // lam.denominator) for lam in lambdas]
@@ -262,29 +259,28 @@ def build_model(base: LefschetzModule, s: int, lambdas: Sequence) -> InvariantCo
     for k in range(max_deg + 1):
         target = offsets[k + 1] if k < max_deg else {}
         columns: list[SparseColumn] = []
-        for subset, p, t in basis[k]:
-            col: list[tuple[int, int]] = []
-            image = l_cols[p][t] if k < max_deg and p + 2 <= 2 * n else None
-            if image:
-                for m, i in enumerate(subset):
-                    a = lam_num[i - 1]
-                    if not a:
-                        continue
-                    if m % 2:
-                        a = -a
-                    start = target[(subset[:m] + subset[m + 1 :], p + 2)]
-                    col += [(start + u, a * v) for u, v in image.items()]
-            # Distinct (m, u) hit distinct rows, so no entry is a sum.
-            col.sort()
-            columns.append(dict(col))
+        for subset, p in offsets[k]:
+            # L_p has dims[p] columns, empty at p > 2n - 2 (so at k = max_deg).
+            for image in l_cols[p]:
+                col: list[tuple[int, int]] = []
+                if image:
+                    for m, i in enumerate(subset):
+                        a = lam_num[i - 1]
+                        if not a:
+                            continue
+                        if m % 2:
+                            a = -a
+                        start = target[(subset[:m] + subset[m + 1 :], p + 2)]
+                        col += [(start + u, a * v) for u, v in image.items()]
+                # Distinct (m, u) hit distinct rows, so no entry is a sum.
+                col.sort()
+                columns.append(dict(col))
         g = gcd(scale, *(x for col in columns for x in col.values()))
         if g != 1:
             columns = [{i: x // g for i, x in col.items()} for col in columns]
         integer_d.append(columns)
         denominators.append(scale // g)
-    c = InvariantComplex(base, s, lambdas, tuple(basis), tuple(integer_d), tuple(denominators))
-    vars(c)["offsets"] = tuple(offsets)  # fill the cache with what was built here
-    return c
+    return InvariantComplex(base, s, lambdas, tuple(offsets), tuple(integer_d), tuple(denominators))
 
 
 def differential(c: InvariantComplex, x: InvariantElement) -> InvariantElement:

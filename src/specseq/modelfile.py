@@ -29,6 +29,7 @@ from math import lcm
 
 from .invariant import InvariantComplex, build_model
 from .lefschetz import LefschetzModule
+from .sampling import MAX_PRIMITIVE_DIM
 
 
 class ModelFileError(ValueError):
@@ -61,12 +62,13 @@ MAX_FILE_BYTES = (MAX_CHAIN_DIM // 4) ** 2 * _ENTRY_BYTES + 2**20
 # model file.
 _FIRST_READ = 2**16
 
-# Accepted range (lowest, highest) of each command's --n and --s flags; None
-# leaves a flag unbounded above.  `generate` stays within 2^4 * 12 chain
-# dimensions, `star-check` enumerates 2^(2n+s) cases and `decompose` works in
-# the 2^(2n)-dimensional transverse exterior algebra.
+# Accepted range (lowest, highest) of each command's --n and --s flags, and
+# of generate's --max-primitive-dim; None leaves a flag unbounded above.
+# `generate` stays within 2^4 * 12 chain dimensions, `star-check` enumerates
+# 2^(2n+s) cases and `decompose` works in the 2^(2n)-dimensional transverse
+# exterior algebra.
 FLAG_LIMITS = {
-    "generate": {"n": (0, 6), "s": (1, 4)},
+    "generate": {"n": (0, 6), "s": (1, 4), "max-primitive-dim": (0, MAX_PRIMITIVE_DIM)},
     "recursion": {"n": (0, None), "s": (1, None)},
     "star-check": {"n": (0, 3), "s": (0, 4)},
     "decompose": {"n": (0, 6)},

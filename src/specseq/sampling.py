@@ -17,6 +17,8 @@ from .lefschetz import LefschetzModule, generate_hlp_module, zero_l_block
 # config may not ask for a dimension that has no weight.
 PRIMITIVE_DIM_WEIGHTS = (4, 3, 1)
 MAX_PRIMITIVE_DIM = len(PRIMITIVE_DIM_WEIGHTS) - 1
+# Cap on the summed base dims of a sampled module.
+TOTAL_DIM_CAP = 12
 
 
 @dataclass(frozen=True)
@@ -24,7 +26,6 @@ class SampleConfig:
     n_max: int = 4
     s_max: int = 3
     max_primitive_dim: int = 2
-    total_dim_cap: int = 12  # cap on the summed base dims
 
     def __post_init__(self):
         if not 0 <= self.max_primitive_dim <= MAX_PRIMITIVE_DIM:
@@ -43,7 +44,7 @@ def sample_primitive_dims(rng: random.Random, n: int, cfg: SampleConfig) -> tupl
         # Each degree-j primitive block of dim m contributes m*(n-j+1) basis
         # classes to the free module.
         total = sum(m * (n - j + 1) for j, m in enumerate(pdims))
-        if total <= cfg.total_dim_cap:
+        if total <= TOTAL_DIM_CAP:
             return tuple(pdims)
 
 

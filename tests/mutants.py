@@ -193,6 +193,15 @@ MUTANTS = [
         _VIEWS,
         "tests/test_engine.py::test_integer_columns_of_the_wrong_shape_are_refused_before_any_reduction",
     ),
+    # The layout: each block eta_I (x) H^p starts where the one before ends.
+    (
+        "running-offset-steps-by-one",
+        "invariant.py",
+        "size += base.dims[p]",
+        "size += 1",
+        _VIEWS,
+        "tests/test_invariant.py::test_offsets_lay_out_the_blocks_in_order_at_running_offsets",
+    ),
     # The engine reduces in basis order, so it must refuse any other order.
     (
         "basis-order-unchecked",

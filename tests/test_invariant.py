@@ -8,7 +8,6 @@ from hypothesis import given, settings
 
 from specseq.engine import FiltrationError, compute_page, run_to_convergence
 from specseq.invariant import (
-    InvariantComplex,
     betti_numbers,
     build_model,
     cohomology,
@@ -97,23 +96,17 @@ def test_index_of_finds_every_basis_element_and_names_an_unknown_one(t2):
             m.index_of(k, b)
 
 
-def test_offsets_place_every_basis_element_and_need_a_block_layout(t2):
+def test_offsets_lay_out_the_blocks_in_order_at_running_offsets(t2):
+    # T^2 has dims (1, 2, 1): each block eta_I (x) H^p starts where the one
+    # before ends, with |I| ascending and each I in lexicographic order.
     m = build_model(t2, 2, [1, 1])
-    # Read from the basis, the offsets are the ones build_model filled in.
-    fresh = InvariantComplex(m.base, m.s, m.lambdas, m.basis, m.integer_d, m.denominators)
-    assert fresh.offsets == m.offsets
-    assert all(
-        layer[m.offsets[k][(subset, p)] + t] == (subset, p, t)
-        for k, layer in enumerate(m.basis)
-        for subset, p, t in layer
+    assert list(m.offsets[1].items()) == [(((), 1), 0), (((1,), 0), 2), (((2,), 0), 3)]
+    assert list(m.offsets[2].items()) == [(((), 2), 0), (((1,), 1), 1), (((2,), 1), 3), (((1, 2), 0), 5)]
+    assert m.basis[1] == (((), 1, 0), ((), 1, 1), ((1,), 0, 0), ((2,), 0, 0))
+    assert m.basis[2] == (
+        ((), 2, 0), ((1,), 1, 0), ((1,), 1, 1), ((2,), 1, 0), ((2,), 1, 1), ((1, 2), 0, 0)
     )
-    # H^1 of T^2 has two classes; swapped, they are no block with offsets.
-    basis = list(m.basis)
-    assert basis[1][:2] == (((), 1, 0), ((), 1, 1))
-    basis[1] = (basis[1][1], basis[1][0]) + basis[1][2:]
-    swapped = InvariantComplex(m.base, m.s, m.lambdas, tuple(basis), m.integer_d, m.denominators)
-    with pytest.raises(ValueError, match="C\\^1 is not laid out in blocks"):
-        swapped.index_of(1, ((), 1, 0))
+    assert filtered_complex(m).degrees[1:3] == ((1, 1, 0, 0), (2, 1, 1, 1, 1, 0))
 
 
 def test_chain_dims_binomial_convolution(t2):
@@ -288,14 +281,14 @@ def test_cleared_reductions_match_the_full_reduction(m):
 def test_reductions_of_a_reordered_basis_are_not_handed_over(cp1):
     m = build_model(cp1, 2, [1, 1])
     k = 2  # basic degrees (2, 0): eta_{} (x) H^2, then eta_{12} (x) H^0
-    assert [p for _, p, _ in m.basis[k]] == [2, 0]
-    basis = list(m.basis)
-    basis[k] = m.basis[k][::-1]
+    assert list(m.offsets[k].items()) == [(((), 2), 0), (((1, 2), 0), 1)]
+    offsets = list(m.offsets)
+    offsets[k] = {((1, 2), 0): 0, ((), 2): 1}
     d = list(m.integer_d)
     last = m.dim(k) - 1
     d[k - 1] = [dict(sorted((last - i, x) for i, x in col.items())) for col in d[k - 1]]
     d[k] = d[k][::-1]
-    reordered = InvariantComplex(m.base, m.s, m.lambdas, tuple(basis), tuple(d), m.denominators)
+    reordered = replace(m, offsets=tuple(offsets), integer_d=tuple(d))
     # The engine reduces in basis order, which is then not the filtration
     # order, so it refuses the complex that its pages and direct cohomology
     # would read.

@@ -15,9 +15,9 @@ A complex holds each d_k as sparse integer columns and one denominator
 integer products of the lambda numerators and the integer columns of L
 (`LefschetzModule.L`) straight into them, each entry placed by the offset
 of its block eta_I (x) H^p in the basis (`InvariantComplex.offsets`, the
-one stored layout; `.basis`, element by element, is a view of them).  The
-complex keeps its analysis, each part built once, on first read: the
-engine's filtered complex on those columns (`InvariantComplex.filtered_complex`,
+one stored layout; element eta_I (x) h_{p,t} sits at its block's offset
+plus t).  The complex keeps its analysis, each part built once, on first
+read: the engine's filtered complex on those columns (`InvariantComplex.filtered_complex`,
 which reduces each d_k once and certifies the reduction, d o d = 0
 included), the pages with the stable page (`.spectral_sequence`) and
 direct cohomology (`.cohomology`), a view of the same reductions, and the
@@ -44,12 +44,8 @@ from typing import Mapping, Sequence
 from .engine import FilteredComplex, SpectralPage, run_to_convergence
 from .exterior import index_subset_sign
 from .lefschetz import LefschetzModule, lefschetz_columns
-from .linalg import DimensionMismatch, Matrix, Reduction, SparseColumn
+from .linalg import Matrix, Reduction, SparseColumn
 
-_ZERO = Fraction(0)
-
-# basis element: (I as sorted 1-based tuple, basic degree p, basis index t)
-BasisElement = tuple[tuple[int, ...], int, int]
 # block of consecutive basis elements: (I, basic degree p)
 Block = tuple[tuple[int, ...], int]
 # sum_I a_I eta_I with integer a_I, keyed by the 1-based tuples I.
@@ -86,24 +82,6 @@ class InvariantComplex:
         if 0 <= k <= self.max_degree:
             return len(self.integer_d[k])
         return 0
-
-    def index_of(self, k: int, element: BasisElement) -> int:
-        """Position of `element` = (I, p, t) in the basis of C^k: the offset
-        of its block (I, p) plus t."""
-        subset, p, t = element
-        start = self.offsets[k].get((subset, p)) if 0 <= k <= self.max_degree else None
-        if start is None or not 0 <= t < self.base.dims[p]:
-            raise ValueError(f"{element!r} is not a basis element in degree {k}")
-        return start + t
-
-    @cached_property
-    def basis(self) -> tuple[tuple[BasisElement, ...], ...]:
-        """Per degree k, (I, p, t) for each element eta_I (x) h_{p,t} of the
-        basis of C^k: a view of the offsets, which `analyze` never reads."""
-        dims = self.base.dims
-        return tuple(
-            tuple((subset, p, t) for subset, p in layer for t in range(dims[p])) for layer in self.offsets
-        )
 
     @cached_property
     def filtered_complex(self) -> FilteredComplex:
@@ -290,13 +268,6 @@ def differential(c: InvariantComplex, x: InvariantElement) -> InvariantElement:
     return InvariantElement(k + 1, c.differentials[k].apply(x.coeffs))
 
 
-def element(c: InvariantComplex, k: int, terms: dict[BasisElement, Fraction]) -> InvariantElement:
-    coeffs = [_ZERO] * c.dim(k)
-    for b, v in terms.items():
-        coeffs[c.index_of(k, b)] += Fraction(v)
-    return InvariantElement(k, tuple(coeffs))
-
-
 @dataclass(frozen=True, eq=False, slots=True)
 class CohomologyGroup:
     """H^k = Ker d_k / Im d_{k-1}, a view of the reductions R = D V of d_k
@@ -310,16 +281,14 @@ class CohomologyGroup:
     reductions checks, the reduced column of d_{k-1} with its low at j lies
     in Ker d_k, so the engine cleared column j of d_k and V_j is that
     boundary; these span Im d_{k-1}.  The other zero columns of R are the
-    essential indices, and their V columns give the classes.  The view
-    keeps no state of its own: each property reads the reductions afresh.
+    essential indices, and their V columns are cocycles whose classes are
+    a basis of H^k.  `dim` counts them, and `boundaries` is what star
+    duality reduces against.  The view keeps no state of its own: each
+    property reads the reductions afresh.
     """
 
     reduction: Reduction
     lows_prev: Mapping[int, int]
-
-    @property
-    def ambient_dim(self) -> int:
-        return len(self.reduction[0])
 
     @property
     def essential(self) -> tuple[int, ...]:
@@ -337,40 +306,6 @@ class CohomologyGroup:
         Im d_{k-1}, keyed by their lows."""
         V = self.reduction[1]
         return {low: V[low] for low in self.lows_prev}
-
-    @property
-    def section(self) -> Matrix:
-        """Representative cocycles of the classes, as the columns of a matrix."""
-        V, n = self.reduction[1], self.ambient_dim
-        return Matrix.from_cols([[V[j].get(i, 0) for i in range(n)] for j in self.essential], n)
-
-    def project(self, v: Sequence[Fraction]) -> tuple[Fraction, ...]:
-        """Coordinates of v at the classes, by back-substitution over the basis.
-
-        It kills Im d_{k-1} and is the identity on the section's columns.
-        """
-        if len(v) != self.ambient_dim:
-            raise DimensionMismatch("vector length does not match the chain dimension")
-        R, V, _ = self.reduction
-        slot = {j: t for t, j in enumerate(self.essential)}
-        v = [x if isinstance(x, Fraction) else Fraction(x) for x in v]
-        out = [_ZERO] * len(slot)
-        for j in range(len(v) - 1, -1, -1):
-            if R[j] or not v[j]:  # at a nonzero R_j the basis vector is e_j
-                continue
-            c = v[j] / V[j][j]
-            for i, x in V[j].items():
-                v[i] -= c * x
-            if j in slot:
-                out[slot[j]] = c
-        return tuple(out)
-
-
-def cohomology(c: InvariantComplex) -> tuple[CohomologyGroup, ...]:
-    """H^k for every degree k: `InvariantComplex.cohomology`.  `.dim` is the
-    Betti number, `.project` maps cocycles to their classes and the columns
-    of `.section` are representative cocycles."""
-    return c.cohomology
 
 
 def betti_numbers(c: InvariantComplex) -> tuple[int, ...]:

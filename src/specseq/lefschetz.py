@@ -5,8 +5,9 @@ degree, cup product with the transverse symplectic class: every
 L_p: H^p -> H^{p+2} as sparse integer columns over one common denominator
 (`LefschetzModule.L` and `.den`).  That is the only form of L a module
 stores; the model file, the presets and `generate_hlp_module` produce it,
-and `LefschetzModule.L_maps`, the dense `Fraction` matrices, is a view built
-on first read for `dump_model` and the test oracles.  The Lefschetz
+and `dump_model` writes it.  `LefschetzModule.L_maps`, the dense `Fraction`
+matrices, is a view built on first read that no command reads, kept for the
+test oracles and the benchmark.  The Lefschetz
 structure is computed once per module, on first use, and kept on it: each
 power of L is one `apply_columns` from the power before.  The
 hard-Lefschetz ranks, each primitive subspace PH^d = Ker L^{n-d+1} and each

@@ -17,9 +17,9 @@ subspaces are kept in a canonical column-echelon basis so that equality of
 subspaces is plain equality of the stored data, and ranks, kernels and
 quotients come from row reduction.  `from_integer_columns` gives the dense
 view of integer columns, which `LefschetzModule.L_maps` and
-`FilteredComplex.d` are.  The rest of the dense toolkit serves
-`engine.check_abutment` (`rank`), the test oracles and the benchmark
-probes; `analyze` calls none of it.  All arithmetic is exact.
+`FilteredComplex.d` are; no command builds either.  The rest of the
+dense toolkit serves `engine.check_abutment` (`rank`), the test oracles
+and the benchmark probes; `analyze` calls none of it.  All arithmetic is exact.
 """
 
 from __future__ import annotations

@@ -217,7 +217,10 @@ def dump_model(mf: ModelFile) -> str:
         "s": mf.s,
         "lambdas": [str(x) for x in mf.lambdas],
         "dims": list(base.dims),
-        "L": [[[str(x) for x in row] for row in m.entries] for m in base.L_maps],
+        "L": [
+            [[str(Fraction(col.get(i, 0), base.den)) for col in cols] for i in range(base.dim_at(p + 2))]
+            for p, cols in enumerate(base.L)
+        ],
     }
     if base.labels is not None:
         data["labels"] = [list(layer) for layer in base.labels]

@@ -1,9 +1,12 @@
 """Reference constructions for the invariant-forms model, kept for tests.
 
-`dense_differentials` builds each d_k entry by entry as dense `Fraction`
-columns; `lefschetz_structure` and `star_matrix` recompute a module's
-Lefschetz data with `l_power`, a dense product of the L matrices, for every
-power they read, and `reconstruct_class` sums the dense images L^i beta_i.
+`chain_basis` lists the basis of each C^k element by element, in the
+documented order, and `dense_differentials` builds each d_k on it entry by
+entry as dense `Fraction` columns, so that a layout other than that order
+fails the comparison with `build_model`; `lefschetz_structure` and
+`star_matrix` recompute a module's Lefschetz data with `l_power`, a dense
+product of the L matrices, for every power they read, and
+`reconstruct_class` sums the dense images L^i beta_i.
 None of them shares the sparse integer scatter of `build_model` or the
 power table of the library.  `primitive_subspace` and `kernel_L` are the
 canonical dense subspaces spanned by the library's integer bases
@@ -175,14 +178,29 @@ def _eta_product(factors) -> dict[tuple[int, ...], int]:
     return acc
 
 
+def chain_basis(c: InvariantComplex, k: int) -> list[tuple[tuple[int, ...], int, int]]:
+    """(I, p, t) for each element eta_I (x) h_{p,t} of the basis of C^k, in
+    the documented order: |I| ascending, each I in `combinations` order,
+    then t."""
+    n, s, dims = c.base.n, c.s, c.base.dims
+    return [
+        (subset, k - q, t)
+        for q in range(min(s, k) + 1)
+        if k - q <= 2 * n
+        for subset in itertools.combinations(range(1, s + 1), q)
+        for t in range(dims[k - q])
+    ]
+
+
 def dense_differentials(c: InvariantComplex) -> tuple[Matrix, ...]:
     """d(eta_I (x) h) = sum_m (-1)^m lambda_{i_m} eta_{I minus i_m} (x) L h."""
-    n, top = c.base.n, c.max_degree
+    n, top = c.base.n, 2 * c.base.n + c.s
     out = []
     for k in range(top + 1):
-        rows = c.dim(k + 1) if k < top else 0
+        target = {b: i for i, b in enumerate(chain_basis(c, k + 1))} if k < top else {}
+        rows = len(target)
         cols = []
-        for subset, p, t in c.basis[k]:
+        for subset, p, t in chain_basis(c, k):
             col = [Fraction(0)] * rows
             if k < top and p + 2 <= 2 * n:
                 lcol = c.base.L_maps[p].col(t)
@@ -190,7 +208,7 @@ def dense_differentials(c: InvariantComplex) -> tuple[Matrix, ...]:
                     rest = subset[:m] + subset[m + 1 :]
                     for u, v in enumerate(lcol):
                         if v:
-                            col[c.index_of(k + 1, (rest, p + 2, u))] += (-1) ** m * c.lambdas[i - 1] * v
+                            col[target[(rest, p + 2, u)]] += (-1) ** m * c.lambdas[i - 1] * v
             cols.append(col)
         out.append(Matrix.from_cols(cols, rows=rows) if cols else Matrix.zero(rows, 0))
     return tuple(out)
@@ -294,9 +312,9 @@ def star_matrix(module: LefschetzModule, p: int) -> Matrix:
 
 
 def _chain(c: InvariantComplex, eta_form, p: int, h: SparseColumn) -> tuple[int, SparseColumn]:
-    """sum_I a_I eta_I (x) h, each element placed by its index in the basis."""
+    """sum_I a_I eta_I (x) h, each element placed by its index in `chain_basis`."""
     degree = p + len(next(iter(eta_form)))
-    layer = c.basis[degree]
+    layer = chain_basis(c, degree)
     return degree, {
         layer.index((subset, p, t)): a * x for subset, a in eta_form.items() for t, x in h.items()
     }

@@ -202,6 +202,15 @@ MUTANTS = [
         _VIEWS,
         "tests/test_invariant.py::test_offsets_lay_out_the_blocks_in_order_at_running_offsets",
     ),
+    # The dense oracle enumerates its own basis, so it sees the block order.
+    (
+        "layout-reverses-the-eta-subsets",
+        "invariant.py",
+        "for subset in itertools.combinations(range(1, s + 1), q):",
+        "for subset in reversed(list(itertools.combinations(range(1, s + 1), q))):",
+        _VIEWS,
+        "tests/test_invariant.py::test_build_model_matches_the_dense_oracle",
+    ),
     # The engine reduces in basis order, so it must refuse any other order.
     (
         "basis-order-unchecked",
@@ -262,14 +271,15 @@ MUTANTS = [
         _ENGINE,
         "tests/test_engine.py::test_doctored_reductions_fail_the_certificate",
     ),
-    # H^k as a view of the reductions.
+    # H^k as a view of the reductions: the essential indices skip the lows
+    # of d_{k-1}, whose V columns are boundaries.
     (
         "boundary-counted-as-a-class",
         "invariant.py",
         "if not r and j not in self.lows_prev)",
         "if not r)",
         _VIEWS,
-        "tests/test_invariant.py::test_hopf_model_shape",
+        "tests/test_invariant.py::test_cohomology_matches_the_quotient_oracle",
     ),
     # The persistence pairing, the pages and the E_2 verdict read from them.
     # Every model's pages 0, 1 and 2 agree (d_0 = d_1 = 0), so only a

@@ -374,12 +374,6 @@ def test_generate_range_check(capsys):
     assert "s must be" in err
 
 
-def test_generate_rejects_max_primitive_dim_above_2(capsys):
-    code, _, err = run(capsys, "generate", "--seed", "1", "--max-primitive-dim", "3")
-    assert code == 2
-    assert "--max-primitive-dim" in err
-
-
 @pytest.mark.parametrize(
     "lambdas, named", [("1, x", "--lambdas[1]:"), ("1e100000", "--lambdas[0]:")]
 )

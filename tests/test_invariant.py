@@ -1,4 +1,3 @@
-import re
 from dataclasses import replace
 from fractions import Fraction
 from math import comb
@@ -8,11 +7,10 @@ from hypothesis import given, settings
 
 from specseq.engine import FiltrationError, compute_page, run_to_convergence
 from specseq.invariant import (
+    InvariantElement,
     betti_numbers,
     build_model,
-    cohomology,
     differential,
-    element,
     filtered_complex,
 )
 from specseq.lefschetz import generate_hlp_module
@@ -75,25 +73,22 @@ def test_lambda_length_checked(cp1):
         build_model(cp1, 2, [1])
 
 
+def _element(m, k, terms):
+    """sum terms[(I, p, t)] eta_I (x) h_{p,t} in C^k, each element placed at
+    the offset of its block (I, p) plus t."""
+    coeffs = [Q(0)] * m.dim(k)
+    for (subset, p, t), v in terms.items():
+        coeffs[m.offsets[k][(subset, p)] + t] += v
+    return InvariantElement(k, tuple(coeffs))
+
+
 def test_differential_sign_convention(cp1):
     # d(eta1 eta2 (x) h) = l1 eta2 (x) Lh - l2 eta1 (x) Lh.
     m = build_model(cp1, 2, [2, 3])
-    x = element(m, 2, {((1, 2), 0, 0): Q(1)})
+    x = _element(m, 2, {((1, 2), 0, 0): Q(1)})
     dx = differential(m, x)
-    expect = element(
-        m, 3, {((2,), 2, 0): Q(2), ((1,), 2, 0): Q(-3)}
-    )
+    expect = _element(m, 3, {((2,), 2, 0): Q(2), ((1,), 2, 0): Q(-3)})
     assert dx == expect
-
-
-def test_index_of_finds_every_basis_element_and_names_an_unknown_one(t2):
-    m = build_model(t2, 2, [1, 1])
-    for k, layer in enumerate(m.basis):
-        assert [m.index_of(k, b) for b in layer] == list(range(len(layer)))
-    # ((1,), 0, 0) is eta_1 (x) 1, of degree 1, not 2; degree 7 is past the top.
-    for k, b in ((2, ((1,), 0, 0)), (7, ((1, 2), 2, 0)), (-1, ((1, 2), 2, 0))):
-        with pytest.raises(ValueError, match=re.escape(f"{b!r} is not a basis element in degree {k}")):
-            m.index_of(k, b)
 
 
 def test_offsets_lay_out_the_blocks_in_order_at_running_offsets(t2):
@@ -102,10 +97,11 @@ def test_offsets_lay_out_the_blocks_in_order_at_running_offsets(t2):
     m = build_model(t2, 2, [1, 1])
     assert list(m.offsets[1].items()) == [(((), 1), 0), (((1,), 0), 2), (((2,), 0), 3)]
     assert list(m.offsets[2].items()) == [(((), 2), 0), (((1,), 1), 1), (((2,), 1), 3), (((1, 2), 0), 5)]
-    assert m.basis[1] == (((), 1, 0), ((), 1, 1), ((1,), 0, 0), ((2,), 0, 0))
-    assert m.basis[2] == (
+    # The dense oracle enumerates the same order element by element.
+    assert oracle.chain_basis(m, 1) == [((), 1, 0), ((), 1, 1), ((1,), 0, 0), ((2,), 0, 0)]
+    assert oracle.chain_basis(m, 2) == [
         ((), 2, 0), ((1,), 1, 0), ((1,), 1, 1), ((2,), 1, 0), ((2,), 1, 1), ((1, 2), 0, 0)
-    )
+    ]
     assert filtered_complex(m).degrees[1:3] == ((1, 1, 0, 0), (2, 1, 1, 1, 1, 0))
 
 
@@ -157,41 +153,47 @@ def test_euler_characteristic_vanishes(m):
     assert chi == 0
 
 
+def _dense(v, n):
+    """The sparse vector v as a dense tuple of length n."""
+    return tuple(Q(v.get(i, 0)) for i in range(n))
+
+
+def _representatives(h, n):
+    """The V columns at the essential indices of h, dense, of length n."""
+    return [_dense(h.reduction[1][j], n) for j in h.essential]
+
+
 def test_cohomology_representatives_are_cocycles(cp1):
     hopf = build_model(cp1, 1, [1])
-    for k, q in enumerate(cohomology(hopf)):
-        reps = Subspace.from_matrix(q.section)
-        assert reps.dim == q.dim
-        for col in reps.basis.columns():
+    for k, q in enumerate(hopf.cohomology):
+        reps = _representatives(q, hopf.dim(k))
+        assert len(reps) == q.dim == Subspace.span(hopf.dim(k), reps).dim
+        for col in reps:
             assert all(x == 0 for x in hopf.differentials[k].apply(col))
 
 
 @settings(deadline=None, max_examples=40)
 @given(typed_models())
 def test_cohomology_matches_the_quotient_oracle(m):
-    for k, h in enumerate(cohomology(m)):
+    for k, h in enumerate(m.cohomology):
         n = m.dim(k)
         exact = image_basis(m.differentials[k - 1]) if k else Subspace.zero(n)
         oracle = quotient(kernel_basis(m.differentials[k]), exact)
         assert h.dim == oracle.dim
-        section = h.section.columns()
-        assert len(section) == h.dim and h.section.rows == n
-        for t, col in enumerate(section):
+        # The representatives are cocycles whose classes are a basis of H^k.
+        reps = _representatives(h, n)
+        for col in reps:
             assert not any(m.differentials[k].apply(col))
-            assert h.project(col) == tuple(Q(int(u == t)) for u in range(h.dim))
-        if k:
-            for col in m.differentials[k - 1].columns():
-                assert not any(h.project(col))
+        if h.dim:
+            classes = [oracle.project.apply(col) for col in reps]
+            assert rank(Matrix.from_cols(classes)) == h.dim
         # The boundaries are cocycles of class zero with distinct lows, as
         # many as rank d_{k-1}: a basis of Im d_{k-1}.
         for low, b in h.boundaries.items():
-            dense = [Q(b.get(i, 0)) for i in range(n)]
+            dense = _dense(b, n)
             assert max(b) == low and not any(m.differentials[k].apply(dense))
-            assert not any(h.project(dense))
+            assert not any(oracle.project.apply(dense))
         assert len(h.boundaries) == (rank(m.differentials[k - 1]) if k else 0)
-        if h.dim:
-            classes = [oracle.project.apply(col) for col in section]
-            assert rank(Matrix.from_cols(classes)) == h.dim
 
 
 def test_cohomology_refuses_d_squared_nonzero(cp2):
@@ -202,7 +204,7 @@ def test_cohomology_refuses_d_squared_nonzero(cp2):
     doctored = list(m.integer_d)
     doctored[4] = [{0: 1}]
     with pytest.raises(FiltrationError, match="d o d != 0 at degree 3$"):
-        cohomology(replace(m, integer_d=tuple(doctored)))
+        replace(m, integer_d=tuple(doctored)).cohomology
 
 
 def test_cohomology_refuses_d_squared_nonzero_at_a_zero_column(cp1):
@@ -214,12 +216,12 @@ def test_cohomology_refuses_d_squared_nonzero_at_a_zero_column(cp1):
     doctored[0] = [{0: 1, 1: 1}]
     doctored[1] = [{0: 1}, {}]
     with pytest.raises(FiltrationError, match="d o d != 0 at degree 0$"):
-        cohomology(replace(m, integer_d=tuple(doctored)))
+        replace(m, integer_d=tuple(doctored)).cohomology
 
 
 def test_the_complex_keeps_one_analysis(cp2):
     m = build_model(cp2, 2, [1, 1])
-    assert isinstance(cohomology(m), tuple) and cohomology(m) is cohomology(m)
+    assert isinstance(m.cohomology, tuple) and m.cohomology is m.cohomology
     assert filtered_complex(m) is filtered_complex(m)
     pages, stable_at = m.spectral_sequence
     assert isinstance(pages, tuple) and m.spectral_sequence is m.spectral_sequence
@@ -236,7 +238,8 @@ def test_filtered_complex_construction(cp1):
 
 def _dense_filtered_complex(m):
     """`filtered_complex(m)` built the generic way, from the dense matrices."""
-    degrees = tuple(tuple(p for _, p, _ in layer) for layer in m.basis)
+    top = 2 * m.base.n + m.s
+    degrees = tuple(tuple(p for _, p, _ in oracle.chain_basis(m, k)) for k in range(top + 1))
     return dense_complex(m.differentials, degrees, 2 * m.base.n)
 
 

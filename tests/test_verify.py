@@ -15,7 +15,6 @@ from specseq.exterior import index_subset_sign
 from specseq.invariant import (
     betti_numbers,
     build_model,
-    cohomology,
     differential,
 )
 from specseq import engine, invariant, lefschetz, linalg, verify
@@ -235,7 +234,7 @@ def test_witnesses_name_cell_and_values(cp1):
 def test_witnesses_name_degree_and_values(cp1):
     hopf = build_model(cp1, 1, [1])
     pages, _ = hopf.spectral_sequence
-    classes = cohomology(hopf)
+    classes = hopf.cohomology
     _cache(
         hopf,
         spectral_sequence=(_doctored(pages, -1, dims={(2, 1): 0}), 5),
@@ -278,7 +277,7 @@ def test_star_duality_witnesses_name_degree_and_values(cp1):
     # Classes that make every basis vector of C^3 a boundary kill H^3, so the
     # class of the star image of 1 (degree 0) vanishes.
     boundaries = {j: {j: 1} for j in range(hopf.dim(3))}
-    classes = cohomology(hopf)
+    classes = hopf.cohomology
     _cache(hopf, cohomology=classes[:3] + (_with_boundaries(classes[3], boundaries),))
     r = model_star_duality(hopf)
     assert r.witnesses == (
@@ -330,10 +329,10 @@ def test_star_duality_witnesses_part_a_meeting_the_star_images(t2):
     # vanishes, and part A has none.)
     m = build_model(t2, 2, [1, 1])
     assert model_star_duality(m).passed
-    classes = cohomology(m)
+    classes = m.cohomology
     boundaries = dict(classes[2].boundaries)
     for t in range(2):
-        j = m.index_of(2, ((1,), 1, t))
+        j = m.offsets[2][((1,), 1)] + t
         boundaries[j] = {j: 1}
     doctored = _with_boundaries(classes[2], boundaries)
     _cache(m, cohomology=classes[:2] + (doctored,) + classes[3:])
@@ -349,10 +348,10 @@ def test_star_duality_matches_the_two_reduction_reference(base, s, data):
     # On doctored views of H^k: boundaries dropped, and vectors with their
     # lows elsewhere added, so that classes vanish or stop being independent.
     doctored = []
-    for q in cohomology(c):
+    for k, q in enumerate(c.cohomology):
         boundaries = {low: b for low, b in q.boundaries.items() if data.draw(st.booleans())}
-        for low in data.draw(st.sets(st.integers(0, max(q.ambient_dim - 1, 0)), max_size=3)):
-            if low < q.ambient_dim and low not in boundaries:
+        for low in data.draw(st.sets(st.integers(0, max(c.dim(k) - 1, 0)), max_size=3)):
+            if low < c.dim(k) and low not in boundaries:
                 entries = st.dictionaries(st.integers(0, low), st.integers(-2, 2), max_size=3)
                 below = {i: x for i, x in data.draw(entries).items() if x and i < low}
                 boundaries[low] = below | {low: data.draw(st.sampled_from([1, -1, 2]))}

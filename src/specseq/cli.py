@@ -186,12 +186,11 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_generate(args) -> int:
-    n = None if args.n == -1 else args.n
-    if not _flags_in_range("generate", n=n, s=args.s, **{"max-primitive-dim": args.max_primitive_dim}):
+    if not _flags_in_range("generate", n=args.n, s=args.s, **{"max-primitive-dim": args.max_primitive_dim}):
         return EXIT_INVALID
     rng = random.Random(args.seed)
     cfg = SampleConfig(max_primitive_dim=args.max_primitive_dim)
-    n = rng.randint(1, cfg.n_max) if n is None else n
+    n = rng.randint(1, cfg.n_max) if args.n is None else args.n
     pdims = sample_primitive_dims(rng, n, cfg)
     base = generate_hlp_module(rng.getrandbits(32), n, pdims)
     if args.lambdas is not None:
@@ -402,7 +401,7 @@ def _analyze_arguments(p: argparse.ArgumentParser) -> None:
 
 def _generate_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--n", type=int, default=-1, help="transverse half-dimension (default: seeded)")
+    p.add_argument("--n", type=int, help="transverse half-dimension (default: seeded)")
     p.add_argument("--s", type=int, default=1)
     p.add_argument("--type", choices=["S", "C", "mixed"], default="S")
     p.add_argument("--lambdas", help="comma-separated rationals overriding --type")

@@ -132,10 +132,6 @@ class FilteredComplex:
         )
 
     @property
-    def chain_dims(self) -> tuple[int, ...]:
-        return tuple(len(src) for src in self.degrees)
-
-    @property
     def max_degree(self) -> int:
         return len(self.degrees) - 1
 

@@ -7,19 +7,22 @@ L_p: H^p -> H^{p+2} as sparse integer columns over one common denominator
 stores; the model file, the presets and `generate_hlp_module` produce it,
 and `dump_model` writes it.  `LefschetzModule.L_maps`, the dense `Fraction`
 matrices, is a view built on first read that no command reads, kept for the
-test oracles and the benchmark.  The Lefschetz
-structure is computed once per module, on first use, and kept on it: each
-power of L is one `apply_columns` from the power before.  The
-hard-Lefschetz ranks, each primitive subspace PH^d = Ker L^{n-d+1} and each
-Ker L come from one `reduce_columns` each, the kernels as the columns of V
-at the zero columns of R, and the star images L^{n-d} beta of the PH^d
-basis vectors from the same powers.  `lefschetz_columns` returns those
-integer bases.  The S-type verifiers read nothing else, and
-`lefschetz_decompose_class` solves on them too.  The arithmetic is exact:
-`int` on the columns, `Fraction` only where a result is divided by a
-denominator.  No dense subspace is built here; the tests keep dense kernels
-of the powers of L, and the reconstruction sum_i L^i beta_i, as the
-reference.
+test oracles and the benchmark.  The Lefschetz structure is computed once
+per module, on first use, and kept on it: each power of L is one
+`apply_columns` from the power before, and each map is reduced once.  Each
+Ker L_p is one `reduce_columns`, the columns of V at the zero columns of R;
+each primitive subspace PH^d = Ker L^{n-d+1} below the middle degree is one
+more, and PH^n is Ker L_n.  The star images L^{n-d} beta of the PH^d basis
+vectors come from the same powers, and hard Lefschetz is read off them:
+L^k: H^{n-k} -> H^{n+k} is an isomorphism iff the dims agree and the star
+images of the PH^{n-k} basis are independent, because Ker L^k lies inside
+Ker L^{k+1} = PH^{n-k}.  That is one reduction with no V per k = 1..n.
+`lefschetz_columns` returns those integer bases.  The S-type verifiers read
+nothing else, and `lefschetz_decompose_class` solves on them too.  The
+arithmetic is exact: `int` on the columns, `Fraction` only where a result
+is divided by a denominator.  No dense subspace is built here; the tests
+keep dense kernels of the powers of L, and the reconstruction
+sum_i L^i beta_i, as the reference.
 """
 
 from __future__ import annotations
@@ -97,7 +100,7 @@ class LefschetzModule:
         )
 
     @cached_property
-    def _structure(self) -> _Structure:
+    def _structure(self) -> tuple[LefschetzReport, LefschetzColumns]:
         return _compute_structure(self)
 
 
@@ -126,51 +129,51 @@ class LefschetzColumns:
     star: tuple[list[SparseColumn], ...]
 
 
-@dataclass(frozen=True)
-class _Structure:
-    report: LefschetzReport
-    columns: LefschetzColumns
-
-
 def _kernel(cols: list[SparseColumn]) -> list[SparseColumn]:
     """A basis of the kernel of the integer matrix with columns `cols`."""
     R, V, _ = reduce_columns(cols)
     return [v for r, v in zip(R, V) if not r]
 
 
-def _compute_structure(module: LefschetzModule) -> _Structure:
-    n = module.n
-    L = module.L
-    # powers[d][m] = e^m L^m: H^d -> H^{d+2m} for d <= n and m <= n - d + 1,
-    # each one `apply_columns` from the one before: every power read here.
+def _compute_structure(module: LefschetzModule) -> tuple[LefschetzReport, LefschetzColumns]:
+    n, dims, L = module.n, module.dims, module.L
+    kernel = tuple(_kernel(cols) for cols in L)
+    # powers[d][m] = e^m L^m: H^d -> H^{d+2m} for d <= n, each one
+    # `apply_columns` from the one before: m <= n - d + 1 below the middle
+    # degree, and m = 0 at d = n, where L^1 would be L_n itself.
     powers = []
     for d in range(n + 1):
-        table = [[{j: 1} for j in range(module.dims[d])]]
-        for m in range(n - d + 1):
+        table = [[{j: 1} for j in range(dims[d])]]
+        for m in range(n - d + (d < n)):
             table.append([apply_columns(L[d + 2 * m], col) for col in table[-1]])
         powers.append(table)
-    failing = None
-    for k in range(n + 1):
-        cols = powers[n - k][k]
-        if module.dims[n + k] != len(cols) or not all(reduce_columns(cols, with_v=False)[0]):
-            failing = k
-            break
     # PH^p = Ker(L^{n-p+1}: H^p -> H^{2n-p+2}), zero above the middle degree.
+    # PH^n is Ker L_n, reduced above, in copies: no two bases share a vector.
     primitive = tuple(
-        _kernel(powers[p][n - p + 1]) if p <= n else [] for p in range(2 * n + 1)
+        _kernel(powers[p][n - p + 1]) if p < n else [dict(v) for v in kernel[n]] if p == n else []
+        for p in range(2 * n + 1)
     )
-    kernel = tuple(_kernel(cols) for cols in L)
     star = tuple(
         [apply_columns(powers[p][n - p], beta) for beta in primitive[p]] if p <= n else []
         for p in range(2 * n + 1)
     )
+    # L^k: H^{n-k} -> H^{n+k} is an isomorphism iff the dims agree and it is
+    # injective.  On H^{n-k}, Ker L^k lies inside Ker L^{k+1}, which is
+    # PH^{n-k}, so Ker L^k is the kernel of L^k on PH^{n-k}: L^k is injective
+    # iff the star images of the PH^{n-k} basis are independent.  L^0 is the
+    # identity and is not checked.
+    failing = None
+    for k in range(1, n + 1):
+        if dims[n + k] != dims[n - k] or not all(reduce_columns(star[n - k], with_v=False)[0]):
+            failing = k
+            break
     report = LefschetzReport(
         failing is None,
         failing,
         tuple(map(len, primitive)),
         tuple(map(len, kernel)),
     )
-    return _Structure(report, LefschetzColumns(primitive, kernel, star))
+    return report, LefschetzColumns(primitive, kernel, star)
 
 
 def _check_degree(module: LefschetzModule, p: int) -> None:
@@ -180,12 +183,12 @@ def _check_degree(module: LefschetzModule, p: int) -> None:
 
 def check_hard_lefschetz(module: LefschetzModule) -> LefschetzReport:
     """hlp iff L^k: H^{n-k} -> H^{n+k} is an isomorphism for every k <= n."""
-    return module._structure.report
+    return module._structure[0]
 
 
 def lefschetz_columns(module: LefschetzModule) -> LefschetzColumns:
     """The integer bases of PH^p and Ker L, and the star images of PH^p."""
-    return module._structure.columns
+    return module._structure[1]
 
 
 def lefschetz_decompose_class(
@@ -208,7 +211,7 @@ def lefschetz_decompose_class(
         raise ValueError("vector length does not match dim H^p")
     n = module.n
     L, e = module.L, module.den
-    primitive = module._structure.columns.primitive
+    primitive = lefschetz_columns(module).primitive
     blocks = []  # (i, index of the first piece of L^i PH^{p-2i})
     cols: list[SparseColumn] = []
     for i in range(p // 2 + 1):

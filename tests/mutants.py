@@ -115,6 +115,23 @@ MUTANTS = [
         _STAR,
         "tests/test_verify.py::test_the_verifiers_reduce_each_differential_once",
     ),
+    # Hard Lefschetz from the dims and the star images of the PH^{n-k} basis.
+    (
+        "hlp-ignores-asymmetric-dims",
+        "lefschetz.py",
+        "if dims[n + k] != dims[n - k] or not all(",
+        "if not all(",
+        _LEFSCHETZ,
+        "tests/test_lefschetz.py::test_arbitrary_modules_match_the_dense_oracle",
+    ),
+    (
+        "hlp-reads-the-primitive-basis",
+        "lefschetz.py",
+        "reduce_columns(star[n - k], with_v=False)",
+        "reduce_columns(primitive[n - k], with_v=False)",
+        _LEFSCHETZ,
+        "tests/test_lefschetz.py::test_check_hlp_zero_L_fails",
+    ),
     (
         "kernel-L-vector-dropped",
         "lefschetz.py",

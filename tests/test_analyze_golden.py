@@ -7,9 +7,15 @@ standard output of `specseq analyze <preset> --json <path>`, and
 `elapsed_s` set to 0 (the one field that varies from run to run).  For each
 row `(argv, golden)` of `COMMANDS`, `golden/cli/<golden>.txt` holds the exit
 code and the standard output of `specseq <argv>`: the preset list, each
-preset's model file and seeded `generate` models of every type.  A change
-that alters any of them by one byte fails here.  A change meant to alter
-them regenerates them from the root of the checkout with
+preset's model file and seeded `generate` models of every type.
+`golden/structure.sha256` holds one sha256 over the Lefschetz structure
+(`check_hard_lefschetz` and `lefschetz_columns`), the `harmonic_basis_S`
+elements and the `model_star_duality` report of the 100 S-type models that
+acceptance criterion 2 draws, at each seed in `STRUCTURE_SEEDS`, and over
+the Lefschetz structure of 200 `sampling.sample_base` draws, 40 of them not
+hard Lefschetz, failing at every k from 1 to 4.  A change that alters any
+of them by one byte fails here.  A change meant to alter them regenerates
+them from the root of the checkout with
 
     PYTHONPATH=src python tests/test_analyze_golden.py
 
@@ -17,19 +23,28 @@ and the diff of `tests/golden/` shows what moved.
 """
 
 import contextlib
+import hashlib
 import io
 import os
+import random
 import re
 import sys
 
 import pytest
 
 from specseq.cli import main
+from specseq.lefschetz import check_hard_lefschetz, lefschetz_columns
 from specseq.presets import PRESETS
+from specseq.sampling import sample_base, sample_model
+from specseq.verify import harmonic_basis_S, model_star_duality
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden", "analyze")
 GOLDEN_CLI = os.path.join(os.path.dirname(GOLDEN), "cli")
+GOLDEN_STRUCTURE = os.path.join(os.path.dirname(GOLDEN), "structure.sha256")
 ELAPSED = re.compile(r'^  "elapsed_s": \S+$', re.MULTILINE)
+# The acceptance seed and a held-out one; each draws its S suite from
+# random.Random(seed + 2), as acceptance criterion 2 does.
+STRUCTURE_SEEDS = (20260823, 20260901)
 
 COMMANDS = (
     [(["presets"], "presets")]
@@ -57,6 +72,34 @@ def analyze(preset: str, report: str) -> tuple[str, str]:
         text, count = ELAPSED.subn('  "elapsed_s": 0', fh.read())
     assert count == 1
     return stdout, text
+
+
+def structure_record(module) -> tuple:
+    """The report and the integer bases, each column as its sorted items."""
+    columns = lefschetz_columns(module)
+    return check_hard_lefschetz(module), *(
+        [[sorted(v.items()) for v in layer] for layer in by_p]
+        for by_p in (columns.primitive, columns.kernel, columns.star)
+    )
+
+
+def structure_digest() -> str:
+    h = hashlib.sha256()
+    for seed in STRUCTURE_SEEDS:
+        rng = random.Random(seed + 2)
+        for _ in range(100):
+            c = sample_model(rng, "S")
+            record = structure_record(c.base), harmonic_basis_S(c), model_star_duality(c)
+            h.update(repr(record).encode())
+    rng = random.Random(STRUCTURE_SEEDS[0])
+    for _ in range(200):
+        h.update(repr(structure_record(sample_base(rng))).encode())
+    return h.hexdigest() + "\n"
+
+
+def test_structure_matches_the_golden_digest():
+    with open(GOLDEN_STRUCTURE, encoding="utf-8") as fh:
+        assert structure_digest() == fh.read()
 
 
 @pytest.mark.parametrize("preset", sorted(PRESETS))
@@ -90,3 +133,6 @@ if __name__ == "__main__":
         with open(os.path.join(GOLDEN_CLI, f"{golden}.txt"), "w", encoding="utf-8") as fh:
             fh.write(run(argv))
         print(f"wrote {golden}", file=sys.stderr)
+    with open(GOLDEN_STRUCTURE, "w", encoding="utf-8") as fh:
+        fh.write(structure_digest())
+    print("wrote structure.sha256", file=sys.stderr)

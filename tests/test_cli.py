@@ -617,6 +617,7 @@ def test_decompose_rejects_bad_coefficient(capsys, form):
         (("decompose", "1", "--n"), 0, -1),
         (("generate", "--seed", "1", "--max-primitive-dim"), 2, 3),
         (("generate", "--seed", "1", "--max-primitive-dim"), 0, -1),
+        (("generate", "--seed", "1", "--n"), 0, -1),
     ],
 )
 def test_flag_limits_boundary(capsys, argv, last_accepted, first_refused):

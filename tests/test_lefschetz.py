@@ -2,9 +2,10 @@ import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from specseq import lefschetz
 from specseq.lefschetz import (
     HardLefschetzError,
     LefschetzModule,
@@ -210,10 +211,39 @@ def _maybe_broken(m, seed):
     return zero_l_block(m, seed % (2 * m.n + 1)) if seed % 2 else m
 
 
-@settings(deadline=None, max_examples=30)
-@given(modules | scaled_modules, st.integers(0, 2**31))
-def test_structure_matches_the_l_power_oracle(m, seed):
-    m = _maybe_broken(m, seed)
+@st.composite
+def arbitrary_modules(draw):
+    """Any module with n <= 3, each dims[p] <= 3 and L_p of small ints, not
+    only a conjugated free one: half the draws have symmetric dims, the
+    others any dims, and every L_p may have zero columns and any rank."""
+    n = draw(st.integers(0, 3))
+    low = draw(st.lists(st.integers(0, 3), min_size=n + 1, max_size=n + 1))
+    if draw(st.booleans()):
+        dims = low + low[-2::-1]
+    else:
+        dims = low + draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    L = []
+    for p, dim in enumerate(dims):
+        rows = dims[p + 2] if p + 2 <= 2 * n else 0
+        column = st.lists(st.integers(-2, 2), min_size=rows, max_size=rows)
+        cols = draw(st.lists(column, min_size=dim, max_size=dim))
+        L.append([{i: x for i, x in enumerate(col) if x} for col in cols])
+    return LefschetzModule(n, tuple(dims), tuple(L))
+
+
+# L^1: H^0 -> H^2 is injective, but dim H^2 is 2.
+ASYMMETRIC = LefschetzModule(1, (1, 0, 2), ([{0: 1}], [], [{}, {}]))
+# L^1 is an isomorphism on H^1 = 0; L^2: H^0 -> H^4 is zero.
+FAILS_AT_2 = LefschetzModule(2, (1, 0, 1, 0, 1), ([{0: 1}], [], [{}], [], [{}]))
+# L^1: H^2 -> H^4 is square and kills (0, 1), which L^2 kills too:
+# PH^2 = span (0, 1) is half of H^2 and holds the kernel, so the star image
+# of its basis is zero.
+SINGULAR_ON_PH = LefschetzModule(
+    3, (1, 0, 2, 0, 2, 0, 1), ([{0: 1, 1: 1}], [], [{0: 1}, {}], [], [{0: 1}, {}], [], [{}])
+)
+
+
+def _matches_the_l_power_oracle(m):
     report, primitive, kernel = oracle.lefschetz_structure(m)[:3]
     assert check_hard_lefschetz(m) == report
     for p in range(2 * m.n + 1):
@@ -225,10 +255,7 @@ def _dense(v, dim):
     return tuple(Q(v.get(i, 0)) for i in range(dim))
 
 
-@settings(deadline=None, max_examples=30)
-@given(modules, st.integers(0, 2**31))
-def test_integer_columns_span_the_canonical_subspaces(m, seed):
-    m = _maybe_broken(m, seed)
+def _integer_columns_span_the_canonical_subspaces(m):
     columns = lefschetz_columns(m)
     report, primitive, kernel = oracle.lefschetz_structure(m)[:3]
     assert check_hard_lefschetz(m) == report
@@ -244,10 +271,7 @@ def test_integer_columns_span_the_canonical_subspaces(m, seed):
             assert all(isinstance(x, int) for v in vectors for x in v.values())
 
 
-@settings(deadline=None, max_examples=30)
-@given(modules, st.integers(0, 2**31))
-def test_star_images_are_positive_multiples_of_the_star(m, seed):
-    m = _maybe_broken(m, seed)
+def _star_images_are_positive_multiples_of_the_star(m):
     n = m.n
     columns = lefschetz_columns(m)
     to_pieces = oracle.lefschetz_structure(m)[5]
@@ -270,6 +294,44 @@ def test_star_images_are_positive_multiples_of_the_star(m, seed):
             assert ratio > 0
 
 
+@settings(deadline=None, max_examples=30)
+@given(modules | scaled_modules, st.integers(0, 2**31))
+def test_structure_matches_the_l_power_oracle(m, seed):
+    _matches_the_l_power_oracle(_maybe_broken(m, seed))
+
+
+@settings(deadline=None, max_examples=30)
+@given(modules, st.integers(0, 2**31))
+def test_integer_columns_span_the_canonical_subspaces(m, seed):
+    _integer_columns_span_the_canonical_subspaces(_maybe_broken(m, seed))
+
+
+@settings(deadline=None, max_examples=30)
+@given(modules, st.integers(0, 2**31))
+def test_star_images_are_positive_multiples_of_the_star(m, seed):
+    _star_images_are_positive_multiples_of_the_star(_maybe_broken(m, seed))
+
+
+@settings(deadline=None, max_examples=40)
+@given(arbitrary_modules())
+@example(ASYMMETRIC)
+@example(FAILS_AT_2)
+@example(SINGULAR_ON_PH)
+def test_arbitrary_modules_match_the_dense_oracle(m):
+    _matches_the_l_power_oracle(m)
+    _integer_columns_span_the_canonical_subspaces(m)
+    _star_images_are_positive_multiples_of_the_star(m)
+
+
+def test_the_examples_are_the_cases_they_name():
+    assert check_hard_lefschetz(ASYMMETRIC).failing_degree == 1
+    assert check_hard_lefschetz(FAILS_AT_2).failing_degree == 2
+    report = check_hard_lefschetz(SINGULAR_ON_PH)
+    assert report.failing_degree == 1
+    assert report.primitive_dims[2] == 1
+    assert SINGULAR_ON_PH.dims[2] == SINGULAR_ON_PH.dims[4] == 2
+
+
 def test_integer_l_maps_share_one_denominator():
     m = module_from_matrices(
         1,
@@ -280,6 +342,28 @@ def test_integer_l_maps_share_one_denominator():
     assert den == 6
     assert columns == ([{0: 3, 1: 4}], [], [{}, {}])
     assert [integer_columns(l, den) for l in m.L_maps] == list(columns)
+
+
+def test_the_structure_reduces_each_map_once(monkeypatch):
+    # Ker L_p once per p, PH^p once per p < n (PH^n is Ker L_n) and the star
+    # images once per k = 1..n: 4n + 1 reductions, none of them of an
+    # identity, and L_n's columns in one only.  L is tripled, so no power of
+    # it, no image under one and no L column is an identity column.
+    g = generate_hlp_module(11, 3, (1, 1, 2, 1))
+    tripled = tuple([{i: 3 * x for i, x in v.items()} for v in cols] for cols in g.L)
+    m = LefschetzModule(g.n, g.dims, tripled)
+    reduced = []
+    monkeypatch.setattr(
+        lefschetz,
+        "reduce_columns",
+        lambda cols, *a, _fn=lefschetz.reduce_columns, **kw: reduced.append(list(cols))
+        or _fn(cols, *a, **kw),
+    )
+    assert check_hard_lefschetz(m).hlp
+    lefschetz_columns(m)
+    assert len(reduced) == 4 * m.n + 1
+    assert not any(cols and cols == [{j: 1} for j in range(len(cols))] for cols in reduced)
+    assert sum(cols == m.L[m.n] for cols in reduced) == 1
 
 
 def test_zero_l_block_breaks_hlp():

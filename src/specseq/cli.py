@@ -34,7 +34,6 @@ from .exterior import (
 from .invariant import betti_numbers
 from .lefschetz import generate_hlp_module
 from .modelfile import (
-    FLAG_LIMITS,
     ModelFileError,
     dump_model,
     from_module,
@@ -43,7 +42,7 @@ from .modelfile import (
     to_complex,
 )
 from .presets import PRESETS
-from .sampling import SampleConfig, random_rational, sample_primitive_dims
+from .sampling import MAX_PRIMITIVE_DIM, SampleConfig, random_rational, sample_primitive_dims
 from .verify import (
     VerificationReport,
     analyze_reports,
@@ -54,6 +53,18 @@ from .verify import (
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_INVALID = 2
+
+# Accepted range (lowest, highest) of each command's --n and --s flags, and
+# of generate's --max-primitive-dim; None leaves a flag unbounded above.
+# `generate` stays within 2^4 * 12 chain dimensions, `star-check` enumerates
+# 2^(2n+s) cases and `decompose` works in the 2^(2n)-dimensional transverse
+# exterior algebra.
+FLAG_LIMITS = {
+    "generate": {"n": (0, 6), "s": (1, 4), "max-primitive-dim": (0, MAX_PRIMITIVE_DIM)},
+    "recursion": {"n": (0, None), "s": (1, None)},
+    "star-check": {"n": (0, 3), "s": (0, 4)},
+    "decompose": {"n": (0, 6)},
+}
 
 
 def _flags_in_range(command: str, **values) -> bool:
@@ -228,8 +239,10 @@ def cmd_generate(args) -> int:
 def cmd_recursion(args) -> int:
     try:
         betti = [int(x.strip()) for x in args.betti.split(",")]
+        if min(betti) < 0:
+            raise ValueError
     except ValueError:
-        print("error: --betti must be a comma-separated list of integers", file=sys.stderr)
+        print("error: --betti must be a comma-separated list of non-negative integers", file=sys.stderr)
         return EXIT_INVALID
     if not _flags_in_range("recursion", s=args.s, n=args.n):
         return EXIT_INVALID
@@ -237,11 +250,9 @@ def cmd_recursion(args) -> int:
         if args.n is None:
             print("error: --n is required for structure S", file=sys.stderr)
             return EXIT_INVALID
-        if len(betti) != 2 * args.n + args.s + 1:
-            print(
-                f"error: expected {2 * args.n + args.s + 1} Betti numbers for n={args.n}, s={args.s}",
-                file=sys.stderr,
-            )
+        want = 2 * args.n + args.s + 1
+        if len(betti) != want:
+            print(f"error: --betti must list {want} Betti numbers for n={args.n}, s={args.s}", file=sys.stderr)
             return EXIT_INVALID
         try:
             pdims, basic = primitive_betti_from_deRham(betti, args.s, args.n)
@@ -252,7 +263,7 @@ def cmd_recursion(args) -> int:
         print(f"basic dims (degrees 0..{2 * args.n}): {basic}")
     else:
         if len(betti) < args.s + 1:
-            print(f"error: need at least {args.s + 1} Betti numbers", file=sys.stderr)
+            print(f"error: --betti must list at least {args.s + 1} Betti numbers", file=sys.stderr)
             return EXIT_INVALID
         try:
             basic = basic_betti_from_deRham(betti, args.s)

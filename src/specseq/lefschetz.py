@@ -52,7 +52,6 @@ class LefschetzModule:
     dims: tuple[int, ...]
     L: tuple[list[SparseColumn], ...] = field(hash=False)  # lists do not hash
     den: int = 1
-    labels: tuple[tuple[str, ...], ...] | None = None
 
     def __post_init__(self):
         if self.n < 0:
@@ -78,11 +77,6 @@ class LefschetzModule:
         g = gcd(self.den, *(x for cols in self.L for col in cols for x in col.values()))
         if g != 1:
             raise ValueError(f"den {self.den} is not the least: {g} divides it and every entry of L")
-        if self.labels is not None:
-            if len(self.labels) != len(self.dims) or any(
-                len(ls) != d for ls, d in zip(self.labels, self.dims)
-            ):
-                raise ValueError("labels do not match dims")
 
     def dim_at(self, p: int) -> int:
         if 0 <= p <= 2 * self.n:
@@ -327,4 +321,4 @@ def zero_l_block(module: LefschetzModule, p: int) -> LefschetzModule:
     g = gcd(module.den, *(x for cols in L for col in cols for x in col.values()))
     if g != 1:
         L = [[{i: x // g for i, x in col.items()} for col in cols] for cols in L]
-    return LefschetzModule(module.n, module.dims, tuple(L), module.den // g, module.labels)
+    return LefschetzModule(module.n, module.dims, tuple(L), module.den // g)

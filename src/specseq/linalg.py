@@ -141,24 +141,6 @@ class Matrix:
             out.append(tuple(acc))
         return Matrix(self.rows, other.cols, tuple(out))
 
-    def __add__(self, other: "Matrix") -> "Matrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise DimensionMismatch("shapes differ")
-        return Matrix(
-            self.rows,
-            self.cols,
-            tuple(
-                tuple(a + b for a, b in zip(r1, r2))
-                for r1, r2 in zip(self.entries, other.entries)
-            ),
-        )
-
-    def __sub__(self, other: "Matrix") -> "Matrix":
-        return self + (-other)
-
-    def __neg__(self) -> "Matrix":
-        return Matrix(self.rows, self.cols, tuple(tuple(-x for x in row) for row in self.entries))
-
     def scaled(self, c) -> "Matrix":
         c = _frac(c)
         return Matrix(
@@ -236,11 +218,6 @@ class Subspace:
         return Subspace(ambient_dim, basis)
 
     @staticmethod
-    def from_matrix(m: Matrix) -> "Subspace":
-        """Column span of `m`."""
-        return Subspace.span(m.rows, m.columns())
-
-    @staticmethod
     def zero(ambient_dim: int) -> "Subspace":
         return Subspace(ambient_dim, Matrix.zero(ambient_dim, 0))
 
@@ -300,7 +277,7 @@ def kernel_basis(m: Matrix) -> Subspace:
 
 def image_basis(m: Matrix) -> Subspace:
     """Column span of m."""
-    return Subspace.from_matrix(m)
+    return Subspace.span(m.rows, m.columns())
 
 
 def intersect(a: Subspace, b: Subspace) -> Subspace:

@@ -14,9 +14,10 @@ string, so nothing ever passes through floating point.  Schema:
     }                               # matrix as rows (empty when 0 rows)
 
 A parsed file is a `ModelFile`: the base module (`LefschetzModule`, which
-holds n, dims, the labels and the L matrices as integer columns over their
-least common denominator), s, the lambdas, the name and the description.
-Parse errors raise ModelFileError naming the offending field.
+holds n, dims and the L matrices as integer columns over their least
+common denominator), s, the lambdas, the name and the description.  Any
+other key is ignored.  Parse errors raise ModelFileError naming the
+offending field.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from math import lcm
 
 from .invariant import InvariantComplex, build_model
 from .lefschetz import LefschetzModule
-from .sampling import MAX_PRIMITIVE_DIM
 
 
 class ModelFileError(ValueError):
@@ -53,7 +53,7 @@ MAX_RATIONAL_BITS = 64
 # is at most a sign, two numbers of MAX_RATIONAL_BITS bits and a slash, in
 # quotes and followed by a comma, with 16 bytes for indentation and line
 # breaks (`dump_model` uses 9).  Another MiB allows for the name, the
-# description, the labels and the rest of the layout.
+# description, any key the parser ignores and the rest of the layout.
 _ENTRY_BYTES = 2 * len(str(2**MAX_RATIONAL_BITS - 1)) + 5 + 16
 MAX_FILE_BYTES = (MAX_CHAIN_DIM // 4) ** 2 * _ENTRY_BYTES + 2**20
 
@@ -61,18 +61,6 @@ MAX_FILE_BYTES = (MAX_CHAIN_DIM // 4) ** 2 * _ENTRY_BYTES + 2**20
 # up front, which for the whole limit costs more than reading a typical
 # model file.
 _FIRST_READ = 2**16
-
-# Accepted range (lowest, highest) of each command's --n and --s flags, and
-# of generate's --max-primitive-dim; None leaves a flag unbounded above.
-# `generate` stays within 2^4 * 12 chain dimensions, `star-check` enumerates
-# 2^(2n+s) cases and `decompose` works in the 2^(2n)-dimensional transverse
-# exterior algebra.
-FLAG_LIMITS = {
-    "generate": {"n": (0, 6), "s": (1, 4), "max-primitive-dim": (0, MAX_PRIMITIVE_DIM)},
-    "recursion": {"n": (0, None), "s": (1, None)},
-    "star-check": {"n": (0, 3), "s": (0, 4)},
-    "decompose": {"n": (0, 6)},
-}
 
 # The decimal exponent of a rational string, e.g. "1e100000".
 _EXPONENT = re.compile(r"[eE][-+]?([\d_]+)")
@@ -172,22 +160,7 @@ def parse_model(text: str) -> ModelFile:
     description = data.get("description", "")
     if not isinstance(name, str) or not isinstance(description, str):
         raise ModelFileError("name and description must be strings")
-    labels = None
-    if "labels" in data:
-        raw = data["labels"]
-        if (
-            not isinstance(raw, list)
-            or len(raw) != 2 * n + 1
-            or any(
-                not isinstance(layer, list)
-                or len(layer) != dims[p]
-                or any(not isinstance(x, str) for x in layer)
-                for p, layer in enumerate(raw)
-            )
-        ):
-            raise ModelFileError("labels: must mirror dims with string entries")
-        labels = tuple(tuple(layer) for layer in raw)
-    return ModelFile(LefschetzModule(n, dims, L, den, labels), s, lambdas, name, description)
+    return ModelFile(LefschetzModule(n, dims, L, den), s, lambdas, name, description)
 
 
 def load_model(path: str) -> ModelFile:
@@ -222,8 +195,6 @@ def dump_model(mf: ModelFile) -> str:
             for p, cols in enumerate(base.L)
         ],
     }
-    if base.labels is not None:
-        data["labels"] = [list(layer) for layer in base.labels]
     return json.dumps(data, indent=2) + "\n"
 
 

@@ -5,7 +5,9 @@ Each verifier compares engine output against a closed-form prediction:
 - E2 description: dim E_2^{p,q} = dim H^p * C(s,q), with d_0 = d_1 = 0.
 - S-type degeneration: stable page <= 3 and de Rham dims given by the
   primitive / Ker(L) convolution formula; C-type: stable page <= 2 and the
-  binomial convolution with the base dims.  One check serves both.
+  binomial convolution with the base dims.  One check serves both, against
+  the E_infinity totals and the direct cohomology.  On S-type models mainS
+  also checks dim Ker d_2 on every cell of the E_2 page.
 - Betti recursions inverting those formulas, by one recursion, each
   refusing a list that its result does not give back.
 - Harmonic bases and the star duality between their two halves, both
@@ -131,34 +133,11 @@ def verify_E2(c: InvariantComplex) -> VerificationReport:
     return VerificationReport("E2", tuple(witnesses))
 
 
-def kernel_d2(c: InvariantComplex, p: int, q: int) -> tuple[int, int]:
-    """dim Ker(d_2^{p,q}) from the engine, with the predicted dimension.
-
-    Prediction: C(s-1,q) * dim H^p for the difference-product part plus
-    C(s-1,q-1) * dim Ker(L)^p for the eta-times-Ker(L) part.
-    """
-    violation = _hypothesis(c)
-    if violation:
-        raise HypothesisError(violation)
-    if p < 0:
-        raise ValueError("degree out of range")
-    page2 = c.spectral_sequence[0][2]
-    actual = page2.dim(p, q) - page2.d_rank(p, q)
-    zdim = check_hard_lefschetz(c.base).kernel_L_dims[p] if p <= 2 * c.base.n else 0
-    hdim = c.base.dim_at(p)
-    expected = _binom(c.s - 1, q) * hdim + _binom(c.s - 1, q - 1) * zdim
-    return actual, expected
-
-
 def _degeneration(
-    c: InvariantComplex,
-    theorem: str,
-    expected: Sequence[int],
-    last_page: int,
-    direct: Sequence[int] | None,
-) -> VerificationReport:
-    """The sequence is stable by page `last_page`, and the E_infinity totals,
-    and the direct cohomology dims where given, are `expected`."""
+    c: InvariantComplex, expected: Sequence[int], last_page: int, direct: Sequence[int]
+) -> list[Witness]:
+    """The sequence is stable by page `last_page`, and the E_infinity totals
+    and the direct cohomology dims are `expected`."""
     pages, stable_at = c.spectral_sequence
     witnesses = []
     if stable_at > last_page:
@@ -166,9 +145,8 @@ def _degeneration(
     witnesses += _degree_witnesses(
         "E_infinity total", expected, pages[-1].antidiagonal_totals(c.max_degree)
     )
-    if direct is not None:
-        witnesses += _degree_witnesses("direct cohomology", expected, direct)
-    return VerificationReport(theorem, tuple(witnesses))
+    witnesses += _degree_witnesses("direct cohomology", expected, direct)
+    return witnesses
 
 
 def expected_dims_mainS(base: LefschetzModule, s: int) -> tuple[int, ...]:
@@ -187,11 +165,21 @@ def _mainS_dims(pdim: Sequence[int], zdim: Sequence[int], s: int) -> tuple[int, 
 
 def verify_mainS(c: InvariantComplex) -> VerificationReport:
     """S-type degeneration: stable page <= 3, and the E_infinity totals and
-    the direct cohomology dims match the prediction."""
+    the direct cohomology dims match the prediction.  On the E_2 page, every
+    dim Ker d_2^{p,q} is C(s-1,q) dim H^p for the difference-product part
+    plus C(s-1,q-1) dim Ker(L)^p for the eta-times-Ker(L) part."""
     violation = _hypothesis(c)
     if violation:
         return VerificationReport("mainS", hypothesis_violation=violation)
-    return _degeneration(c, "mainS", expected_dims_mainS(c.base, c.s), 3, betti_numbers(c))
+    witnesses = _degeneration(c, expected_dims_mainS(c.base, c.s), 3, betti_numbers(c))
+    page2 = c.spectral_sequence[0][2]
+    for p, (hdim, zdim) in enumerate(zip(c.base.dims, check_hard_lefschetz(c.base).kernel_L_dims)):
+        for q in range(c.s + 1):
+            expected = _binom(c.s - 1, q) * hdim + _binom(c.s - 1, q - 1) * zdim
+            actual = page2.dim(p, q) - page2.d_rank(p, q)
+            if expected != actual:
+                witnesses.append(Witness("dim Ker d_2", (p, q), expected, actual))
+    return VerificationReport("mainS", tuple(witnesses))
 
 
 def expected_dims_mainC(base: LefschetzModule, s: int) -> tuple[int, ...]:
@@ -208,7 +196,8 @@ def verify_mainC(c: InvariantComplex) -> VerificationReport:
     """C-type degeneration: stable page <= 2 and dims match the convolution."""
     if not c.is_c_type():
         return VerificationReport("mainC", hypothesis_violation="not C-type: some lambda_i is nonzero")
-    return _degeneration(c, "mainC", expected_dims_mainC(c.base, c.s), 2, None)
+    expected = expected_dims_mainC(c.base, c.s)
+    return VerificationReport("mainC", tuple(_degeneration(c, expected, 2, betti_numbers(c))))
 
 
 _IMPOSSIBLE = "input is not the Betti sequence of such a manifold"

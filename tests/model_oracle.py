@@ -82,7 +82,7 @@ def inverse(m: Matrix) -> Matrix:
     return Matrix(n, n, tuple(tuple(row[n:]) for row in aug[:n]))
 
 
-def module_from_matrices(n: int, dims, maps, labels=None) -> LefschetzModule:
+def module_from_matrices(n: int, dims, maps) -> LefschetzModule:
     """The module whose L_p is the dense matrix maps[p] (any exact entries),
     its columns over the least common denominator of every entry."""
     maps = [m if isinstance(m, Matrix) else Matrix.from_rows(m) for m in maps]
@@ -91,7 +91,7 @@ def module_from_matrices(n: int, dims, maps, labels=None) -> LefschetzModule:
         if m.rows != (dims[p + 2] if p + 2 < len(dims) else 0):
             raise ValueError(f"L matrix at degree {p} has {m.rows} rows")
     den = lcm(*(Fraction(x).denominator for m in maps for row in m.entries for x in row))
-    return LefschetzModule(n, tuple(dims), tuple(integer_columns(m, den) for m in maps), den, labels)
+    return LefschetzModule(n, tuple(dims), tuple(integer_columns(m, den) for m in maps), den)
 
 
 @st.composite

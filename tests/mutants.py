@@ -138,7 +138,7 @@ MUTANTS = [
         "kernel = tuple(_kernel(cols) for cols in L)",
         "kernel = tuple(_kernel(cols)[1:] for cols in L)",
         _STAR,
-        "tests/test_verify.py::test_kernel_d2_matches_prediction",
+        "tests/test_verify.py::test_mainS_checks_ker_d2_cell_by_cell",
     ),
     # The module's integer columns of L: generated by conjugation with an
     # integer inverse, parsed over one denominator, and kept only in their
@@ -361,6 +361,23 @@ MUTANTS = [
         "pass",
         _VERIFY,
         "tests/test_verify.py::test_witnesses_name_degree_and_values",
+    ),
+    (
+        "mainC-skips-direct",
+        "verify.py",
+        "_degeneration(c, expected, 2, betti_numbers(c))",
+        "_degeneration(c, expected, 2, expected)",
+        _VERIFY,
+        "tests/test_verify.py::test_mainC_witnesses_the_direct_cohomology",
+    ),
+    # mainS's dim Ker d_2 on each cell: the Ker L part sits one eta higher.
+    (
+        "ker-d2-binomial",
+        "verify.py",
+        "_binom(c.s - 1, q - 1)",
+        "_binom(c.s - 1, q)",
+        _VERIFY,
+        "tests/test_verify.py::test_mainS_checks_ker_d2_cell_by_cell",
     ),
     (
         "primitive-recursion-with-C(s)",

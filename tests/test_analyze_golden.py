@@ -7,7 +7,12 @@ standard output of `specseq analyze <preset> --json <path>`, and
 `elapsed_s` set to 0 (the one field that varies from run to run).  For each
 row `(argv, golden)` of `COMMANDS`, `golden/cli/<golden>.txt` holds the exit
 code and the standard output of `specseq <argv>`: the preset list, each
-preset's model file and seeded `generate` models of every type.
+preset's model file and seeded `generate` models of every type.  For each
+row of `MODEL_ROWS`, `golden/analyze-models/` holds the same for
+`specseq analyze <file> --json <path>`, with and without `--quiet`, on a
+model file written from its seed into a temporary directory: a mixed-lambda
+model, an S-type model whose base is not hard Lefschetz, and the largest
+model of acceptance criterion 2's S suite.
 `golden/structure.sha256` holds one sha256 over the Lefschetz structure
 (`check_hard_lefschetz` and `lefschetz_columns`), the `harmonic_basis_S`
 elements and the `model_star_duality` report of the 100 S-type models that
@@ -33,13 +38,15 @@ import sys
 import pytest
 
 from specseq.cli import main
-from specseq.lefschetz import check_hard_lefschetz, lefschetz_columns
+from specseq.lefschetz import check_hard_lefschetz, generate_hlp_module, lefschetz_columns, zero_l_block
+from specseq.modelfile import dump_model, from_module
 from specseq.presets import PRESETS
 from specseq.sampling import sample_base, sample_model
 from specseq.verify import harmonic_basis_S, model_star_duality
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden", "analyze")
 GOLDEN_CLI = os.path.join(os.path.dirname(GOLDEN), "cli")
+GOLDEN_MODELS = os.path.join(os.path.dirname(GOLDEN), "analyze-models")
 GOLDEN_STRUCTURE = os.path.join(os.path.dirname(GOLDEN), "structure.sha256")
 ELAPSED = re.compile(r'^  "elapsed_s": \S+$', re.MULTILINE)
 # The acceptance seed and a held-out one; each draws its S suite from
@@ -57,6 +64,41 @@ COMMANDS = (
 )
 
 
+def write_mixed(path: str) -> None:
+    """`specseq generate --seed 0 --type mixed`."""
+    assert main(["generate", "--seed", "0", "--type", "mixed", "--out", path]) == 0
+
+
+def write_no_hlp(path: str) -> None:
+    """An S-type model whose base fails hard Lefschetz at k = 1: L is zeroed
+    on H^1 of a generated module."""
+    base = zero_l_block(generate_hlp_module(7, 2, (1, 1, 1)), 1)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(dump_model(from_module(base, 2, [1, 1], name="no-hlp")))
+
+
+def write_largest(path: str) -> None:
+    """The largest model of criterion 2's S suite by chain dimension, the
+    first of them on a tie, named by its index as the benchmark names it."""
+    rng = random.Random(STRUCTURE_SEEDS[0] + 2)
+    suite = [sample_model(rng, "S") for _ in range(100)]
+    size = [sum(c.dim(k) for k in range(c.max_degree + 1)) for c in suite]
+    i = min(range(len(suite)), key=lambda i: (-size[i], i))
+    c = suite[i]
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(dump_model(from_module(c.base, c.s, c.lambdas, name=f"S{i}")))
+
+
+MODELS = {"mixed": write_mixed, "no-hlp": write_no_hlp, "largest-S": write_largest}
+# (model, extra arguments, golden): the golden's .txt holds the exit code
+# and stdout, and the model's .json the report that both rows write.
+MODEL_ROWS = [
+    (model, extra, model + suffix)
+    for model in MODELS
+    for extra, suffix in (((), ""), (("--quiet",), "-quiet"))
+]
+
+
 def run(argv: list[str]) -> str:
     """The exit code and the standard output of `specseq <argv>`."""
     out = io.StringIO()
@@ -65,13 +107,20 @@ def run(argv: list[str]) -> str:
     return f"exit {code}\n{out.getvalue()}"
 
 
-def analyze(preset: str, report: str) -> tuple[str, str]:
+def analyze(model: str, report: str, extra: tuple[str, ...] = ()) -> tuple[str, str]:
     """Exit code and stdout, and the JSON report with `elapsed_s` blanked."""
-    stdout = run(["analyze", preset, "--json", report])
+    stdout = run(["analyze", model, "--json", report, *extra])
     with open(report, encoding="utf-8") as fh:
         text, count = ELAPSED.subn('  "elapsed_s": 0', fh.read())
     assert count == 1
     return stdout, text
+
+
+def analyze_model(model: str, extra: tuple[str, ...], tmp: str) -> tuple[str, str]:
+    """`analyze` on the model file that `MODELS[model]` writes into `tmp`."""
+    path = os.path.join(tmp, f"{model}.json")
+    MODELS[model](path)
+    return analyze(path, os.path.join(tmp, "report.json"), extra)
 
 
 def structure_record(module) -> tuple:
@@ -111,6 +160,15 @@ def test_analyze_matches_the_golden_bytes(preset, tmp_path):
         assert report == fh.read()
 
 
+@pytest.mark.parametrize("model, extra, golden", MODEL_ROWS, ids=[g for *_, g in MODEL_ROWS])
+def test_analyze_on_model_files_matches_the_golden_bytes(model, extra, golden, tmp_path):
+    stdout, report = analyze_model(model, extra, str(tmp_path))
+    with open(os.path.join(GOLDEN_MODELS, f"{golden}.txt"), encoding="utf-8") as fh:
+        assert stdout == fh.read()
+    with open(os.path.join(GOLDEN_MODELS, f"{model}.json"), encoding="utf-8") as fh:
+        assert report == fh.read()
+
+
 @pytest.mark.parametrize("argv, golden", COMMANDS, ids=[golden for _, golden in COMMANDS])
 def test_command_matches_the_golden_bytes(argv, golden):
     with open(os.path.join(GOLDEN_CLI, f"{golden}.txt"), encoding="utf-8") as fh:
@@ -122,6 +180,7 @@ if __name__ == "__main__":
 
     os.makedirs(GOLDEN, exist_ok=True)
     os.makedirs(GOLDEN_CLI, exist_ok=True)
+    os.makedirs(GOLDEN_MODELS, exist_ok=True)
     with tempfile.TemporaryDirectory() as tmp:
         for preset in sorted(PRESETS):
             stdout, report = analyze(preset, os.path.join(tmp, "report.json"))
@@ -129,6 +188,12 @@ if __name__ == "__main__":
                 with open(os.path.join(GOLDEN, preset + suffix), "w", encoding="utf-8") as fh:
                     fh.write(text)
             print(f"wrote {preset}", file=sys.stderr)
+        for model, extra, golden in MODEL_ROWS:
+            stdout, report = analyze_model(model, extra, tmp)
+            for name, text in ((golden + ".txt", stdout), (model + ".json", report)):
+                with open(os.path.join(GOLDEN_MODELS, name), "w", encoding="utf-8") as fh:
+                    fh.write(text)
+            print(f"wrote {golden}", file=sys.stderr)
     for argv, golden in COMMANDS:
         with open(os.path.join(GOLDEN_CLI, f"{golden}.txt"), "w", encoding="utf-8") as fh:
             fh.write(run(argv))

@@ -88,15 +88,37 @@ def test_analyze_invalid_file_exits_2(tmp_path, capsys):
         ({"n": 0, "s": 11, "lambdas": ["1"] * 11, "dims": [0], "L": [[]]}, "s, dims:"),
         ({"lambdas": ["1e100000"]}, "lambdas[0]:"),
         ({"L": [[["1/18446744073709551616"]], [], []]}, "L[0][0][0]:"),
+        ([], "top level"),
+        ({"lambdas": "1"}, "lambdas:"),
+        ({"lambdas": ["1", "1"]}, "lambdas:"),
+        ({"L": {}}, "L:"),
+        ({"L": [[["1"]], []]}, "L:"),
+        ({"L": [[["1", "0"]], [], []]}, "L[0][0]:"),
+        ({"name": 1}, "name"),
+        ({"description": ["x"]}, "description"),
     ],
 )
 def test_analyze_rejects_ill_typed_or_oversized_file(tmp_path, capsys, fields, named):
     model = {"n": 1, "s": 1, "lambdas": ["1"], "dims": [1, 0, 1], "L": [[["1"]], [], []]}
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps({**model, **fields}))
+    bad.write_text(json.dumps({**model, **fields} if isinstance(fields, dict) else fields))
     code, _, err = run(capsys, "analyze", str(bad))
     assert code == 2
     assert named in err
+
+
+@pytest.mark.parametrize(
+    "labels",
+    [[["1"], [], ["omega"]], "not a list", [[1], [2]]],
+    ids=["well-formed", "not-a-list", "not-strings"],
+)
+def test_a_labels_key_is_ignored_like_any_unknown_key(tmp_path, capsys, labels):
+    text = dump_model(PRESETS["hopf-s3"])
+    plain = tmp_path / "plain.json"
+    plain.write_text(text)
+    labelled = tmp_path / "labelled.json"
+    labelled.write_text(json.dumps({**json.loads(text), "labels": labels}))
+    assert run(capsys, "analyze", str(labelled)) == run(capsys, "analyze", str(plain))
 
 
 def _run_whole(argv):
@@ -431,6 +453,26 @@ def test_recursion_refuses_a_list_its_result_cannot_produce(capsys, argv, named)
     assert out == ""
     [line] = err.splitlines()
     assert line.startswith("error: ") and named in line and "not the Betti sequence" in line
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (("1,0,1", "--s", "1", "--n", "1", "--structure", "S"), "--betti must list 4 Betti numbers"),
+        (("1", "--s", "1", "--structure", "C"), "--betti must list at least 2 Betti numbers"),
+        (("1,-1", "--s", "1", "--structure", "C"), "--betti must be a comma-separated list of non-negative"),
+        (("1,0,-1,1", "--s", "1", "--n", "0", "--structure", "S"), "--betti must be a comma-separated"),
+        (("1,x", "--s", "1", "--structure", "C"), "--betti must be a comma-separated"),
+        (("1,0,1", "--s", "1", "--structure", "S"), "--n is required for structure S"),
+    ],
+    ids=["S-length", "C-length", "C-negative", "S-negative", "not-an-integer", "S-without-n"],
+)
+def test_recursion_refusals_exit_2_and_name_the_flag(capsys, argv, named):
+    code, out, err = run(capsys, "recursion", "--betti", *argv)
+    assert code == 2
+    assert out == ""
+    [line] = err.splitlines()
+    assert line.startswith("error: ") and named in line
 
 
 def test_recursion_small_case(capsys):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 import exterior_oracle as oracle
 from exterior_oracle import form_inner_product, transverse_volume
+from specseq.cli import FLAG_LIMITS
 from specseq.exterior import (
     FrameMismatch,
     ModelFrame,
@@ -32,7 +33,6 @@ from specseq.exterior import (
     symplectic_star,
     wedge,
 )
-from specseq.modelfile import FLAG_LIMITS
 
 Q = Fraction
 

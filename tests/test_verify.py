@@ -36,7 +36,6 @@ from specseq.verify import (
     expected_dims_mainS,
     harmonic_basis_C,
     harmonic_basis_S,
-    kernel_d2,
     model_star_duality,
     primitive_betti_from_deRham,
     verify_E2,
@@ -90,41 +89,32 @@ def test_verify_E2_any_lambdas(base, s, data):
     assert verify_E2(build_model(base, s, lambdas)).passed
 
 
-def test_kernel_d2_cases(cp1, t2):
+def test_mainS_checks_ker_d2_cell_by_cell(cp1):
     hopf = build_model(cp1, 1, [1])
-    ker, expected = kernel_d2(hopf, 0, 1)
-    assert (ker, expected) == (0, 0)  # d2(eta (x) 1) = omega != 0
-    ker, expected = kernel_d2(hopf, 0, 0)
-    assert (ker, expected) == (1, 1)  # q=0 kernels are the whole cell
     two = build_model(cp1, 2, [1, 1])
-    ker, expected = kernel_d2(two, 0, 1)
-    assert (ker, expected) == (1, 1)  # spanned by (eta1 - eta2) (x) 1
+    # d2(eta (x) 1) = omega != 0; q=0 kernels are the whole cell; on two,
+    # (eta1 - eta2) (x) 1 spans the kernel at (0, 1).
+    for c, kernels in ((hopf, {(0, 1): 0, (0, 0): 1}), (two, {(0, 1): 1})):
+        page2 = c.spectral_sequence[0][2]
+        assert {pq: page2.dim(*pq) - page2.d_rank(*pq) for pq in kernels} == kernels
+        assert verify_mainS(c).passed
+    # With d_2 doctored to zero on page 2, the kernel at (0, 1) is the cell.
+    pages, stable_at = hopf.spectral_sequence
+    _cache(hopf, spectral_sequence=(_doctored(pages, 2, d_ranks={}), stable_at))
+    r = verify_mainS(hopf)
+    assert r.witnesses == (Witness("dim Ker d_2", (0, 1), 0, 1),)
+    assert str(r.witnesses[0]) == "dim Ker d_2 at (p, q) = (0, 1): expected 0, got 1"
 
 
 @settings(deadline=None, max_examples=15)
 @given(hlp_bases, st.integers(1, 3))
-def test_kernel_d2_matches_prediction(base, s):
+def test_mainS_passes_on_every_cell_of_random_models(base, s):
     c = build_model(base, s, [1] * s)
-    for p in range(2 * base.n + 1):
-        for q in range(s + 1):
-            ker, expected = kernel_d2(c, p, q)
-            assert ker == expected, (p, q)
+    r = verify_mainS(c)
+    assert r.passed, r.witnesses
 
 
-def test_kernel_d2_hypothesis_guard(cp1):
-    with pytest.raises(HypothesisError):
-        kernel_d2(build_model(cp1, 1, [0]), 0, 0)
-
-
-def test_kernel_d2_at_the_degree_edges(cp2):
-    c = build_model(cp2, 2, [1, 1])
-    with pytest.raises(ValueError, match="degree out of range"):
-        kernel_d2(c, -1, 1)
-    # Above the top degree H^p and Ker L are zero.
-    assert [kernel_d2(c, 2 * cp2.n + 1, q) for q in range(3)] == [(0, 0)] * 3
-
-
-def test_kernel_d2_over_every_cell_builds_one_filtered_complex(monkeypatch, cp2):
+def test_the_verifiers_build_one_filtered_complex(monkeypatch, cp2):
     built = []
     monkeypatch.setattr(
         FilteredComplex,
@@ -132,10 +122,7 @@ def test_kernel_d2_over_every_cell_builds_one_filtered_complex(monkeypatch, cp2)
         lambda fc, _fn=FilteredComplex.__post_init__: built.append(fc) or _fn(fc),
     )
     c = build_model(cp2, 3, [1, 1, 1])
-    for p in range(2 * cp2.n + 1):
-        for q in range(c.s + 1):
-            ker, expected = kernel_d2(c, p, q)
-            assert ker == expected
+    assert all(r.passed for r in verify.analyze_reports(c))
     assert len(built) == 1
 
 
@@ -258,6 +245,15 @@ def test_witnesses_name_degree_and_values(cp1):
         Witness("stable page", None, "<= 2", 3),
         Witness("E_infinity total", 1, 1, 2),
     )
+
+
+def test_mainC_witnesses_the_direct_cohomology():
+    torus = to_complex(PRESETS["torus-t3"])
+    assert verify_mainC(torus).passed
+    # The first class of H^1 counted as a boundary.
+    classes = torus.cohomology
+    _cache(torus, cohomology=classes[:1] + (replace(classes[1], lows_prev={0: 0}),) + classes[2:])
+    assert verify_mainC(torus).witnesses == (Witness("direct cohomology", 1, 3, 2),)
 
 
 def _with_boundaries(q, boundaries):

@@ -27,12 +27,14 @@ gap on.
 Every degree lists its basis in descending filtration degree, as the
 invariant-forms models do, so the reduction runs on the columns and rows in
 basis order: it is the reduction R = D V of d_k itself, and direct
-cohomology reads it instead of reducing d_k again (`invariant.cohomology`).
-Each d_k is reduced after d_{k-1}, and the columns at the lows of the
-reduced d_{k-1} are cleared, not reduced (Chen & Kerber, *Persistent
-homology computation with a twist*, 2011).  Each reduction is certified
-before its lows clear any column of the next, and on the cleared columns
-that certificate is the check of d o d = 0.
+cohomology counts its lows instead of reducing d_k again
+(`invariant.betti_numbers`).  Each d_k is reduced after d_{k-1}, and the
+columns at the lows of the reduced d_{k-1} are cleared, not reduced (Chen &
+Kerber, *Persistent homology computation with a twist*, 2011).  Each
+reduction is certified before its lows clear any column of the next, and on
+the cleared columns that certificate is the check of d o d = 0.  The
+boundaries the columns were cleared with are kept (`boundaries`), a basis
+of each Im d_{k-1}, for star duality to reduce against.
 
 A complex is given as sparse integer columns with one denominator per d_k,
 and the checks and the reductions read those columns.  The dense `Fraction`
@@ -167,6 +169,18 @@ class FilteredComplex:
             out.append((R, V, lows))
             cleared = {low: R[j] for low, j in lows.items()}
         return tuple(out)
+
+    @cached_property
+    def boundaries(self) -> tuple[dict[int, SparseColumn], ...]:
+        """`boundaries[k]` maps each low of the reduced d_{k-1} to the V
+        column of d_k at that index, the reduced column of d_{k-1} that
+        cleared it (the same object): a basis of Im d_{k-1} with distinct
+        lows, empty at k = 0."""
+        reductions = self.reductions
+        return tuple(
+            {low: V[low] for low in reductions[k - 1][2]} if k else {}
+            for k, (_, V, _) in enumerate(reductions)
+        )
 
     @cached_property
     def pairs(self) -> tuple[tuple[tuple[int, int], ...], ...]:

@@ -18,14 +18,15 @@ of its block eta_I (x) H^p in the basis (`InvariantComplex.offsets`, the
 one stored layout; element eta_I (x) h_{p,t} sits at its block's offset
 plus t).  The complex keeps its analysis, each part built once, on first
 read: the engine's filtered complex on those columns (`InvariantComplex.filtered_complex`,
-which reduces each d_k once and certifies the reduction, d o d = 0
-included), the pages with the stable page (`.spectral_sequence`) and
-direct cohomology (`.cohomology`), a view of the same reductions, and the
-S-type harmonic cocycles with the star images of part A
-(`.harmonic_chains`), sparse integer vectors placed by the offsets.  Each
-layer of the basis is listed in descending basic degree, as the engine
-requires, so those reductions are in basis order.  Every verifier reads
-these, so a model is analysed once, whichever verifiers run.
+which reduces each d_k once, certifies the reduction, d o d = 0 included,
+and keeps the boundaries it clears with), the pages with the stable page
+(`.spectral_sequence`), and the S-type harmonic cocycles with the star
+images of part A (`.harmonic_chains`), sparse integer vectors placed by the
+offsets.  Direct cohomology (`betti_numbers`) is a count of the lows of the
+same reductions.  Each layer of the basis is listed in descending basic
+degree, as the engine requires, so those reductions are in basis order.
+Every verifier reads these, so a model is analysed once, whichever
+verifiers run.
 `InvariantComplex.differentials`, the same maps as dense `Fraction`
 matrices, is the engine's dense view, built on first read; `analyze`
 never reads it.
@@ -44,7 +45,7 @@ from typing import Mapping, Sequence
 from .engine import FilteredComplex, SpectralPage, run_to_convergence
 from .exterior import index_subset_sign
 from .lefschetz import LefschetzModule, lefschetz_columns
-from .linalg import Matrix, Reduction, SparseColumn
+from .linalg import Matrix, SparseColumn
 
 # block of consecutive basis elements: (I, basic degree p)
 Block = tuple[tuple[int, ...], int]
@@ -102,16 +103,6 @@ class InvariantComplex:
         page, as `run_to_convergence` gives them for `filtered_complex`."""
         pages, stable_at = run_to_convergence(self.filtered_complex)
         return tuple(pages), stable_at
-
-    @cached_property
-    def cohomology(self) -> tuple[CohomologyGroup, ...]:
-        """Per degree k, H^k as a view of the engine's reduction of d_k and
-        the lows of its reduction of d_{k-1} (`FilteredComplex.reductions`)."""
-        reductions = self.filtered_complex.reductions
-        return tuple(
-            CohomologyGroup(reduction, reductions[k - 1][2] if k else {})
-            for k, reduction in enumerate(reductions)
-        )
 
     @cached_property
     def harmonic_chains(self) -> tuple[tuple[Chain, ...], tuple[Chain, ...], tuple[SparseColumn, ...]]:
@@ -268,48 +259,15 @@ def differential(c: InvariantComplex, x: InvariantElement) -> InvariantElement:
     return InvariantElement(k + 1, c.differentials[k].apply(x.coeffs))
 
 
-@dataclass(frozen=True, eq=False, slots=True)
-class CohomologyGroup:
-    """H^k = Ker d_k / Im d_{k-1}, a view of the reductions R = D V of d_k
-    and of d_{k-1} that hold it, with nothing copied.
-
-    `reduction` is (R, V, lows) of d_k and `lows_prev` maps each low of the
-    reduced d_{k-1} to its column.  Every index j of C^k (dimension N) is
-    the lowest nonzero entry of one vector of a basis of Q^N: V_j when
-    column j of R is zero, and e_j otherwise.  The zero columns of R span
-    Ker d_k.  Since d o d = 0, which the engine's certificate of the
-    reductions checks, the reduced column of d_{k-1} with its low at j lies
-    in Ker d_k, so the engine cleared column j of d_k and V_j is that
-    boundary; these span Im d_{k-1}.  The other zero columns of R are the
-    essential indices, and their V columns are cocycles whose classes are
-    a basis of H^k.  `dim` counts them, and `boundaries` is what star
-    duality reduces against.  The view keeps no state of its own: each
-    property reads the reductions afresh.
-    """
-
-    reduction: Reduction
-    lows_prev: Mapping[int, int]
-
-    @property
-    def essential(self) -> tuple[int, ...]:
-        """The indices whose V columns are the classes, ascending."""
-        R = self.reduction[0]
-        return tuple(j for j, r in enumerate(R) if not r and j not in self.lows_prev)
-
-    @property
-    def dim(self) -> int:
-        return len(self.essential)
-
-    @property
-    def boundaries(self) -> dict[int, SparseColumn]:
-        """The boundary vectors, reduced columns of d_{k-1} that span
-        Im d_{k-1}, keyed by their lows."""
-        V = self.reduction[1]
-        return {low: V[low] for low in self.lows_prev}
-
-
 def betti_numbers(c: InvariantComplex) -> tuple[int, ...]:
-    return tuple(q.dim for q in c.cohomology)
+    """dim H^k = dim C^k - rank d_k - rank d_{k-1}, read from the engine's
+    reductions (`FilteredComplex.reductions`): C^k has one column of the
+    reduced d_k per basis vector, and each rank is a number of lows."""
+    reductions = c.filtered_complex.reductions
+    return tuple(
+        len(R) - len(lows) - (len(reductions[k - 1][2]) if k else 0)
+        for k, (R, _, lows) in enumerate(reductions)
+    )
 
 
 def filtered_complex(c: InvariantComplex) -> FilteredComplex:

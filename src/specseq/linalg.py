@@ -4,10 +4,10 @@ Two representations live here.  A matrix scaled by one common denominator
 is a list of sparse integer columns, and `reduce_columns` and
 `apply_columns` work on them without fractions.  Everything the library
 computes takes this path: the filtered-complex checks, the engine's
-persistence pairing (which clears the columns it knows reduce to zero),
-direct cohomology, which is a view of those reductions, the star-duality
-check, which reduces its groups of cocycles with no V, starting from the
-boundaries and the groups reduced before them as pivots, and the
+persistence pairing (which clears the columns it knows reduce to zero,
+and whose lows direct cohomology counts), the star-duality check, which
+reduces its groups of cocycles with no V, starting from the boundaries the
+pairing cleared with and the groups reduced before them as pivots, and the
 Lefschetz structure's powers of L, ranks and kernels.  The model file
 parser, the presets, `generate_hlp_module` and `invariant.build_model`
 make integer columns directly.

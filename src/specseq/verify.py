@@ -14,13 +14,13 @@ Each verifier compares engine output against a closed-form prediction:
   read from the harmonic cocycles and star images the complex keeps
   (`InvariantComplex.harmonic_chains`).  Star duality reduces part A and
   the star images once per degree, with no V: part A from the boundaries
-  of H^k, which direct cohomology holds reduced already, and the star
-  images and part B from those boundaries together with part A's reduced
-  columns.
+  that the engine cleared with, a reduced basis of Im d_{k-1}
+  (`FilteredComplex.boundaries`), and the star images and part B from
+  those boundaries together with part A's reduced columns.
 
 Every verifier takes only the complex and reads the analysis it keeps
-(`InvariantComplex.spectral_sequence`, `.cohomology` and
-`.harmonic_chains`), so the pages, the cohomology and the chains of one
+(`InvariantComplex.spectral_sequence`, `.filtered_complex` and
+`.harmonic_chains`), so the pages, the reductions and the chains of one
 model are built once, whichever verifiers run.
 
 A report is its witnesses: it passes only where it applies and holds
@@ -317,7 +317,6 @@ def model_star_duality(c: InvariantComplex) -> VerificationReport:
     violation = _hypothesis(c)
     if violation:
         return VerificationReport("star-duality", hypothesis_violation=violation)
-    classes = c.cohomology
     total_deg = 2 * c.base.n + c.s
     chains_a, chains_b, starred = c.harmonic_chains
     part_a, part_b = _by_degree(chains_a), _by_degree(chains_b)
@@ -330,7 +329,7 @@ def model_star_duality(c: InvariantComplex) -> VerificationReport:
         if len(closed) != len(starred_k):
             witnesses.append(Witness("non-closed star images", k, 0, len(starred_k) - len(closed)))
         a2, b2 = part_a.get(k2, []), part_b.get(k2, [])
-        boundaries = classes[k2].boundaries
+        boundaries = c.filtered_complex.boundaries[k2]
         rank_a2, with_a = _added_rank(a2, boundaries, extend=bool(closed or b2))
         added, with_images = _added_rank(closed, with_a, extend=bool(b2))
         combined = rank_a2 + added

@@ -17,7 +17,7 @@ tests run on, and `dense_hlp_module` is `generate_hlp_module` as it built
 L, by dense products with `inverse` of the unipotent automorphisms.
 `star_duality_reference` is `verify.model_star_duality` as it read its
 ranks before each group was reduced once per degree: two reductions of
-prefixes of the groups per degree, each from the boundaries of H^k, on
+prefixes of the groups per degree, each from the engine's boundaries, on
 chains placed by a search of the basis, with the eta forms built afresh
 on every call by `_eta_product`, the wedge product expanded factor by
 factor, which the library's closed-form eta forms are checked against.
@@ -33,7 +33,7 @@ from math import lcm
 from hypothesis import strategies as st
 
 from specseq.exterior import _merge_sign, index_subset_sign
-from specseq.invariant import CohomologyGroup, InvariantComplex, build_model
+from specseq.invariant import InvariantComplex, build_model
 from specseq.lefschetz import (
     LefschetzModule,
     LefschetzReport,
@@ -327,16 +327,16 @@ def _eta_forms(s: int):
             yield _eta_product([{(1,): 1, (i,): -1} for i in subset]), {(1,) + subset: 1}
 
 
-def _class_ranks(q: CohomologyGroup, *groups: list[SparseColumn]) -> list[int]:
+def _class_ranks(boundaries: dict[int, SparseColumn], *groups: list[SparseColumn]) -> list[int]:
     """Ranks of the classes of groups[0], groups[0] + groups[1], ...: one
-    reduction of all the groups from the boundaries of q, counted over the
-    prefixes."""
+    reduction of all the groups from `boundaries`, a reduced basis of the
+    boundaries keyed by their lows, counted over the prefixes."""
     columns: list[SparseColumn] = []
     ends = []
     for group in groups:
         columns += group
         ends.append(len(columns))
-    reduced = reduce_columns(columns, with_v=False, pivots=q.boundaries)[0]
+    reduced = reduce_columns(columns, with_v=False, pivots=boundaries)[0]
     return [sum(1 for r in reduced[:end] if r) for end in ends]
 
 
@@ -375,8 +375,9 @@ def star_duality_reference(c: InvariantComplex) -> VerificationReport:
         if len(closed) != len(starred_k):
             witnesses.append(Witness("non-closed star images", k, 0, len(starred_k) - len(closed)))
         a2, b2 = part_a.get(k2, []), part_b.get(k2, [])
-        rank_img, combined, both = _class_ranks(c.cohomology[k2], closed, a2, b2)
-        rank_a2, target = _class_ranks(c.cohomology[k2], a2, b2)
+        boundaries = c.filtered_complex.boundaries[k2]
+        rank_img, combined, both = _class_ranks(boundaries, closed, a2, b2)
+        rank_a2, target = _class_ranks(boundaries, a2, b2)
         if rank_img != len(closed):
             witnesses.append(Witness("rank of star-image classes", k, len(closed), rank_img))
         if rank_img != len(b2):

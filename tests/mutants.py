@@ -167,20 +167,20 @@ MUTANTS = [
         _MODELFILE,
         "tests/test_modelfile.py::test_mixed_denominators_roundtrip_byte_for_byte",
     ),
-    # Star duality's ranks from the boundaries of H^k, and the dense views.
+    # Star duality's ranks from the engine's boundaries, and the dense views.
     (
         "drop-a-boundary-pivot",
         "verify.py",
-        "boundaries = classes[k2].boundaries",
-        "boundaries = dict(list(classes[k2].boundaries.items())[1:])",
+        "boundaries = c.filtered_complex.boundaries[k2]",
+        "boundaries = dict(list(c.filtered_complex.boundaries[k2].items())[1:])",
         _STAR,
         "tests/test_verify.py::test_the_verifiers_reduce_each_differential_once",
     ),
     (
         "boundaries-one-degree-down",
         "verify.py",
-        "boundaries = classes[k2].boundaries",
-        "boundaries = classes[k2 - 1].boundaries",
+        "boundaries = c.filtered_complex.boundaries[k2]",
+        "boundaries = c.filtered_complex.boundaries[k2 - 1]",
         _STAR,
         "tests/test_verify.py::test_the_verifiers_reduce_each_differential_once",
     ),
@@ -288,15 +288,23 @@ MUTANTS = [
         _ENGINE,
         "tests/test_engine.py::test_doctored_reductions_fail_the_certificate",
     ),
-    # H^k as a view of the reductions: the essential indices skip the lows
-    # of d_{k-1}, whose V columns are boundaries.
+    # The boundaries the engine cleared with, one per low of d_{k-1}, and
+    # H^k counted from the lows: rank d_{k-1} is a number of boundaries.
     (
         "boundary-counted-as-a-class",
-        "invariant.py",
-        "if not r and j not in self.lows_prev)",
-        "if not r)",
+        "engine.py",
+        "{low: V[low] for low in reductions[k - 1][2]}",
+        "{low: V[low] for low in list(reductions[k - 1][2])[1:]}",
         _VIEWS,
         "tests/test_invariant.py::test_cohomology_matches_the_quotient_oracle",
+    ),
+    (
+        "betti-drops-the-lower-rank",
+        "invariant.py",
+        "len(R) - len(lows) - (len(reductions[k - 1][2]) if k else 0)",
+        "len(R) - len(lows)",
+        _VIEWS + ["tests/test_acceptance.py::test_criterion_5_presets"],
+        "tests/test_acceptance.py::test_criterion_5_presets",
     ),
     # The persistence pairing, the pages and the E_2 verdict read from them.
     # Every model's pages 0, 1 and 2 agree (d_0 = d_1 = 0), so only a
@@ -421,6 +429,15 @@ MUTANTS = [
         "    if False:\n",
         _VERIFY,
         "tests/test_verify.py::test_recursions_refuse_lists_their_result_cannot_produce",
+    ),
+    # A failed verdict makes `analyze` exit 1.
+    (
+        "analyze-fail-exits-0",
+        "cli.py",
+        "            failed = True\n",
+        "            pass\n",
+        _CLI,
+        "tests/test_cli.py::test_analyze_prints_a_failed_verdict_and_exits_1",
     ),
     # The root parser reports what the subcommand's parser leaves over.
     (

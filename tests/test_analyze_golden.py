@@ -6,8 +6,11 @@ standard output of `specseq analyze <preset> --json <path>`, and
 `golden/analyze/<preset>.json` holds the report it writes, with
 `elapsed_s` set to 0 (the one field that varies from run to run).  For each
 row `(argv, golden)` of `COMMANDS`, `golden/cli/<golden>.txt` holds the exit
-code and the standard output of `specseq <argv>`: the preset list, each
-preset's model file and seeded `generate` models of every type.  For each
+code, the standard output and, after a `stderr:` line when there is any, the
+standard error of `specseq <argv>`: the preset list, each preset's model
+file, seeded `generate` models of every type, the `star-check` sweep and one
+frame, `recursion` answers and refusals for S and C, and `decompose` on
+three forms, the last of which it refuses.  For each
 row of `MODEL_ROWS`, `golden/analyze-models/` holds the same for
 `specseq analyze <file> --json <path>`, with and without `--quiet`, on a
 model file written from its seed into a temporary directory: a mixed-lambda
@@ -61,6 +64,21 @@ COMMANDS = (
         for seed in range(3)
         for kind in ("S", "C", "mixed")
     ]
+    + [
+        (["star-check"], "star-check"),
+        (["star-check", "--n", "1", "--s", "2"], "star-check-n1-s2"),
+        (["recursion", "--betti", "1,0,1,1,0,1", "--s", "1", "--n", "2", "--structure", "S"], "recursion-S"),
+        (["recursion", "--betti", "1,3,3,1", "--s", "1", "--structure", "C"], "recursion-C"),
+        # Refused by the recheck of the list, and by a negative dimension.
+        (
+            ["recursion", "--betti", "1,0,1,1", "--s", "1", "--n", "1", "--structure", "S"],
+            "recursion-S-refused",
+        ),
+        (["recursion", "--betti", "1,0,0", "--s", "1", "--structure", "C"], "recursion-C-refused"),
+        (["decompose", "--n", "2", "2*e1^e2 + e3^e4"], "decompose-degree-2"),
+        (["decompose", "--n", "2", "e1^e2^e3 - 1/2*e1^e3^e4"], "decompose-degree-3"),
+        (["decompose", "--n", "2", "e1 + e1^e2"], "decompose-not-homogeneous"),
+    ]
 )
 
 
@@ -100,11 +118,12 @@ MODEL_ROWS = [
 
 
 def run(argv: list[str]) -> str:
-    """The exit code and the standard output of `specseq <argv>`."""
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
+    """The exit code and the standard output of `specseq <argv>`, then its
+    standard error after a `stderr:` line when it wrote any."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
-    return f"exit {code}\n{out.getvalue()}"
+    return f"exit {code}\n{out.getvalue()}" + (f"stderr:\n{err.getvalue()}" if err.getvalue() else "")
 
 
 def analyze(model: str, report: str, extra: tuple[str, ...] = ()) -> tuple[str, str]:

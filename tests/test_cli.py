@@ -121,6 +121,73 @@ def test_a_labels_key_is_ignored_like_any_unknown_key(tmp_path, capsys, labels):
     assert run(capsys, "analyze", str(labelled)) == run(capsys, "analyze", str(plain))
 
 
+def _mainS_off_by_one(monkeypatch):
+    """mainS predicts one class too many in degree 0."""
+    fn = verify._mainS_dims
+    monkeypatch.setattr(verify, "_mainS_dims", lambda *a: (fn(*a)[0] + 1, *fn(*a)[1:]))
+
+
+def _stable_at_page_5(monkeypatch):
+    """The run to convergence reports page 5 as the first stable one."""
+    fn = invariant.run_to_convergence
+    monkeypatch.setattr(invariant, "run_to_convergence", lambda fc: (fn(fc)[0], 5))
+
+
+@pytest.mark.parametrize(
+    "doctor, witnesses",
+    [
+        (
+            _mainS_off_by_one,
+            [
+                "E_infinity total in degree 0: expected 2, got 1",
+                "direct cohomology in degree 0: expected 2, got 1",
+            ],
+        ),
+        (_stable_at_page_5, ["stable page: expected <= 3, got 5"]),
+    ],
+    ids=["mainS-off-by-one", "stable-at-page-5"],
+)
+def test_analyze_prints_a_failed_verdict_and_exits_1(capsys, monkeypatch, tmp_path, doctor, witnesses):
+    doctor(monkeypatch)
+    report = tmp_path / "report.json"
+    code, out, err = run(capsys, "analyze", "hopf-s3", "--quiet", "--json", str(report))
+    assert (code, err) == (1, "")
+    assert out.splitlines() == ["E2: pass", "mainS: FAIL " + "; ".join(witnesses), "star-duality: pass"]
+    verdicts = {r["theorem"]: r for r in json.loads(report.read_text())["verifications"]}
+    assert verdicts["mainS"] == {
+        "theorem": "mainS",
+        "passed": False,
+        "applicable": True,
+        "witnesses": witnesses,
+        "hypothesis_violation": None,
+    }
+    assert verdicts["E2"]["passed"] and verdicts["star-duality"]["passed"]
+
+
+@pytest.mark.parametrize(
+    "argv, code, out, err",
+    [
+        (
+            ("generate", "--seed", "0", "--s", "2", "--lambdas", "1"),
+            2,
+            "",
+            "error: --lambdas must list 2 rationals\n",
+        ),
+        (("decompose", "--n", "1", ""), 2, "", "error: empty form\n"),
+        # `format_form` prints a coefficient -1 as a minus sign.
+        (
+            ("decompose", "--n", "1", "-e1"),
+            0,
+            "form of degree 1 on R^2:\n  L^0 applied to primitive part (degree 1): -e1\n",
+            "",
+        ),
+    ],
+    ids=["generate-lambdas-count", "decompose-empty-form", "decompose-minus-one"],
+)
+def test_generate_and_decompose_edges(capsys, argv, code, out, err):
+    assert run(capsys, *argv) == (code, out, err)
+
+
 def _run_whole(argv):
     """Run `argv` through the parser built with every subcommand."""
     args = cli.build_parser().parse_args(argv)
@@ -181,9 +248,8 @@ def test_main_prints_what_the_whole_parser_prints(capsys, monkeypatch, tmp_path,
 
 def test_analyze_computes_the_sequence_once(monkeypatch, capsys):
     # The work is counted, not the calls that reach it: filtered complexes
-    # built, reductions of each d_k, spectral sequences run and cohomology
-    # groups built.  Every binding of each name is wrapped, and each real
-    # call counts once.
+    # built, reductions of each d_k and spectral sequences run.  Every
+    # binding of each name is wrapped, and each real call counts once.
     work = {}
 
     def count(name):
@@ -193,11 +259,6 @@ def test_analyze_computes_the_sequence_once(monkeypatch, capsys):
         engine.FilteredComplex,
         "__post_init__",
         lambda fc, _fn=engine.FilteredComplex.__post_init__: count("FilteredComplex") or _fn(fc),
-    )
-    monkeypatch.setattr(
-        invariant,
-        "CohomologyGroup",
-        lambda *a, _cls=invariant.CohomologyGroup: count("CohomologyGroup") or _cls(*a),
     )
     reduced = []
     for module in (engine, verify, lefschetz):
@@ -278,10 +339,17 @@ def test_analyze_computes_the_sequence_once(monkeypatch, capsys):
         assert code == 0
         [c] = built
         degrees = c.max_degree + 1
-        assert work == {"FilteredComplex": 1, "CohomologyGroup": degrees}
+        assert work == {"FilteredComplex": 1}
         # Each d_k is reduced once, by the engine, and direct cohomology
-        # reads that reduction.
+        # counts the lows of that reduction.
         assert [sum(cols is d for _, cols, _ in reduced) for d in c.integer_d] == [1] * degrees
+        # The boundaries of degree k are the V columns of the reduced d_k at
+        # the lows of the reduced d_{k-1}, the engine's objects, not copies.
+        fc = c.filtered_complex
+        for k, (_, V, _) in enumerate(fc.reductions):
+            lows_below = fc.reductions[k - 1][2] if k else {}
+            assert fc.boundaries[k].keys() == lows_below.keys()
+            assert all(fc.boundaries[k][low] is V[low] for low in lows_below)
         assert calls.pop("check_hard_lefschetz", 0) <= hlp_checks
         assert calls == {"run_to_convergence": 1}
         assert dense == []
@@ -312,12 +380,12 @@ def test_analyze_computes_the_sequence_once(monkeypatch, capsys):
             for col in cols:
                 if id(col) in handed_a:
                     handed_a[id(col)] += 1
-            # Its pivots hold the boundaries of H^k, V columns of the engine's
-            # reduction themselves, not copies.
+            # Its pivots hold the boundaries of degree k, the engine's V
+            # columns themselves.
             candidates = [group_of[id(cols[0])][1]] if cols else range(degrees)
             assert any(
-                all(kw["pivots"].get(low) is q.reduction[1][low] for low in q.lows_prev)
-                for q in (c.cohomology[k] for k in candidates)
+                all(kw["pivots"].get(low) is b for low, b in fc.boundaries[k].items())
+                for k in candidates
             )
         # Part A is reduced once per degree: each of its columns is handed to
         # exactly one call.

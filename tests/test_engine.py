@@ -274,7 +274,7 @@ def _assert_engines_agree(fc):
 @given(typed_models(max_n=2))
 def test_rank_engine_matches_oracle(m):
     pages, _ = _assert_engines_agree(filtered_complex(m))
-    # betti_numbers reduces kernels and images, not the persistence pairs.
+    # betti_numbers counts the lows of the reductions, the pages their pairs by gap.
     assert pages[-1].antidiagonal_totals(m.max_degree) == betti_numbers(m)
 
 
@@ -409,3 +409,8 @@ def test_compute_page_deterministic(cp1):
     assert a.cell_dims() == b.cell_dims() == fresh.cell_dims()
     assert a.d_ranks == b.d_ranks == fresh.d_ranks
     assert oracle.compute_page(fc, 2).d_maps == oracle.compute_page(fc, 2).d_maps
+
+
+def test_a_negative_page_index_is_refused(cp1):
+    with pytest.raises(ValueError, match="page index must be non-negative"):
+        compute_page(filtered_complex(build_model(cp1, 1, [1])), -1)

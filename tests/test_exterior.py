@@ -577,3 +577,18 @@ def test_index_subset_sign():
             for subset in itertools.combinations(range(1, s + 1), k):
                 complement = [j for j in range(1, s + 1) if j not in subset]
                 assert index_subset_sign(subset) == _inversion_parity(list(subset) + complement)
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: ModelFrame(-1), "n and s must be non-negative"),
+        (lambda: covector(ModelFrame(1, 1), 3), "transverse covector index out of range: 3"),
+        (lambda: covector(ModelFrame(1, 1), 0), "transverse covector index out of range: 0"),
+        (lambda: eta(ModelFrame(1, 1), 2), "eta index out of range: 2"),
+    ],
+    ids=["negative-n", "covector-past-2n", "covector-0", "eta-past-s"],
+)
+def test_frames_and_covectors_out_of_range_are_refused(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()

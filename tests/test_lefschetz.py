@@ -464,3 +464,32 @@ def test_generated_modules_match_the_dense_conjugation(args):
     assert m.L_maps == oracle.dense_hlp_module(seed, n, pdims)
     assert m.den == 1
     assert all(list(col) == sorted(col) for cols in m.L for col in cols)
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: LefschetzModule(-1, (), ()), "n must be non-negative"),
+        (lambda: LefschetzModule(1, (1, 1), ([], [])), r"dims must have length 2n\+1"),
+        (lambda: LefschetzModule(0, (-1,), ([],)), "dims must be non-negative"),
+        (lambda: generate_hlp_module(0, 1, (1,)), r"primitive_dims must have length n\+1"),
+        (lambda: generate_hlp_module(0, 1, (0, 1)), r"primitive_dims\[0\] must be at least 1"),
+        (lambda: lefschetz_decompose_class(generate_hlp_module(0, 1, (1, 1)), 3, []), "degree out of range"),
+        (
+            lambda: lefschetz_decompose_class(generate_hlp_module(0, 1, (1, 1)), 0, [Q(1), Q(2)]),
+            "vector length does not match dim H",
+        ),
+    ],
+    ids=[
+        "negative-n",
+        "dims-length",
+        "negative-dim",
+        "primitive-dims-length",
+        "no-primitive-class-in-degree-0",
+        "decompose-degree-out-of-range",
+        "decompose-vector-length",
+    ],
+)
+def test_malformed_module_arguments_are_refused(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()

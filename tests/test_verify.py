@@ -197,8 +197,8 @@ def _doctored(pages, r, dims=None, d_ranks=None):
 
 
 def _cache(c, **analysis):
-    """Put doctored parts of the analysis into the cache of c, where every
-    verifier reads them."""
+    """Put doctored parts of the analysis into the cache of c, a complex or
+    its filtered complex, where every verifier reads them."""
     vars(c).update(analysis)
 
 
@@ -221,13 +221,13 @@ def test_witnesses_name_cell_and_values(cp1):
 def test_witnesses_name_degree_and_values(cp1):
     hopf = build_model(cp1, 1, [1])
     pages, _ = hopf.spectral_sequence
-    classes = hopf.cohomology
-    _cache(
-        hopf,
-        spectral_sequence=(_doctored(pages, -1, dims={(2, 1): 0}), 5),
-        # The boundary omega of H^2 counted as a class.
-        cohomology=classes[:2] + (replace(classes[2], lows_prev={}),) + classes[3:],
-    )
+    _cache(hopf, spectral_sequence=(_doctored(pages, -1, dims={(2, 1): 0}), 5))
+    # A reduction of d_2 with one zero column more than C^2 has vectors:
+    # H^2, where omega is a boundary, counts one class.
+    reductions = hopf.filtered_complex.reductions
+    R, V, lows = reductions[2]
+    doctored = ([*R, {}], [*V, {1: 1}], lows)
+    _cache(hopf.filtered_complex, reductions=reductions[:2] + (doctored,) + reductions[3:])
     assert betti_numbers(hopf) == (1, 0, 1, 1)
     r = verify_mainS(hopf)
     assert r.witnesses == (
@@ -250,31 +250,21 @@ def test_witnesses_name_degree_and_values(cp1):
 def test_mainC_witnesses_the_direct_cohomology():
     torus = to_complex(PRESETS["torus-t3"])
     assert verify_mainC(torus).passed
-    # The first class of H^1 counted as a boundary.
-    classes = torus.cohomology
-    _cache(torus, cohomology=classes[:1] + (replace(classes[1], lows_prev={0: 0}),) + classes[2:])
+    # A reduction of d_1 without its first column, the first class of H^1.
+    reductions = torus.filtered_complex.reductions
+    R, V, lows = reductions[1]
+    assert not lows
+    _cache(torus.filtered_complex, reductions=reductions[:1] + ((R[1:], V[1:], lows),) + reductions[2:])
     assert verify_mainC(torus).witnesses == (Witness("direct cohomology", 1, 3, 2),)
-
-
-def _with_boundaries(q, boundaries):
-    """The view q of H^k doctored so that `boundaries`, sparse vectors keyed
-    by their lows, are its boundaries and every other zero column of its
-    reduction a class."""
-    R, V, lows = q.reduction
-    V = list(V)
-    for low, b in boundaries.items():
-        V[low] = b
-    return replace(q, reduction=(R, V, lows), lows_prev=dict.fromkeys(boundaries))
 
 
 def test_star_duality_witnesses_name_degree_and_values(cp1):
     hopf = build_model(cp1, 1, [1])
     assert model_star_duality(hopf).passed
-    # Classes that make every basis vector of C^3 a boundary kill H^3, so the
-    # class of the star image of 1 (degree 0) vanishes.
-    boundaries = {j: {j: 1} for j in range(hopf.dim(3))}
-    classes = hopf.cohomology
-    _cache(hopf, cohomology=classes[:3] + (_with_boundaries(classes[3], boundaries),))
+    # Boundaries that make every basis vector of C^3 a boundary kill H^3,
+    # so the class of the star image of 1 (degree 0) vanishes.
+    fc = hopf.filtered_complex
+    _cache(fc, boundaries=fc.boundaries[:3] + ({j: {j: 1} for j in range(hopf.dim(3))},))
     r = model_star_duality(hopf)
     assert r.witnesses == (
         Witness("rank of star-image classes", 0, 1, 0),
@@ -325,13 +315,12 @@ def test_star_duality_witnesses_part_a_meeting_the_star_images(t2):
     # vanishes, and part A has none.)
     m = build_model(t2, 2, [1, 1])
     assert model_star_duality(m).passed
-    classes = m.cohomology
-    boundaries = dict(classes[2].boundaries)
+    fc = m.filtered_complex
+    boundaries = dict(fc.boundaries[2])
     for t in range(2):
         j = m.offsets[2][((1,), 1)] + t
         boundaries[j] = {j: 1}
-    doctored = _with_boundaries(classes[2], boundaries)
-    _cache(m, cohomology=classes[:2] + (doctored,) + classes[3:])
+    _cache(fc, boundaries=fc.boundaries[:2] + (boundaries,) + fc.boundaries[3:])
     r = model_star_duality(m)
     assert r.witnesses == (Witness("dim of part A + star images", 2, 4, 2),)
 
@@ -341,18 +330,18 @@ def test_star_duality_witnesses_part_a_meeting_the_star_images(t2):
 def test_star_duality_matches_the_two_reduction_reference(base, s, data):
     c = build_model(base, s, [1] * s)
     assert model_star_duality(c) == model_oracle.star_duality_reference(c)
-    # On doctored views of H^k: boundaries dropped, and vectors with their
-    # lows elsewhere added, so that classes vanish or stop being independent.
+    # On doctored boundaries: some dropped, and vectors with their lows
+    # elsewhere added, so that classes vanish or stop being independent.
     doctored = []
-    for k, q in enumerate(c.cohomology):
-        boundaries = {low: b for low, b in q.boundaries.items() if data.draw(st.booleans())}
+    for k, kept in enumerate(c.filtered_complex.boundaries):
+        boundaries = {low: b for low, b in kept.items() if data.draw(st.booleans())}
         for low in data.draw(st.sets(st.integers(0, max(c.dim(k) - 1, 0)), max_size=3)):
             if low < c.dim(k) and low not in boundaries:
                 entries = st.dictionaries(st.integers(0, low), st.integers(-2, 2), max_size=3)
                 below = {i: x for i, x in data.draw(entries).items() if x and i < low}
                 boundaries[low] = below | {low: data.draw(st.sampled_from([1, -1, 2]))}
-        doctored.append(_with_boundaries(q, boundaries))
-    _cache(c, cohomology=tuple(doctored))
+        doctored.append(boundaries)
+    _cache(c.filtered_complex, boundaries=tuple(doctored))
     assert model_star_duality(c) == model_oracle.star_duality_reference(c)
 
 
@@ -584,3 +573,21 @@ def test_poincare_symmetry_of_expected_dims():
 def test_verify_mainS_cross_checks_cohomology(cp1):
     hopf = build_model(cp1, 1, [1])
     assert betti_numbers(hopf) == expected_dims_mainS(cp1, 1)
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: sample_model(random.Random(0), "Q"), ValueError, "unknown model kind 'Q'"),
+        (
+            lambda: expected_dims_mainS(zero_l_block(generate_hlp_module(7, 2, (1, 1, 1)), 1), 1),
+            HypothesisError,
+            "base module does not satisfy hard Lefschetz",
+        ),
+        (lambda: basic_betti_from_deRham([1], 1), ValueError, r"Betti list shorter than s\+1"),
+    ],
+    ids=["unknown-model-kind", "mainS-without-hard-lefschetz", "betti-list-too-short"],
+)
+def test_arguments_outside_a_theorem_are_refused(call, error, message):
+    with pytest.raises(error, match=message):
+        call()

@@ -167,6 +167,16 @@ MUTANTS = [
         _MODELFILE,
         "tests/test_modelfile.py::test_mixed_denominators_roundtrip_byte_for_byte",
     ),
+    # A decimal exponent of 5 digits or more is refused before Fraction
+    # expands it; a guard at 6 digits refuses the same, only later.
+    (
+        "exponent-guard-at-6-digits",
+        "modelfile.py",
+        '.lstrip("0")) <= 4:',
+        '.lstrip("0")) <= 6:',
+        _MODELFILE,
+        "tests/test_modelfile.py::test_a_long_exponent_is_refused_before_any_fraction_is_built",
+    ),
     # Star duality's ranks from the engine's boundaries, and the dense views.
     (
         "drop-a-boundary-pivot",
@@ -327,6 +337,16 @@ MUTANTS = [
         _ENGINE,
         "tests/test_linalg.py::test_reduction_without_v_keeps_the_zero_columns_and_the_lows",
     ),
+    # Each reduced column, with its V column, is divided by its content; kept,
+    # the answers stay the same and only the integers grow.
+    (
+        "reduced-columns-keep-their-content",
+        "linalg.py",
+        "        if g != 1:\n",
+        "        if False:\n",
+        _ENGINE,
+        "tests/test_linalg.py::test_every_reduced_column_is_content_free",
+    ),
     (
         "cancel-at-the-gap-itself",
         "engine.py",
@@ -447,6 +467,33 @@ MUTANTS = [
         "            return handler(args)\n",
         _CLI,
         "tests/test_cli.py::test_main_prints_what_the_whole_parser_prints",
+    ),
+    # A report is written over the old bytes and cut to its length only when
+    # the target was longer.  Truncating to zero on open gives the same
+    # bytes at a higher cost.
+    (
+        "write-truncates-on-open",
+        "cli.py",
+        'open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb")',
+        'open(path, "wb")',
+        _CLI,
+        "tests/test_cli.py::test_write_opens_the_target_without_truncating_it",
+    ),
+    (
+        "write-never-cuts-to-length",
+        "cli.py",
+        "                fh.truncate()\n",
+        "                pass\n",
+        _CLI,
+        "tests/test_cli.py::test_write_gives_the_bytes_of_a_fresh_write",
+    ),
+    (
+        "write-cuts-a-device-or-a-pipe",
+        "cli.py",
+        "if os.fstat(fh.fileno()).st_size > len(data):",
+        "if True:",
+        _CLI,
+        "tests/test_cli.py::test_analyze_json_to_dev_null_exits_0",
     ),
     # The exterior-algebra signs and the pair insertion.  Shifting the merge
     # mask by y + 1 is an equivalent mutant: y is not an index of a.

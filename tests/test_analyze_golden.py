@@ -14,8 +14,10 @@ three forms, the last of which it refuses.  For each
 row of `MODEL_ROWS`, `golden/analyze-models/` holds the same for
 `specseq analyze <file> --json <path>`, with and without `--quiet`, on a
 model file written from its seed into a temporary directory: a mixed-lambda
-model, an S-type model whose base is not hard Lefschetz, and the largest
-model of acceptance criterion 2's S suite.
+model, a C-type model, an S-type model whose base is not hard Lefschetz,
+and the largest model of acceptance criterion 2's S suite.  Each preset's
+report is also written over the longer largest-S report, and must still
+equal its golden.
 `golden/structure.sha256` holds one sha256 over the Lefschetz structure
 (`check_hard_lefschetz` and `lefschetz_columns`), the `harmonic_basis_S`
 elements and the `model_star_duality` report of the 100 S-type models that
@@ -87,6 +89,11 @@ def write_mixed(path: str) -> None:
     assert main(["generate", "--seed", "0", "--type", "mixed", "--out", path]) == 0
 
 
+def write_c(path: str) -> None:
+    """`specseq generate --seed 0 --type C`."""
+    assert main(["generate", "--seed", "0", "--type", "C", "--out", path]) == 0
+
+
 def write_no_hlp(path: str) -> None:
     """An S-type model whose base fails hard Lefschetz at k = 1: L is zeroed
     on H^1 of a generated module."""
@@ -107,7 +114,7 @@ def write_largest(path: str) -> None:
         fh.write(dump_model(from_module(c.base, c.s, c.lambdas, name=f"S{i}")))
 
 
-MODELS = {"mixed": write_mixed, "no-hlp": write_no_hlp, "largest-S": write_largest}
+MODELS = {"mixed": write_mixed, "C": write_c, "no-hlp": write_no_hlp, "largest-S": write_largest}
 # (model, extra arguments, golden): the golden's .txt holds the exit code
 # and stdout, and the model's .json the report that both rows write.
 MODEL_ROWS = [
@@ -177,6 +184,18 @@ def test_analyze_matches_the_golden_bytes(preset, tmp_path):
         assert stdout == fh.read()
     with open(os.path.join(GOLDEN, f"{preset}.json"), encoding="utf-8") as fh:
         assert report == fh.read()
+
+
+@pytest.mark.parametrize("preset", sorted(PRESETS))
+def test_analyze_over_a_longer_report_matches_the_golden_bytes(preset, tmp_path):
+    analyze_model("largest-S", (), str(tmp_path))
+    report = tmp_path / "report.json"
+    assert report.stat().st_size > os.path.getsize(os.path.join(GOLDEN, f"{preset}.json"))
+    stdout, text = analyze(preset, str(report))
+    with open(os.path.join(GOLDEN, f"{preset}.txt"), encoding="utf-8") as fh:
+        assert stdout == fh.read()
+    with open(os.path.join(GOLDEN, f"{preset}.json"), encoding="utf-8") as fh:
+        assert text == fh.read()
 
 
 @pytest.mark.parametrize("model, extra, golden", MODEL_ROWS, ids=[g for *_, g in MODEL_ROWS])

@@ -1,6 +1,10 @@
 import argparse
 import json
+import os
 import re
+import stat
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -438,6 +442,74 @@ def test_generate_unwritable_out_exits_2(tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert err.startswith(f"error: cannot write --out {path}: ")
+
+
+@pytest.mark.parametrize(
+    "before", [None, b"", b"x" * 64, b"y" * 100_000], ids=["absent", "empty", "shorter", "longer"]
+)
+def test_write_gives_the_bytes_of_a_fresh_write(tmp_path, before):
+    text = dump_model(PRESETS["s2xs3"]) + "é\n"
+    fresh, target = tmp_path / "fresh", tmp_path / "target"
+    assert cli._write("--out", str(fresh), text)
+    if before is not None:
+        target.write_bytes(before)
+    assert cli._write("--out", str(target), text)
+    assert target.read_bytes() == fresh.read_bytes() == text.encode("utf-8")
+
+
+def test_write_opens_the_target_without_truncating_it(tmp_path, monkeypatch):
+    # The bytes are written over the old ones, never after a cut to zero.
+    opened = []
+    monkeypatch.setattr(
+        cli.os,
+        "open",
+        lambda path, flags, *a, _fn=os.open: opened.append((path, flags)) or _fn(path, flags, *a),
+    )
+    path = str(tmp_path / "report.json")
+    for _ in range(2):
+        assert cli._write("--json", path, "{}\n")
+    assert [p for p, _ in opened] == [path, path]
+    for _, flags in opened:
+        assert flags & os.O_WRONLY and flags & os.O_CREAT and not flags & os.O_TRUNC
+
+
+def test_write_creates_a_file_with_the_mode_open_gives(tmp_path):
+    old = os.umask(0o027)
+    try:
+        assert cli._write("--out", str(tmp_path / "new.json"), "{}\n")
+    finally:
+        os.umask(old)
+    assert stat.S_IMODE((tmp_path / "new.json").stat().st_mode) == 0o666 & ~0o027
+
+
+def test_write_goes_through_a_symlink(tmp_path):
+    target, link = tmp_path / "target.json", tmp_path / "link.json"
+    target.write_text("z" * 1000)
+    link.symlink_to(target)
+    assert cli._write("--json", str(link), "{}\n")
+    assert link.is_symlink() and target.read_text() == "{}\n"
+
+
+def test_analyze_json_to_dev_null_exits_0(capsys):
+    code, out, err = run(capsys, "analyze", "hopf-s3", "--quiet", "--json", os.devnull)
+    assert (code, err) == (0, "")
+    assert "mainS: pass" in out
+
+
+def test_analyze_json_into_a_pipe_writes_the_whole_report(tmp_path):
+    # /dev/stdout is the pipe the report is read from: it reports size 0,
+    # and a truncate on it would fail.
+    golden = tmp_path / "report.json"
+    assert main(["analyze", "s2xs3", "--quiet", "--json", str(golden)]) == 0
+    proc = subprocess.run(
+        [sys.executable, "-m", "specseq", "analyze", "s2xs3", "--quiet", "--json", "/dev/stdout"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    elapsed = re.compile(r'"elapsed_s": \S+')
+    assert elapsed.sub("", golden.read_text()) in elapsed.sub("", proc.stdout)
 
 
 def test_generate_deterministic(tmp_path, capsys):

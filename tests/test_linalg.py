@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -236,6 +237,28 @@ def test_reduction_without_v_keeps_the_zero_columns_and_the_lows(cols):
             assert bare.keys() == r.keys()
             [ratio] = {Q(bare[i], x) for i, x in r.items()}
             assert ratio > 0
+
+
+@settings(deadline=None, max_examples=100)
+@given(integer_matrices, integer_matrices)
+def test_every_reduced_column_is_content_free(first, cols):
+    # Each column the reduction reduces is divided by its content: with V the
+    # gcd over R_j and V_j together is 1, and without V the gcd over a nonzero
+    # R_j is 1, also when the reduction starts from pivots.  A cleared column
+    # is taken as it is handed over, here twice a kernel vector.
+    def content(*columns):
+        return gcd(*(x for col in columns for x in col.values()))
+
+    R, V, _ = reduce_columns(cols)
+    cleared = {j: {i: 2 * x for i, x in V[j].items()} for j, r in enumerate(R) if not r}
+    for clearing in ({}, cleared):
+        R, V, _ = reduce_columns(cols, clearing)
+        for j, (r, v) in enumerate(zip(R, V, strict=True)):
+            assert j in clearing or content(r, v) == 1
+    R_first, _, lows_first = reduce_columns(first, with_v=False)
+    pivots = {low: R_first[j] for low, j in lows_first.items()}
+    for R in (R_first, reduce_columns(cols, with_v=False, pivots=pivots)[0]):
+        assert all(content(r) == 1 for r in R if r)
 
 
 def test_cleared_columns_are_not_reduced():

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from specseq import modelfile
 from specseq.invariant import betti_numbers
 from specseq.linalg import Matrix
 from specseq.modelfile import (
@@ -106,6 +107,18 @@ def test_parse_rejects_rationals_above_the_bit_cap(value):
 )
 def test_parse_accepts_rationals_at_the_bit_cap(value, expected):
     assert parse_model(_hopf_text(value)).lambdas == (expected,)
+
+
+@pytest.mark.parametrize("value", ["1e99999", "1E+00099999", "-1e-9_9999"])
+def test_a_long_exponent_is_refused_before_any_fraction_is_built(monkeypatch, value):
+    # "1e99999" names a 332,190-bit number, and Fraction would build it whole
+    # before the bit cap could refuse it: it is refused by its exponent alone.
+    built = []
+    monkeypatch.setattr(modelfile, "Fraction", lambda *a: built.append(a) or Fraction(*a))
+    with pytest.raises(ModelFileError, match=r"^x: .* above 64 bits$"):
+        modelfile.parse_rational(value, "x")
+    assert built == []
+    assert modelfile.parse_rational("1e19", "x") == 10**19 and built == [("1e19",)]
 
 
 def test_parse_rejects_integer_past_the_digit_limit():
